@@ -132,7 +132,7 @@ void run_composed(benchmark::State& state, int replicas, int shards) {
     const double svc = f.svc;
     const double capacity = static_cast<double>(shards) / svc;
 
-    RouterLoadConfig load;
+    LoadStream load;
     load.arrivals.process = ArrivalProcess::kMmpp;
     if (g_rate > 0) {
       load.arrivals.rate = g_rate;
@@ -150,7 +150,7 @@ void run_composed(benchmark::State& state, int replicas, int shards) {
     load.num_requests = g_requests;
     load.deadline_seconds = g_deadline_ms > 0 ? g_deadline_ms * 1e-3 : 40 * svc;
     load.seed = g_seed;
-    last = run_router_open_loop(tier.router(), load);
+    last = run_open_loop(load, tier, submit_to(tier.router()));
     last_stats = tier.router().stats().since(warmed);
     scrape = obs::MetricsSnapshot{};
     tier.scrape(scrape);

@@ -93,11 +93,11 @@ MixedLoopReport run_once(bool monitored) {
   const std::vector<GraphDelta> deltas = make_delta_stream(f.dataset, stream_cfg);
 
   MixedLoopConfig mixed;
-  mixed.reads.process = ArrivalProcess::kPoisson;
-  mixed.reads.rate = g_read_rate;
+  mixed.reads.arrivals.process = ArrivalProcess::kPoisson;
+  mixed.reads.arrivals.rate = g_read_rate;
+  mixed.reads.arrivals.seed = g_seed;
+  mixed.reads.num_requests = g_requests;
   mixed.reads.seed = g_seed;
-  mixed.num_requests = g_requests;
-  mixed.read_seed = g_seed;
   mixed.writes.process = ArrivalProcess::kPoisson;
   mixed.writes.rate = 100.0;
   mixed.writes.seed = g_seed + 3;

@@ -117,8 +117,8 @@ struct MultitenantFixture {
 
 /// Tenant A's nominal stream: Poisson at 40% of one worker's capacity, the
 /// same schedule in the solo and contended runs (same seed, same rate).
-TenantStream stream_a(const MultitenantFixture& f, tenant_t tenant) {
-  TenantStream s;
+LoadStream stream_a(const MultitenantFixture& f, tenant_t tenant) {
+  LoadStream s;
   s.tenant = tenant;
   s.arrivals.process = ArrivalProcess::kPoisson;
   s.arrivals.rate = 0.4 / f.svc;
@@ -139,8 +139,7 @@ void BM_Multitenant_SoloA(benchmark::State& state) {
     const tenant_t a = registry.add_server(slo, f.homo, f.serve_config());
     registry.publish(a, f.sage);
     registry.start();
-    const TenantStream streams[] = {stream_a(f, a)};
-    last = run_registry_open_loop(registry, streams)[0];
+    last = run_open_loop(stream_a(f, a), registry.backend(a), submit_to(registry));
     lane = registry.stats().tenants[static_cast<std::size_t>(a)];
     registry.stop();
   }
@@ -182,7 +181,7 @@ void BM_Multitenant_Isolation(benchmark::State& state) {
     registry.publish(c, f.rgcn);
     registry.start();
 
-    TenantStream sb;  // the bursty neighbour
+    LoadStream sb;  // the bursty neighbour
     sb.tenant = b;
     sb.arrivals.process = ArrivalProcess::kMmpp;
     sb.arrivals.mmpp_rate0 = 0.3 * capacity;
@@ -193,7 +192,7 @@ void BM_Multitenant_Isolation(benchmark::State& state) {
     sb.num_requests = g_requests;
     sb.seed = g_seed + 1;
 
-    TenantStream sc;  // the light relational tenant
+    LoadStream sc;  // the light relational tenant
     sc.tenant = c;
     sc.arrivals.process = ArrivalProcess::kPoisson;
     sc.arrivals.rate = 0.05 * capacity;
@@ -201,8 +200,10 @@ void BM_Multitenant_Isolation(benchmark::State& state) {
     sc.num_requests = std::max<std::size_t>(16, g_requests / 8);
     sc.seed = g_seed + 2;
 
-    const TenantStream streams[] = {stream_a(f, a), sb, sc};
-    last = run_registry_open_loop(registry, streams);
+    const LoadStream streams[] = {stream_a(f, a), sb, sc};
+    last = run_open_loop(
+        streams, [&](tenant_t t) -> const ServingBackend& { return registry.backend(t); },
+        submit_to(registry));
     stats = registry.stats();
     scrape = obs::MetricsSnapshot{};
     registry.scrape(scrape);
@@ -248,7 +249,7 @@ void BM_Multitenant_WeightedFair(benchmark::State& state) {
     // weighted shares directly (whole-run QPS would be diluted by the
     // light tenant's post-contention drain at full capacity).
     const auto make_load = [&](tenant_t tenant, std::uint64_t seed) {
-      RouterLoadConfig load;
+      LoadStream load;
       load.arrivals.process = ArrivalProcess::kPoisson;
       load.arrivals.rate = 3.0 * capacity;
       load.arrivals.seed = seed;
@@ -259,10 +260,10 @@ void BM_Multitenant_WeightedFair(benchmark::State& state) {
     };
     RouterStats at_heavy_done;
     std::thread heavy_thread([&] {
-      heavy = run_router_open_loop(router, make_load(0, g_seed));
+      heavy = run_open_loop(make_load(0, g_seed), group, submit_to(router));
       at_heavy_done = router.stats();
     });
-    light = run_router_open_loop(router, make_load(1, g_seed + 1));
+    light = run_open_loop(make_load(1, g_seed + 1), group, submit_to(router));
     heavy_thread.join();
     rstats = router.stats();
     group.stop();

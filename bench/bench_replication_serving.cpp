@@ -104,13 +104,13 @@ void run_replicated(benchmark::State& state, int replicas, RoutePolicy policy, b
     (void)router.infer_batch(warmup);
     const RouterStats warmed = router.stats();  // measured run reports deltas
 
-    RouterLoadConfig load;
+    LoadStream load;
     load.arrivals = mmpp_arrivals();
     load.num_requests = g_requests;
     load.deadline_seconds = g_deadline_ms * 1e-3;
     load.low_priority_fraction = 0.3;
     load.seed = g_seed;
-    last = run_router_open_loop(router, load);
+    last = run_open_loop(load, group, submit_to(router));
     last_stats = router.stats().since(warmed);
     scrape = obs::MetricsSnapshot{};
     router.scrape(scrape);

@@ -116,23 +116,24 @@ void BM_ClosedLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosedLoop)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void run_open_loop(benchmark::State& state, ArrivalProcess process) {
+void open_loop_bench(benchmark::State& state, ArrivalProcess process) {
   ServingFixture& f = ServingFixture::get();
-  ArrivalConfig arrivals;
-  arrivals.process = process;
-  arrivals.rate = static_cast<double>(state.range(0));
-  arrivals.seed = g_seed;
+  LoadStream load;
+  load.arrivals.process = process;
+  load.arrivals.rate = static_cast<double>(state.range(0));
+  load.arrivals.seed = g_seed;
   // Scale the MMPP states to the same long-run mean as the Poisson rate.
-  arrivals.mmpp_rate0 = arrivals.rate / 4;
-  arrivals.mmpp_rate1 = arrivals.rate * 4;
+  load.arrivals.mmpp_rate0 = load.arrivals.rate / 4;
+  load.arrivals.mmpp_rate1 = load.arrivals.rate * 4;
+  load.num_requests = 400;
+  load.seed = g_seed;
   LoadReport last;
   obs::MetricsSnapshot scrape;
   for (auto _ : state) {
     InferenceServer server(f.dataset, f.config(/*workers=*/2, /*max_batch=*/16));
     server.publish(f.snapshot);
     server.start();
-    TrafficGenerator traffic(server, g_seed);
-    last = traffic.run_open_loop(arrivals, /*num_requests=*/400);
+    last = run_open_loop(load, server, submit_to(server));
     scrape = obs::MetricsSnapshot{};
     server.scrape(scrape);
     server.stop();
@@ -143,11 +144,11 @@ void run_open_loop(benchmark::State& state, ArrivalProcess process) {
 }
 
 void BM_OpenLoop_Poisson(benchmark::State& state) {
-  run_open_loop(state, ArrivalProcess::kPoisson);
+  open_loop_bench(state, ArrivalProcess::kPoisson);
 }
 BENCHMARK(BM_OpenLoop_Poisson)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_OpenLoop_Mmpp(benchmark::State& state) { run_open_loop(state, ArrivalProcess::kMmpp); }
+void BM_OpenLoop_Mmpp(benchmark::State& state) { open_loop_bench(state, ArrivalProcess::kMmpp); }
 BENCHMARK(BM_OpenLoop_Mmpp)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Tracing-overhead guard: the same open-loop Poisson run with stage tracing
@@ -156,10 +157,12 @@ BENCHMARK(BM_OpenLoop_Mmpp)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond)
 /// pre-push trace stamping stay effectively free on the hot path.
 void BM_TracingOverhead(benchmark::State& state) {
   ServingFixture& f = ServingFixture::get();
-  ArrivalConfig arrivals;
-  arrivals.process = ArrivalProcess::kPoisson;
-  arrivals.rate = 2000;
-  arrivals.seed = g_seed;
+  LoadStream load;
+  load.arrivals.process = ArrivalProcess::kPoisson;
+  load.arrivals.rate = 2000;
+  load.arrivals.seed = g_seed;
+  load.num_requests = 400;
+  load.seed = g_seed;
   double p99_off = 0, p99_on = 0;
   for (auto _ : state) {
     for (const double rate : {0.0, 0.01}) {
@@ -168,8 +171,7 @@ void BM_TracingOverhead(benchmark::State& state) {
       InferenceServer server(f.dataset, cfg);
       server.publish(f.snapshot);
       server.start();
-      TrafficGenerator traffic(server, g_seed);
-      const LoadReport report = traffic.run_open_loop(arrivals, /*num_requests=*/400);
+      const LoadReport report = run_open_loop(load, server, submit_to(server));
       server.stop();
       (rate == 0.0 ? p99_off : p99_on) = report.p99_ms;
     }

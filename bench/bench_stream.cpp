@@ -84,10 +84,12 @@ ServeConfig stream_serve_config() {
   return cfg;
 }
 
-ArrivalConfig read_arrivals() {
-  ArrivalConfig reads;
-  reads.process = ArrivalProcess::kPoisson;
-  reads.rate = 2000.0;
+LoadStream read_stream() {
+  LoadStream reads;
+  reads.arrivals.process = ArrivalProcess::kPoisson;
+  reads.arrivals.rate = 2000.0;
+  reads.arrivals.seed = g_seed;
+  reads.num_requests = g_requests;
   reads.seed = g_seed;
   return reads;
 }
@@ -125,9 +127,7 @@ void run_mixed(benchmark::State& state, const ArrivalConfig& writes, const char*
   const std::vector<GraphDelta> deltas = make_delta_stream(f.dataset, stream_cfg);
 
   MixedLoopConfig mixed;
-  mixed.reads = read_arrivals();
-  mixed.num_requests = g_requests;
-  mixed.read_seed = g_seed;
+  mixed.reads = read_stream();
   mixed.writes = writes;
 
   MixedLoopReport report;
@@ -173,8 +173,7 @@ void BM_Stream_FrozenBaseline(benchmark::State& state) {
     InferenceServer server(live_data, stream_serve_config());
     server.publish(f.snapshot);
     server.start();
-    TrafficGenerator reads(server, g_seed, /*zipf_s=*/0.0);
-    report = reads.run_open_loop(read_arrivals(), g_requests);
+    report = run_open_loop(read_stream(), server, submit_to(server));
     server.stop();
   }
   state.SetLabel("frozen");

@@ -166,7 +166,7 @@ int run_demo(const Options& opts) {
   // Phase 1 — MMPP burst overload: every completed request violates the
   // 100µs deadline, overspending both burn windows.
   std::printf("== phase 1: MMPP burst vs %s SLO ==\n", slo.name.c_str());
-  TenantStream burst;
+  LoadStream burst;
   burst.tenant = tenant;
   burst.arrivals.process = ArrivalProcess::kMmpp;
   burst.arrivals.rate = rate;
@@ -175,8 +175,7 @@ int run_demo(const Options& opts) {
   burst.arrivals.seed = seed;
   burst.num_requests = requests;
   burst.seed = seed;
-  const TenantStream streams[] = {burst};
-  (void)run_registry_open_loop(registry, streams);
+  (void)run_open_loop(burst, registry.backend(tenant), submit_to(registry));
   registry.backend(tenant).drain();
   std::printf("%s\n", monitor.summary_line().c_str());
 

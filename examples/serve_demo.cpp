@@ -137,17 +137,21 @@ int run_demo(const Options& opts) {
   std::printf("hot-swapped to snapshot v2 (publishes so far: served %llu requests)\n",
               static_cast<unsigned long long>(server.stats().completed));
 
-  ArrivalConfig arrivals;
+  LoadStream load;
+  ArrivalConfig& arrivals = load.arrivals;
   const std::string process = opts.get("arrival", "mmpp");
   arrivals.process = process == "poisson" ? ArrivalProcess::kPoisson : ArrivalProcess::kMmpp;
   arrivals.rate = opts.get_double("rate", 2000);
   arrivals.mmpp_rate0 = arrivals.rate / 4;
   arrivals.mmpp_rate1 = arrivals.rate * 4;
-  reports.push_back(traffic.run_open_loop(arrivals, requests));
+  load.num_requests = requests;
+  load.seed = serve_cfg.sample_seed;
+  load.zipf_s = zipf_s;
+  reports.push_back(run_open_loop(load, server, submit_to(server)));
 
   std::printf("%s\n", render_load_reports(reports, "serving load (closed + open loop)").c_str());
 
-  const ServerStats stats = server.stats();
+  const BackendStats stats = server.stats();
   std::printf("feature cache: %llu accesses, hit rate %.3f, reuse %.2f, %llu bytes read\n",
               static_cast<unsigned long long>(stats.feature_cache.accesses),
               stats.feature_cache.hit_rate(), stats.feature_cache.reuse(),
@@ -194,13 +198,9 @@ int run_demo(const Options& opts) {
   (void)router.infer_batch(warmup);
   const RouterStats warmed = router.stats();  // report the measured run only
 
-  RouterLoadConfig load;
-  load.arrivals = arrivals;
-  load.num_requests = requests;
   load.deadline_seconds = opts.get_double("deadline-ms", 20.0) * 1e-3;
   load.low_priority_fraction = opts.get_double("low-frac", 0.3);
-  load.seed = serve_cfg.sample_seed;
-  const LoadReport replicated = run_router_open_loop(router, load);
+  const LoadReport replicated = run_open_loop(load, group, submit_to(router));
   group.stop();
 
   std::printf("%s\n",
@@ -275,8 +275,7 @@ int run_demo(const Options& opts) {
     match = match && probed[i].has_value() && probed[i]->logits == probe_expected[i];
   const RouterStats composed_warmed = tier.router().stats();
 
-  RouterLoadConfig composed_load = load;
-  const LoadReport composed = run_router_open_loop(tier.router(), composed_load);
+  const LoadReport composed = run_open_loop(load, tier, submit_to(tier.router()));
   tier.stop();
 
   std::printf("%s\n", render_load_reports(std::vector<LoadReport>{composed},
@@ -329,7 +328,7 @@ int run_demo(const Options& opts) {
               "bravo budget %.0f req/s\n",
               registry.num_models(), registry.slo(tenant_b).rate_limit);
 
-  TenantStream stream_a;
+  LoadStream stream_a;
   stream_a.tenant = tenant_a;
   stream_a.arrivals.process = ArrivalProcess::kPoisson;
   stream_a.arrivals.rate = arrivals.rate / 2;
@@ -337,7 +336,7 @@ int run_demo(const Options& opts) {
   stream_a.num_requests = requests;
   stream_a.seed = serve_cfg.sample_seed;
 
-  TenantStream stream_b;  // the bursty neighbour, offered well above budget
+  LoadStream stream_b;  // the bursty neighbour, offered well above budget
   stream_b.tenant = tenant_b;
   stream_b.arrivals.process = ArrivalProcess::kMmpp;
   stream_b.arrivals.mmpp_rate0 = arrivals.rate / 4;
@@ -346,7 +345,7 @@ int run_demo(const Options& opts) {
   stream_b.num_requests = requests;
   stream_b.seed = serve_cfg.sample_seed + 1;
 
-  TenantStream stream_c;  // light relational trickle
+  LoadStream stream_c;  // light relational trickle
   stream_c.tenant = tenant_c;
   stream_c.arrivals.process = ArrivalProcess::kPoisson;
   stream_c.arrivals.rate = arrivals.rate / 10;
@@ -365,8 +364,12 @@ int run_demo(const Options& opts) {
   });
   health.start();
 
-  const TenantStream streams[] = {stream_a, stream_b, stream_c};
-  const std::vector<LoadReport> tenant_reports = run_registry_open_loop(registry, streams);
+  const LoadStream streams[] = {stream_a, stream_b, stream_c};
+  std::vector<LoadReport> tenant_reports = run_open_loop(
+      streams, [&](tenant_t t) -> const ServingBackend& { return registry.backend(t); },
+      submit_to(registry));
+  for (std::size_t i = 0; i < tenant_reports.size(); ++i)
+    tenant_reports[i].label = registry.slo(streams[i].tenant).name;
   const BackendStats reg_stats = registry.stats();
   health.stop();
   std::printf("%s\n", health.summary_line().c_str());

@@ -118,11 +118,11 @@ int main(int argc, char** argv) {
   for (std::size_t d = 0; d < replay.size(); ++d) replay[d].epoch = 0;  // publisher stamps
 
   MixedLoopConfig mixed;
-  mixed.reads.process = ArrivalProcess::kPoisson;
-  mixed.reads.rate = read_rate;
+  mixed.reads.arrivals.process = ArrivalProcess::kPoisson;
+  mixed.reads.arrivals.rate = read_rate;
+  mixed.reads.arrivals.seed = static_cast<std::uint64_t>(seed);
+  mixed.reads.num_requests = static_cast<std::size_t>(requests);
   mixed.reads.seed = static_cast<std::uint64_t>(seed);
-  mixed.num_requests = static_cast<std::size_t>(requests);
-  mixed.read_seed = static_cast<std::uint64_t>(seed);
   mixed.writes.process = ArrivalProcess::kMmpp;
   mixed.writes.rate = write_rate;
   mixed.writes.mmpp_rate0 = write_rate * 0.25;

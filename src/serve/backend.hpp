@@ -37,11 +37,6 @@
 
 namespace distgnn::serve {
 
-/// One stats snapshot shape for every tier (subsumes the former ServerStats /
-/// GroupStats / ShardedRankStats). Leaf backends fill the scalar counters;
-/// composite backends aggregate their members' snapshots into the parent
-/// counters and keep the per-member detail in `children` (per replica for a
-/// group, per rank for a sharded server).
 /// Per-tenant slice of a stats snapshot. Leaf backends tally their own
 /// lanes; absorb() merges children's lanes by tenant id, so the per-tenant
 /// dimension is scraped through the same stats tree as everything else.
@@ -56,6 +51,10 @@ struct TenantCounters {
   }
 };
 
+/// One stats snapshot shape for every tier. Leaf backends fill the scalar
+/// counters; composite backends aggregate their members' snapshots into the
+/// parent counters and keep the per-member detail in `children` (per replica
+/// for a group, per rank for a sharded server).
 struct BackendStats {
   /// Human-readable identity of the backend this snapshot describes (a
   /// registry entry's tenant name, empty for anonymous members).
@@ -220,12 +219,6 @@ class ServingBackend : public obs::ScrapeSource {
   bool submit(vid_t vertex, std::function<void(InferResult&&)> done) {
     return submit(vertex, RequestMeta{}, std::move(done));
   }
-  /// Pre-tenancy spelling, kept as a non-virtual alias for one release.
-  bool submit(vid_t vertex, ServeClock::time_point deadline, Priority priority,
-              std::function<void(InferResult&&)> done) {
-    return submit(vertex, RequestMeta{deadline, priority, kDefaultTenant, nullptr},
-                  std::move(done));
-  }
 
   /// Blocking batch: one entry per vertex, nullopt where the request was not
   /// admitted. The default implementation submits through the virtual
@@ -235,12 +228,6 @@ class ServingBackend : public obs::ScrapeSource {
                                                               const RequestMeta& meta);
   std::vector<std::optional<InferResult>> infer_batch(std::span<const vid_t> vertices) {
     return infer_batch(vertices, RequestMeta{});
-  }
-  /// Pre-tenancy spelling, kept as a non-virtual alias for one release.
-  std::vector<std::optional<InferResult>> infer_batch(std::span<const vid_t> vertices,
-                                                      ServeClock::time_point deadline,
-                                                      Priority priority) {
-    return infer_batch(vertices, RequestMeta{deadline, priority, kDefaultTenant, nullptr});
   }
 
   /// Blocking convenience wrapper for closed-loop clients and tests. The

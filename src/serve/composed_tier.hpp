@@ -110,8 +110,7 @@ class ComposedTier : public ServingBackend {
   int num_shards() const { return num_shards_; }
   std::uint64_t version() const { return group_.version(); }
 
-  /// The admission/routing front — open-loop drivers and the composed bench
-  /// reuse run_router_open_loop unchanged through this.
+  /// The admission/routing front; open-loop load submits through it.
   Router& router() { return router_; }
   ReplicaGroup& group() { return group_; }
 

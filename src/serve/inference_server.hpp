@@ -39,10 +39,6 @@ struct ServeConfig : TierConfig {
   int num_workers = 2;
 };
 
-/// Single-server stats are the leaf case of the unified BackendStats shape
-/// (serve/backend.hpp); the alias records the subsumption.
-using ServerStats = BackendStats;
-
 /// Deterministic per-request sampling stream shared by every serving mode.
 Rng request_rng(std::uint64_t sample_seed, vid_t vertex);
 

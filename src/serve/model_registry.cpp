@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "obs/health.hpp"
-#include "util/rng.hpp"
 
 namespace distgnn::serve {
 
@@ -202,87 +201,6 @@ obs::HealthConfig make_health_config(const TierConfig& config) {
   health.burn_fast_window_seconds = config.health_fast_window_seconds;
   health.burn_slow_window_seconds = config.health_slow_window_seconds;
   return health;
-}
-
-std::vector<LoadReport> run_registry_open_loop(ModelRegistry& registry,
-                                               std::span<const TenantStream> streams) {
-  struct StreamRun {
-    std::vector<double> offsets;
-    std::vector<vid_t> targets;
-    LatencyRecorder latencies;
-    util::Mutex mutex;
-    util::CondVar cv;
-    std::size_t accounted = 0;
-    std::uint64_t rejected = 0;
-    double duration = 0;
-    BackendStats before;
-  };
-
-  std::vector<std::unique_ptr<StreamRun>> runs;
-  for (const TenantStream& stream : streams) {
-    auto run = std::make_unique<StreamRun>();
-    run->offsets = generate_arrivals(stream.arrivals, stream.num_requests);
-    const auto num_vertices = static_cast<std::uint64_t>(
-        registry.backend(stream.tenant).dataset().num_vertices());
-    Rng rng(stream.seed);
-    run->targets.reserve(stream.num_requests);
-    for (std::size_t i = 0; i < stream.num_requests; ++i)
-      run->targets.push_back(static_cast<vid_t>(rng.next_below(num_vertices)));
-    run->before = registry.backend(stream.tenant).stats();
-    runs.push_back(std::move(run));
-  }
-
-  // One shared t=0 so the K arrival processes genuinely overlap.
-  const auto begin = ServeClock::now();
-  std::vector<std::thread> threads;
-  for (std::size_t si = 0; si < streams.size(); ++si) {
-    threads.emplace_back([&, si] {
-      const TenantStream& stream = streams[si];
-      StreamRun& run = *runs[si];
-      const auto account = [&](bool was_rejected) {
-        util::MutexLock lock(run.mutex);
-        if (was_rejected) ++run.rejected;
-        ++run.accounted;
-        if (run.accounted == stream.num_requests) run.cv.notify_all();
-      };
-      for (std::size_t i = 0; i < stream.num_requests; ++i) {
-        std::this_thread::sleep_until(begin + std::chrono::duration<double>(run.offsets[i]));
-        const bool accepted =
-            registry.submit(stream.tenant, run.targets[i], [&](InferResult&& result) {
-              run.latencies.record(result.latency_seconds);
-              account(false);
-            });
-        if (!accepted) account(true);
-      }
-      {
-        util::MutexLock lock(run.mutex);
-        while (run.accounted != stream.num_requests) run.cv.wait(lock);
-      }
-      run.duration = std::chrono::duration<double>(ServeClock::now() - begin).count();
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  std::vector<LoadReport> reports;
-  for (std::size_t si = 0; si < streams.size(); ++si) {
-    const TenantStream& stream = streams[si];
-    StreamRun& run = *runs[si];
-    LoadReport report;
-    report.label = registry.slo(stream.tenant).name;
-    report.duration_seconds = run.duration;
-    report.offered = stream.num_requests;
-    report.rejected = run.rejected;
-    report.completed = stream.num_requests - run.rejected;
-    report.qps = run.duration > 0 ? static_cast<double>(report.completed) / run.duration : 0.0;
-    fill_latency_fields(report, run.latencies);
-    const BackendStats after = registry.backend(stream.tenant).stats();
-    const std::uint64_t batches = after.batches - run.before.batches;
-    if (batches > 0)
-      report.mean_batch = static_cast<double>(after.batched_requests - run.before.batched_requests) /
-                          static_cast<double>(batches);
-    reports.push_back(std::move(report));
-  }
-  return reports;
 }
 
 }  // namespace distgnn::serve

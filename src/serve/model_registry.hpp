@@ -136,23 +136,12 @@ class ModelRegistry : public obs::ScrapeSource {
   bool started_ = false;
 };
 
-/// One tenant's open-loop arrival stream (the multi-tenant analogue of
-/// TrafficGenerator::run_open_loop): `num_requests` requests at the
-/// configured arrival instants, targeting uniform-random vertices of the
-/// tenant's dataset.
-struct TenantStream {
-  tenant_t tenant = kDefaultTenant;
-  ArrivalConfig arrivals;
-  std::size_t num_requests = 400;
-  /// Vertex-choice stream (independent of the arrival seed).
-  std::uint64_t seed = 11;
-};
-
-/// Drives all streams concurrently — one thread per stream, one shared
-/// t=0 — so K independent MMPP processes hit the registry the way K real
-/// tenants would. reports[i] covers streams[i] (label = tenant name);
-/// rejected counts budget sheds and backend rejections.
-std::vector<LoadReport> run_registry_open_loop(ModelRegistry& registry,
-                                               std::span<const TenantStream> streams);
+/// Submits through the registry's front door: the request's tenant picks the
+/// entry, whose SLO then supplies deadline and priority.
+inline SubmitFn submit_to(ModelRegistry& registry) {
+  return [&registry](vid_t v, const RequestMeta& meta, std::function<void(InferResult&&)> done) {
+    return registry.submit(meta.tenant, v, std::move(done));
+  };
+}
 
 }  // namespace distgnn::serve

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
-#include <thread>
 
 #include "util/rng.hpp"
 #include "util/sync.hpp"
@@ -91,11 +90,6 @@ int Router::pick_replica() {
 
 bool Router::submit(vid_t vertex, std::function<void(InferResult&&)> done) {
   return submit(vertex, RequestMeta{}, std::move(done));
-}
-
-bool Router::submit(vid_t vertex, ServeClock::time_point deadline, Priority priority,
-                    std::function<void(InferResult&&)> done) {
-  return submit(vertex, RequestMeta{deadline, priority, kDefaultTenant, nullptr}, std::move(done));
 }
 
 bool Router::submit(vid_t vertex, const RequestMeta& meta,
@@ -320,16 +314,6 @@ void Router::pump_locked() {
   }
 }
 
-std::vector<std::optional<InferResult>> Router::infer_batch(std::span<const vid_t> vertices) {
-  return infer_batch(vertices, RequestMeta{});
-}
-
-std::vector<std::optional<InferResult>> Router::infer_batch(std::span<const vid_t> vertices,
-                                                            ServeClock::time_point deadline,
-                                                            Priority priority) {
-  return infer_batch(vertices, RequestMeta{deadline, priority, kDefaultTenant, nullptr});
-}
-
 std::vector<std::optional<InferResult>> Router::infer_batch(std::span<const vid_t> vertices,
                                                             const RequestMeta& meta) {
   const std::size_t n = vertices.size();
@@ -454,75 +438,5 @@ void Router::scrape(obs::MetricsSnapshot& out) const {
 }
 
 void Router::collect_traces(std::vector<obs::Trace>& out) const { group_.collect_traces(out); }
-
-LoadReport run_router_open_loop(Router& router, const RouterLoadConfig& config) {
-  const std::vector<double> offsets = generate_arrivals(config.arrivals, config.num_requests);
-  ReplicaGroup& group = router.group();
-  const auto num_vertices = static_cast<std::uint64_t>(group.dataset().num_vertices());
-
-  Rng rng(config.seed);
-  std::vector<vid_t> targets;
-  std::vector<Priority> priorities;
-  targets.reserve(config.num_requests);
-  priorities.reserve(config.num_requests);
-  for (std::size_t i = 0; i < config.num_requests; ++i) {
-    targets.push_back(static_cast<vid_t>(rng.next_below(num_vertices)));
-    priorities.push_back(rng.next_double() < config.low_priority_fraction ? Priority::kLow
-                                                                          : Priority::kHigh);
-  }
-
-  const GroupStats before = group.stats();
-  LatencyRecorder latencies;
-  util::Mutex done_mutex;
-  util::CondVar done_cv;
-  std::size_t accounted = 0;
-  std::uint64_t shed = 0;
-  const auto account = [&](bool was_shed) {
-    util::MutexLock lock(done_mutex);
-    if (was_shed) ++shed;
-    ++accounted;
-    if (accounted == config.num_requests) done_cv.notify_all();
-  };
-
-  const auto deadline_delta =
-      std::chrono::duration_cast<ServeClock::duration>(
-          std::chrono::duration<double>(config.deadline_seconds));
-  const auto begin = ServeClock::now();
-  for (std::size_t i = 0; i < config.num_requests; ++i) {
-    std::this_thread::sleep_until(begin + std::chrono::duration<double>(offsets[i]));
-    const auto deadline = config.deadline_seconds > 0 ? ServeClock::now() + deadline_delta
-                                                      : ServeClock::time_point::max();
-    const RequestMeta meta{deadline, priorities[i], config.tenant, nullptr};
-    const bool admitted = router.submit(targets[i], meta, [&](InferResult&& result) {
-      latencies.record(result.latency_seconds);
-      account(false);
-    });
-    if (!admitted) account(true);
-  }
-  {
-    util::MutexLock lock(done_mutex);
-    while (accounted != config.num_requests) done_cv.wait(lock);
-  }
-  const double duration = std::chrono::duration<double>(ServeClock::now() - begin).count();
-
-  const GroupStats after = group.stats();
-  LoadReport report;
-  report.label = std::string(config.arrivals.process == ArrivalProcess::kPoisson ? "poisson"
-                                                                                 : "mmpp") +
-                 "/" + route_policy_name(router.policy()) + "x" +
-                 std::to_string(group.num_replicas());
-  report.duration_seconds = duration;
-  report.offered = config.num_requests;
-  report.completed = config.num_requests - shed;
-  report.rejected = shed;
-  report.qps = duration > 0 ? static_cast<double>(report.completed) / duration : 0.0;
-  fill_latency_fields(report, latencies);
-  const std::uint64_t batches_delta = after.batches - before.batches;
-  report.mean_batch = batches_delta == 0
-                          ? 0.0
-                          : static_cast<double>(after.batched_requests - before.batched_requests) /
-                                static_cast<double>(batches_delta);
-  return report;
-}
 
 }  // namespace distgnn::serve

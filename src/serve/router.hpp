@@ -36,7 +36,6 @@
 #include "obs/scrape.hpp"
 #include "serve/replica_group.hpp"
 #include "serve/tenant.hpp"
-#include "serve/traffic_gen.hpp"
 #include "util/sync.hpp"
 
 namespace distgnn::serve {
@@ -105,8 +104,6 @@ class Router : public obs::ScrapeSource {
   /// means the request entered its tenant's staged lane; it dispatches in
   /// weighted-fair order and `done` runs on completion.
   bool submit(vid_t vertex, const RequestMeta& meta, std::function<void(InferResult&&)> done);
-  bool submit(vid_t vertex, ServeClock::time_point deadline, Priority priority,
-              std::function<void(InferResult&&)> done);
   bool submit(vid_t vertex, std::function<void(InferResult&&)> done);
 
   /// Blocking batch under ONE admission epoch: all slots are reserved before
@@ -114,11 +111,7 @@ class Router : public obs::ScrapeSource {
   /// batch — every admitted answer carries the same snapshot_version.
   /// Entries of shed requests come back as nullopt.
   std::vector<std::optional<InferResult>> infer_batch(std::span<const vid_t> vertices,
-                                                      const RequestMeta& meta);
-  std::vector<std::optional<InferResult>> infer_batch(std::span<const vid_t> vertices,
-                                                      ServeClock::time_point deadline,
-                                                      Priority priority);
-  std::vector<std::optional<InferResult>> infer_batch(std::span<const vid_t> vertices);
+                                                      const RequestMeta& meta = {});
 
   RouterStats stats() const;
   /// ScrapeSource: synthesizes distgnn_router_* counters from the admission
@@ -188,23 +181,5 @@ class Router : public obs::ScrapeSource {
   std::size_t total_staged_ GUARDED_BY(stage_mutex_) = 0;  // waiting in some lane
   std::size_t window_ = 0;  // immutable after construction
 };
-
-/// Open-loop arrival-driven load through a Router (the replicated analogue
-/// of TrafficGenerator::run_open_loop). Latencies cover admitted requests
-/// only; shed requests count into LoadReport::rejected.
-struct RouterLoadConfig {
-  ArrivalConfig arrivals;
-  std::size_t num_requests = 400;
-  /// Per-request deadline, assigned at submit time (0 = no deadline).
-  double deadline_seconds = 0;
-  /// Fraction of requests marked Priority::kLow (deterministic per seed).
-  double low_priority_fraction = 0;
-  /// Vertex-choice and priority-marking stream.
-  std::uint64_t seed = 5;
-  /// Tenant lane every request of this stream submits under (tenant mode).
-  tenant_t tenant = kDefaultTenant;
-};
-
-LoadReport run_router_open_loop(Router& router, const RouterLoadConfig& config);
 
 }  // namespace distgnn::serve

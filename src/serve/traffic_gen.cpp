@@ -134,15 +134,6 @@ double index_of_dispersion(std::span<const double> arrivals, double window_secon
   return var / mean;
 }
 
-void fill_latency_fields(LoadReport& report, const LatencyRecorder& latencies) {
-  report.mean_ms = latencies.mean_seconds() * 1e3;
-  report.p50_ms = latencies.quantile(0.50) * 1e3;
-  report.p95_ms = latencies.quantile(0.95) * 1e3;
-  report.p99_ms = latencies.quantile(0.99) * 1e3;
-  report.p999_ms = latencies.quantile(0.999) * 1e3;
-  report.histogram = latencies.histogram();
-}
-
 std::string render_load_reports(std::span<const LoadReport> reports, const std::string& title) {
   TextTable table({"load", "offered", "done", "rejected", "QPS", "mean ms", "p50 ms", "p95 ms",
                    "p99 ms", "p99.9 ms", "batch"});
@@ -211,52 +202,67 @@ EmbedWorkloadReport run_embed_cache_workload(const Dataset& dataset,
   return report;
 }
 
-TrafficGenerator::TrafficGenerator(ServingBackend& server, std::uint64_t seed, double zipf_s,
-                                   std::uint64_t zipf_perm_seed)
-    : server_(server), rng_(seed) {
-  if (zipf_s < 0) throw std::invalid_argument("TrafficGenerator: zipf_s must be >= 0");
-  if (zipf_s > 0) {
-    Rng perm_rng(zipf_perm_seed);
-    zipf_.emplace(static_cast<std::uint64_t>(server_.dataset().num_vertices()), zipf_s, perm_rng);
-  }
+namespace {
+
+/// Seed of the Zipf rank -> vertex shuffle, fixed and separate from every
+/// draw seed: generators and streams with different seeds issue *different
+/// request sequences over the same hot set*, which is what makes warm-cache
+/// measurements honest.
+constexpr std::uint64_t kZipfPermSeed = 71;
+
+/// Zipf(s) popularity over the dataset's vertices; nullopt (uniform) at s = 0.
+std::optional<ZipfSampler> make_zipf(vid_t num_vertices, double zipf_s) {
+  if (zipf_s < 0) throw std::invalid_argument("load generation: zipf_s must be >= 0");
+  if (zipf_s == 0) return std::nullopt;
+  Rng perm_rng(kZipfPermSeed);
+  return ZipfSampler(static_cast<std::uint64_t>(num_vertices), zipf_s, perm_rng);
 }
 
-vid_t TrafficGenerator::random_vertex() {
-  if (zipf_) return static_cast<vid_t>(zipf_->draw(rng_));
-  return static_cast<vid_t>(
-      rng_.next_below(static_cast<std::uint64_t>(server_.dataset().num_vertices())));
+vid_t draw_vertex(const std::optional<ZipfSampler>& zipf, vid_t num_vertices, Rng& rng) {
+  if (zipf) return static_cast<vid_t>(zipf->draw(rng));
+  return static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(num_vertices)));
 }
 
-LoadReport TrafficGenerator::finish(const std::string& label, double duration,
-                                    std::uint64_t offered, std::uint64_t completed,
-                                    std::uint64_t rejected, const LatencyRecorder& latencies,
-                                    std::uint64_t batches_delta,
-                                    std::uint64_t batched_requests_delta) const {
+LoadReport make_report(std::string label, double duration, std::uint64_t offered,
+                       std::uint64_t rejected, const LatencyRecorder& latencies,
+                       const BackendStats& before, const BackendStats& after) {
   LoadReport report;
-  report.label = label;
+  report.label = std::move(label);
   report.duration_seconds = duration;
   report.offered = offered;
-  report.completed = completed;
+  report.completed = offered - rejected;
   report.rejected = rejected;
-  report.qps = duration > 0 ? static_cast<double>(completed) / duration : 0.0;
-  fill_latency_fields(report, latencies);
-  report.mean_batch = batches_delta == 0 ? 0.0
-                                         : static_cast<double>(batched_requests_delta) /
-                                               static_cast<double>(batches_delta);
+  report.qps = duration > 0 ? static_cast<double>(report.completed) / duration : 0.0;
+  report.mean_ms = latencies.mean_seconds() * 1e3;
+  report.p50_ms = latencies.quantile(0.50) * 1e3;
+  report.p95_ms = latencies.quantile(0.95) * 1e3;
+  report.p99_ms = latencies.quantile(0.99) * 1e3;
+  report.p999_ms = latencies.quantile(0.999) * 1e3;
+  report.histogram = latencies.histogram();
+  BackendStats window;
+  window.batches = after.batches - before.batches;
+  window.batched_requests = after.batched_requests - before.batched_requests;
+  report.mean_batch = window.mean_batch();
   return report;
 }
+
+}  // namespace
+
+TrafficGenerator::TrafficGenerator(ServingBackend& server, std::uint64_t seed, double zipf_s)
+    : server_(server), rng_(seed), zipf_(make_zipf(server.dataset().num_vertices(), zipf_s)) {}
 
 LoadReport TrafficGenerator::run_closed_loop(int num_clients, int requests_each) {
   if (num_clients < 1 || requests_each < 1)
     throw std::invalid_argument("run_closed_loop: clients and requests must be >= 1");
-  const ServerStats before = server_.stats();
+  const BackendStats before = server_.stats();
 
   // Hand each client its own pre-drawn vertex list so the workload is
   // deterministic regardless of thread interleaving.
+  const vid_t num_vertices = server_.dataset().num_vertices();
   std::vector<std::vector<vid_t>> targets(static_cast<std::size_t>(num_clients));
   for (auto& list : targets) {
     list.reserve(static_cast<std::size_t>(requests_each));
-    for (int i = 0; i < requests_each; ++i) list.push_back(random_vertex());
+    for (int i = 0; i < requests_each; ++i) list.push_back(draw_vertex(zipf_, num_vertices, rng_));
   }
 
   // Each client records into its own recorder; the fold at the end is the
@@ -280,54 +286,100 @@ LoadReport TrafficGenerator::run_closed_loop(int num_clients, int requests_each)
   LatencyRecorder latencies;
   for (const LatencyRecorder& r : per_client) latencies += r;
 
-  const ServerStats after = server_.stats();
   const auto total = static_cast<std::uint64_t>(num_clients) *
                      static_cast<std::uint64_t>(requests_each);
-  return finish("closed(" + std::to_string(num_clients) + ")", duration, total, total, 0,
-                latencies, after.batches - before.batches,
-                after.batched_requests - before.batched_requests);
+  return make_report("closed(" + std::to_string(num_clients) + ")", duration, total, 0,
+                     latencies, before, server_.stats());
 }
 
-LoadReport TrafficGenerator::run_open_loop(const ArrivalConfig& arrivals,
-                                           std::size_t num_requests) {
-  const std::vector<double> offsets = generate_arrivals(arrivals, num_requests);
-  std::vector<vid_t> targets;
-  targets.reserve(num_requests);
-  for (std::size_t i = 0; i < num_requests; ++i) targets.push_back(random_vertex());
-
-  const ServerStats before = server_.stats();
-  LatencyRecorder latencies;
-  util::Mutex done_mutex;
-  util::CondVar done_cv;
-  std::size_t accounted = 0;
-  std::uint64_t rejected = 0;
-  const auto account = [&](bool was_rejected) {
-    util::MutexLock lock(done_mutex);
-    if (was_rejected) ++rejected;
-    ++accounted;
-    if (accounted == num_requests) done_cv.notify_all();
+std::vector<LoadReport> run_open_loop(
+    std::span<const LoadStream> streams,
+    const std::function<const ServingBackend&(tenant_t)>& backend_of, const SubmitFn& submit) {
+  // Every request is drawn up front, then the streams merge into one
+  // timeline: a single loop issues them all against one t=0.
+  struct Arrival {
+    double offset = 0;
+    std::size_t stream = 0;
+    vid_t vertex = kInvalidVertex;
+    Priority priority = Priority::kHigh;
   };
+  struct Tally {
+    BackendStats before;
+    LatencyRecorder latencies;
+    std::uint64_t rejected = 0;
+    std::size_t accounted = 0;
+    double seconds = 0;  // t=0 -> the stream's last answer or refusal
+  };
+  std::vector<Arrival> timeline;
+  std::vector<Tally> tallies(streams.size());
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    const LoadStream& stream = streams[s];
+    const ServingBackend& backend = backend_of(stream.tenant);
+    const vid_t num_vertices = backend.dataset().num_vertices();
+    const std::optional<ZipfSampler> zipf = make_zipf(num_vertices, stream.zipf_s);
+    Rng rng(stream.seed);
+    for (const double offset : generate_arrivals(stream.arrivals, stream.num_requests)) {
+      const vid_t vertex = draw_vertex(zipf, num_vertices, rng);
+      const bool low = stream.low_priority_fraction > 0 &&
+                       rng.next_double() < stream.low_priority_fraction;
+      timeline.push_back({offset, s, vertex, low ? Priority::kLow : Priority::kHigh});
+    }
+    tallies[s].before = backend.stats();
+  }
+  std::stable_sort(timeline.begin(), timeline.end(),
+                   [](const Arrival& a, const Arrival& b) { return a.offset < b.offset; });
 
+  util::Mutex mutex;
+  util::CondVar drained;
+  std::size_t outstanding = timeline.size();
   const auto begin = ServeClock::now();
-  for (std::size_t i = 0; i < num_requests; ++i) {
-    std::this_thread::sleep_until(begin + std::chrono::duration<double>(offsets[i]));
-    const bool accepted = server_.submit(targets[i], [&](InferResult&& result) {
-      latencies.record(result.latency_seconds);
-      account(false);
+  const auto account = [&](std::size_t s, bool rejected) {
+    util::MutexLock lock(mutex);
+    Tally& tally = tallies[s];
+    if (rejected) ++tally.rejected;
+    if (++tally.accounted == streams[s].num_requests)
+      tally.seconds = std::chrono::duration<double>(ServeClock::now() - begin).count();
+    if (--outstanding == 0) drained.notify_all();
+  };
+  for (const Arrival& arrival : timeline) {
+    std::this_thread::sleep_until(begin + std::chrono::duration<double>(arrival.offset));
+    const std::size_t s = arrival.stream;
+    const LoadStream& stream = streams[s];
+    RequestMeta meta;
+    meta.priority = arrival.priority;
+    meta.tenant = stream.tenant;
+    if (stream.deadline_seconds > 0)
+      meta.deadline = ServeClock::now() + std::chrono::duration_cast<ServeClock::duration>(
+          std::chrono::duration<double>(stream.deadline_seconds));
+    const bool accepted = submit(arrival.vertex, meta, [&, s](InferResult&& result) {
+      tallies[s].latencies.record(result.latency_seconds);
+      account(s, false);
     });
-    if (!accepted) account(true);
+    if (!accepted) account(s, true);
   }
   {
-    util::MutexLock lock(done_mutex);
-    while (accounted != num_requests) done_cv.wait(lock);
+    util::MutexLock lock(mutex);
+    while (outstanding != 0) drained.wait(lock);
   }
-  const double duration = std::chrono::duration<double>(ServeClock::now() - begin).count();
 
-  const ServerStats after = server_.stats();
-  const std::string label =
-      arrivals.process == ArrivalProcess::kPoisson ? "poisson" : "mmpp";
-  return finish(label, duration, num_requests, num_requests - rejected, rejected, latencies,
-                after.batches - before.batches, after.batched_requests - before.batched_requests);
+  std::vector<LoadReport> reports;
+  reports.reserve(streams.size());
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    const LoadStream& stream = streams[s];
+    const Tally& tally = tallies[s];
+    reports.push_back(make_report(
+        stream.arrivals.process == ArrivalProcess::kPoisson ? "poisson" : "mmpp", tally.seconds,
+        stream.num_requests, tally.rejected, tally.latencies, tally.before,
+        backend_of(stream.tenant).stats()));
+  }
+  return reports;
+}
+
+LoadReport run_open_loop(const LoadStream& stream, const ServingBackend& backend,
+                         const SubmitFn& submit) {
+  return run_open_loop(
+      std::span<const LoadStream>(&stream, 1),
+      [&backend](tenant_t) -> const ServingBackend& { return backend; }, submit)[0];
 }
 
 }  // namespace distgnn::serve

@@ -1,14 +1,17 @@
-// Load generation for the inference server: closed-loop clients (a fixed
-// fleet of blocking callers — classic replay) and open-loop arrival-driven
-// drivers, where requests land at scheduled instants whether or not the
-// server has kept up. Open-loop is the mode that actually stresses a serving
-// stack, and real traffic is bursty: besides Poisson we generate a 2-state
-// Markov-modulated Poisson process (MMPP), whose count variance exceeds its
-// mean (index of dispersion > 1, Asanjarani & Nazarathy, arXiv:1802.08400),
-// so queue-delay tails appear at mean rates a Poisson test would shrug off.
+// Load generation for the serving tower: closed-loop clients (a fixed fleet
+// of blocking callers — classic replay) and one open-loop driver, where
+// requests land at scheduled instants whether or not the target has kept
+// up. The target is any submit function — a ServingBackend, a Router or a
+// ModelRegistry — so every tier is offered load with the same semantics.
+// Open-loop is the mode that actually stresses a serving stack, and real
+// traffic is bursty: besides Poisson we generate a 2-state Markov-modulated
+// Poisson process (MMPP), whose count variance exceeds its mean (index of
+// dispersion > 1, Asanjarani & Nazarathy, arXiv:1802.08400), so queue-delay
+// tails appear at mean rates a Poisson test would shrug off.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -106,9 +109,6 @@ struct LoadReport {
   std::vector<LatencyRecorder::Bucket> histogram;
 };
 
-/// Copies mean/p50/p95/p99/p99.9 and the histogram out of a recorder.
-void fill_latency_fields(LoadReport& report, const LatencyRecorder& latencies);
-
 /// One row per report, rendered through util/table.
 std::string render_load_reports(std::span<const LoadReport> reports, const std::string& title);
 
@@ -131,40 +131,69 @@ EmbedWorkloadReport run_embed_cache_workload(const Dataset& dataset,
                                              double zipf_s, std::uint64_t seed, int clients,
                                              int requests_per_client);
 
+/// Closed-loop load: a fixed fleet of blocking clients against any
+/// ServingBackend, querying vertices of its dataset drawn from `seed` with
+/// popularity skew `zipf_s` (see LoadStream).
 class TrafficGenerator {
  public:
-  /// Drives any ServingBackend — a single InferenceServer, a ShardedServer,
-  /// or a whole composed tier — through the uniform contract. Queries target
-  /// random vertices of the backend's dataset, deterministically from
-  /// `seed`. `zipf_s` sets the popularity skew: 0 (default) is uniform;
-  /// s > 0 draws vertices Zipf(s)-distributed — rank-r popularity ∝ 1/r^s
-  /// over a shuffled vertex order — the repeat-query workload that exercises
-  /// the serving embedding cache (real query traffic is heavy-tailed, like
-  /// the MMPP arrival side).
-  /// The rank -> vertex shuffle is seeded by `zipf_perm_seed`, separate from
-  /// the draw stream: generators with different `seed`s but the same
-  /// permutation seed issue *different request sequences over the same hot
-  /// set*, which is what makes warm-cache measurements honest.
-  TrafficGenerator(ServingBackend& server, std::uint64_t seed, double zipf_s = 0.0,
-                   std::uint64_t zipf_perm_seed = 71);
+  TrafficGenerator(ServingBackend& server, std::uint64_t seed, double zipf_s = 0.0);
 
   /// `num_clients` threads each issue `requests_each` blocking queries.
   LoadReport run_closed_loop(int num_clients, int requests_each);
 
-  /// Submits `num_requests` at the configured arrival instants and waits for
-  /// the queue to drain. Requests bouncing off the full queue are rejections.
-  LoadReport run_open_loop(const ArrivalConfig& arrivals, std::size_t num_requests);
-
  private:
-  vid_t random_vertex();
-  LoadReport finish(const std::string& label, double duration, std::uint64_t offered,
-                    std::uint64_t completed, std::uint64_t rejected,
-                    const LatencyRecorder& latencies, std::uint64_t batches_delta,
-                    std::uint64_t batched_requests_delta) const;
-
   ServingBackend& server_;
   Rng rng_;
   std::optional<ZipfSampler> zipf_;  // nullopt = uniform popularity
 };
+
+/// One open-loop arrival stream: `num_requests` requests at the instants
+/// `arrivals` draws, each for a vertex of the serving dataset and stamped
+/// with the stream's deadline, priority mix and tenant.
+struct LoadStream {
+  ArrivalConfig arrivals;
+  std::size_t num_requests = 400;
+  /// Vertex-choice and priority-marking stream (independent of the arrival
+  /// seed).
+  std::uint64_t seed = 5;
+  /// Popularity skew: 0 is uniform; s > 0 draws vertices Zipf(s) — rank-r
+  /// popularity ∝ 1/r^s over a shuffled vertex order — the heavy-tailed
+  /// repeat-query workload that exercises the serving embedding cache.
+  double zipf_s = 0.0;
+  /// Per-request deadline, counted from the submit instant (0 = none).
+  double deadline_seconds = 0;
+  /// Fraction of requests marked Priority::kLow (deterministic per seed).
+  double low_priority_fraction = 0;
+  /// Tenant every request of the stream carries in its RequestMeta.
+  tenant_t tenant = kDefaultTenant;
+};
+
+/// Submits one request to whatever fronts the run — a ServingBackend, a
+/// Router, a ModelRegistry. Returns false when the request was refused;
+/// `done` then never runs.
+using SubmitFn =
+    std::function<bool(vid_t, const RequestMeta&, std::function<void(InferResult&&)>)>;
+/// Submits straight into `target`, a ServingBackend or a Router.
+template <class Target>
+SubmitFn submit_to(Target& target) {
+  return [&target](vid_t v, const RequestMeta& meta, std::function<void(InferResult&&)> done) {
+    return target.submit(v, meta, std::move(done));
+  };
+}
+
+/// The open-loop driver. Every stream's requests land at their scheduled
+/// instants, measured from one shared t=0, whether or not the target keeps
+/// up; then the driver waits for every accepted request to complete.
+/// `backend_of(tenant)` is the backend serving a stream: its dataset bounds
+/// the vertex draw, its batch counters give LoadReport::mean_batch.
+/// reports[i] covers streams[i]: latencies of accepted requests only,
+/// refusals counted as rejected, duration from t=0 to the stream's last
+/// answer.
+std::vector<LoadReport> run_open_loop(
+    std::span<const LoadStream> streams,
+    const std::function<const ServingBackend&(tenant_t)>& backend_of, const SubmitFn& submit);
+/// One stream served by `backend`.
+LoadReport run_open_loop(const LoadStream& stream, const ServingBackend& backend,
+                         const SubmitFn& submit);
 
 }  // namespace distgnn::serve

@@ -31,8 +31,7 @@ MixedLoopReport run_mixed_open_loop(serve::ServingBackend& backend, DeltaPublish
     }
   });
 
-  serve::TrafficGenerator reads(backend, config.read_seed, config.zipf_s);
-  report.reads = reads.run_open_loop(config.reads, config.num_requests);
+  report.reads = serve::run_open_loop(config.reads, backend, serve::submit_to(backend));
   writer.join();
 
   report.apply_mean_ms = apply_latency.mean_seconds() * 1e3;

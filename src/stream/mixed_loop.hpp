@@ -1,7 +1,7 @@
 // Mixed open-loop traffic: reads and graph writes against one backend.
 //
-// run_mixed_open_loop drives the read side exactly like the serving benches
-// (TrafficGenerator::run_open_loop — requests land at scheduled instants
+// run_mixed_open_loop drives the read side through the serving open-loop
+// driver (serve::run_open_loop — requests land at scheduled instants
 // whether or not the server keeps up) while a writer thread replays a
 // pre-generated delta stream at its own arrival instants (Poisson or bursty
 // MMPP — a write burst is the interesting case, since each delta costs a
@@ -21,10 +21,7 @@
 namespace distgnn::stream {
 
 struct MixedLoopConfig {
-  serve::ArrivalConfig reads;
-  std::size_t num_requests = 2000;
-  double zipf_s = 0.0;  // 0 = uniform read popularity
-  std::uint64_t read_seed = 1;
+  serve::LoadStream reads;
   /// Delta arrival process; one delta publishes per arrival until the
   /// stream is exhausted.
   serve::ArrivalConfig writes;

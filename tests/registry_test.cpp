@@ -215,7 +215,7 @@ TEST(Router, WeightedFairSharesConvergeToSloWeightsUnderSaturation) {
   // the heavy stream finishes (the light lane is still saturated then).
   const std::size_t n = 240;
   const auto make_load = [&](tenant_t tenant, std::uint64_t seed) {
-    RouterLoadConfig load;
+    LoadStream load;
     load.arrivals.process = ArrivalProcess::kPoisson;
     load.arrivals.rate = 50000.0;  // >> capacity: arrival pacing is a non-factor
     load.arrivals.seed = seed;
@@ -226,10 +226,10 @@ TEST(Router, WeightedFairSharesConvergeToSloWeightsUnderSaturation) {
   };
   RouterStats at_heavy_done;
   std::thread heavy_thread([&] {
-    (void)run_router_open_loop(router, make_load(0, 11));
+    (void)run_open_loop(make_load(0, 11), group, submit_to(router));
     at_heavy_done = router.stats();
   });
-  (void)run_router_open_loop(router, make_load(1, 13));
+  (void)run_open_loop(make_load(1, 13), group, submit_to(router));
   heavy_thread.join();
   group.stop();
 

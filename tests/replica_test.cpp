@@ -49,6 +49,10 @@ ServeConfig replica_config() {
   return cfg;
 }
 
+RequestMeta meta_of(ServeClock::time_point deadline, Priority priority) {
+  return RequestMeta{deadline, priority, kDefaultTenant, nullptr};
+}
+
 // ---------------------------------------------------------------- equality
 
 TEST(ReplicaGroup, RouterAnswersAreBitwiseEqualToSingleServer) {
@@ -269,7 +273,7 @@ TEST(Admission, ExpiredDeadlineIsAlwaysShed) {
   Router router(group, RoutePolicy::kRoundRobin);
 
   const auto expired = ServeClock::now() - std::chrono::milliseconds(1);
-  EXPECT_FALSE(router.submit(0, expired, Priority::kHigh, [](InferResult&&) { FAIL(); }));
+  EXPECT_FALSE(router.submit(0, meta_of(expired, Priority::kHigh), [](InferResult&&) { FAIL(); }));
   group.stop();
   const RouterStats stats = router.stats();
   EXPECT_EQ(stats.shed_deadline, 1u);
@@ -291,7 +295,7 @@ TEST(Admission, IdleGroupAdmitsGenerousDeadlinesAndNoDeadlineIsNeverShed) {
 
   const auto generous = ServeClock::now() + std::chrono::seconds(30);
   const auto results =
-      router.infer_batch(std::vector<vid_t>{1, 2, 3, 4}, generous, Priority::kHigh);
+      router.infer_batch(std::vector<vid_t>{1, 2, 3, 4}, meta_of(generous, Priority::kHigh));
   for (const auto& r : results) EXPECT_TRUE(r.has_value());
   (void)router.infer_batch(std::vector<vid_t>{5, 6});  // no deadline
   group.stop();
@@ -326,11 +330,11 @@ TEST(Admission, BacklogShedsOnlyUnmeetableDeadlines) {
   const auto tight = ServeClock::now() +
                      std::chrono::duration_cast<ServeClock::duration>(
                          std::chrono::duration<double>(svc * 4));  // << backlog drain time
-  EXPECT_FALSE(router.submit(7, tight, Priority::kHigh, [](InferResult&&) { FAIL(); }));
+  EXPECT_FALSE(router.submit(7, meta_of(tight, Priority::kHigh), [](InferResult&&) { FAIL(); }));
 
   std::atomic<bool> generous_done{false};
   const auto generous = ServeClock::now() + std::chrono::seconds(60);
-  EXPECT_TRUE(router.submit(7, generous, Priority::kHigh,
+  EXPECT_TRUE(router.submit(7, meta_of(generous, Priority::kHigh),
                             [&](InferResult&&) { generous_done.store(true); }));
 
   while (drained.load() < backlog || !generous_done.load()) std::this_thread::yield();
@@ -359,10 +363,10 @@ TEST(Admission, LowPriorityShedsFirstUnderBacklog) {
                               [&](InferResult&&) { drained.fetch_add(1); }));
 
   // Same instant, same vertex: the low lane sheds, the high lane does not.
-  EXPECT_FALSE(router.submit(9, ServeClock::time_point::max(), Priority::kLow,
+  EXPECT_FALSE(router.submit(9, meta_of(ServeClock::time_point::max(), Priority::kLow),
                              [](InferResult&&) { FAIL(); }));
   std::atomic<bool> high_done{false};
-  EXPECT_TRUE(router.submit(9, ServeClock::time_point::max(), Priority::kHigh,
+  EXPECT_TRUE(router.submit(9, meta_of(ServeClock::time_point::max(), Priority::kHigh),
                             [&](InferResult&&) { high_done.store(true); }));
 
   while (drained.load() < backlog || !high_done.load()) std::this_thread::yield();
@@ -443,7 +447,7 @@ TEST(Admission, SheddingLowersAdmittedTailUnderMmppOverload) {
     if (svc <= 0) svc = 100e-6;
     const double capacity = static_cast<double>(group.num_replicas()) / svc;
 
-    RouterLoadConfig load;
+    LoadStream load;
     load.arrivals.process = ArrivalProcess::kMmpp;
     load.arrivals.mmpp_rate0 = 0.5 * capacity;
     load.arrivals.mmpp_rate1 = 8.0 * capacity;
@@ -452,7 +456,7 @@ TEST(Admission, SheddingLowersAdmittedTailUnderMmppOverload) {
     load.arrivals.seed = 17;
     load.num_requests = 2000;
     load.deadline_seconds = 40 * svc;
-    const LoadReport report = run_router_open_loop(router, load);
+    const LoadReport report = run_open_loop(load, group, submit_to(router));
     const RouterStats stats = router.stats();
     group.stop();
     return std::pair<LoadReport, RouterStats>(report, stats);

@@ -14,6 +14,7 @@
 #include "serve/request_queue.hpp"
 #include "serve/sharded_server.hpp"
 #include "serve/traffic_gen.hpp"
+#include "util/sync.hpp"
 
 namespace distgnn {
 namespace {
@@ -661,9 +662,11 @@ TEST(TrafficGen, ClosedAndOpenLoopDriveTheServer) {
   EXPECT_GT(closed.qps, 0.0);
   EXPECT_LE(closed.p50_ms, closed.p99_ms);
 
-  ArrivalConfig arrivals;
-  arrivals.process = ArrivalProcess::kMmpp;
-  const LoadReport open = traffic.run_open_loop(arrivals, 100);
+  LoadStream stream;
+  stream.arrivals.process = ArrivalProcess::kMmpp;
+  stream.num_requests = 100;
+  stream.seed = 3;
+  const LoadReport open = run_open_loop(stream, server, submit_to(server));
   EXPECT_EQ(open.completed + open.rejected, 100u);
   EXPECT_GT(open.completed, 0u);
   EXPECT_GT(open.qps, 0.0);
@@ -672,6 +675,87 @@ TEST(TrafficGen, ClosedAndOpenLoopDriveTheServer) {
   const std::string table = render_load_reports(std::vector<LoadReport>{closed, open}, "loads");
   EXPECT_NE(table.find("QPS"), std::string::npos);
   EXPECT_NE(table.find("p99"), std::string::npos);
+}
+
+/// Only the dataset the open-loop driver draws vertices from; answers and
+/// refusals come from the test's own submit function.
+class DatasetOnlyBackend : public ServingBackend {
+ public:
+  explicit DatasetOnlyBackend(const Dataset& dataset) : dataset_(dataset) {}
+  void publish(std::shared_ptr<const ModelSnapshot>) override {}
+  std::shared_ptr<const ModelSnapshot> snapshot() const override { return nullptr; }
+  void start() override {}
+  void stop() override {}
+  bool submit(vid_t, const RequestMeta&, std::function<void(InferResult&&)>) override {
+    return false;
+  }
+  std::size_t queue_depth() const override { return 0; }
+  void drain() override {}
+  double mean_service_seconds() const override { return 0; }
+  int concurrency() const override { return 1; }
+  const Dataset& dataset() const override { return dataset_; }
+  BackendStats stats() const override { return {}; }
+
+ private:
+  const Dataset& dataset_;
+};
+
+TEST(OpenLoopDriver, CountsEveryRequestAndStartsStreamsTogether) {
+  const Dataset dataset = make_serving_dataset();
+  const DatasetOnlyBackend backend(dataset);
+
+  // Per tenant, refuse every 3rd request and answer the rest on the spot;
+  // note when each stream's first and last request arrived.
+  util::Mutex mutex;
+  std::size_t submitted[2] = {0, 0};
+  ServeClock::time_point first[2], last[2];
+  const SubmitFn fake = [&](vid_t v, const RequestMeta& meta,
+                            std::function<void(InferResult&&)> done) {
+    EXPECT_GE(v, 0);
+    EXPECT_LT(v, dataset.num_vertices());
+    const auto t = static_cast<std::size_t>(meta.tenant);
+    std::size_t nth = 0;
+    {
+      util::MutexLock lock(mutex);
+      nth = ++submitted[t];
+      if (nth == 1) first[t] = ServeClock::now();
+      last[t] = ServeClock::now();
+    }
+    if (nth % 3 == 0) return false;
+    InferResult result;
+    result.latency_seconds = 1e-3;
+    done(std::move(result));
+    return true;
+  };
+
+  LoadStream a;
+  a.arrivals.rate = 4000;
+  a.arrivals.seed = 1;
+  a.num_requests = 90;
+  a.seed = 2;
+  LoadStream b = a;
+  b.arrivals.seed = 3;
+  b.num_requests = 60;
+  b.seed = 4;
+  b.tenant = 1;
+  const LoadStream streams[] = {a, b};
+  const std::vector<LoadReport> reports = run_open_loop(
+      streams, [&](tenant_t) -> const ServingBackend& { return backend; }, fake);
+
+  ASSERT_EQ(reports.size(), 2u);
+  for (std::size_t s = 0; s < 2; ++s) {
+    const std::size_t n = streams[s].num_requests;
+    EXPECT_EQ(reports[s].offered, n);
+    EXPECT_EQ(reports[s].rejected, n / 3);
+    EXPECT_EQ(reports[s].completed, n - n / 3);
+    std::size_t samples = 0;
+    for (const LatencyRecorder::Bucket& bucket : reports[s].histogram) samples += bucket.count;
+    EXPECT_EQ(samples, reports[s].completed);
+    EXPECT_GT(reports[s].duration_seconds, 0.0);
+  }
+  // One shared t=0: each stream started before the other one finished.
+  EXPECT_LT(first[1], last[0]);
+  EXPECT_LT(first[0], last[1]);
 }
 
 // -------------------------------------------------------------- publish hook

@@ -432,9 +432,9 @@ TEST(MixedLoop, ReadsCompleteWhileWriteStreamPublishes) {
   DeltaPublisher publisher(live_data, server);
 
   MixedLoopConfig mixed;
-  mixed.reads.process = ArrivalProcess::kPoisson;
-  mixed.reads.rate = 2000;
-  mixed.num_requests = 400;
+  mixed.reads.arrivals.process = ArrivalProcess::kPoisson;
+  mixed.reads.arrivals.rate = 2000;
+  mixed.reads.num_requests = 400;
   mixed.writes.process = ArrivalProcess::kPoisson;
   mixed.writes.rate = 50;  // ~80ms of write stream under a ~200ms read run
   const MixedLoopReport report =
