@@ -109,7 +109,9 @@ RgcnEpochStats RgcnTrainer::train_epoch() {
   for (int l = static_cast<int>(layers_.size()) - 1; l >= 0; --l) {
     t0 = std::chrono::steady_clock::now();
     dH_self_.resize_discard(n, layers_[static_cast<std::size_t>(l)].in_dim());
-    layers_[static_cast<std::size_t>(l)].backward(d_upper_.cview(), dscaled_rel_, dH_self_.view());
+    layers_[static_cast<std::size_t>(l)].backward(acts_[static_cast<std::size_t>(l)].cview(),
+                                                  d_upper_.cview(), dscaled_rel_,
+                                                  dH_self_.view());
     stats.mlp_seconds += seconds_since(t0);
 
     if (l == 0) break;

@@ -2,17 +2,21 @@
 
 #include <stdexcept>
 
+#include "nn/layer_rows.hpp"
+
 namespace distgnn {
 
 void Relu::forward(ConstMatrixView X, MatrixView Y) {
   if (X.rows != Y.rows || X.cols != Y.cols) throw std::invalid_argument("Relu: shape mismatch");
-  mask_.assign(X.size(), 0);
-  const std::size_t n = X.size();
+  mask_.resize(X.size());
+  const std::size_t d = X.cols;
 #pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool pos = X.data[i] > 0;
-    mask_[i] = pos ? 1 : 0;
-    Y.data[i] = pos ? X.data[i] : 0;
+  for (std::size_t r = 0; r < X.rows; ++r) {
+    rows::relu(X.row(r), d, Y.row(r));
+    // y > 0 exactly where x > 0, and reading y stays correct when X aliases Y.
+    const real_t* y = Y.row(r);
+    std::uint8_t* m = mask_.data() + r * d;
+    for (std::size_t j = 0; j < d; ++j) m[j] = y[j] > 0 ? 1 : 0;
   }
 }
 

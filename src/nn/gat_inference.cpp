@@ -1,10 +1,10 @@
 #include "nn/gat_inference.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "nn/gemm.hpp"
 #include "nn/init.hpp"
+#include "nn/layer_rows.hpp"
 
 namespace distgnn {
 
@@ -33,54 +33,25 @@ void GatInference::forward(const Graph& g, ConstMatrixView H, MatrixView Y) {
   std::vector<real_t> src_term(n), dst_term(n);
 #pragma omp parallel for schedule(static)
   for (std::size_t v = 0; v < n; ++v) {
-    const real_t* zr = z_.row(v);
-    real_t s = 0, t = 0;
-#pragma omp simd reduction(+ : s, t)
-    for (std::size_t j = 0; j < d; ++j) {
-      s += zr[j] * attn_src_.at(0, j);
-      t += zr[j] * attn_dst_.at(0, j);
-    }
-    src_term[v] = s;
-    dst_term[v] = t;
+    src_term[v] = rows::dot(z_.row(v), attn_src_.data(), d);
+    dst_term[v] = rows::dot(z_.row(v), attn_dst_.data(), d);
   }
 
-  // Raw scores per edge (coo order), then per-destination softmax over the
-  // in-adjacency, then the attention-weighted aggregation.
-  const auto& edges = g.coo().edges;
-  attention_.assign(edges.size(), 0);
+  // Per-destination softmax over the in-adjacency and the attention-weighted
+  // aggregation; α lands in in-CSR order, then scatters to coo order.
   const CsrMatrix& in_csr = g.in_csr();
+  std::vector<real_t> alpha(static_cast<std::size_t>(in_csr.num_entries()));
+  attention_.assign(g.coo().edges.size(), 0);
   const vid_t nv = g.num_vertices();
 #pragma omp parallel for schedule(dynamic, 64)
   for (vid_t v = 0; v < nv; ++v) {
     const auto nbrs = in_csr.neighbors(v);
     const auto eids = in_csr.edge_ids(v);
-    real_t* out = Y.row(static_cast<std::size_t>(v));
-    for (std::size_t j = 0; j < d; ++j) out[j] = 0;
-    if (nbrs.empty()) continue;
-
-    // Scores with LeakyReLU, stabilized softmax.
-    real_t max_score = -std::numeric_limits<real_t>::infinity();
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const real_t raw = src_term[static_cast<std::size_t>(nbrs[i])] +
-                         dst_term[static_cast<std::size_t>(v)];
-      const real_t score = raw > 0 ? raw : leaky_slope_ * raw;
-      attention_[static_cast<std::size_t>(eids[i])] = score;
-      max_score = std::max(max_score, score);
-    }
-    real_t denom = 0;
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      real_t& a = attention_[static_cast<std::size_t>(eids[i])];
-      a = std::exp(a - max_score);
-      denom += a;
-    }
-    const real_t inv = 1.0f / denom;
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      real_t& a = attention_[static_cast<std::size_t>(eids[i])];
-      a *= inv;
-      const real_t* zu = z_.row(static_cast<std::size_t>(nbrs[i]));
-#pragma omp simd
-      for (std::size_t j = 0; j < d; ++j) out[j] += a * zu[j];
-    }
+    real_t* a = alpha.data() + in_csr.row_ptr()[static_cast<std::size_t>(v)];
+    rows::gat_attend(nbrs, src_term.data(), dst_term[static_cast<std::size_t>(v)], leaky_slope_,
+                     z_.cview(), a, Y.row(static_cast<std::size_t>(v)));
+    for (std::size_t i = 0; i < nbrs.size(); ++i)
+      attention_[static_cast<std::size_t>(eids[i])] = a[i];
   }
 }
 

@@ -1,5 +1,6 @@
 #include "nn/gemm.hpp"
 
+#include "nn/layer_rows.hpp"
 #include "util/parallel.hpp"
 
 #include <algorithm>
@@ -10,20 +11,9 @@ namespace distgnn {
 void gemm(ConstMatrixView A, ConstMatrixView B, MatrixView C, bool accumulate) {
   if (A.cols != B.rows || C.rows != A.rows || C.cols != B.cols)
     throw std::invalid_argument("gemm: shape mismatch");
-  const std::size_t m = A.rows, k = A.cols, n = B.cols;
+  const std::size_t m = A.rows;
 #pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < m; ++i) {
-    real_t* c = C.row(i);
-    if (!accumulate)
-      for (std::size_t j = 0; j < n; ++j) c[j] = 0;
-    const real_t* a = A.row(i);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const real_t aik = a[kk];
-      const real_t* b = B.row(kk);
-#pragma omp simd
-      for (std::size_t j = 0; j < n; ++j) c[j] += aik * b[j];
-    }
-  }
+  for (std::size_t i = 0; i < m; ++i) rows::xw(A.row(i), B, C.row(i), accumulate);
 }
 
 void gemm_at_b(ConstMatrixView A, ConstMatrixView B, MatrixView C, bool accumulate) {
@@ -87,11 +77,7 @@ void add_row_bias(MatrixView M, ConstMatrixView bias) {
     throw std::invalid_argument("add_row_bias: bias must be 1 x cols");
   const real_t* b = bias.row(0);
 #pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < M.rows; ++i) {
-    real_t* r = M.row(i);
-#pragma omp simd
-    for (std::size_t j = 0; j < M.cols; ++j) r[j] += b[j];
-  }
+  for (std::size_t i = 0; i < M.rows; ++i) rows::add_bias(b, M.cols, M.row(i));
 }
 
 void column_sums(ConstMatrixView M, MatrixView out, bool accumulate) {

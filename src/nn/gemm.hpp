@@ -1,7 +1,8 @@
-// Dense matrix products for the GNN's MLP stages. OpenMP over output rows
-// with an i-k-j loop order (row-major friendly); sizes here are tall-skinny
-// (|V| x few hundred), so this simple scheme is bandwidth-bound and adequate
-// — the paper's hot spot is the aggregation, not the GEMMs.
+// Dense matrix products for the GNN's MLP stages. OpenMP over output rows;
+// each row of gemm is rows::xw (nn/layer_rows.hpp), the i-k-j row serving
+// also runs. Sizes here are tall-skinny (|V| x few hundred), so this simple
+// scheme is bandwidth-bound and adequate — the paper's hot spot is the
+// aggregation, not the GEMMs.
 #pragma once
 
 #include "util/matrix.hpp"

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "nn/layer_rows.hpp"
+
 namespace distgnn {
 
 GraphSageLayer::GraphSageLayer(std::size_t in_dim, std::size_t out_dim, bool apply_relu, Rng& rng)
@@ -19,13 +21,8 @@ void GraphSageLayer::forward_from_aggregate(ConstMatrixView H, ConstMatrixView a
   inv_norm_.resize_discard(n, 1);
 #pragma omp parallel for schedule(static)
   for (std::size_t v = 0; v < n; ++v) {
-    const real_t s = inv_norm.at(v, 0);
-    inv_norm_.at(v, 0) = s;
-    const real_t* h = H.row(v);
-    const real_t* a = agg.row(v);
-    real_t* c = combined_.row(v);
-#pragma omp simd
-    for (std::size_t j = 0; j < d; ++j) c[j] = (a[j] + h[j]) * s;
+    inv_norm_.at(v, 0) = inv_norm.at(v, 0);
+    rows::sage_combine(agg.row(v), H.row(v), inv_norm.at(v, 0), d, combined_.row(v));
   }
 
   if (apply_relu_) {
@@ -48,7 +45,7 @@ void GraphSageLayer::backward_to_scaled(ConstMatrixView dY, MatrixView dscaled) 
     upstream = dz_.cview();
   }
   // dcombined lands in dscaled, then is scaled by inv_norm in place.
-  linear_.backward(upstream, dscaled);
+  linear_.backward(combined_.cview(), upstream, dscaled);
   const std::size_t n = dscaled.rows, d = dscaled.cols;
 #pragma omp parallel for schedule(static)
   for (std::size_t v = 0; v < n; ++v) {

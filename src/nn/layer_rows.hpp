@@ -1,0 +1,117 @@
+// Per-row float programs of the GNN layers: the one copy of each layer's
+// arithmetic that training and serving share.
+//
+// The full-graph drivers (gemm / add_row_bias, Linear, GraphSageLayer,
+// RgcnLayer, GatInference, Relu) wrap these functions in
+// `#pragma omp parallel for` row loops. ModelSnapshot and
+// SampledSageTrainer::forward_batch call them serially over their stacked
+// rows. Both sides run the same functions, so a served row is bitwise the
+// training-side row whenever the inputs and the neighbour order agree.
+//
+// Nothing here starts an OpenMP team: serving workers call these
+// concurrently, and a team per worker would oversubscribe the host. Only
+// element-wise loops carry `omp simd`. Every reduction (the k sum of x·W,
+// the attention dot products) runs serially in ascending index order,
+// because reassociating a float sum changes its bits.
+#pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <span>
+
+#include "kernels/microkernel.hpp"
+#include "util/matrix.hpp"
+
+namespace distgnn::rows {
+
+/// y = x · W, or y += x · W when `accumulate` (the R-GCN relation terms).
+/// The k sum runs in ascending order; x holds W.rows values, y W.cols.
+inline void xw(const real_t* x, ConstMatrixView W, real_t* y, bool accumulate = false) {
+  const std::size_t n = W.cols;
+  if (!accumulate) std::fill(y, y + n, real_t{0});
+  for (std::size_t k = 0; k < W.rows; ++k) {
+    const real_t a = x[k];
+    const real_t* w = W.row(k);
+#pragma omp simd
+    for (std::size_t j = 0; j < n; ++j) y[j] += a * w[j];
+  }
+}
+
+/// y += b over n values.
+inline void add_bias(const real_t* b, std::size_t n, real_t* y) {
+#pragma omp simd
+  for (std::size_t j = 0; j < n; ++j) y[j] += b[j];
+}
+
+/// The affine row y = x · W + b. The bias lands after the whole k sum.
+inline void affine(const real_t* x, ConstMatrixView W, const real_t* b, real_t* y) {
+  xw(x, W, y);
+  add_bias(b, W.cols, y);
+}
+
+/// The SAGE/GCN combine (§6.1): out = (agg + h) · inv, inv = 1/(deg+1).
+/// `out` may alias `agg`.
+inline void sage_combine(const real_t* agg, const real_t* h, real_t inv, std::size_t d,
+                         real_t* out) {
+#pragma omp simd
+  for (std::size_t j = 0; j < d; ++j) out[j] = (agg[j] + h[j]) * inv;
+}
+
+/// out = x · s (the R-GCN per-relation mean). `out` may alias `x`.
+inline void scale(const real_t* x, real_t s, std::size_t d, real_t* out) {
+#pragma omp simd
+  for (std::size_t j = 0; j < d; ++j) out[j] = x[j] * s;
+}
+
+/// y = max(x, 0). `y` may alias `x`.
+inline void relu(const real_t* x, std::size_t n, real_t* y) {
+#pragma omp simd
+  for (std::size_t j = 0; j < n; ++j) y[j] = x[j] > 0 ? x[j] : 0;
+}
+
+/// acc += Σ src[u] over `nbrs` in the given order, through Alg. 3's
+/// copy-lhs/sum row kernel. The caller seeds acc (zeros for a plain sum).
+inline void add_neighbor_rows(std::span<const vid_t> nbrs, ConstMatrixView src, real_t* acc) {
+  static const RowKernelFn kernel = lookup_row_kernel(BinaryOp::kCopyLhs, ReduceOp::kSum);
+  kernel(nbrs.data(), nullptr, nbrs.size(), src.data, nullptr, src.cols, acc);
+}
+
+/// Σ x[j] · y[j] in ascending j. Deliberately not an `omp simd` reduction.
+inline real_t dot(const real_t* x, const real_t* y, std::size_t n) {
+  real_t s = 0;
+  for (std::size_t j = 0; j < n; ++j) s += x[j] * y[j];
+  return s;
+}
+
+/// One GAT destination: e_u = LeakyReLU(src_term[u] + dst_term) over
+/// `nbrs`, α = softmax(e) (max-stabilized), out = Σ α_u · z[u]. `alpha`
+/// receives α (nbrs.size() values). A destination without in-edges outputs
+/// zeros. `src_term` and `z` are indexed by neighbour id.
+inline void gat_attend(std::span<const vid_t> nbrs, const real_t* src_term, real_t dst_term,
+                       real_t slope, ConstMatrixView z, real_t* alpha, real_t* out) {
+  const std::size_t d = z.cols;
+  std::fill(out, out + d, real_t{0});
+  if (nbrs.empty()) return;
+  real_t max_score = -std::numeric_limits<real_t>::infinity();
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    const real_t raw = src_term[static_cast<std::size_t>(nbrs[i])] + dst_term;
+    alpha[i] = raw > 0 ? raw : slope * raw;
+    max_score = std::max(max_score, alpha[i]);
+  }
+  real_t denom = 0;
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    alpha[i] = std::exp(alpha[i] - max_score);
+    denom += alpha[i];
+  }
+  const real_t inv = 1.0f / denom;
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    alpha[i] *= inv;
+    const real_t a = alpha[i];
+    const real_t* zu = z.row(static_cast<std::size_t>(nbrs[i]));
+#pragma omp simd
+    for (std::size_t j = 0; j < d; ++j) out[j] += a * zu[j];
+  }
+}
+
+}  // namespace distgnn::rows

@@ -1,10 +1,10 @@
 #include "nn/linear.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "nn/gemm.hpp"
 #include "nn/init.hpp"
+#include "nn/layer_rows.hpp"
 
 namespace distgnn {
 
@@ -17,19 +17,20 @@ Linear::Linear(std::size_t in_dim, std::size_t out_dim, Rng& rng)
   zero_init(bias_.view());
 }
 
-void Linear::forward(ConstMatrixView X, MatrixView Y) {
-  if (X.cols != weight_.rows()) throw std::invalid_argument("Linear::forward: input width mismatch");
-  cached_input_.resize_discard(X.rows, X.cols);
-  std::copy(X.data, X.data + X.rows * X.cols, cached_input_.data());
-  gemm(X, weight_.cview(), Y);
-  add_row_bias(Y, bias_.cview());
+void Linear::forward(ConstMatrixView X, MatrixView Y) const {
+  if (X.cols != in_dim()) throw std::invalid_argument("Linear::forward: input width mismatch");
+  if (Y.rows != X.rows || Y.cols != out_dim())
+    throw std::invalid_argument("Linear::forward: output shape mismatch");
+#pragma omp parallel for schedule(static)
+  for (std::size_t i = 0; i < X.rows; ++i)
+    rows::affine(X.row(i), weight_.cview(), bias_.data(), Y.row(i));
 }
 
-void Linear::backward(ConstMatrixView dY, MatrixView dX) {
-  if (dY.rows != cached_input_.rows())
-    throw std::invalid_argument("Linear::backward: dY rows mismatch cached input");
+void Linear::backward(ConstMatrixView X, ConstMatrixView dY, MatrixView dX) {
+  if (dY.rows != X.rows || X.cols != in_dim())
+    throw std::invalid_argument("Linear::backward: X/dY shape mismatch");
   // dW += X^T dY ; db += colsum(dY) ; dX = dY W^T
-  gemm_at_b(cached_input_.cview(), dY, weight_grad_.view(), /*accumulate=*/true);
+  gemm_at_b(X, dY, weight_grad_.view(), /*accumulate=*/true);
   column_sums(dY, bias_grad_.view(), /*accumulate=*/true);
   if (!dX.empty()) gemm_a_bt(dY, weight_.cview(), dX);
 }

@@ -1,8 +1,8 @@
 // Fully connected layer with manual backward. Parameters and their gradients
 // are exposed as flat spans so the distributed trainer can AllReduce them.
+// The forward keeps no state: it is the rows::affine loop of
+// nn/layer_rows.hpp, and backward takes the forward's input from the caller.
 #pragma once
-
-#include <span>
 
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
@@ -14,12 +14,12 @@ class Linear {
   Linear() = default;
   Linear(std::size_t in_dim, std::size_t out_dim, Rng& rng);
 
-  /// Y = X W + b. Caches X for backward.
-  void forward(ConstMatrixView X, MatrixView Y);
+  /// Y = X W + b, one rows::affine per row.
+  void forward(ConstMatrixView X, MatrixView Y) const;
 
-  /// Given dY, accumulates dW/db and writes dX (may be empty to skip input
-  /// gradient at the first layer).
-  void backward(ConstMatrixView dY, MatrixView dX);
+  /// Given the forward input X and dY, accumulates dW/db and writes dX (may
+  /// be empty to skip the input gradient at the first layer).
+  void backward(ConstMatrixView X, ConstMatrixView dY, MatrixView dX);
 
   void zero_grad();
 
@@ -41,7 +41,6 @@ class Linear {
   DenseMatrix bias_;         // 1 x out
   DenseMatrix weight_grad_;  // in x out
   DenseMatrix bias_grad_;    // 1 x out
-  DenseMatrix cached_input_; // last forward X (copied; modest sizes)
 };
 
 }  // namespace distgnn

@@ -4,6 +4,7 @@
 
 #include "nn/gemm.hpp"
 #include "nn/init.hpp"
+#include "nn/layer_rows.hpp"
 
 namespace distgnn {
 
@@ -27,33 +28,29 @@ void RgcnLayer::forward_from_aggregates(ConstMatrixView H, const std::vector<Den
     throw std::invalid_argument("RgcnLayer: one aggregate and normalizer per relation required");
   const std::size_t n = H.rows, d = H.cols;
 
-  // Self path: Y = H W_self + b (Linear caches H for backward).
+  // Self path: Y = H W_self + b.
   self_.forward(H, Y);
 
-  // Relation paths: Y += (agg_r ⊙ inv_norm_r) W_r.
+  // Relation paths: Y += (agg_r ⊙ inv_norm_r) W_r, relations ascending.
   for (std::size_t r = 0; r < relation_.size(); ++r) {
-    const DenseMatrix& agg = aggs[r];
-    if (agg.rows() != n || agg.cols() != d)
+    if (aggs[r].rows() != n || aggs[r].cols() != d)
       throw std::invalid_argument("RgcnLayer: aggregate shape mismatch");
-    DenseMatrix& scaled = scaled_aggs_[r];
-    scaled.resize_discard(n, d);
+    scaled_aggs_[r].resize_discard(n, d);
     inv_norms_[r] = inv_norms[r];
-#pragma omp parallel for schedule(static)
-    for (std::size_t v = 0; v < n; ++v) {
-      const real_t s = inv_norms[r].at(v, 0);
-      const real_t* a = agg.row(v);
-      real_t* o = scaled.row(v);
-#pragma omp simd
-      for (std::size_t j = 0; j < d; ++j) o[j] = a[j] * s;
-    }
-    gemm(scaled.cview(), relation_[r].w.cview(), Y, /*accumulate=*/true);
   }
+#pragma omp parallel for schedule(static)
+  for (std::size_t v = 0; v < n; ++v)
+    for (std::size_t r = 0; r < relation_.size(); ++r) {
+      real_t* scaled = scaled_aggs_[r].row(v);
+      rows::scale(aggs[r].row(v), inv_norms[r].at(v, 0), d, scaled);
+      rows::xw(scaled, relation_[r].w.cview(), Y.row(v), /*accumulate=*/true);
+    }
 
   if (apply_relu_) relu_.forward(ConstMatrixView(Y), Y);
 }
 
-void RgcnLayer::backward(ConstMatrixView dY, std::vector<DenseMatrix>& dscaled_rel,
-                         MatrixView dH_self) {
+void RgcnLayer::backward(ConstMatrixView H, ConstMatrixView dY,
+                         std::vector<DenseMatrix>& dscaled_rel, MatrixView dH_self) {
   if (dscaled_rel.size() != relation_.size())
     throw std::invalid_argument("RgcnLayer::backward: one output buffer per relation required");
 
@@ -65,7 +62,7 @@ void RgcnLayer::backward(ConstMatrixView dY, std::vector<DenseMatrix>& dscaled_r
   }
 
   // Self path (also accumulates dW_self and db).
-  self_.backward(upstream, dH_self);
+  self_.backward(H, upstream, dH_self);
 
   // Relation paths.
   for (std::size_t r = 0; r < relation_.size(); ++r) {

@@ -29,12 +29,14 @@ class RgcnLayer {
   void forward_from_aggregates(ConstMatrixView H, const std::vector<DenseMatrix>& aggs,
                                const std::vector<DenseMatrix>& inv_norms, MatrixView Y);
 
-  /// Backward from dY. dscaled_rel[r] receives inv_norm_r ⊙ (dY W_rᵀ) — the
-  /// gradient w.r.t. relation r's aggregate — and dH_self receives the
-  /// gradient through the self path (dY W_selfᵀ). The caller completes
+  /// Backward from dY, given the forward's input H. dscaled_rel[r] receives
+  /// inv_norm_r ⊙ (dY W_rᵀ) — the gradient w.r.t. relation r's aggregate —
+  /// and dH_self receives the gradient through the self path (dY W_selfᵀ).
+  /// The caller completes
   ///   dH = dH_self + Σ_r A_rᵀ dscaled_rel[r].
   /// Parameter gradients accumulate internally.
-  void backward(ConstMatrixView dY, std::vector<DenseMatrix>& dscaled_rel, MatrixView dH_self);
+  void backward(ConstMatrixView H, ConstMatrixView dY, std::vector<DenseMatrix>& dscaled_rel,
+                MatrixView dH_self);
 
   void zero_grad();
   void collect_params(std::vector<ParamRef>& out);

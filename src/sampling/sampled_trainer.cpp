@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "kernels/aggregate.hpp"
+#include "nn/layer_rows.hpp"
 
 namespace distgnn {
 
@@ -48,12 +49,7 @@ void SampledSageTrainer::forward_batch(const MiniBatch& mb, bool training) {
     inv_norm.resize_discard(n_dst, 1);
     for (vid_t v = 0; v < block.num_dst; ++v) {
       const auto nbrs = block.neighbors(v);
-      real_t* a = agg.row(static_cast<std::size_t>(v));
-      for (const vid_t u : nbrs) {
-        const real_t* s = acts_[l].row(static_cast<std::size_t>(u));
-#pragma omp simd
-        for (std::size_t j = 0; j < d; ++j) a[j] += s[j];
-      }
+      rows::add_neighbor_rows(nbrs, acts_[l].cview(), agg.row(static_cast<std::size_t>(v)));
       inv_norm.at(static_cast<std::size_t>(v), 0) =
           1.0f / (static_cast<real_t>(nbrs.size()) + 1.0f);
     }

@@ -1,38 +1,16 @@
 #include "serve/model_snapshot.hpp"
 
-#include <cmath>
-#include <limits>
+#include <algorithm>
 #include <stdexcept>
 
 #include "nn/init.hpp"
+#include "nn/layer_rows.hpp"
 #include "nn/serialize.hpp"
 #include "util/rng.hpp"
 
 namespace distgnn::serve {
 
 namespace {
-
-/// Serial i-k-j GEMM + row bias. Workers run concurrently, so the snapshot
-/// must not spawn nested OpenMP teams; per-request row blocks are small
-/// enough that the serial loop is the right tool. The k-ascending
-/// accumulation order matches nn/gemm so served logits are bitwise-identical
-/// to the training-side forward.
-void dense_affine(ConstMatrixView X, const DenseMatrix& W, const DenseMatrix& bias, MatrixView Y) {
-  const std::size_t k_dim = W.rows(), n_dim = W.cols();
-  for (std::size_t i = 0; i < X.rows; ++i) {
-    real_t* y = Y.row(i);
-    for (std::size_t j = 0; j < n_dim; ++j) y[j] = 0;
-    const real_t* x = X.row(i);
-    for (std::size_t k = 0; k < k_dim; ++k) {
-      const real_t a = x[k];
-      const real_t* w = W.row(k);
-      for (std::size_t j = 0; j < n_dim; ++j) y[j] += a * w[j];
-    }
-    // Bias last, as nn/Linear does (gemm then add_row_bias): float addition
-    // is non-associative, so the order is part of the bitwise contract.
-    for (std::size_t j = 0; j < n_dim; ++j) y[j] += bias.at(0, j);
-  }
-}
 
 std::size_t batch_rows(std::span<const MiniBatch> batch, std::size_t layer, bool src_side) {
   std::size_t rows = 0;
@@ -41,6 +19,49 @@ std::size_t batch_rows(std::span<const MiniBatch> batch, std::size_t layer, bool
     rows += static_cast<std::size_t>(src_side ? b.num_src : b.num_dst);
   }
   return rows;
+}
+
+/// Calls fn on every layer matrix in checkpoint order: per layer weight,
+/// bias, relation weights ascending, attn_src, attn_dst, skipping the ones a
+/// kind does not have. That is each trained model's params() order: SAGE
+/// weight, bias; RGCN weight, bias, W_r (RgcnLayer::collect_params); GAT
+/// weight, attn_src, attn_dst.
+template <typename Layers, typename Fn>
+void for_each_param(Layers& layers, const Fn& fn) {
+  const auto visit = [&](auto& m) {
+    if (!m.empty()) fn(m);
+  };
+  for (auto& lw : layers) {
+    visit(lw.weight);
+    visit(lw.bias);
+    for (auto& wr : lw.rel_weight) visit(wr);
+    visit(lw.attn_src);
+    visit(lw.attn_dst);
+  }
+}
+
+/// Rows [first, first + count) of m.
+ConstMatrixView slice(ConstMatrixView m, std::size_t first, vid_t count) {
+  return {m.data + first * m.cols, static_cast<std::size_t>(count), m.cols};
+}
+
+/// Sizes `next` to the stacked destination rows of every request's `hop`
+/// block and calls row(block, in_off, v, y) once per destination v, request
+/// by request: in_off is the request's first row among the stacked sources
+/// and y the destination's output row. A request only ever reads its own
+/// source slice, so a row's value does not depend on batch composition.
+template <typename RowFn>
+void for_each_destination(std::span<const MiniBatch> batch, std::size_t hop, std::size_t out_dim,
+                          DenseMatrix& next, const RowFn& row) {
+  next.resize_discard(batch_rows(batch, hop, /*src_side=*/false), out_dim);
+  std::size_t in_off = 0, out_off = 0;
+  for (const MiniBatch& mb : batch) {
+    const SampledBlock& block = mb.blocks[hop];
+    for (vid_t v = 0; v < block.num_dst; ++v)
+      row(block, in_off, v, next.row(out_off + static_cast<std::size_t>(v)));
+    in_off += static_cast<std::size_t>(block.num_src);
+    out_off += static_cast<std::size_t>(block.num_dst);
+  }
 }
 
 }  // namespace
@@ -101,25 +122,11 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::from_checkpoint(const ModelS
                                                                     const std::string& path,
                                                                     std::uint64_t version) {
   // Allocate the right shapes, then let load_checkpoint fill (and validate
-  // against) them. The ParamRef order must match the corresponding trained
-  // model's params(): SAGE = per layer weight, bias; GAT = per layer weight,
-  // attn_src, attn_dst.
+  // against) them.
   auto snap = allocate(spec, version);
   std::vector<ParamRef> refs;
-  for (LayerWeights& lw : snap->layers_) {
-    refs.push_back({lw.weight.data(), nullptr, lw.weight.size()});
-    if (spec.kind == ModelKind::kSage) {
-      refs.push_back({lw.bias.data(), nullptr, lw.bias.size()});
-    } else if (spec.kind == ModelKind::kRgcn) {
-      // RgcnLayer::collect_params order: self weight, self bias, then one
-      // weight per relation in ascending relation order.
-      refs.push_back({lw.bias.data(), nullptr, lw.bias.size()});
-      for (DenseMatrix& wr : lw.rel_weight) refs.push_back({wr.data(), nullptr, wr.size()});
-    } else {
-      refs.push_back({lw.attn_src.data(), nullptr, lw.attn_src.size()});
-      refs.push_back({lw.attn_dst.data(), nullptr, lw.attn_dst.size()});
-    }
-  }
+  for_each_param(snap->layers_,
+                 [&](DenseMatrix& m) { refs.push_back({m.data(), nullptr, m.size()}); });
   load_checkpoint(refs, path);
   return snap;
 }
@@ -129,24 +136,12 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::from_flat(const ModelSpec& s
                                                               std::uint64_t version) {
   auto snap = allocate(spec, version);
   std::size_t off = 0;
-  const auto take = [&](DenseMatrix& dst) {
+  for_each_param(snap->layers_, [&](DenseMatrix& dst) {
     if (off + dst.size() > flat.size())
       throw std::runtime_error("ModelSnapshot::from_flat: payload too small for spec");
     std::copy(flat.data() + off, flat.data() + off + dst.size(), dst.data());
     off += dst.size();
-  };
-  for (LayerWeights& lw : snap->layers_) {
-    take(lw.weight);
-    if (spec.kind == ModelKind::kSage) {
-      take(lw.bias);
-    } else if (spec.kind == ModelKind::kRgcn) {
-      take(lw.bias);
-      for (DenseMatrix& wr : lw.rel_weight) take(wr);
-    } else {
-      take(lw.attn_src);
-      take(lw.attn_dst);
-    }
-  }
+  });
   if (off != flat.size())
     throw std::runtime_error("ModelSnapshot::from_flat: payload larger than spec");
   return snap;
@@ -155,49 +150,24 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::from_flat(const ModelSpec& s
 std::vector<real_t> ModelSnapshot::flatten() const {
   std::vector<real_t> flat;
   flat.reserve(num_parameters());
-  const auto put = [&](const DenseMatrix& src) {
-    flat.insert(flat.end(), src.data(), src.data() + src.size());
-  };
-  for (const LayerWeights& lw : layers_) {
-    put(lw.weight);
-    if (spec_.kind == ModelKind::kSage) {
-      put(lw.bias);
-    } else if (spec_.kind == ModelKind::kRgcn) {
-      put(lw.bias);
-      for (const DenseMatrix& wr : lw.rel_weight) put(wr);
-    } else {
-      put(lw.attn_src);
-      put(lw.attn_dst);
-    }
-  }
+  for_each_param(layers_, [&](const DenseMatrix& m) {
+    flat.insert(flat.end(), m.data(), m.data() + m.size());
+  });
   return flat;
 }
 
 std::size_t ModelSnapshot::num_parameters() const {
   std::size_t n = 0;
-  for (const LayerWeights& lw : layers_) {
-    n += lw.weight.size() + lw.bias.size() + lw.attn_src.size() + lw.attn_dst.size();
-    for (const DenseMatrix& wr : lw.rel_weight) n += wr.size();
-  }
+  for_each_param(layers_, [&](const DenseMatrix& m) { n += m.size(); });
   return n;
 }
 
 void ModelSnapshot::save(const std::string& path) const {
+  // save_checkpoint only reads through value; the const_cast is safe.
   std::vector<ParamRef> refs;
-  for (const LayerWeights& lw : layers_) {
-    // save_checkpoint only reads through value; the const_cast is safe.
-    refs.push_back({const_cast<real_t*>(lw.weight.data()), nullptr, lw.weight.size()});
-    if (spec_.kind == ModelKind::kSage) {
-      refs.push_back({const_cast<real_t*>(lw.bias.data()), nullptr, lw.bias.size()});
-    } else if (spec_.kind == ModelKind::kRgcn) {
-      refs.push_back({const_cast<real_t*>(lw.bias.data()), nullptr, lw.bias.size()});
-      for (const DenseMatrix& wr : lw.rel_weight)
-        refs.push_back({const_cast<real_t*>(wr.data()), nullptr, wr.size()});
-    } else {
-      refs.push_back({const_cast<real_t*>(lw.attn_src.data()), nullptr, lw.attn_src.size()});
-      refs.push_back({const_cast<real_t*>(lw.attn_dst.data()), nullptr, lw.attn_dst.size()});
-    }
-  }
+  for_each_param(layers_, [&](const DenseMatrix& m) {
+    refs.push_back({const_cast<real_t*>(m.data()), nullptr, m.size()});
+  });
   save_checkpoint(refs, path);
 }
 
@@ -211,208 +181,13 @@ void ModelSnapshot::forward_batch(std::span<const MiniBatch> batch, ConstMatrixV
       inputs.cols != static_cast<std::size_t>(spec_.feature_dim))
     throw std::invalid_argument("ModelSnapshot: stacked input shape mismatch");
 
-  scratch.acts.resize(num_layers + 1);
-  scratch.acts[0].resize_discard(inputs.rows, inputs.cols);
-  std::copy(inputs.data, inputs.data + inputs.rows * inputs.cols, scratch.acts[0].data());
-
-  if (spec_.kind == ModelKind::kSage)
-    forward_sage(batch, scratch);
-  else if (spec_.kind == ModelKind::kRgcn)
-    forward_rgcn(batch, scratch);
-  else
-    forward_gat(batch, scratch);
-
-  const DenseMatrix& out = scratch.acts[num_layers];
-  logits.resize_discard(out.rows(), out.cols());
-  std::copy(out.data(), out.data() + out.size(), logits.data());
-}
-
-template <typename BlockAt>
-void ModelSnapshot::sage_layer(const LayerWeights& lw, std::size_t num_requests,
-                               const BlockAt& block_at, ConstMatrixView cur,
-                               ForwardScratch& scratch, DenseMatrix& next) const {
-  const std::size_t d = cur.cols;
-  std::size_t out_rows = 0;
-  for (std::size_t i = 0; i < num_requests; ++i)
-    out_rows += static_cast<std::size_t>(block_at(i).num_dst);
-
-  // combined = (agg + h_dst) * 1/(deg+1), computed in place over the
-  // stacked destination rows; each request's rows reference only its own
-  // source-row slice, so the result is independent of batch composition.
-  DenseMatrix& combined = scratch.agg;
-  combined.resize_discard(out_rows, d, 0);
-  std::size_t in_off = 0, out_off = 0;
-  for (std::size_t i = 0; i < num_requests; ++i) {
-    const SampledBlock& block = block_at(i);
-    for (vid_t v = 0; v < block.num_dst; ++v) {
-      const auto nbrs = block.neighbors(v);
-      real_t* c = combined.row(out_off + static_cast<std::size_t>(v));
-      for (const vid_t u : nbrs) {
-        const real_t* s = cur.row(in_off + static_cast<std::size_t>(u));
-        for (std::size_t j = 0; j < d; ++j) c[j] += s[j];
-      }
-      const real_t inv = 1.0f / (static_cast<real_t>(nbrs.size()) + 1.0f);
-      const real_t* h = cur.row(in_off + static_cast<std::size_t>(v));
-      for (std::size_t j = 0; j < d; ++j) c[j] = (c[j] + h[j]) * inv;
-    }
-    in_off += static_cast<std::size_t>(block.num_src);
-    out_off += static_cast<std::size_t>(block.num_dst);
+  scratch.acts.resize(num_layers - 1);
+  ConstMatrixView cur = inputs;
+  for (std::size_t l = 0; l < num_layers; ++l) {
+    DenseMatrix& next = l + 1 == num_layers ? logits : scratch.acts[l];
+    apply_layer(layers_[l], batch, l, cur, scratch, next);
+    cur = next.cview();
   }
-
-  next.resize_discard(out_rows, lw.weight.cols());
-  dense_affine(combined.cview(), lw.weight, lw.bias, next.view());
-  if (lw.relu) {
-    real_t* y = next.data();
-    for (std::size_t i = 0; i < next.size(); ++i) y[i] = y[i] > 0 ? y[i] : 0;
-  }
-}
-
-template <typename BlockAt>
-void ModelSnapshot::gat_layer(const LayerWeights& lw, std::size_t num_requests,
-                              const BlockAt& block_at, ConstMatrixView cur,
-                              ForwardScratch& scratch, DenseMatrix& next) const {
-  const std::size_t d = lw.weight.cols();
-  const std::size_t in_rows = cur.rows;
-  std::size_t out_rows = 0;
-  for (std::size_t i = 0; i < num_requests; ++i)
-    out_rows += static_cast<std::size_t>(block_at(i).num_dst);
-
-  // Projection of every source row, then per-destination attention over the
-  // sampled in-neighbours (GatInference semantics: no self edge, degree-0
-  // destinations output zeros).
-  DenseMatrix& z = scratch.z;
-  z.resize_discard(in_rows, d);
-  const DenseMatrix zero_bias(1, d);  // the GAT projection is bias-free
-  dense_affine(cur, lw.weight, zero_bias, z.view());
-
-  next.resize_discard(out_rows, d, 0);
-
-  std::size_t in_off = 0, out_off = 0;
-  for (std::size_t i = 0; i < num_requests; ++i) {
-    const SampledBlock& block = block_at(i);
-    for (vid_t v = 0; v < block.num_dst; ++v) {
-      const auto nbrs = block.neighbors(v);
-      real_t* out = next.row(out_off + static_cast<std::size_t>(v));
-      if (nbrs.empty()) continue;
-
-      const real_t* zv = z.row(in_off + static_cast<std::size_t>(v));
-      real_t dst_term = 0;
-      for (std::size_t j = 0; j < d; ++j) dst_term += zv[j] * lw.attn_dst.at(0, j);
-
-      scratch.scores.resize(nbrs.size());
-      real_t max_score = -std::numeric_limits<real_t>::infinity();
-      for (std::size_t n = 0; n < nbrs.size(); ++n) {
-        const real_t* zu = z.row(in_off + static_cast<std::size_t>(nbrs[n]));
-        real_t src_term = 0;
-        for (std::size_t j = 0; j < d; ++j) src_term += zu[j] * lw.attn_src.at(0, j);
-        const real_t raw = src_term + dst_term;
-        const real_t score = raw > 0 ? raw : spec_.leaky_slope * raw;
-        scratch.scores[n] = score;
-        max_score = std::max(max_score, score);
-      }
-      real_t denom = 0;
-      for (real_t& s : scratch.scores) {
-        s = std::exp(s - max_score);
-        denom += s;
-      }
-      const real_t inv = 1.0f / denom;
-      for (std::size_t n = 0; n < nbrs.size(); ++n) {
-        const real_t alpha = scratch.scores[n] * inv;
-        const real_t* zu = z.row(in_off + static_cast<std::size_t>(nbrs[n]));
-        for (std::size_t j = 0; j < d; ++j) out[j] += alpha * zu[j];
-      }
-    }
-    in_off += static_cast<std::size_t>(block.num_src);
-    out_off += static_cast<std::size_t>(block.num_dst);
-  }
-}
-
-template <typename BlockAt>
-void ModelSnapshot::rgcn_layer(const LayerWeights& lw, std::size_t num_requests,
-                               const BlockAt& block_at, ConstMatrixView cur,
-                               ForwardScratch& scratch, DenseMatrix& next) const {
-  const std::size_t d_in = cur.cols;
-  const std::size_t d_out = lw.weight.cols();
-  std::size_t out_rows = 0;
-  for (std::size_t i = 0; i < num_requests; ++i)
-    out_rows += static_cast<std::size_t>(block_at(i).num_dst);
-
-  next.resize_discard(out_rows, d_out);
-  scratch.scores.resize(d_in);  // per-relation aggregate row
-  std::size_t in_off = 0, out_off = 0;
-  for (std::size_t i = 0; i < num_requests; ++i) {
-    const SampledBlock& block = block_at(i);
-    if (block.rel.size() != block.col.size())
-      throw std::invalid_argument("ModelSnapshot: RGCN forward needs relation-labelled blocks");
-    for (vid_t v = 0; v < block.num_dst; ++v) {
-      real_t* y = next.row(out_off + static_cast<std::size_t>(v));
-      // Self transform first — k-ascending GEMM then bias, exactly the
-      // training-side Linear (gemm + add_row_bias) order.
-      const real_t* h = cur.row(in_off + static_cast<std::size_t>(v));
-      for (std::size_t j = 0; j < d_out; ++j) y[j] = 0;
-      for (std::size_t k = 0; k < d_in; ++k) {
-        const real_t a = h[k];
-        const real_t* w = lw.weight.row(k);
-        for (std::size_t j = 0; j < d_out; ++j) y[j] += a * w[j];
-      }
-      for (std::size_t j = 0; j < d_out; ++j) y[j] += lw.bias.at(0, j);
-
-      const auto nbrs = block.neighbors(v);
-      const auto rels = block.relations(v);
-      for (std::size_t r = 0; r < lw.rel_weight.size(); ++r) {
-        // Mean aggregate of this relation's sampled neighbours, in block
-        // (== per-relation CSR) order; at full fanout the count is the
-        // graph's per-relation in-degree, matching the trainer's inv_norm.
-        real_t* s = scratch.scores.data();
-        for (std::size_t j = 0; j < d_in; ++j) s[j] = 0;
-        std::size_t count = 0;
-        for (std::size_t n = 0; n < nbrs.size(); ++n) {
-          if (rels[n] != static_cast<int>(r)) continue;
-          const real_t* su = cur.row(in_off + static_cast<std::size_t>(nbrs[n]));
-          for (std::size_t j = 0; j < d_in; ++j) s[j] += su[j];
-          ++count;
-        }
-        const real_t inv = count > 0 ? 1.0f / static_cast<real_t>(count) : 0.0f;
-        // Accumulate even when the relation is empty: the trainer's
-        // per-relation GEMM runs unconditionally and float += is
-        // sign-sensitive, so skipping would break bitwise equality.
-        const DenseMatrix& wr = lw.rel_weight[r];
-        for (std::size_t k = 0; k < d_in; ++k) {
-          const real_t a = s[k] * inv;
-          const real_t* w = wr.row(k);
-          for (std::size_t j = 0; j < d_out; ++j) y[j] += a * w[j];
-        }
-      }
-      if (lw.relu)
-        for (std::size_t j = 0; j < d_out; ++j) y[j] = y[j] > 0 ? y[j] : 0;
-    }
-    in_off += static_cast<std::size_t>(block.num_src);
-    out_off += static_cast<std::size_t>(block.num_dst);
-  }
-}
-
-void ModelSnapshot::forward_sage(std::span<const MiniBatch> batch, ForwardScratch& scratch) const {
-  for (std::size_t l = 0; l < layers_.size(); ++l)
-    sage_layer(
-        layers_[l], batch.size(),
-        [&](std::size_t i) -> const SampledBlock& { return batch[i].blocks[l]; },
-        scratch.acts[l].cview(), scratch, scratch.acts[l + 1]);
-}
-
-void ModelSnapshot::forward_gat(std::span<const MiniBatch> batch, ForwardScratch& scratch) const {
-  for (std::size_t l = 0; l < layers_.size(); ++l)
-    gat_layer(
-        layers_[l], batch.size(),
-        [&](std::size_t i) -> const SampledBlock& { return batch[i].blocks[l]; },
-        scratch.acts[l].cview(), scratch, scratch.acts[l + 1]);
-}
-
-void ModelSnapshot::forward_rgcn(std::span<const MiniBatch> batch, ForwardScratch& scratch) const {
-  for (std::size_t l = 0; l < layers_.size(); ++l)
-    rgcn_layer(
-        layers_[l], batch.size(),
-        [&](std::size_t i) -> const SampledBlock& { return batch[i].blocks[l]; },
-        scratch.acts[l].cview(), scratch, scratch.acts[l + 1]);
 }
 
 void ModelSnapshot::forward_layer(int layer, std::span<const MiniBatch> batch,
@@ -431,13 +206,84 @@ void ModelSnapshot::forward_layer(int layer, std::span<const MiniBatch> batch,
   // labels do not survive the per-(vertex, layer) canonical re-sampling.
   if (spec_.kind == ModelKind::kRgcn)
     throw std::invalid_argument("ModelSnapshot::forward_layer: RGCN has no embed-forward path");
-  const auto block_at = [&](std::size_t i) -> const SampledBlock& { return batch[i].blocks[0]; };
-  if (spec_.kind == ModelKind::kSage)
-    sage_layer(layers_[static_cast<std::size_t>(layer)], batch.size(), block_at, inputs, scratch,
-               out);
-  else
-    gat_layer(layers_[static_cast<std::size_t>(layer)], batch.size(), block_at, inputs, scratch,
-              out);
+  apply_layer(layers_[static_cast<std::size_t>(layer)], batch, 0, inputs, scratch, out);
+}
+
+void ModelSnapshot::apply_layer(const LayerWeights& lw, std::span<const MiniBatch> batch,
+                                std::size_t hop, ConstMatrixView cur, ForwardScratch& scratch,
+                                DenseMatrix& next) const {
+  const ConstMatrixView W = lw.weight.cview();
+  const std::size_t d_in = cur.cols, d_out = W.cols;
+  switch (spec_.kind) {
+    case ModelKind::kSage: {
+      // GraphSageLayer: combine, affine, ReLU on hidden layers.
+      scratch.row.resize(d_in);
+      real_t* c = scratch.row.data();
+      for_each_destination(batch, hop, d_out, next, [&](const SampledBlock& block,
+                                                        std::size_t in_off, vid_t v, real_t* y) {
+        const ConstMatrixView src = slice(cur, in_off, block.num_src);
+        const auto nbrs = block.neighbors(v);
+        std::fill(c, c + d_in, real_t{0});
+        rows::add_neighbor_rows(nbrs, src, c);
+        const real_t inv = 1.0f / (static_cast<real_t>(nbrs.size()) + 1.0f);
+        rows::sage_combine(c, src.row(static_cast<std::size_t>(v)), inv, d_in, c);
+        rows::affine(c, W, lw.bias.data(), y);
+        if (lw.relu) rows::relu(y, d_out, y);
+      });
+      return;
+    }
+    case ModelKind::kGat: {
+      // GatInference: project every source row and take its a_src half once,
+      // then attend per destination over its sampled in-neighbours.
+      scratch.z.resize_discard(cur.rows, d_out);
+      scratch.src_term.resize(cur.rows);
+      for (std::size_t i = 0; i < cur.rows; ++i) {
+        rows::xw(cur.row(i), W, scratch.z.row(i));
+        scratch.src_term[i] = rows::dot(scratch.z.row(i), lw.attn_src.data(), d_out);
+      }
+      for_each_destination(batch, hop, d_out, next, [&](const SampledBlock& block,
+                                                        std::size_t in_off, vid_t v, real_t* y) {
+        const ConstMatrixView z = slice(scratch.z.cview(), in_off, block.num_src);
+        const real_t dst_term =
+            rows::dot(z.row(static_cast<std::size_t>(v)), lw.attn_dst.data(), d_out);
+        const auto nbrs = block.neighbors(v);
+        scratch.scores.resize(nbrs.size());
+        rows::gat_attend(nbrs, scratch.src_term.data() + in_off, dst_term, spec_.leaky_slope, z,
+                         scratch.scores.data(), y);
+      });
+      return;
+    }
+    case ModelKind::kRgcn: {
+      // RgcnLayer: self affine, then relations ascending, then ReLU.
+      for (const MiniBatch& mb : batch)
+        if (mb.blocks[hop].rel.size() != mb.blocks[hop].col.size())
+          throw std::invalid_argument("ModelSnapshot: RGCN forward needs relation-labelled blocks");
+      scratch.row.resize(d_in);
+      real_t* s = scratch.row.data();
+      for_each_destination(batch, hop, d_out, next, [&](const SampledBlock& block,
+                                                        std::size_t in_off, vid_t v, real_t* y) {
+        const ConstMatrixView src = slice(cur, in_off, block.num_src);
+        rows::affine(src.row(static_cast<std::size_t>(v)), W, lw.bias.data(), y);
+        const auto nbrs = block.neighbors(v);
+        const auto rels = block.relations(v);
+        for (std::size_t r = 0; r < lw.rel_weight.size(); ++r) {
+          std::fill(s, s + d_in, real_t{0});
+          std::size_t count = 0;
+          for (std::size_t e = 0; e < nbrs.size(); ++e) {
+            if (rels[e] != static_cast<int>(r)) continue;
+            rows::add_neighbor_rows(nbrs.subspan(e, 1), src, s);
+            ++count;
+          }
+          // The trainer's 1/c_{v,r}, 0 for an empty relation. Its relation
+          // term still accumulates: float += is sign-sensitive.
+          rows::scale(s, count > 0 ? 1.0f / static_cast<real_t>(count) : 0.0f, d_in, s);
+          rows::xw(s, lw.rel_weight[r].cview(), y, /*accumulate=*/true);
+        }
+        if (lw.relu) rows::relu(y, d_out, y);
+      });
+      return;
+    }
+  }
 }
 
 void SnapshotHolder::publish(std::shared_ptr<const ModelSnapshot> snapshot) {

@@ -44,11 +44,11 @@ struct ModelSpec {
 /// Reusable per-worker scratch for forward_batch; grows to the largest batch
 /// seen and is never shared between threads.
 struct ForwardScratch {
-  std::vector<DenseMatrix> acts;  // acts[l] feeds layer l (stacked over batch)
-  DenseMatrix agg;                // stacked neighbourhood aggregate / weighted sum
-  DenseMatrix inv_norm;           // per-dst 1/(deg+1) column (SAGE)
-  DenseMatrix z;                  // projected features (GAT)
-  std::vector<real_t> scores;     // per-edge attention scratch (GAT)
+  std::vector<DenseMatrix> acts;  // acts[l]: hidden layer l's stacked output
+  std::vector<real_t> row;        // one neighbour-sum row (SAGE, RGCN)
+  DenseMatrix z;                  // projected source rows (GAT)
+  std::vector<real_t> src_term;   // a_src · z per source row (GAT)
+  std::vector<real_t> scores;     // one destination's attention weights (GAT)
 };
 
 class ModelSnapshot {
@@ -87,10 +87,14 @@ class ModelSnapshot {
   /// `batch` holds one independently sampled MiniBatch per request; `inputs`
   /// is the stacked feature gather for batch[0].input_vertices ++
   /// batch[1].input_vertices ++ ... ; `logits` receives one row per seed, in
-  /// the same request-major order. Every per-row operation (aggregation sum
-  /// in block neighbour order, i-k-j GEMM, bias, activation) touches only
-  /// that request's rows in the same order as a single-request call, so a
-  /// batched forward is bitwise-equal to per-request forwards.
+  /// the same request-major order.
+  ///
+  /// Each destination row runs the training layers' own per-row functions
+  /// (nn/layer_rows.hpp): the block neighbour sum through the Alg. 3 row
+  /// kernel, then the layer's combine, affine row, attention or ReLU. A row
+  /// reads only its own request's source rows, so a batched forward is
+  /// bitwise-equal to per-request forwards; and at full fanout (blocks equal
+  /// the in-CSR rows) it is bitwise the trainers' full-graph forward.
   void forward_batch(std::span<const MiniBatch> batch, ConstMatrixView inputs,
                      ForwardScratch& scratch, DenseMatrix& logits) const;
 
@@ -98,10 +102,10 @@ class ModelSnapshot {
   /// `batch` must hold a single block, `inputs` is the stacked layer-`layer`
   /// input gather (one row per block source vertex, request-major), and
   /// `out` receives one row per destination vertex. Runs through the same
-  /// per-layer core as forward_batch, so a layer applied here is
-  /// bitwise-equal to the corresponding step of a full forward — the
-  /// embedding cache (EmbedForward) relies on that to mix cached and freshly
-  /// computed hop-k embeddings.
+  /// apply_layer as forward_batch, so a layer applied here is bitwise-equal
+  /// to the corresponding step of a full forward — the embedding cache
+  /// (EmbedForward) relies on that to mix cached and freshly computed hop-k
+  /// embeddings.
   void forward_layer(int layer, std::span<const MiniBatch> batch, ConstMatrixView inputs,
                      ForwardScratch& scratch, DenseMatrix& out) const;
 
@@ -121,31 +125,22 @@ class ModelSnapshot {
   /// random numbers — the base for every loader that overwrites the values.
   static std::shared_ptr<ModelSnapshot> allocate(const ModelSpec& spec, std::uint64_t version);
 
-  void forward_sage(std::span<const MiniBatch> batch, ForwardScratch& scratch) const;
-  void forward_gat(std::span<const MiniBatch> batch, ForwardScratch& scratch) const;
-  void forward_rgcn(std::span<const MiniBatch> batch, ForwardScratch& scratch) const;
-
-  /// Shared per-layer cores: `block_at(i)` yields the i-th request's block
-  /// for the layer being applied (blocks[l] in a full forward, blocks[0] in
-  /// forward_layer), `cur` the stacked input rows, `next` the stacked output
-  /// rows. Both full-forward and single-layer paths run through these, which
-  /// is what makes them bitwise-interchangeable.
-  template <typename BlockAt>
-  void sage_layer(const LayerWeights& lw, std::size_t num_requests, const BlockAt& block_at,
-                  ConstMatrixView cur, ForwardScratch& scratch, DenseMatrix& next) const;
-  template <typename BlockAt>
-  void gat_layer(const LayerWeights& lw, std::size_t num_requests, const BlockAt& block_at,
-                 ConstMatrixView cur, ForwardScratch& scratch, DenseMatrix& next) const;
-  /// RGCN layer over relation-labelled blocks (block.rel must be filled by
-  /// typed sampling). Matches RgcnLayer op for op: per destination — self
-  /// transform (k-ascending GEMM then bias), then relations in ascending
-  /// order (mean of that relation's sampled neighbours, never skipping empty
-  /// relations), then ReLU on hidden layers. At full fanout the sampled
-  /// per-relation counts equal the graph's per-relation in-degrees, so
-  /// served logits are bitwise those of RgcnTrainer's baseline forward.
-  template <typename BlockAt>
-  void rgcn_layer(const LayerWeights& lw, std::size_t num_requests, const BlockAt& block_at,
-                  ConstMatrixView cur, ForwardScratch& scratch, DenseMatrix& next) const;
+  /// Applies one layer to stacked rows: request i's block is
+  /// batch[i].blocks[hop] (hop = the layer in forward_batch, 0 in
+  /// forward_layer), `cur` the stacked source rows, `next` the stacked
+  /// destination rows. Serial by design: workers run concurrently, so no
+  /// OpenMP team may start here. Per kind, each destination runs:
+  ///   SAGE  sum of sampled neighbours, (sum + h_v) / (deg + 1), affine,
+  ///         ReLU on hidden layers (GraphSageLayer);
+  ///   GAT   x·W and a_src·z once per source row, then per-destination
+  ///         softmax attention (GatInference: no self edge, degree-0
+  ///         destinations output zeros);
+  ///   RGCN  self affine, then per relation ascending the mean of that
+  ///         relation's sampled neighbours times W_r, accumulated even for
+  ///         an empty relation, then ReLU on hidden layers (RgcnLayer;
+  ///         blocks need relation labels from typed sampling).
+  void apply_layer(const LayerWeights& lw, std::span<const MiniBatch> batch, std::size_t hop,
+                   ConstMatrixView cur, ForwardScratch& scratch, DenseMatrix& next) const;
 
   ModelSpec spec_;
   std::uint64_t version_ = 0;

@@ -12,7 +12,7 @@ ReplicaGroup::ReplicaGroup(const Dataset& dataset, ServeConfig config, int num_r
 
 ReplicaGroup::ReplicaGroup(const Dataset& dataset, int num_replicas,
                            const ReplicaFactory& factory)
-    : dataset_(dataset) {
+    : dataset_(dataset), num_vertices_(dataset.num_vertices()) {
   if (num_replicas < 1) throw std::invalid_argument("ReplicaGroup: need >= 1 replica");
   if (!factory) throw std::invalid_argument("ReplicaGroup: null replica factory");
   replicas_.reserve(static_cast<std::size_t>(num_replicas));
@@ -97,7 +97,7 @@ int ReplicaGroup::pick_round_robin() {
 
 bool ReplicaGroup::submit(vid_t vertex, const RequestMeta& meta,
                           std::function<void(InferResult&&)> done) {
-  if (vertex < 0 || vertex >= dataset_.num_vertices())
+  if (vertex < 0 || vertex >= num_vertices_)
     throw std::out_of_range("ReplicaGroup: vertex id out of range");
   begin_requests(1);
   ServingBackend& target = replica(pick_round_robin());
@@ -122,7 +122,7 @@ std::vector<std::optional<InferResult>> ReplicaGroup::infer_batch(
   std::vector<std::optional<InferResult>> results(n);
   if (n == 0) return results;
   for (const vid_t v : vertices)
-    if (v < 0 || v >= dataset_.num_vertices())
+    if (v < 0 || v >= num_vertices_)
       throw std::out_of_range("ReplicaGroup: vertex id out of range");
 
   // Reserve the whole batch's admission slots atomically: a group publish

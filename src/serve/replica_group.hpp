@@ -139,6 +139,10 @@ class ReplicaGroup : public ServingBackend {
   int pick_round_robin();
 
   const Dataset& dataset_;
+  /// Immutable mirror of dataset().num_vertices(): the streamed-update
+  /// contract fixes the vertex set at construction, and submit() must not
+  /// read through the graph while a delta publish is move-assigning it.
+  const vid_t num_vertices_;
   std::vector<std::unique_ptr<ServingBackend>> replicas_;
 
   mutable util::Mutex mutex_;

@@ -28,6 +28,7 @@ std::string route_policy_name(RoutePolicy policy) {
 
 Router::Router(ReplicaGroup& group, RoutePolicy policy, AdmissionConfig admission)
     : group_(group),
+      num_vertices_(group.dataset().num_vertices()),
       policy_(policy),
       admission_(std::move(admission)),
       outstanding_(new std::atomic<std::uint64_t>[static_cast<std::size_t>(group.num_replicas())]),
@@ -96,7 +97,7 @@ bool Router::submit(vid_t vertex, const RequestMeta& meta,
                     std::function<void(InferResult&&)> done) {
   // Validate before reserving an admission slot: a throw after
   // begin_requests would leak the slot and wedge every later publish().
-  if (vertex < 0 || vertex >= group_.dataset().num_vertices())
+  if (vertex < 0 || vertex >= num_vertices_)
     throw std::out_of_range("Router: vertex id out of range");
   if (num_lanes_ != 0 &&
       (meta.tenant < 0 || static_cast<std::size_t>(meta.tenant) >= num_lanes_))
@@ -320,7 +321,7 @@ std::vector<std::optional<InferResult>> Router::infer_batch(std::span<const vid_
   std::vector<std::optional<InferResult>> results(n);
   if (n == 0) return results;
   for (const vid_t v : vertices)
-    if (v < 0 || v >= group_.dataset().num_vertices())
+    if (v < 0 || v >= num_vertices_)
       throw std::out_of_range("Router: vertex id out of range");
   if (num_lanes_ != 0 &&
       (meta.tenant < 0 || static_cast<std::size_t>(meta.tenant) >= num_lanes_))

@@ -153,6 +153,10 @@ class Router : public obs::ScrapeSource {
   int pick_replica();
 
   ReplicaGroup& group_;
+  /// Immutable mirror of dataset().num_vertices(): the streamed-update
+  /// contract fixes the vertex set at construction, and submit() must not
+  /// read through the graph while a delta publish is move-assigning it.
+  const vid_t num_vertices_;
   RoutePolicy policy_;
   AdmissionConfig admission_;
 

@@ -65,6 +65,11 @@ class LintFixtureTest(unittest.TestCase):
     def test_allowlisted_test_may_sleep(self):
         self.assert_clean("pass_sleep_allowlisted")
 
+    def test_serving_row_loops_and_teams_outside_serving_pass(self):
+        # A serial serving loop over nn/layer_rows.hpp, a team in src/nn/,
+        # and team syntax inside serving comments and strings all lint clean.
+        self.assert_clean("pass_serving_row_loops")
+
     # ---------------------------------------------------------------- fail cases
 
     def test_raw_mutex_fails(self):
@@ -80,6 +85,16 @@ class LintFixtureTest(unittest.TestCase):
 
     def test_sleep_in_unlisted_test_fails(self):
         self.assert_finding("fail_sleep_in_test", "sleep-in-test", "tests/widget_test.cpp")
+
+    def test_omp_parallel_in_serving_fails(self):
+        self.assert_finding(
+            "fail_omp_parallel_in_serving", "omp-team-in-serving", "src/serve/worker.cpp:3"
+        )
+
+    def test_driver_include_in_serving_fails(self):
+        self.assert_finding(
+            "fail_driver_include_in_serving", "omp-team-in-serving", "nn/gemm.hpp"
+        )
 
     # ------------------------------------------------------------------ real tree
 

@@ -135,7 +135,7 @@ TEST(Linear, GradientsMatchFiniteDifference) {
   lin.zero_grad();
   DenseMatrix Y(n, out), dX(n, in);
   lin.forward(X.cview(), Y.view());
-  lin.backward(G.cview(), dX.view());
+  lin.backward(X.cview(), G.cview(), dX.view());
 
   const real_t eps = 1e-2f;
   // Weight gradient spot checks.
@@ -172,7 +172,7 @@ TEST(Linear, InputGradient) {
   DenseMatrix Y(n, out), dX(n, in);
   lin.forward(X.cview(), Y.view());
   lin.zero_grad();
-  lin.backward(G.cview(), dX.view());
+  lin.backward(X.cview(), G.cview(), dX.view());
 
   const real_t eps = 1e-2f;
   real_t& x = X.at(1, 2);

@@ -97,7 +97,7 @@ TEST(RgcnLayer, GradientCheckThroughAllPaths) {
   std::vector<DenseMatrix> dscaled(static_cast<std::size_t>(relations));
   layer.forward_from_aggregates(H.cview(), aggs, inv_norms, Y.view());
   layer.zero_grad();
-  layer.backward(G.cview(), dscaled, dH_self.view());
+  layer.backward(H.cview(), G.cview(), dscaled, dH_self.view());
 
   const real_t eps = 1e-2f;
   // Gradient w.r.t. each relation's aggregate equals dscaled[r].
@@ -116,7 +116,7 @@ TEST(RgcnLayer, GradientCheckThroughAllPaths) {
   // here are independent inputs, so no neighbour path applies).
   objective();
   layer.zero_grad();
-  layer.backward(G.cview(), dscaled, dH_self.view());
+  layer.backward(H.cview(), G.cview(), dscaled, dH_self.view());
   real_t& h = H.at(1, 0);
   const real_t save = h;
   h = save + eps;

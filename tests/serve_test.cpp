@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "core/sage_model.hpp"
 #include "graph/datasets.hpp"
+#include "kernels/aggregate.hpp"
+#include "nn/gat_inference.hpp"
+#include "nn/serialize.hpp"
 #include "partition/libra.hpp"
 #include "serve/feature_cache.hpp"
 #include "serve/inference_server.hpp"
@@ -21,10 +27,10 @@ namespace {
 
 using namespace distgnn::serve;
 
-Dataset make_serving_dataset() {
+Dataset make_serving_dataset(int num_classes = 4) {
   LearnableSbmParams params;
   params.num_vertices = 512;
-  params.num_classes = 4;
+  params.num_classes = num_classes;
   params.avg_degree = 8;
   params.feature_dim = 16;
   params.seed = 5;
@@ -457,6 +463,92 @@ TEST(InferenceServer, ServesGatSnapshots) {
   server.stop();
   EXPECT_EQ(result.snapshot_version, 7u);
   EXPECT_EQ(result.logits, reference_logits(dataset, *snapshot, 42, cfg.fanouts, 1));
+}
+
+// ---------------------------------------------------- train/serve equality
+
+int full_fanout(const Dataset& dataset) {
+  const CsrMatrix& csr = dataset.graph.in_csr();
+  eid_t max_deg = 1;
+  for (vid_t v = 0; v < csr.num_rows(); ++v) max_deg = std::max(max_deg, csr.degree(v));
+  return static_cast<int>(max_deg);
+}
+
+/// Serves every 17th vertex at full fanout, where sampling degenerates to the
+/// whole in-adjacency in CSR order, and expects the training-side logits
+/// bitwise.
+void expect_served_bitwise(const Dataset& dataset, std::shared_ptr<const ModelSnapshot> snapshot,
+                           ConstMatrixView train_logits) {
+  ServeConfig cfg;
+  cfg.num_workers = 1;
+  cfg.max_batch = 4;
+  cfg.fanouts.assign(static_cast<std::size_t>(snapshot->spec().num_layers),
+                     full_fanout(dataset));
+  InferenceServer server(dataset, cfg);
+  server.publish(std::move(snapshot));
+  server.start();
+  for (vid_t v = 0; v < dataset.num_vertices(); v += 17) {
+    const InferResult result = server.infer_sync(v);
+    ASSERT_EQ(result.logits.size(), train_logits.cols);
+    for (std::size_t j = 0; j < result.logits.size(); ++j)
+      EXPECT_EQ(result.logits[j], train_logits.at(static_cast<std::size_t>(v), j))
+          << "vertex " << v << " class " << j;
+  }
+  server.stop();
+}
+
+TEST(TrainServeEquality, FullFanoutSageServesTrainerLogitsBitwise) {
+  const Dataset dataset = make_serving_dataset();
+  const ModelSpec spec = sage_spec(dataset);
+  SageModel model(spec.feature_dim, spec.hidden_dim, spec.num_classes, spec.num_layers,
+                  /*seed=*/29);
+  // Biases start at zero; make them count.
+  for (int l = 0; l < model.num_layers(); ++l) {
+    DenseMatrix& bias = model.layer(l).linear().bias();
+    for (std::size_t j = 0; j < bias.size(); ++j)
+      bias.data()[j] = 0.01f * static_cast<real_t>(j + 1) * (l % 2 == 0 ? 1.0f : -1.0f);
+  }
+  const std::string path = ::testing::TempDir() + "distgnn_sage_serve.ckpt";
+  save_checkpoint(model.params(), path);
+  auto snapshot = ModelSnapshot::from_checkpoint(spec, path, /*version=*/1);
+  std::remove(path.c_str());
+
+  // Full-graph forward: the optimized AP, then each layer's driver.
+  const CsrMatrix& in_csr = dataset.graph.in_csr();
+  const auto n = static_cast<std::size_t>(dataset.num_vertices());
+  DenseMatrix inv_norm(n, 1);
+  for (std::size_t v = 0; v < n; ++v)
+    inv_norm.at(v, 0) = 1.0f / (static_cast<real_t>(in_csr.degree(static_cast<vid_t>(v))) + 1.0f);
+  DenseMatrix h = dataset.features, agg, next;
+  for (int l = 0; l < model.num_layers(); ++l) {
+    agg.resize_discard(n, h.cols(), 0);
+    aggregate(in_csr, h.cview(), {}, agg.view(), ApConfig{});
+    next.resize_discard(n, model.layer(l).out_dim());
+    model.layer(l).forward_from_aggregate(h.cview(), agg.cview(), inv_norm.cview(), next.view());
+    h = next;
+  }
+  expect_served_bitwise(dataset, std::move(snapshot), h.cview());
+}
+
+TEST(TrainServeEquality, FullFanoutGatServesGatInferenceBitwise) {
+  // 16 output columns, so the attention dot products are wide enough that a
+  // SIMD-reassociated sum on either side would change bits.
+  const Dataset dataset = make_serving_dataset(/*num_classes=*/16);
+  ModelSpec spec = sage_spec(dataset);
+  spec.kind = ModelKind::kGat;
+  spec.num_layers = 1;
+  Rng rng(31);
+  GatInference gat(static_cast<std::size_t>(spec.feature_dim),
+                   static_cast<std::size_t>(spec.num_classes), rng, spec.leaky_slope);
+  std::vector<real_t> flat;
+  for (const DenseMatrix* m : {&gat.weight(), &gat.attn_src(), &gat.attn_dst()})
+    flat.insert(flat.end(), m->data(), m->data() + m->size());
+  auto snapshot = ModelSnapshot::from_flat(spec, flat, /*version=*/1);
+
+  DenseMatrix logits(static_cast<std::size_t>(dataset.num_vertices()),
+                     static_cast<std::size_t>(spec.num_classes));
+  gat.forward(dataset.graph, dataset.features.cview(), logits.view());
+  expect_served_bitwise(dataset, std::move(snapshot), logits.cview());
 }
 
 TEST(InferenceServer, RestartsAfterStop) {

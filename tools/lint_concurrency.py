@@ -2,8 +2,8 @@
 """Repo-invariant concurrency lint (see README "Concurrency correctness").
 
 Pure-Python (stdlib only, no libclang) so it runs anywhere the repo builds.
-Four rules, each with an explicit allowlist kept in this file so a reviewer
-can see every exemption in one place:
+Five rules, each with an explicit allowlist or scope kept in this file so a
+reviewer can see every exemption in one place:
 
   raw-primitive   No raw std::mutex / std::shared_mutex / std::condition_variable
                   / std::lock_guard / std::unique_lock / std::scoped_lock /
@@ -30,6 +30,16 @@ can see every exemption in one place:
                   allowlist. Sleeping tests either flake (sleep too short) or
                   crawl (sleep too long); the allowlisted files use bounded
                   polling loops that were reviewed individually.
+
+  omp-team-in-serving
+                  Nothing under src/serve/ starts an OpenMP team: no
+                  `#pragma omp parallel`, and no include of a full-graph
+                  driver whose row loops are `omp parallel for` (nn/gemm,
+                  nn/linear, nn/graphsage_layer, nn/rgcn_layer,
+                  nn/gat_inference, kernels/aggregate). R x P serving workers
+                  run concurrently; a team per worker would oversubscribe the
+                  host. Serving reaches the layer arithmetic through the
+                  team-free row functions in nn/layer_rows.hpp.
 
 Exit status: 0 clean, 1 findings, 2 usage error. Each finding prints
 `path:line: [rule] message` so editors and CI annotate it directly.
@@ -100,6 +110,20 @@ SLEEP_TEST_ALLOWLIST = {
     "tests/stream_test.cpp",
 }
 SLEEP_RE = re.compile(r"\bsleep_for\s*\(")
+
+# omp-team-in-serving: the serving subtree, and the full-graph drivers it
+# must not include (each opens a `#pragma omp parallel` team per call).
+SERVING_PREFIX = "src/serve/"
+OMP_PARALLEL_RE = re.compile(r"^\s*#\s*pragma\s+omp\s+parallel\b")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]')
+TEAM_DRIVER_HEADERS = {
+    "nn/gemm.hpp",
+    "nn/linear.hpp",
+    "nn/graphsage_layer.hpp",
+    "nn/rgcn_layer.hpp",
+    "nn/gat_inference.hpp",
+    "kernels/aggregate.hpp",
+}
 
 # --------------------------------------------------------------------------- lexing
 
@@ -242,17 +266,43 @@ def check_sleep_in_test(rel: str, code: str, findings: list[str]) -> None:
             )
 
 
+def check_omp_team_in_serving(rel: str, code: str, raw: str, findings: list[str]) -> None:
+    if not rel.startswith(SERVING_PREFIX):
+        return
+    # Include paths are string literals, which `code` blanks out, so the path
+    # is read from the raw line; `code` still decides that the line is a live
+    # directive rather than a comment.
+    for lineno, (line, raw_line) in enumerate(
+        zip(code.splitlines(), raw.splitlines()), start=1
+    ):
+        if OMP_PARALLEL_RE.search(line):
+            findings.append(
+                f"{rel}:{lineno}: [omp-team-in-serving] `#pragma omp parallel` in serving; "
+                f"workers run concurrently, so loop serially over the row functions in "
+                f"nn/layer_rows.hpp"
+            )
+        include = INCLUDE_RE.search(raw_line)
+        if include and line.lstrip().startswith("#") and include.group(1) in TEAM_DRIVER_HEADERS:
+            findings.append(
+                f"{rel}:{lineno}: [omp-team-in-serving] serving includes the full-graph "
+                f"driver {include.group(1)}, which starts an OpenMP team; call the row "
+                f"functions in nn/layer_rows.hpp instead"
+            )
+
+
 # --------------------------------------------------------------------------- driver
 
 
 def lint_file(root: Path, path: Path) -> list[str]:
     rel = path.relative_to(root).as_posix()
-    code = strip_comments_and_strings(path.read_text(encoding="utf-8", errors="replace"))
+    raw = path.read_text(encoding="utf-8", errors="replace")
+    code = strip_comments_and_strings(raw)
     findings: list[str] = []
     check_raw_primitive(rel, code, findings)
     check_relaxed_order(rel, code, findings)
     check_callback_under_lock(rel, code, findings)
     check_sleep_in_test(rel, code, findings)
+    check_omp_team_in_serving(rel, code, raw, findings)
     return findings
 
 
