@@ -1,10 +1,12 @@
 // google-benchmark microbenchmarks of the Aggregation Primitive variants:
-// the kernel-level view behind Figures 2-4. Run with --benchmark_filter=...
-// to drill into one variant.
+// the kernel-level view behind Figures 2-4, plus the two GEMMs of the MLP
+// that follows the aggregation. Run with --benchmark_filter=... to drill
+// into one variant.
 #include <benchmark/benchmark.h>
 
 #include "graph/generators.hpp"
 #include "kernels/aggregate.hpp"
+#include "nn/gemm.hpp"
 #include "util/rng.hpp"
 
 namespace distgnn {
@@ -105,6 +107,58 @@ void BM_MicrokernelToggle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MicrokernelToggle)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The first GraphSAGE layer's GEMMs at proteins-sim scale: a 65536 x 128
+// input and a 32-wide hidden layer.
+struct GemmFixture {
+  DenseMatrix x, w, dy, dw, y;
+
+  static GemmFixture& get() {
+    static GemmFixture f = make(1 << 16, 128, 32);
+    return f;
+  }
+
+  static GemmFixture make(std::size_t n, std::size_t in, std::size_t out) {
+    GemmFixture f;
+    Rng rng(3);
+    f.x = DenseMatrix(n, in);
+    f.w = DenseMatrix(in, out);
+    f.dy = DenseMatrix(n, out);
+    for (DenseMatrix* m : {&f.x, &f.w, &f.dy})
+      for (std::size_t i = 0; i < m->size(); ++i) m->data()[i] = rng.uniform(-1.0f, 1.0f);
+    f.dw = DenseMatrix(in, out);
+    f.y = DenseMatrix(n, out);
+    return f;
+  }
+
+  double flops() const { return 2.0 * static_cast<double>(x.rows() * x.cols() * w.cols()); }
+};
+
+// Forward projection Y = X W (rows::xw_rows tiles).
+void BM_GemmForward(benchmark::State& state) {
+  GemmFixture& f = GemmFixture::get();
+  for (auto _ : state) {
+    gemm(f.x.cview(), f.w.cview(), f.y.view());
+    benchmark::DoNotOptimize(f.y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["flops"] =
+      benchmark::Counter(f.flops(), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_GemmForward)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Weight gradient dW = Xᵀ dY (k-chunked register tiles).
+void BM_GemmWeightGrad(benchmark::State& state) {
+  GemmFixture& f = GemmFixture::get();
+  for (auto _ : state) {
+    gemm_at_b(f.x.cview(), f.dy.cview(), f.dw.view());
+    benchmark::DoNotOptimize(f.dw.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["flops"] =
+      benchmark::Counter(f.flops(), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_GemmWeightGrad)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace distgnn

@@ -185,8 +185,13 @@ class RankTrainer {
 
     ApConfig ap;
     for (int l2 = config_.num_layers - 1; l2 >= 0; --l2) {
-      dscaled_.resize_discard(n, model_.layer(l2).in_dim());
-      model_.layer(l2).backward_to_scaled(d_upper_.cview(), dscaled_.view());
+      // The input layer computes only its weight gradients.
+      MatrixView dscaled;
+      if (l2 > 0) {
+        dscaled_.resize_discard(n, model_.layer(l2).in_dim());
+        dscaled = dscaled_.view();
+      }
+      model_.layer(l2).backward_to_scaled(d_upper_.cview(), dscaled);
       if (l2 == 0) break;
       dH_.resize_discard(n, dscaled_.cols(), 0);
       aggregate_prepartitioned(blocked_out_, dscaled_.cview(), {}, dH_.view(), ap);

@@ -108,10 +108,14 @@ RgcnEpochStats RgcnTrainer::train_epoch() {
 
   for (int l = static_cast<int>(layers_.size()) - 1; l >= 0; --l) {
     t0 = std::chrono::steady_clock::now();
-    dH_self_.resize_discard(n, layers_[static_cast<std::size_t>(l)].in_dim());
+    // The input layer computes only its weight gradients.
+    MatrixView dH_self;
+    if (l > 0) {
+      dH_self_.resize_discard(n, layers_[static_cast<std::size_t>(l)].in_dim());
+      dH_self = dH_self_.view();
+    }
     layers_[static_cast<std::size_t>(l)].backward(acts_[static_cast<std::size_t>(l)].cview(),
-                                                  d_upper_.cview(), dscaled_rel_,
-                                                  dH_self_.view());
+                                                  d_upper_.cview(), dscaled_rel_, dH_self);
     stats.mlp_seconds += seconds_since(t0);
 
     if (l == 0) break;

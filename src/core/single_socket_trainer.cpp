@@ -97,11 +97,17 @@ EpochStats SingleSocketTrainer::train_epoch() {
   // ---- backward ----
   for (int l = config_.num_layers - 1; l >= 0; --l) {
     t0 = std::chrono::steady_clock::now();
-    dscaled_.resize_discard(n, model_.layer(l).in_dim());
-    model_.layer(l).backward_to_scaled(d_upper_.cview(), dscaled_.view());
+    // The input layer computes only its weight gradients: nothing needs the
+    // gradient w.r.t. the input features.
+    MatrixView dscaled;
+    if (l > 0) {
+      dscaled_.resize_discard(n, model_.layer(l).in_dim());
+      dscaled = dscaled_.view();
+    }
+    model_.layer(l).backward_to_scaled(d_upper_.cview(), dscaled);
     stats.mlp_seconds += seconds_since(t0);
 
-    if (l == 0) break;  // no gradient needed w.r.t. the input features
+    if (l == 0) break;
 
     // dH = dscaled + A^T dscaled (self + neighbour paths).
     t0 = std::chrono::steady_clock::now();

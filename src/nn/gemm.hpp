@@ -1,8 +1,14 @@
-// Dense matrix products for the GNN's MLP stages. OpenMP over output rows;
-// each row of gemm is rows::xw (nn/layer_rows.hpp), the i-k-j row serving
-// also runs. Sizes here are tall-skinny (|V| x few hundred), so this simple
-// scheme is bandwidth-bound and adequate — the paper's hot spot is the
-// aggregation, not the GEMMs.
+// Dense matrix products for the GNN's MLP stages. At the full-graph shapes
+// (|V| x 128 or 32 times a weight of a few dozen columns) the MLP, not the
+// aggregation, is the larger share of a single-socket epoch, so these run
+// register-tiled kernels:
+//   - gemm (and gemm_bias, the Linear forward) hands each thread blocks of
+//     rows and runs rows::xw_rows (nn/layer_rows.hpp) on each: row i is
+//     bitwise rows::xw, the row serving also runs;
+//   - gemm_at_b (the weight gradient) walks A and B in L2-sized k chunks
+//     and holds each tile of C in registers across a chunk; every C[i][j]
+//     still adds its terms in ascending k.
+// So every output keeps the float operation order of the untiled loops.
 #pragma once
 
 #include "util/matrix.hpp"
@@ -12,15 +18,17 @@ namespace distgnn {
 /// C = A (m x k) * B (k x n). If accumulate is false, C is overwritten.
 void gemm(ConstMatrixView A, ConstMatrixView B, MatrixView C, bool accumulate = false);
 
+/// C = A (m x k) * B (k x n) + bias row-wise (bias holds n values, added
+/// after the full k sum): row i is bitwise rows::affine.
+void gemm_bias(ConstMatrixView A, ConstMatrixView B, const real_t* bias, MatrixView C);
+
 /// C = A^T (k x m -> m x k viewed transposed) * B. A is stored (k x m);
-/// result C is (m x n): C[i][j] = sum_k A[k][i] * B[k][j].
+/// result C is (m x n): C[i][j] = sum_k A[k][i] * B[k][j], k ascending, with
+/// the terms where A[k][i] == 0 skipped.
 void gemm_at_b(ConstMatrixView A, ConstMatrixView B, MatrixView C, bool accumulate = false);
 
 /// C = A (m x k) * B^T where B is stored (n x k): C[i][j] = sum_k A[i][k]*B[j][k].
 void gemm_a_bt(ConstMatrixView A, ConstMatrixView B, MatrixView C, bool accumulate = false);
-
-/// row-broadcast add: each row of M += bias (bias is 1 x n).
-void add_row_bias(MatrixView M, ConstMatrixView bias);
 
 /// bias_grad[j] = sum_i M[i][j] (accumulates into out, 1 x n).
 void column_sums(ConstMatrixView M, MatrixView out, bool accumulate = false);

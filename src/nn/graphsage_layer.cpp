@@ -35,7 +35,7 @@ void GraphSageLayer::forward_from_aggregate(ConstMatrixView H, ConstMatrixView a
 }
 
 void GraphSageLayer::backward_to_scaled(ConstMatrixView dY, MatrixView dscaled) {
-  if (dscaled.rows != combined_.rows() || dscaled.cols != combined_.cols())
+  if (!dscaled.empty() && (dscaled.rows != combined_.rows() || dscaled.cols != combined_.cols()))
     throw std::invalid_argument("GraphSageLayer::backward_to_scaled: dscaled shape mismatch");
 
   ConstMatrixView upstream = dY;
@@ -46,6 +46,7 @@ void GraphSageLayer::backward_to_scaled(ConstMatrixView dY, MatrixView dscaled) 
   }
   // dcombined lands in dscaled, then is scaled by inv_norm in place.
   linear_.backward(combined_.cview(), upstream, dscaled);
+  if (dscaled.empty()) return;
   const std::size_t n = dscaled.rows, d = dscaled.cols;
 #pragma omp parallel for schedule(static)
   for (std::size_t v = 0; v < n; ++v) {

@@ -33,6 +33,7 @@ class GraphSageLayer {
   /// dscaled = inv_norm ⊙ d(combined) of shape (n x in). The caller finishes:
   ///   dH = dscaled + A_localᵀ · dscaled
   /// (self path + neighbour path). Parameter gradients accumulate internally.
+  /// An empty `dscaled` (the input layer) computes only those.
   void backward_to_scaled(ConstMatrixView dY, MatrixView dscaled);
 
   void zero_grad() { linear_.zero_grad(); }

@@ -1,12 +1,18 @@
 // Per-row float programs of the GNN layers: the one copy of each layer's
 // arithmetic that training and serving share.
 //
-// The full-graph drivers (gemm / add_row_bias, Linear, GraphSageLayer,
+// The full-graph drivers (gemm / gemm_bias, Linear, GraphSageLayer,
 // RgcnLayer, GatInference, Relu) wrap these functions in
 // `#pragma omp parallel for` row loops. ModelSnapshot and
 // SampledSageTrainer::forward_batch call them serially over their stacked
 // rows. Both sides run the same functions, so a served row is bitwise the
 // training-side row whenever the inputs and the neighbour order agree.
+//
+// `xw_rows` is the register-tiled form of `xw` over a block of rows: gemm,
+// Linear and serving's GAT projection run it. It computes kMr x kNr output
+// tiles in registers instead of storing the output row after every k, but
+// each output still starts from 0 (or its Y value) and adds its k terms in
+// ascending order, so every row is bitwise `xw`.
 //
 // Nothing here starts an OpenMP team: serving workers call these
 // concurrently, and a team per worker would oversubscribe the host. Only
@@ -36,6 +42,61 @@ inline void xw(const real_t* x, ConstMatrixView W, real_t* y, bool accumulate = 
 #pragma omp simd
     for (std::size_t j = 0; j < n; ++j) y[j] += a * w[j];
   }
+}
+
+/// The register tile of xw_rows: kMr rows by kNr columns of Y. Its
+/// kMr * kNr accumulators take 8 of the 16 SSE registers of the x86-64
+/// baseline, which leaves room for the W row and the broadcast x value.
+inline constexpr std::size_t kMr = 4;
+inline constexpr std::size_t kNr = 8;
+
+namespace detail {
+
+/// Columns [j0, j0 + NR) of MR consecutive rows of Y = X · W, accumulated in
+/// registers. x and y point at the block's first row; ldx and ldy are the
+/// row strides.
+template <std::size_t MR, std::size_t NR>
+inline void xw_tile(const real_t* x, std::size_t ldx, ConstMatrixView W, std::size_t j0, real_t* y,
+                    std::size_t ldy, bool accumulate) {
+  real_t acc[MR][NR];
+  for (std::size_t r = 0; r < MR; ++r)
+    for (std::size_t c = 0; c < NR; ++c) acc[r][c] = accumulate ? y[r * ldy + j0 + c] : real_t{0};
+  for (std::size_t k = 0; k < W.rows; ++k) {
+    const real_t* w = W.row(k) + j0;
+    for (std::size_t r = 0; r < MR; ++r) {
+      const real_t a = x[r * ldx + k];
+#pragma omp simd
+      for (std::size_t c = 0; c < NR; ++c) acc[r][c] += a * w[c];
+    }
+  }
+  for (std::size_t r = 0; r < MR; ++r)
+    for (std::size_t c = 0; c < NR; ++c) y[r * ldy + j0 + c] = acc[r][c];
+}
+
+/// Every column of MR rows from j0 on: NR-wide tiles, then the remainder
+/// at half the width, down to single columns.
+template <std::size_t MR, std::size_t NR>
+inline void xw_tile_cols(const real_t* x, std::size_t ldx, ConstMatrixView W, std::size_t j0,
+                         real_t* y, std::size_t ldy, bool accumulate) {
+  for (; j0 + NR <= W.cols; j0 += NR) xw_tile<MR, NR>(x, ldx, W, j0, y, ldy, accumulate);
+  if constexpr (NR > 1) xw_tile_cols<MR, NR / 2>(x, ldx, W, j0, y, ldy, accumulate);
+}
+
+/// Rows [i0, X.rows): MR-row blocks, then the remainder at half the height.
+template <std::size_t MR>
+inline void xw_tile_rows(ConstMatrixView X, ConstMatrixView W, MatrixView Y, std::size_t i0,
+                         bool accumulate) {
+  for (; i0 + MR <= X.rows; i0 += MR)
+    xw_tile_cols<MR, kNr>(X.row(i0), X.cols, W, 0, Y.row(i0), Y.cols, accumulate);
+  if constexpr (MR > 1) xw_tile_rows<MR / 2>(X, W, Y, i0, accumulate);
+}
+
+}  // namespace detail
+
+/// Y = X · W, or Y += X · W when `accumulate`: row i of Y is bitwise
+/// xw(X.row(i), W, Y.row(i), accumulate). X is m x W.rows, Y m x W.cols.
+inline void xw_rows(ConstMatrixView X, ConstMatrixView W, MatrixView Y, bool accumulate = false) {
+  detail::xw_tile_rows<kMr>(X, W, Y, 0, accumulate);
 }
 
 /// y += b over n values.

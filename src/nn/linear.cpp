@@ -4,7 +4,6 @@
 
 #include "nn/gemm.hpp"
 #include "nn/init.hpp"
-#include "nn/layer_rows.hpp"
 
 namespace distgnn {
 
@@ -21,9 +20,7 @@ void Linear::forward(ConstMatrixView X, MatrixView Y) const {
   if (X.cols != in_dim()) throw std::invalid_argument("Linear::forward: input width mismatch");
   if (Y.rows != X.rows || Y.cols != out_dim())
     throw std::invalid_argument("Linear::forward: output shape mismatch");
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < X.rows; ++i)
-    rows::affine(X.row(i), weight_.cview(), bias_.data(), Y.row(i));
+  gemm_bias(X, weight_.cview(), bias_.data(), Y);
 }
 
 void Linear::backward(ConstMatrixView X, ConstMatrixView dY, MatrixView dX) {

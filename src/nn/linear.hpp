@@ -1,7 +1,8 @@
 // Fully connected layer with manual backward. Parameters and their gradients
 // are exposed as flat spans so the distributed trainer can AllReduce them.
-// The forward keeps no state: it is the rows::affine loop of
-// nn/layer_rows.hpp, and backward takes the forward's input from the caller.
+// The forward keeps no state: it is gemm_bias, whose rows are bitwise
+// rows::affine of nn/layer_rows.hpp, and backward takes the forward's input
+// from the caller.
 #pragma once
 
 #include "util/matrix.hpp"
@@ -14,7 +15,7 @@ class Linear {
   Linear() = default;
   Linear(std::size_t in_dim, std::size_t out_dim, Rng& rng);
 
-  /// Y = X W + b, one rows::affine per row.
+  /// Y = X W + b; each row is bitwise rows::affine.
   void forward(ConstMatrixView X, MatrixView Y) const;
 
   /// Given the forward input X and dY, accumulates dW/db and writes dX (may

@@ -64,9 +64,11 @@ void RgcnLayer::backward(ConstMatrixView H, ConstMatrixView dY,
   // Self path (also accumulates dW_self and db).
   self_.backward(H, upstream, dH_self);
 
-  // Relation paths.
+  // Relation paths. With an empty dH_self (the input layer) only the
+  // weight gradients are needed.
   for (std::size_t r = 0; r < relation_.size(); ++r) {
     gemm_at_b(scaled_aggs_[r].cview(), upstream, relation_[r].grad.view(), /*accumulate=*/true);
+    if (dH_self.empty()) continue;
     DenseMatrix& dscaled = dscaled_rel[r];
     dscaled.resize_discard(scaled_aggs_[r].rows(), scaled_aggs_[r].cols());
     gemm_a_bt(upstream, relation_[r].w.cview(), dscaled.view());

@@ -34,7 +34,8 @@ class RgcnLayer {
   /// and dH_self receives the gradient through the self path (dY W_selfᵀ).
   /// The caller completes
   ///   dH = dH_self + Σ_r A_rᵀ dscaled_rel[r].
-  /// Parameter gradients accumulate internally.
+  /// Parameter gradients accumulate internally. An empty dH_self (the input
+  /// layer) computes only those and leaves dscaled_rel untouched.
   void backward(ConstMatrixView H, ConstMatrixView dY, std::vector<DenseMatrix>& dscaled_rel,
                 MatrixView dH_self);
 

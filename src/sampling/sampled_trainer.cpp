@@ -88,7 +88,7 @@ SampledEpochStats SampledSageTrainer::train_epoch() {
     dY.resize_discard(logits.rows(), logits.cols());
     loss_.backward(dY.view());
 
-    for (int l = static_cast<int>(layers_.size()) - 1; l >= 0; --l) {
+    for (int l = static_cast<int>(layers_.size()) - 1; l > 0; --l) {
       const SampledBlock& block = mb.blocks[static_cast<std::size_t>(l)];
       const std::size_t d = layers_[static_cast<std::size_t>(l)].in_dim();
       const auto n_dst = static_cast<std::size_t>(block.num_dst);
@@ -110,6 +110,8 @@ SampledEpochStats SampledSageTrainer::train_epoch() {
       }
       dY = dH;
     }
+    // The input layer computes only its weight gradients.
+    layers_.front().backward_to_scaled(dY.cview(), {});
 
     params.clear();
     for (auto& layer : layers_) layer.collect_params(params);

@@ -237,10 +237,9 @@ void ModelSnapshot::apply_layer(const LayerWeights& lw, std::span<const MiniBatc
       // then attend per destination over its sampled in-neighbours.
       scratch.z.resize_discard(cur.rows, d_out);
       scratch.src_term.resize(cur.rows);
-      for (std::size_t i = 0; i < cur.rows; ++i) {
-        rows::xw(cur.row(i), W, scratch.z.row(i));
+      rows::xw_rows(cur, W, scratch.z.view());
+      for (std::size_t i = 0; i < cur.rows; ++i)
         scratch.src_term[i] = rows::dot(scratch.z.row(i), lw.attn_src.data(), d_out);
-      }
       for_each_destination(batch, hop, d_out, next, [&](const SampledBlock& block,
                                                         std::size_t in_off, vid_t v, real_t* y) {
         const ConstMatrixView z = slice(scratch.z.cview(), in_off, block.num_src);

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <tuple>
 
 #include "nn/activations.hpp"
 #include "nn/gemm.hpp"
 #include "nn/graphsage_layer.hpp"
 #include "nn/init.hpp"
+#include "nn/layer_rows.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/metrics.hpp"
@@ -90,11 +93,11 @@ TEST(Gemm, ShapeChecks) {
 }
 
 TEST(Gemm, BiasAndColumnSums) {
-  DenseMatrix M(3, 2, 1.0f);
-  DenseMatrix bias(1, 2);
-  bias.at(0, 0) = 0.5f;
-  bias.at(0, 1) = -0.5f;
-  add_row_bias(M.view(), bias.cview());
+  // M = ones(3 x 1) * ones(1 x 2) + bias.
+  const DenseMatrix A(3, 1, 1.0f), B(1, 2, 1.0f);
+  DenseMatrix M(3, 2);
+  const real_t bias[2] = {0.5f, -0.5f};
+  gemm_bias(A.cview(), B.cview(), bias, M.view());
   EXPECT_FLOAT_EQ(M.at(2, 0), 1.5f);
   EXPECT_FLOAT_EQ(M.at(2, 1), 0.5f);
 
@@ -103,6 +106,87 @@ TEST(Gemm, BiasAndColumnSums) {
   EXPECT_FLOAT_EQ(sums.at(0, 0), 4.5f);
   EXPECT_FLOAT_EQ(sums.at(0, 1), 1.5f);
 }
+
+// NNPACK-style sweep of the register-tiled kernels: m, k and n cover full
+// rows::kMr x rows::kNr tiles plus row and column remainders, and k = 257
+// leaves one row past gemm_at_b's 256-row k chunk. The tiled kernels keep
+// each output's float operation order, so every result is compared with
+// memcmp against the per-row reference, not within a tolerance.
+using GemmShape = std::tuple<std::size_t, std::size_t, std::size_t>;  // m, k, n
+
+class GemmSweep : public ::testing::TestWithParam<GemmShape> {
+ protected:
+  /// Uniform values with exact 0.0f and -0.0f sprinkled in.
+  static DenseMatrix with_zeros(std::size_t rows, std::size_t cols, Rng& rng) {
+    DenseMatrix m = random_matrix(rows, cols, rng);
+    for (std::size_t i = 0; i < m.size(); i += 3) m.data()[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+    return m;
+  }
+  static bool same_bits(const DenseMatrix& a, const DenseMatrix& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;
+  }
+};
+
+TEST_P(GemmSweep, XwRowsGemmAndLinearAreBitwisePerRowXw) {
+  const auto [m, k, n] = GetParam();
+  Rng rng(m * 1000003 + k * 1009 + n);
+  const DenseMatrix X = with_zeros(m, k, rng);
+  const DenseMatrix W = random_matrix(k, n, rng);
+  const DenseMatrix Y0 = random_matrix(m, n, rng);
+
+  for (const bool accumulate : {false, true}) {
+    DenseMatrix expect = Y0;
+    for (std::size_t i = 0; i < m; ++i) rows::xw(X.row(i), W.cview(), expect.row(i), accumulate);
+    DenseMatrix tiled = Y0;
+    rows::xw_rows(X.cview(), W.cview(), tiled.view(), accumulate);
+    EXPECT_TRUE(same_bits(tiled, expect)) << "xw_rows accumulate=" << accumulate;
+    DenseMatrix full = Y0;
+    gemm(X.cview(), W.cview(), full.view(), accumulate);
+    EXPECT_TRUE(same_bits(full, expect)) << "gemm accumulate=" << accumulate;
+  }
+
+  Linear linear(k, n, rng);
+  for (std::size_t j = 0; j < n; ++j) linear.bias().at(0, j) = rng.uniform(-1.0f, 1.0f);
+  DenseMatrix expect(m, n), Y(m, n);
+  for (std::size_t i = 0; i < m; ++i)
+    rows::affine(X.row(i), linear.weight().cview(), linear.bias().data(), expect.row(i));
+  linear.forward(X.cview(), Y.view());
+  EXPECT_TRUE(same_bits(Y, expect)) << "Linear::forward";
+}
+
+TEST_P(GemmSweep, GemmAtBIsBitwiseAscendingKWithZeroSkip) {
+  // Here k is the reduction length: A is stored (k x m), B (k x n).
+  const auto [m, k, n] = GetParam();
+  Rng rng(m * 7919 + k * 104729 + n);
+  DenseMatrix A = with_zeros(k, m, rng);
+  if (m > 1)  // an all-zero column: its C row keeps its initial bits
+    for (std::size_t kk = 0; kk < k; ++kk) A.at(kk, 1) = (kk % 2 == 0) ? 0.0f : -0.0f;
+  const DenseMatrix B = random_matrix(k, n, rng);
+  DenseMatrix C0 = random_matrix(m, n, rng);
+  for (std::size_t i = 0; i < C0.size(); i += 2) C0.data()[i] = -0.0f;
+
+  for (const bool accumulate : {false, true}) {
+    DenseMatrix expect(m, n);
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        real_t acc = accumulate ? C0.at(i, j) : 0.0f;
+        for (std::size_t kk = 0; kk < k; ++kk) {
+          if (A.at(kk, i) == 0) continue;
+          acc += A.at(kk, i) * B.at(kk, j);
+        }
+        expect.at(i, j) = acc;
+      }
+    DenseMatrix C = C0;
+    gemm_at_b(A.cview(), B.cview(), C.view(), accumulate);
+    EXPECT_TRUE(same_bits(C, expect)) << "gemm_at_b accumulate=" << accumulate;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, GemmSweep,
+                         ::testing::Combine(::testing::Values<std::size_t>(1, 3, 4, 5, 67),
+                                            ::testing::Values<std::size_t>(1, 7, 128, 257),
+                                            ::testing::Values<std::size_t>(1, 5, 16, 19, 32, 47)));
 
 TEST(Init, XavierWithinBound) {
   Rng rng(4);
@@ -387,6 +471,34 @@ TEST(GraphSageLayer, EndToEndGradientCheck) {
   const double jm = objective();
   w = save;
   EXPECT_NEAR(layer.linear().weight_grad().at(1, 1), (jp - jm) / (2 * eps), 2e-2);
+}
+
+// The input layer passes an empty dscaled: the weight and bias gradients
+// must be bitwise those of the call that also writes the input gradient.
+TEST(GraphSageLayer, EmptyDscaledGivesTheSameParameterGradients) {
+  const std::size_t n = 37, in = 19, out = 9;
+  Rng init_a(21), init_b(21), rng(22);
+  GraphSageLayer with_buffer(in, out, /*apply_relu=*/true, init_a);
+  GraphSageLayer without(in, out, /*apply_relu=*/true, init_b);
+  const DenseMatrix H = random_matrix(n, in, rng);
+  const DenseMatrix agg = random_matrix(n, in, rng);
+  DenseMatrix inv_norm(n, 1);
+  for (std::size_t v = 0; v < n; ++v) inv_norm.at(v, 0) = 1.0f / static_cast<real_t>(v % 5 + 1);
+  const DenseMatrix dY = random_matrix(n, out, rng);
+
+  DenseMatrix Y(n, out), dscaled(n, in);
+  for (GraphSageLayer* layer : {&with_buffer, &without}) {
+    layer->forward_from_aggregate(H.cview(), agg.cview(), inv_norm.cview(), Y.view());
+    layer->zero_grad();
+  }
+  with_buffer.backward_to_scaled(dY.cview(), dscaled.view());
+  without.backward_to_scaled(dY.cview(), {});
+
+  const auto bits_equal = [](const DenseMatrix& a, const DenseMatrix& b) {
+    return std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;
+  };
+  EXPECT_TRUE(bits_equal(with_buffer.linear().weight_grad(), without.linear().weight_grad()));
+  EXPECT_TRUE(bits_equal(with_buffer.linear().bias_grad(), without.linear().bias_grad()));
 }
 
 }  // namespace

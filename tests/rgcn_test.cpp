@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "core/rgcn_trainer.hpp"
@@ -125,6 +126,39 @@ TEST(RgcnLayer, GradientCheckThroughAllPaths) {
   const double jm = objective();
   h = save;
   EXPECT_NEAR(dH_self.at(1, 0), (jp - jm) / (2 * eps), 2e-2);
+}
+
+// The input layer passes an empty dH_self: every parameter gradient must be
+// bitwise that of the call that also writes the input gradients.
+TEST(RgcnLayer, EmptyDHSelfGivesTheSameParameterGradients) {
+  Rng rng(7);
+  const std::size_t n = 11, in = 6, out = 5;
+  const int relations = 3;
+  RgcnLayer layer(in, out, relations, /*apply_relu=*/true, rng);
+  const DenseMatrix H = random_matrix(n, in, rng);
+  std::vector<DenseMatrix> aggs, inv_norms;
+  for (int r = 0; r < relations; ++r) {
+    aggs.push_back(random_matrix(n, in, rng));
+    inv_norms.emplace_back(n, 1, 1.0f / static_cast<real_t>(r + 2));
+  }
+  const DenseMatrix G = random_matrix(n, out, rng);
+  DenseMatrix Y(n, out), dH_self(n, in);
+  layer.forward_from_aggregates(H.cview(), aggs, inv_norms, Y.view());
+
+  const auto grads = [&](MatrixView dH) {
+    std::vector<DenseMatrix> dscaled(static_cast<std::size_t>(relations));
+    layer.zero_grad();
+    layer.backward(H.cview(), G.cview(), dscaled, dH);
+    std::vector<ParamRef> params;
+    layer.collect_params(params);
+    std::vector<real_t> flat;
+    for (const ParamRef& p : params) flat.insert(flat.end(), p.grad, p.grad + p.size);
+    return flat;
+  };
+  const std::vector<real_t> with_buffer = grads(dH_self.view());
+  const std::vector<real_t> without = grads({});
+  ASSERT_EQ(with_buffer.size(), without.size());
+  EXPECT_EQ(std::memcmp(with_buffer.data(), without.data(), without.size() * sizeof(real_t)), 0);
 }
 
 TEST(RgcnLayer, CollectsAllParams) {
