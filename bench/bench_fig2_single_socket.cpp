@@ -1,8 +1,13 @@
 // Figure 2: per-epoch Total and Aggregation-Primitive time, baseline DGL
 // (Alg. 1) vs the optimized implementation (Alg. 2+3), on the four datasets
 // that fit a single socket. The paper reports up to 3.66x Total and 4.41x AP
-// speedup; at sim scale the shape (optimized >> baseline, AP dominating the
-// epoch) is the reproduction target.
+// speedup; at sim scale the shape (optimized >> baseline AP) is the
+// reproduction target.
+//
+// The trainers aggregate the constant input features once, at construction,
+// so the per-epoch AP column covers the hidden layers and the backward pass
+// only. The "input AP" columns time that one aggregation at input width,
+// where the paper's AP comparison is widest.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -22,24 +27,40 @@ struct Workload {
   double scale_mult;  // am-sim is tiny; keep it near full size at bench scale
 };
 
-EpochStats run(const Dataset& ds, ApMode mode, int layers, int hidden, int epochs) {
-  TrainConfig cfg;
-  cfg.num_layers = layers;
-  cfg.hidden_dim = hidden;
-  cfg.ap_mode = mode;
-  SingleSocketTrainer trainer(ds, cfg);
+struct Timing {
+  double total_seconds = 0.0;     // mean per epoch
+  double ap_seconds = 0.0;        // mean per epoch
+  double input_ap_seconds = 0.0;  // once, at construction
+};
+
+/// Mean per-epoch times of `epochs` epochs after a warm-up epoch.
+template <typename Trainer, typename Data>
+Timing run(const Data& ds, const TrainConfig& cfg, int epochs) {
+  Trainer trainer(ds, cfg);
+  Timing t;
+  t.input_ap_seconds = trainer.input_ap_seconds();
   trainer.train_epoch();  // warm-up epoch
-  EpochStats avg;
   for (int e = 0; e < epochs; ++e) {
-    const EpochStats s = trainer.train_epoch();
-    avg.total_seconds += s.total_seconds;
-    avg.ap_seconds += s.ap_seconds;
-    avg.mlp_seconds += s.mlp_seconds;
+    const auto s = trainer.train_epoch();
+    t.total_seconds += s.total_seconds;
+    t.ap_seconds += s.ap_seconds;
   }
-  avg.total_seconds /= epochs;
-  avg.ap_seconds /= epochs;
-  avg.mlp_seconds /= epochs;
-  return avg;
+  t.total_seconds /= epochs;
+  t.ap_seconds /= epochs;
+  return t;
+}
+
+std::vector<std::string> row(const std::string& name, const Timing& base, const Timing& opt) {
+  return {name,
+          TextTable::fmt(base.total_seconds, 4),
+          TextTable::fmt(base.ap_seconds, 4),
+          TextTable::fmt(opt.total_seconds, 4),
+          TextTable::fmt(opt.ap_seconds, 4),
+          TextTable::fmt(base.total_seconds / opt.total_seconds, 2) + "x",
+          TextTable::fmt(base.ap_seconds / opt.ap_seconds, 2) + "x",
+          TextTable::fmt(base.input_ap_seconds, 4),
+          TextTable::fmt(opt.input_ap_seconds, 4),
+          TextTable::fmt(base.input_ap_seconds / opt.input_ap_seconds, 2) + "x"};
 }
 
 }  // namespace
@@ -61,15 +82,18 @@ int main(int argc, char** argv) {
   };
 
   TextTable table({"dataset", "baseline Total (s)", "baseline AP (s)", "optimized Total (s)",
-                   "optimized AP (s)", "Total speedup", "AP speedup"});
+                   "optimized AP (s)", "Total speedup", "AP speedup", "baseline input AP (s)",
+                   "optimized input AP (s)", "input AP speedup"});
   for (const Workload& w : workloads) {
     const Dataset ds = bench::load(w.dataset, scale * w.scale_mult);
-    const EpochStats base = run(ds, ApMode::kBaseline, w.layers, w.hidden, epochs);
-    const EpochStats opt = run(ds, ApMode::kOptimized, w.layers, w.hidden, epochs);
-    table.add_row({w.dataset, TextTable::fmt(base.total_seconds, 4), TextTable::fmt(base.ap_seconds, 4),
-                   TextTable::fmt(opt.total_seconds, 4), TextTable::fmt(opt.ap_seconds, 4),
-                   TextTable::fmt(base.total_seconds / opt.total_seconds, 2) + "x",
-                   TextTable::fmt(base.ap_seconds / opt.ap_seconds, 2) + "x"});
+    TrainConfig cfg;
+    cfg.num_layers = w.layers;
+    cfg.hidden_dim = w.hidden;
+    cfg.ap_mode = ApMode::kBaseline;
+    const Timing base = run<SingleSocketTrainer>(ds, cfg, epochs);
+    cfg.ap_mode = ApMode::kOptimized;
+    const Timing opt = run<SingleSocketTrainer>(ds, cfg, epochs);
+    table.add_row(row(w.dataset, base, opt));
   }
   // Figure 2(d): RGCN-hetero on the AM-like knowledge graph (typed edges,
   // one relation weight per edge type).
@@ -82,34 +106,22 @@ int main(int argc, char** argv) {
     std::printf("[dataset] am-sim-hetero |V|=%lld relations=%d\n",
                 static_cast<long long>(hp.num_vertices), hp.num_edge_types);
     const HeteroDataset hds = make_hetero_dataset(hp);
-    auto run_rgcn = [&](ApMode mode) {
-      TrainConfig cfg;
-      cfg.num_layers = 2;
-      cfg.hidden_dim = 16;
-      cfg.ap_mode = mode;
-      RgcnTrainer trainer(hds, cfg);
-      trainer.train_epoch();
-      RgcnEpochStats avg;
-      for (int e = 0; e < epochs; ++e) {
-        const RgcnEpochStats s = trainer.train_epoch();
-        avg.total_seconds += s.total_seconds;
-        avg.ap_seconds += s.ap_seconds;
-      }
-      avg.total_seconds /= epochs;
-      avg.ap_seconds /= epochs;
-      return avg;
-    };
-    const RgcnEpochStats base = run_rgcn(ApMode::kBaseline);
-    const RgcnEpochStats opt = run_rgcn(ApMode::kOptimized);
-    table.add_row({"am-sim (RGCN-hetero)", TextTable::fmt(base.total_seconds, 4),
-                   TextTable::fmt(base.ap_seconds, 4), TextTable::fmt(opt.total_seconds, 4),
-                   TextTable::fmt(opt.ap_seconds, 4),
-                   TextTable::fmt(base.total_seconds / opt.total_seconds, 2) + "x",
-                   TextTable::fmt(base.ap_seconds / opt.ap_seconds, 2) + "x"});
+    TrainConfig cfg;
+    cfg.num_layers = 2;
+    cfg.hidden_dim = 16;
+    cfg.ap_mode = ApMode::kBaseline;
+    const Timing base = run<RgcnTrainer>(hds, cfg, epochs);
+    cfg.ap_mode = ApMode::kOptimized;
+    const Timing opt = run<RgcnTrainer>(hds, cfg, epochs);
+    table.add_row(row("am-sim (RGCN-hetero)", base, opt));
   }
 
-  std::printf("%s", table.render("Per-epoch time (mean of " + std::to_string(epochs) + " epochs)").c_str());
-  std::printf("\nPaper reference: Total speedups 1.95x-3.66x, AP speedups up to 4.41x;\n"
-              "AP dominates the epoch in both columns.\n");
+  std::printf("%s", table.render("Per-epoch time (mean of " + std::to_string(epochs) +
+                                 " epochs); input AP once per trainer")
+                        .c_str());
+  std::printf("\nPaper reference: Total speedups 1.95x-3.66x, AP speedups up to 4.41x.\n"
+              "Layer 0 is aggregated once per trainer, so the per-epoch AP columns leave\n"
+              "out the input-width aggregation the paper's epochs repeat; the input AP\n"
+              "columns time it once per mode.\n");
   return 0;
 }

@@ -28,7 +28,9 @@ namespace distgnn {
 struct DistEpochRecord {
   double loss = 0.0;            // global training loss
   double total_seconds = 0.0;   // slowest rank
-  double local_agg_seconds = 0.0;   // LAT (forward pass), slowest rank
+  // LAT (forward pass), slowest rank: the local aggregation of layers 1..
+  // and the restore of layer 0's local partial, which is built once.
+  double local_agg_seconds = 0.0;
   double remote_agg_seconds = 0.0;  // RAT incl. pre/post-processing, slowest rank
 };
 

@@ -1,6 +1,7 @@
 #include "core/single_socket_trainer.hpp"
 
 #include <chrono>
+#include <utility>
 
 namespace distgnn {
 
@@ -26,8 +27,6 @@ SingleSocketTrainer::SingleSocketTrainer(const Dataset& dataset, TrainConfig con
   if (config_.ap_mode == ApMode::kOptimized) {
     blocked_in_ = BlockedCsr(in_csr, num_blocks_);
     blocked_out_ = BlockedCsr(dataset.graph.out_csr(), num_blocks_);
-  } else {
-    out_csr_ = dataset.graph.out_csr();
   }
 
   const auto n = static_cast<std::size_t>(dataset.num_vertices());
@@ -35,28 +34,46 @@ SingleSocketTrainer::SingleSocketTrainer(const Dataset& dataset, TrainConfig con
   for (std::size_t v = 0; v < n; ++v)
     inv_norm_.at(v, 0) = 1.0f / (static_cast<real_t>(in_csr.degree(static_cast<vid_t>(v))) + 1.0f);
 
-  acts_.resize(static_cast<std::size_t>(config_.num_layers) + 1);
-  aggs_.resize(static_cast<std::size_t>(config_.num_layers));
-  acts_[0] = dataset.features;
+  combined_.resize(static_cast<std::size_t>(config_.num_layers));
+  acts_.resize(static_cast<std::size_t>(config_.num_layers));
+
+  // Layer 0's input is constant: aggregate and combine it once.
+  const ConstMatrixView features = dataset.features.cview();
+  const auto t0 = std::chrono::steady_clock::now();
+  aggregate_over(/*transpose=*/false, features, combined_[0]);
+  input_ap_seconds_ = seconds_since(t0);
+  GraphSageLayer::combine(features, combined_[0].cview(), inv_norm_.cview(), combined_[0].view());
 }
 
-void SingleSocketTrainer::forward() {
+void SingleSocketTrainer::aggregate_over(bool transpose, ConstMatrixView X,
+                                         DenseMatrix& out) const {
+  out.resize_discard(X.rows, X.cols, 0);
+  const ApConfig ap;
+  if (config_.ap_mode == ApMode::kOptimized) {
+    aggregate_prepartitioned(transpose ? blocked_out_ : blocked_in_, X, {}, out.view(), ap);
+  } else {
+    const Graph& g = dataset_.graph;
+    aggregate_baseline(transpose ? g.out_csr() : g.in_csr(), X, {}, out.view(), ap.binary,
+                       ap.reduce);
+  }
+}
+
+void SingleSocketTrainer::forward(EpochStats& stats) {
   const auto n = static_cast<std::size_t>(dataset_.num_vertices());
-  ApConfig ap;
-  ap.binary = BinaryOp::kCopyLhs;
-  ap.reduce = ReduceOp::kSum;
   for (int l = 0; l < config_.num_layers; ++l) {
     const auto li = static_cast<std::size_t>(l);
-    aggs_[li].resize_discard(n, acts_[li].cols(), 0);
-    if (config_.ap_mode == ApMode::kOptimized) {
-      aggregate_prepartitioned(blocked_in_, acts_[li].cview(), {}, aggs_[li].view(), ap);
-    } else {
-      aggregate_baseline(dataset_.graph.in_csr(), acts_[li].cview(), {}, aggs_[li].view(),
-                         ap.binary, ap.reduce);
+    auto t0 = std::chrono::steady_clock::now();
+    if (l > 0) {
+      const ConstMatrixView H = acts_[li - 1].cview();
+      aggregate_over(/*transpose=*/false, H, combined_[li]);
+      stats.ap_seconds += seconds_since(t0);
+
+      t0 = std::chrono::steady_clock::now();
+      GraphSageLayer::combine(H, combined_[li].cview(), inv_norm_.cview(), combined_[li].view());
     }
-    acts_[li + 1].resize_discard(n, model_.layer(l).out_dim());
-    model_.layer(l).forward_from_aggregate(acts_[li].cview(), aggs_[li].cview(), inv_norm_.cview(),
-                                           acts_[li + 1].view());
+    acts_[li].resize_discard(n, model_.layer(l).out_dim());
+    model_.layer(l).forward(combined_[li].cview(), acts_[li].view());
+    stats.mlp_seconds += seconds_since(t0);
   }
 }
 
@@ -65,26 +82,7 @@ EpochStats SingleSocketTrainer::train_epoch() {
   const auto epoch_begin = std::chrono::steady_clock::now();
   const auto n = static_cast<std::size_t>(dataset_.num_vertices());
 
-  // ---- forward (AP timed per layer) ----
-  ApConfig ap;
-  for (int l = 0; l < config_.num_layers; ++l) {
-    const auto li = static_cast<std::size_t>(l);
-    auto t0 = std::chrono::steady_clock::now();
-    aggs_[li].resize_discard(n, acts_[li].cols(), 0);
-    if (config_.ap_mode == ApMode::kOptimized) {
-      aggregate_prepartitioned(blocked_in_, acts_[li].cview(), {}, aggs_[li].view(), ap);
-    } else {
-      aggregate_baseline(dataset_.graph.in_csr(), acts_[li].cview(), {}, aggs_[li].view(),
-                         ap.binary, ap.reduce);
-    }
-    stats.ap_seconds += seconds_since(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    acts_[li + 1].resize_discard(n, model_.layer(l).out_dim());
-    model_.layer(l).forward_from_aggregate(acts_[li].cview(), aggs_[li].cview(), inv_norm_.cview(),
-                                           acts_[li + 1].view());
-    stats.mlp_seconds += seconds_since(t0);
-  }
+  forward(stats);
 
   // ---- loss ----
   auto t0 = std::chrono::steady_clock::now();
@@ -96,6 +94,7 @@ EpochStats SingleSocketTrainer::train_epoch() {
 
   // ---- backward ----
   for (int l = config_.num_layers - 1; l >= 0; --l) {
+    const auto li = static_cast<std::size_t>(l);
     t0 = std::chrono::steady_clock::now();
     // The input layer computes only its weight gradients: nothing needs the
     // gradient w.r.t. the input features.
@@ -104,24 +103,20 @@ EpochStats SingleSocketTrainer::train_epoch() {
       dscaled_.resize_discard(n, model_.layer(l).in_dim());
       dscaled = dscaled_.view();
     }
-    model_.layer(l).backward_to_scaled(d_upper_.cview(), dscaled);
+    model_.layer(l).backward_to_scaled(combined_[li].cview(), inv_norm_.cview(), d_upper_.cview(),
+                                       dscaled);
     stats.mlp_seconds += seconds_since(t0);
 
     if (l == 0) break;
 
     // dH = dscaled + A^T dscaled (self + neighbour paths).
     t0 = std::chrono::steady_clock::now();
-    dH_.resize_discard(n, dscaled_.cols(), 0);
-    if (config_.ap_mode == ApMode::kOptimized) {
-      aggregate_prepartitioned(blocked_out_, dscaled_.cview(), {}, dH_.view(), ap);
-    } else {
-      aggregate_baseline(out_csr_, dscaled_.cview(), {}, dH_.view(), ap.binary, ap.reduce);
-    }
+    aggregate_over(/*transpose=*/true, dscaled_.cview(), dH_);
     const std::size_t total = dH_.size();
 #pragma omp parallel for schedule(static)
     for (std::size_t i = 0; i < total; ++i) dH_.data()[i] += dscaled_.data()[i];
     stats.ap_seconds += seconds_since(t0);
-    d_upper_ = dH_;
+    std::swap(d_upper_, dH_);
   }
 
   t0 = std::chrono::steady_clock::now();
@@ -134,7 +129,8 @@ EpochStats SingleSocketTrainer::train_epoch() {
 }
 
 double SingleSocketTrainer::evaluate(const std::vector<std::uint8_t>& mask) {
-  forward();
+  EpochStats unused;
+  forward(unused);
   return masked_accuracy(acts_.back().cview(), dataset_.labels, mask).accuracy();
 }
 

@@ -9,34 +9,39 @@ namespace distgnn {
 GraphSageLayer::GraphSageLayer(std::size_t in_dim, std::size_t out_dim, bool apply_relu, Rng& rng)
     : linear_(in_dim, out_dim, rng), apply_relu_(apply_relu) {}
 
-void GraphSageLayer::forward_from_aggregate(ConstMatrixView H, ConstMatrixView agg,
-                                            ConstMatrixView inv_norm, MatrixView Y) {
+void GraphSageLayer::combine(ConstMatrixView H, ConstMatrixView agg, ConstMatrixView inv_norm,
+                             MatrixView combined) {
   if (H.rows != agg.rows || H.cols != agg.cols)
     throw std::invalid_argument("GraphSageLayer: H/agg shape mismatch");
   if (inv_norm.rows != H.rows || inv_norm.cols != 1)
     throw std::invalid_argument("GraphSageLayer: inv_norm must be n x 1");
+  if (combined.rows != H.rows || combined.cols != H.cols)
+    throw std::invalid_argument("GraphSageLayer: combined shape mismatch");
 
   const std::size_t n = H.rows, d = H.cols;
-  combined_.resize_discard(n, d);
-  inv_norm_.resize_discard(n, 1);
 #pragma omp parallel for schedule(static)
-  for (std::size_t v = 0; v < n; ++v) {
-    inv_norm_.at(v, 0) = inv_norm.at(v, 0);
-    rows::sage_combine(agg.row(v), H.row(v), inv_norm.at(v, 0), d, combined_.row(v));
-  }
+  for (std::size_t v = 0; v < n; ++v)
+    rows::sage_combine(agg.row(v), H.row(v), inv_norm.at(v, 0), d, combined.row(v));
+}
 
+void GraphSageLayer::forward(ConstMatrixView combined, MatrixView Y) {
+  if (combined.cols != in_dim())
+    throw std::invalid_argument("GraphSageLayer: combined width must be in_dim");
   if (apply_relu_) {
-    z_.resize_discard(n, linear_.out_dim());
-    linear_.forward(combined_.cview(), z_.view());
+    z_.resize_discard(combined.rows, linear_.out_dim());
+    linear_.forward(combined, z_.view());
     relu_.forward(z_.cview(), Y);
   } else {
-    linear_.forward(combined_.cview(), Y);
+    linear_.forward(combined, Y);
   }
 }
 
-void GraphSageLayer::backward_to_scaled(ConstMatrixView dY, MatrixView dscaled) {
-  if (!dscaled.empty() && (dscaled.rows != combined_.rows() || dscaled.cols != combined_.cols()))
+void GraphSageLayer::backward_to_scaled(ConstMatrixView combined, ConstMatrixView inv_norm,
+                                        ConstMatrixView dY, MatrixView dscaled) {
+  if (!dscaled.empty() && (dscaled.rows != combined.rows || dscaled.cols != combined.cols))
     throw std::invalid_argument("GraphSageLayer::backward_to_scaled: dscaled shape mismatch");
+  if (inv_norm.rows != combined.rows || inv_norm.cols != 1)
+    throw std::invalid_argument("GraphSageLayer::backward_to_scaled: inv_norm must be n x 1");
 
   ConstMatrixView upstream = dY;
   if (apply_relu_) {
@@ -45,12 +50,12 @@ void GraphSageLayer::backward_to_scaled(ConstMatrixView dY, MatrixView dscaled) 
     upstream = dz_.cview();
   }
   // dcombined lands in dscaled, then is scaled by inv_norm in place.
-  linear_.backward(combined_.cview(), upstream, dscaled);
+  linear_.backward(combined, upstream, dscaled);
   if (dscaled.empty()) return;
   const std::size_t n = dscaled.rows, d = dscaled.cols;
 #pragma omp parallel for schedule(static)
   for (std::size_t v = 0; v < n; ++v) {
-    const real_t s = inv_norm_.at(v, 0);
+    const real_t s = inv_norm.at(v, 0);
     real_t* row = dscaled.row(v);
 #pragma omp simd
     for (std::size_t j = 0; j < d; ++j) row[j] *= s;

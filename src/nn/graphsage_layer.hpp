@@ -5,9 +5,11 @@
 // The layer is deliberately decoupled from *how* the neighbourhood sum was
 // produced: the single-socket trainer feeds it a local aggregate, the
 // distributed trainers feed it local + (possibly stale) remote partial
-// aggregates. `forward_from_aggregate` handles everything downstream of the
-// aggregation, and `backward_to_scaled` returns the degree-scaled upstream
-// gradient so the caller can push it back through the (local) adjacency.
+// aggregates. `combine` turns an aggregate into the layer's Linear input,
+// which the caller owns: a trainer whose input features never change builds
+// it once. `forward` runs the Linear (+ ReLU) on it, and `backward_to_scaled`
+// returns the degree-scaled upstream gradient so the caller can push it back
+// through the (local) adjacency.
 #pragma once
 
 #include "nn/activations.hpp"
@@ -23,18 +25,25 @@ class GraphSageLayer {
   /// `apply_relu` is false on the output layer.
   GraphSageLayer(std::size_t in_dim, std::size_t out_dim, bool apply_relu, Rng& rng);
 
+  /// combined = (agg + H) ⊙ inv_norm, row by row (rows::sage_combine).
   /// H: input features (n x in); agg: complete (or partial, for 0c/cd-r)
   /// neighbourhood sum (n x in); inv_norm: per-vertex 1/(deg+1) column
-  /// (n x 1); Y: output (n x out).
-  void forward_from_aggregate(ConstMatrixView H, ConstMatrixView agg, ConstMatrixView inv_norm,
-                              MatrixView Y);
+  /// (n x 1). `combined` (n x in) may alias `agg`.
+  static void combine(ConstMatrixView H, ConstMatrixView agg, ConstMatrixView inv_norm,
+                      MatrixView combined);
 
-  /// Backward from dY to the *scaled* combined gradient
-  /// dscaled = inv_norm ⊙ d(combined) of shape (n x in). The caller finishes:
+  /// Y = act(combined W + b), Y: (n x out). Backward needs the same
+  /// `combined` again, so the caller keeps it until then.
+  void forward(ConstMatrixView combined, MatrixView Y);
+
+  /// Backward from dY, given the forward's `combined` input and inv_norm, to
+  /// the *scaled* combined gradient dscaled = inv_norm ⊙ d(combined) of shape
+  /// (n x in). The caller finishes:
   ///   dH = dscaled + A_localᵀ · dscaled
   /// (self path + neighbour path). Parameter gradients accumulate internally.
   /// An empty `dscaled` (the input layer) computes only those.
-  void backward_to_scaled(ConstMatrixView dY, MatrixView dscaled);
+  void backward_to_scaled(ConstMatrixView combined, ConstMatrixView inv_norm, ConstMatrixView dY,
+                          MatrixView dscaled);
 
   void zero_grad() { linear_.zero_grad(); }
   void collect_params(std::vector<ParamRef>& out);
@@ -48,10 +57,8 @@ class GraphSageLayer {
   Linear linear_;
   Relu relu_;
   bool apply_relu_;
-  DenseMatrix combined_;   // (agg + H) * inv_norm, the Linear input
-  DenseMatrix z_;          // pre-activation
-  DenseMatrix dz_;         // scratch for backward
-  DenseMatrix inv_norm_;   // cached copy of the normalizer column
+  DenseMatrix z_;   // pre-activation
+  DenseMatrix dz_;  // scratch for backward
 };
 
 }  // namespace distgnn

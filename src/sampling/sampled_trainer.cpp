@@ -57,7 +57,8 @@ void SampledSageTrainer::forward_batch(const MiniBatch& mb, bool training) {
     // Destination rows are the leading rows of the source activations.
     const ConstMatrixView h_dst{acts_[l].data(), n_dst, d};
     acts_[l + 1].resize_discard(n_dst, layers_[l].out_dim());
-    layers_[l].forward_from_aggregate(h_dst, agg.cview(), inv_norm.cview(), acts_[l + 1].view());
+    GraphSageLayer::combine(h_dst, agg.cview(), inv_norm.cview(), agg.view());
+    layers_[l].forward(agg.cview(), acts_[l + 1].view());
   }
   (void)training;
 }
@@ -89,11 +90,13 @@ SampledEpochStats SampledSageTrainer::train_epoch() {
     loss_.backward(dY.view());
 
     for (int l = static_cast<int>(layers_.size()) - 1; l > 0; --l) {
-      const SampledBlock& block = mb.blocks[static_cast<std::size_t>(l)];
-      const std::size_t d = layers_[static_cast<std::size_t>(l)].in_dim();
+      const auto li = static_cast<std::size_t>(l);
+      const SampledBlock& block = mb.blocks[li];
+      const std::size_t d = layers_[li].in_dim();
       const auto n_dst = static_cast<std::size_t>(block.num_dst);
       dscaled.resize_discard(n_dst, d);
-      layers_[static_cast<std::size_t>(l)].backward_to_scaled(dY.cview(), dscaled.view());
+      layers_[li].backward_to_scaled(aggs_[li].cview(), inv_norms_[li].cview(), dY.cview(),
+                                     dscaled.view());
 
       // dH over the block's sources: self path plus sampled-neighbour path.
       dH.resize_discard(static_cast<std::size_t>(block.num_src), d, 0);
@@ -111,7 +114,8 @@ SampledEpochStats SampledSageTrainer::train_epoch() {
       dY = dH;
     }
     // The input layer computes only its weight gradients.
-    layers_.front().backward_to_scaled(dY.cview(), {});
+    layers_.front().backward_to_scaled(aggs_.front().cview(), inv_norms_.front().cview(),
+                                       dY.cview(), {});
 
     params.clear();
     for (auto& layer : layers_) layer.collect_params(params);
@@ -147,7 +151,8 @@ double SampledSageTrainer::evaluate(const std::vector<std::uint8_t>& mask) {
     agg.resize_discard(n, h.cols(), 0);
     aggregate(in_csr, h.cview(), {}, agg.view(), ap);
     next.resize_discard(n, layers_[l].out_dim());
-    layers_[l].forward_from_aggregate(h.cview(), agg.cview(), inv_norm.cview(), next.view());
+    GraphSageLayer::combine(h.cview(), agg.cview(), inv_norm.cview(), agg.view());
+    layers_[l].forward(agg.cview(), next.view());
     h = next;
   }
   return masked_accuracy(h.cview(), dataset_.labels, mask).accuracy();

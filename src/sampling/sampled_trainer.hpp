@@ -67,7 +67,8 @@ class SampledSageTrainer {
   std::function<void(std::span<ParamRef>)> grad_hook_;
 
   // Per-layer activations of the current batch: acts_[0] is the gathered
-  // input features; acts_[l+1] the output of layer l.
+  // input features; acts_[l+1] the output of layer l. aggs_[l] is layer l's
+  // neighbourhood sum, combined in place into its Linear input.
   std::vector<DenseMatrix> acts_;
   std::vector<DenseMatrix> aggs_;
   std::vector<DenseMatrix> inv_norms_;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "core/memory_model.hpp"
 #include "core/single_socket_trainer.hpp"
@@ -86,6 +88,99 @@ TEST(SingleSocket, ExplicitBlockCountHonored) {
   cfg.num_blocks = 7;
   SingleSocketTrainer trainer(ds, cfg);
   EXPECT_EQ(trainer.effective_num_blocks(), 7);
+}
+
+// The trainer aggregates and combines the constant input features once. A
+// reference loop built from the public kernels and layers, which
+// re-aggregates layer 0 every epoch, must reach bitwise the same parameters.
+// The losses pass through an OpenMP reduction, so they match to 12
+// significant digits.
+class SingleSocketInputLayer : public ::testing::TestWithParam<ApMode> {};
+
+TEST_P(SingleSocketInputLayer, MatchesPerEpochReaggregationBitwise) {
+  const Dataset ds = learnable(512, 4, 0.8f, 23);
+  TrainConfig cfg = small_config();
+  cfg.num_layers = 3;
+  cfg.momentum = 0.9;
+  cfg.num_blocks = 3;
+  cfg.ap_mode = GetParam();
+  constexpr int kEpochs = 4;
+
+  SingleSocketTrainer trainer(ds, cfg);
+  std::vector<double> losses;
+  for (int e = 0; e < kEpochs; ++e) losses.push_back(trainer.train_epoch().loss);
+
+  SageModel model(ds.feature_dim(), cfg.hidden_dim, ds.num_classes, cfg.num_layers, cfg.seed);
+  SoftmaxCrossEntropy loss;
+  Sgd optimizer(cfg.lr, cfg.momentum, cfg.weight_decay);
+  const CsrMatrix& in_csr = ds.graph.in_csr();
+  const CsrMatrix& out_csr = ds.graph.out_csr();
+  const BlockedCsr blocked_in(in_csr, cfg.num_blocks), blocked_out(out_csr, cfg.num_blocks);
+  const auto aggregate_over = [&](bool transpose, ConstMatrixView X, DenseMatrix& out) {
+    out.resize_discard(X.rows, X.cols, 0);
+    if (cfg.ap_mode == ApMode::kOptimized) {
+      aggregate_prepartitioned(transpose ? blocked_out : blocked_in, X, {}, out.view(), ApConfig{});
+    } else {
+      aggregate_baseline(transpose ? out_csr : in_csr, X, {}, out.view(), BinaryOp::kCopyLhs,
+                         ReduceOp::kSum);
+    }
+  };
+  const auto n = static_cast<std::size_t>(ds.num_vertices());
+  DenseMatrix inv_norm(n, 1);
+  for (std::size_t v = 0; v < n; ++v)
+    inv_norm.at(v, 0) = 1.0f / (static_cast<real_t>(in_csr.degree(static_cast<vid_t>(v))) + 1.0f);
+
+  std::vector<DenseMatrix> combined(static_cast<std::size_t>(cfg.num_layers));
+  std::vector<DenseMatrix> acts(combined.size());
+  DenseMatrix d_upper, dscaled, dH;
+  for (int e = 0; e < kEpochs; ++e) {
+    for (int l = 0; l < cfg.num_layers; ++l) {
+      const auto li = static_cast<std::size_t>(l);
+      const ConstMatrixView H = l == 0 ? ds.features.cview() : acts[li - 1].cview();
+      aggregate_over(/*transpose=*/false, H, combined[li]);
+      GraphSageLayer::combine(H, combined[li].cview(), inv_norm.cview(), combined[li].view());
+      acts[li].resize_discard(n, model.layer(l).out_dim());
+      model.layer(l).forward(combined[li].cview(), acts[li].view());
+    }
+    const double expected = loss.forward(acts.back().cview(), ds.labels, ds.train_mask);
+    EXPECT_NEAR(losses[static_cast<std::size_t>(e)], expected, 1e-12 * expected) << "epoch " << e;
+    model.zero_grad();
+    d_upper.resize_discard(n, acts.back().cols());
+    loss.backward(d_upper.view());
+    for (int l = cfg.num_layers - 1; l >= 0; --l) {
+      const auto li = static_cast<std::size_t>(l);
+      dscaled.resize_discard(n, model.layer(l).in_dim());
+      model.layer(l).backward_to_scaled(combined[li].cview(), inv_norm.cview(), d_upper.cview(),
+                                        l > 0 ? dscaled.view() : MatrixView{});
+      if (l == 0) break;
+      aggregate_over(/*transpose=*/true, dscaled.cview(), dH);
+      for (std::size_t i = 0; i < dH.size(); ++i) dH.data()[i] += dscaled.data()[i];
+      std::swap(d_upper, dH);
+    }
+    auto params = model.params();
+    optimizer.step(params);
+  }
+
+  const std::vector<ParamRef> got = trainer.model().params();
+  const std::vector<ParamRef> want = model.params();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size, want[i].size);
+    EXPECT_EQ(std::memcmp(got[i].value, want[i].value, want[i].size * sizeof(real_t)), 0)
+        << "parameter " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothApModes, SingleSocketInputLayer,
+                         ::testing::Values(ApMode::kOptimized, ApMode::kBaseline),
+                         [](const auto& info) {
+                           return info.param == ApMode::kOptimized ? "Optimized" : "Baseline";
+                         });
+
+TEST(SingleSocket, InputAggregationIsTimedOnceAtConstruction) {
+  const Dataset ds = learnable(512);
+  SingleSocketTrainer trainer(ds, small_config());
+  EXPECT_GT(trainer.input_ap_seconds(), 0.0);
 }
 
 // ---- Table 7 / 8 work model, validated against the paper's own numbers ----

@@ -422,8 +422,8 @@ TEST(Metrics, CountsCorrectPredictions) {
   EXPECT_DOUBLE_EQ(c.accuracy(), 0.5);
 }
 
-// Full GraphSAGE layer gradient check: J = sum(Y * G) through
-// forward_from_aggregate with a hand-built aggregate.
+// Full GraphSAGE layer gradient check: J = sum(Y * G) through combine and
+// forward with a hand-built aggregate.
 TEST(GraphSageLayer, EndToEndGradientCheck) {
   Rng rng(9);
   const std::size_t n = 4, in = 3, out = 2;
@@ -434,18 +434,20 @@ TEST(GraphSageLayer, EndToEndGradientCheck) {
   for (std::size_t v = 0; v < n; ++v) inv_norm.at(v, 0) = 1.0f / static_cast<real_t>(v + 2);
   const DenseMatrix G = random_matrix(n, out, rng);
 
+  DenseMatrix combined(n, in);
   auto objective = [&]() {
     DenseMatrix Y(n, out);
-    layer.forward_from_aggregate(H.cview(), agg.cview(), inv_norm.cview(), Y.view());
+    GraphSageLayer::combine(H.cview(), agg.cview(), inv_norm.cview(), combined.view());
+    layer.forward(combined.cview(), Y.view());
     double J = 0;
     for (std::size_t i = 0; i < Y.size(); ++i) J += static_cast<double>(Y.data()[i]) * G.data()[i];
     return J;
   };
 
-  DenseMatrix Y(n, out), dscaled(n, in);
-  layer.forward_from_aggregate(H.cview(), agg.cview(), inv_norm.cview(), Y.view());
+  DenseMatrix dscaled(n, in);
+  objective();
   layer.zero_grad();
-  layer.backward_to_scaled(G.cview(), dscaled.view());
+  layer.backward_to_scaled(combined.cview(), inv_norm.cview(), G.cview(), dscaled.view());
 
   // dJ/d agg[v][j] == dscaled[v][j] (the aggregate path is scaled identity).
   const real_t eps = 1e-2f;
@@ -462,7 +464,7 @@ TEST(GraphSageLayer, EndToEndGradientCheck) {
   // Weight gradient through the combined path.
   objective();  // refresh caches at the unperturbed point
   layer.zero_grad();
-  layer.backward_to_scaled(G.cview(), dscaled.view());
+  layer.backward_to_scaled(combined.cview(), inv_norm.cview(), G.cview(), dscaled.view());
   real_t& w = layer.linear().weight().at(1, 1);
   const real_t save = w;
   w = save + eps;
@@ -486,13 +488,14 @@ TEST(GraphSageLayer, EmptyDscaledGivesTheSameParameterGradients) {
   for (std::size_t v = 0; v < n; ++v) inv_norm.at(v, 0) = 1.0f / static_cast<real_t>(v % 5 + 1);
   const DenseMatrix dY = random_matrix(n, out, rng);
 
-  DenseMatrix Y(n, out), dscaled(n, in);
+  DenseMatrix combined(n, in), Y(n, out), dscaled(n, in);
+  GraphSageLayer::combine(H.cview(), agg.cview(), inv_norm.cview(), combined.view());
   for (GraphSageLayer* layer : {&with_buffer, &without}) {
-    layer->forward_from_aggregate(H.cview(), agg.cview(), inv_norm.cview(), Y.view());
+    layer->forward(combined.cview(), Y.view());
     layer->zero_grad();
   }
-  with_buffer.backward_to_scaled(dY.cview(), dscaled.view());
-  without.backward_to_scaled(dY.cview(), {});
+  with_buffer.backward_to_scaled(combined.cview(), inv_norm.cview(), dY.cview(), dscaled.view());
+  without.backward_to_scaled(combined.cview(), inv_norm.cview(), dY.cview(), {});
 
   const auto bits_equal = [](const DenseMatrix& a, const DenseMatrix& b) {
     return std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;

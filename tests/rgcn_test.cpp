@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <set>
+#include <utility>
 
 #include "core/rgcn_trainer.hpp"
 #include "graph/hetero.hpp"
@@ -212,6 +214,129 @@ TEST(RgcnTrainer, BaselineAndOptimizedApAgree) {
     EXPECT_NEAR(lo, lb, 1e-3 * std::max(1.0, std::abs(lb))) << "epoch " << e;
   }
 }
+
+// The trainer aggregates layer 0's constant input once per relation. A
+// reference loop built from the public kernels and RgcnLayer, which
+// re-aggregates layer 0 every epoch, must reach bitwise the same parameters;
+// the losses pass through an OpenMP reduction and match to 12 significant
+// digits.
+class RgcnInputLayer : public ::testing::TestWithParam<ApMode> {};
+
+TEST_P(RgcnInputLayer, MatchesPerEpochReaggregationBitwise) {
+  HeteroDatasetParams p;
+  p.num_vertices = 512;
+  p.num_classes = 4;
+  p.num_edge_types = 3;
+  p.seed = 78;
+  const HeteroDataset ds = make_hetero_dataset(p);
+
+  TrainConfig cfg;
+  cfg.num_layers = 3;
+  cfg.hidden_dim = 16;
+  cfg.lr = 0.1;
+  cfg.momentum = 0.9;
+  cfg.num_blocks = 2;
+  cfg.ap_mode = GetParam();
+  constexpr int kEpochs = 4;
+
+  RgcnTrainer trainer(ds, cfg);
+  std::vector<double> losses;
+  for (int e = 0; e < kEpochs; ++e) losses.push_back(trainer.train_epoch().loss);
+
+  const int relations = p.num_edge_types;
+  const auto n = static_cast<std::size_t>(ds.num_vertices());
+  Rng init(cfg.seed);
+  std::vector<RgcnLayer> layers;
+  for (int l = 0; l < cfg.num_layers; ++l) {
+    const bool last = l == cfg.num_layers - 1;
+    layers.emplace_back(l == 0 ? static_cast<std::size_t>(ds.feature_dim()) : 16u,
+                        last ? static_cast<std::size_t>(ds.num_classes) : 16u, relations,
+                        /*apply_relu=*/!last, init);
+  }
+  std::vector<BlockedCsr> blocked_in, blocked_out;
+  std::vector<DenseMatrix> inv_norms;
+  for (int r = 0; r < relations; ++r) {
+    blocked_in.emplace_back(ds.graph.in_csr(r), cfg.num_blocks);
+    blocked_out.emplace_back(ds.graph.out_csr(r), cfg.num_blocks);
+    DenseMatrix inv(n, 1);
+    for (std::size_t v = 0; v < n; ++v) {
+      const eid_t deg = ds.graph.in_degree(static_cast<vid_t>(v), r);
+      inv.at(v, 0) = deg > 0 ? 1.0f / static_cast<real_t>(deg) : 0.0f;
+    }
+    inv_norms.push_back(std::move(inv));
+  }
+  ApConfig ap;
+  ap.dynamic_schedule = false;
+  const auto aggregate_over = [&](bool transpose, int r, ConstMatrixView X, DenseMatrix& out) {
+    out.resize_discard(X.rows, X.cols, 0);
+    const auto ri = static_cast<std::size_t>(r);
+    if (cfg.ap_mode == ApMode::kOptimized) {
+      aggregate_prepartitioned(transpose ? blocked_out[ri] : blocked_in[ri], X, {}, out.view(), ap);
+    } else {
+      aggregate_baseline(transpose ? ds.graph.out_csr(r) : ds.graph.in_csr(r), X, {}, out.view(),
+                         ap.binary, ap.reduce);
+    }
+  };
+
+  SoftmaxCrossEntropy loss;
+  Sgd optimizer(cfg.lr, cfg.momentum, cfg.weight_decay);
+  std::vector<DenseMatrix> aggs(static_cast<std::size_t>(relations));
+  std::vector<DenseMatrix> dscaled_rel(static_cast<std::size_t>(relations));
+  std::vector<DenseMatrix> acts(static_cast<std::size_t>(cfg.num_layers));
+  DenseMatrix d_upper, dH, scratch;
+  for (int e = 0; e < kEpochs; ++e) {
+    const auto input = [&](int l) {
+      return l == 0 ? ds.features.cview() : acts[static_cast<std::size_t>(l - 1)].cview();
+    };
+    for (int l = 0; l < cfg.num_layers; ++l) {
+      for (int r = 0; r < relations; ++r)
+        aggregate_over(/*transpose=*/false, r, input(l), aggs[static_cast<std::size_t>(r)]);
+      RgcnLayer& layer = layers[static_cast<std::size_t>(l)];
+      acts[static_cast<std::size_t>(l)].resize_discard(n, layer.out_dim());
+      layer.forward_from_aggregates(input(l), aggs, inv_norms,
+                                    acts[static_cast<std::size_t>(l)].view());
+    }
+    const double expected = loss.forward(acts.back().cview(), ds.labels, ds.train_mask);
+    EXPECT_NEAR(losses[static_cast<std::size_t>(e)], expected, 1e-12 * expected) << "epoch " << e;
+
+    std::vector<ParamRef> params;
+    for (RgcnLayer& layer : layers) {
+      layer.zero_grad();
+      layer.collect_params(params);
+    }
+    d_upper.resize_discard(n, acts.back().cols());
+    loss.backward(d_upper.view());
+    for (int l = cfg.num_layers - 1; l >= 0; --l) {
+      RgcnLayer& layer = layers[static_cast<std::size_t>(l)];
+      dH.resize_discard(n, layer.in_dim());
+      layer.backward(input(l), d_upper.cview(), dscaled_rel, l > 0 ? dH.view() : MatrixView{});
+      if (l == 0) break;
+      for (int r = 0; r < relations; ++r) {
+        aggregate_over(/*transpose=*/true, r, dscaled_rel[static_cast<std::size_t>(r)].cview(),
+                       scratch);
+        for (std::size_t i = 0; i < dH.size(); ++i) dH.data()[i] += scratch.data()[i];
+      }
+      std::swap(d_upper, dH);
+    }
+    optimizer.step(params);
+  }
+
+  const std::vector<ParamRef> got = trainer.params();
+  std::vector<ParamRef> want;
+  for (RgcnLayer& layer : layers) layer.collect_params(want);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size, want[i].size);
+    EXPECT_EQ(std::memcmp(got[i].value, want[i].value, want[i].size * sizeof(real_t)), 0)
+        << "parameter " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothApModes, RgcnInputLayer,
+                         ::testing::Values(ApMode::kOptimized, ApMode::kBaseline),
+                         [](const auto& info) {
+                           return info.param == ApMode::kOptimized ? "Optimized" : "Baseline";
+                         });
 
 }  // namespace
 }  // namespace distgnn

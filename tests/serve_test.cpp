@@ -524,7 +524,8 @@ TEST(TrainServeEquality, FullFanoutSageServesTrainerLogitsBitwise) {
     agg.resize_discard(n, h.cols(), 0);
     aggregate(in_csr, h.cview(), {}, agg.view(), ApConfig{});
     next.resize_discard(n, model.layer(l).out_dim());
-    model.layer(l).forward_from_aggregate(h.cview(), agg.cview(), inv_norm.cview(), next.view());
+    GraphSageLayer::combine(h.cview(), agg.cview(), inv_norm.cview(), agg.view());
+    model.layer(l).forward(agg.cview(), next.view());
     h = next;
   }
   expect_served_bitwise(dataset, std::move(snapshot), h.cview());
