@@ -156,9 +156,8 @@ int run_demo(const Options& opts) {
               static_cast<unsigned long long>(stats.feature_cache.accesses),
               stats.feature_cache.hit_rate(), stats.feature_cache.reuse(),
               static_cast<unsigned long long>(stats.feature_cache.bytes_read));
-  std::printf("micro-batching: %llu batches, mean %.2f, max %llu\n",
-              static_cast<unsigned long long>(stats.batches), stats.mean_batch(),
-              static_cast<unsigned long long>(stats.max_batch_seen));
+  std::printf("micro-batching: %llu batches, mean batch %.2f\n",
+              static_cast<unsigned long long>(stats.batches), stats.mean_batch());
 
   // Machine-greppable summary for CI smoke checks.
   const LoadReport& open = reports.back();

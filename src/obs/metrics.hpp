@@ -1,10 +1,16 @@
 // Sharded metrics registry: named counters and log2-bucket histograms whose
 // update path never takes a mutex.
 //
+// Each tier of the serving tower (server, shard, router, group, model
+// registry) and the stream publisher owns one MetricsRegistry, and it is the
+// only place that tier increments a counter: its stats() is a typed view
+// that reads the handles, its scrape() is the registry's scrape plus its
+// children's. A second book beside the registry would drift from it.
+//
 // The serving hot path completes hundreds of thousands of requests per
-// second across many worker threads; a shared mutex-guarded tally (the old
-// tenant_lanes_ pattern) serializes exactly the threads that must not
-// serialize. Following the local/remote-access split of the M&M-systems line
+// second across many worker threads; a shared mutex-guarded tally
+// serializes exactly the threads that must not serialize. Following the
+// local/remote-access split of the M&M-systems line
 // of work (PAPERS.md, "On Atomic Registers and Randomized Consensus in M&M
 // Systems"), every metric here is an array of cache-line-padded per-worker
 // shards: a worker increments only its own shard (a relaxed fetch_add on an

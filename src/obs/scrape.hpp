@@ -10,7 +10,12 @@
 //
 // Metric naming convention: distgnn_<layer>_<name>{tenant="..."} where
 // <layer> identifies the tier that *emitted* the sample (server, sharded,
-// router, group, registry) — siblings' series merge, layers' don't.
+// router, group, registry) — siblings' series merge, layers' don't. The
+// suffixes _submitted_total, _completed_total, _shed_total and
+// _request_seconds are reserved for each layer's request accounting: the
+// health engine folds them across layers and its stall watchdog assumes
+// every layer's submitted = completed + shed + in flight. Other tallies
+// (batches, service and halo time, halo rows) take other suffixes.
 #pragma once
 
 #include <array>
@@ -28,8 +33,8 @@ class ScrapeSource {
   virtual ~ScrapeSource() = default;
 
   /// Folds this component's metrics (and its children's) into `out`. Safe
-  /// under live traffic — implementations read sharded metrics with acquire
-  /// loads or snapshot their own atomics.
+  /// under live traffic — implementations scrape their MetricsRegistry,
+  /// which folds the per-worker shards with acquire loads.
   virtual void scrape(MetricsSnapshot& out) const = 0;
 
   /// Appends completed sampled traces from this component's sinks (and its

@@ -7,75 +7,39 @@
 
 namespace distgnn::serve {
 
-TenantFoldReport check_tenant_fold(const BackendStats& stats, bool edge_authoritative) {
-  TenantFoldReport report;
-  if (stats.children.empty()) return report;
+BatchCounters::BatchCounters(obs::MetricsRegistry& registry, const std::string& layer,
+                             const obs::Labels& labels)
+    : batches(registry.counter("distgnn_" + layer + "_batches_total", labels)),
+      batched_requests(registry.counter("distgnn_" + layer + "_batched_requests_total", labels)),
+      service_ns(registry.counter("distgnn_" + layer + "_service_ns_total", labels)) {}
 
-  // Does any child carry tenant lanes at all? A ShardedServer's ranks don't
-  // (lanes live at the server edge) — nothing to check against.
-  bool children_have_lanes = false;
-  for (const BackendStats& child : stats.children)
-    if (!child.tenants.empty()) children_have_lanes = true;
-  if (!children_have_lanes) return report;
+void BatchCounters::add_batch(std::size_t size, ServeClock::duration service) {
+  batches.add();
+  batched_requests.add(size);
+  service_ns.add(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(service).count()));
+}
 
-  const auto fail = [&](tenant_t tenant, const char* field, std::uint64_t parent,
-                        std::uint64_t fold) {
-    report.consistent = false;
-    report.detail = "tenant " + std::to_string(tenant) + ": parent " + field + "=" +
-                    std::to_string(parent) + " vs children fold=" + std::to_string(fold);
-  };
+void BatchCounters::read(BackendStats& s) const {
+  s.batches = batches.value();
+  s.batched_requests = batched_requests.value();
+  s.completed = s.batched_requests;
+  s.service_seconds = static_cast<double>(service_ns.value()) * 1e-9;
+}
 
-  // Union of tenant ids across parent and children (a lane present below but
-  // missing above is exactly the silent under-count this helper exists for).
-  std::vector<tenant_t> ids;
-  const auto note = [&](tenant_t t) {
-    for (const tenant_t id : ids)
-      if (id == t) return;
-    ids.push_back(t);
-  };
-  for (const TenantCounters& lane : stats.tenants) note(lane.tenant);
-  for (const BackendStats& child : stats.children)
-    for (const TenantCounters& lane : child.tenants) note(lane.tenant);
-
-  for (const tenant_t id : ids) {
-    TenantCounters fold{id, 0, 0, 0};
-    for (const BackendStats& child : stats.children) {
-      if (const TenantCounters* lane = child.find_tenant(id)) {
-        fold.submitted += lane->submitted;
-        fold.completed += lane->completed;
-        fold.shed += lane->shed;
-      }
-    }
-    const TenantCounters* parent = stats.find_tenant(id);
-    const TenantCounters zero{id, 0, 0, 0};
-    if (!parent) parent = &zero;
-    if (parent->completed != fold.completed) {
-      fail(id, "completed", parent->completed, fold.completed);
-      return report;
-    }
-    if (edge_authoritative) {
-      // The edge admits before children see anything, so its submitted/shed
-      // dominate the fold.
-      if (parent->submitted < fold.submitted) {
-        fail(id, "submitted(edge >=)", parent->submitted, fold.submitted);
-        return report;
-      }
-      if (parent->shed < fold.shed) {
-        fail(id, "shed(edge >=)", parent->shed, fold.shed);
-        return report;
-      }
-    } else {
-      if (parent->submitted != fold.submitted) {
-        fail(id, "submitted", parent->submitted, fold.submitted);
-        return report;
-      }
-      if (parent->shed != fold.shed) {
-        fail(id, "shed", parent->shed, fold.shed);
-        return report;
-      }
-    }
-  }
-  return report;
+void read_stage_metrics(const obs::StageMetrics& metrics, BackendStats& s) {
+  metrics.submitted.for_each(
+      [&](int id, const obs::Counter& c) { s.tenant_lane(id).submitted = c.value(); });
+  metrics.completed.for_each(
+      [&](int id, const obs::Counter& c) { s.tenant_lane(id).completed = c.value(); });
+  s.rejected = 0;
+  metrics.shed.for_each([&](int id, const obs::Counter& c) {
+    const std::uint64_t shed = c.value();
+    s.tenant_lane(id).shed = shed;
+    s.rejected += shed;
+  });
+  metrics.request_seconds.for_each(
+      [&](int, const obs::Histogram& h) { s.latency += h.snapshot(); });
 }
 
 std::vector<std::optional<InferResult>> ServingBackend::infer_batch(

@@ -37,9 +37,8 @@
 
 namespace distgnn::serve {
 
-/// Per-tenant slice of a stats snapshot. Leaf backends tally their own
-/// lanes; absorb() merges children's lanes by tenant id, so the per-tenant
-/// dimension is scraped through the same stats tree as everything else.
+/// Per-tenant slice of a stats snapshot, read out of the tier's per-tenant
+/// registry counters; absorb() merges children's lanes by tenant id.
 struct TenantCounters {
   tenant_t tenant = kDefaultTenant;
   std::uint64_t submitted = 0;
@@ -51,10 +50,11 @@ struct TenantCounters {
   }
 };
 
-/// One stats snapshot shape for every tier. Leaf backends fill the scalar
-/// counters; composite backends aggregate their members' snapshots into the
-/// parent counters and keep the per-member detail in `children` (per replica
-/// for a group, per rank for a sharded server).
+/// One stats snapshot shape for every tier: a typed view that stats() builds
+/// by reading the tier's MetricsRegistry handles (nothing is counted here).
+/// Composite backends aggregate their members' views into the parent
+/// counters and keep the per-member detail in `children` (per replica for a
+/// group, per rank for a sharded server).
 struct BackendStats {
   /// Human-readable identity of the backend this snapshot describes (a
   /// registry entry's tenant name, empty for anonymous members).
@@ -63,7 +63,6 @@ struct BackendStats {
   std::uint64_t rejected = 0;          // bounced off a bounded queue / shed
   std::uint64_t batches = 0;
   std::uint64_t batched_requests = 0;  // Σ batch sizes (== completed at drain)
-  std::uint64_t max_batch_seen = 0;
   double service_seconds = 0;   // Σ worker time spent inside batch processing
   std::size_t queue_depth = 0;  // requests waiting at the time of the call
   std::uint64_t publishes = 0;  // snapshot publications observed
@@ -112,11 +111,6 @@ struct BackendStats {
     tenants.push_back(TenantCounters{tenant, 0, 0, 0});
     return tenants.back();
   }
-  const TenantCounters* find_tenant(tenant_t tenant) const {
-    for (const TenantCounters& lane : tenants)
-      if (lane.tenant == tenant) return &lane;
-    return nullptr;
-  }
 
   /// Folds a member's counters into this snapshot and records it as a child.
   /// `publishes` is deliberately not summed — composite backends publish as
@@ -126,7 +120,6 @@ struct BackendStats {
     rejected += child.rejected;
     batches += child.batches;
     batched_requests += child.batched_requests;
-    max_batch_seen = std::max(max_batch_seen, child.max_batch_seen);
     service_seconds += child.service_seconds;
     queue_depth += child.queue_depth;
     halo_rows_fetched += child.halo_rows_fetched;
@@ -146,28 +139,28 @@ struct BackendStats {
   }
 };
 
-/// Result of check_tenant_fold: `consistent` is the verdict, `detail` names
-/// the first lane that broke the invariant (empty when consistent).
-struct TenantFoldReport {
-  bool consistent = true;
-  std::string detail;
+/// A serving loop's batch tallies, as handles into its tier's registry:
+/// distgnn_<layer>_batches_total, _batched_requests_total (Σ batch sizes,
+/// which is the loop's completed count once a batch's callbacks ran) and
+/// _service_ns_total (worker time inside batch processing), all under
+/// `labels` (a ShardedServer labels each rank's loop with its rank).
+struct BatchCounters {
+  BatchCounters(obs::MetricsRegistry& registry, const std::string& layer,
+                const obs::Labels& labels = {});
+
+  void add_batch(std::size_t size, ServeClock::duration service);
+  /// Fills completed, batches, batched_requests and service_seconds.
+  void read(BackendStats& s) const;
+
+  obs::Counter& batches;
+  obs::Counter& batched_requests;
+  obs::Counter& service_ns;
 };
 
-/// The one place the parent-vs-children tenant-lane invariant is encoded
-/// (each layer used to hand-merge lanes, and a missed lane silently
-/// under-counted). For every tenant lane of `stats`:
-///   - strict mode (edge_authoritative = false; parents whose lanes exist
-///     only via absorb(), e.g. ReplicaGroup): submitted/completed/shed must
-///     each equal the fold of the children's lanes.
-///   - edge mode (edge_authoritative = true; parents that replace lanes with
-///     their own edge accounting, e.g. ComposedTier in tenant mode or
-///     ModelRegistry): completed must equal the children's fold (every
-///     admitted request is answered exactly once below the edge — exact only
-///     after drain), and submitted/shed must be >= the children's fold (the
-///     edge sees traffic it sheds before any child does).
-/// Backends with no per-tenant children lanes (a ShardedServer's ranks) are
-/// reported consistent trivially — the invariant needs two tiers of lanes.
-TenantFoldReport check_tenant_fold(const BackendStats& stats, bool edge_authoritative);
+/// A leaf's per-tenant view of its StageMetrics: tenant lanes, `rejected`
+/// (a leaf sheds only by bouncing off its bounded queue, so that is the sum
+/// of its shed counters) and the end-to-end latency fold.
+void read_stage_metrics(const obs::StageMetrics& metrics, BackendStats& s);
 
 /// Sideband a DeltaPublisher hands to apply_graph_update so each tier can
 /// invalidate precisely. `epoch` is the graph epoch after the apply (folded

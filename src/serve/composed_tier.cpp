@@ -33,13 +33,14 @@ std::vector<std::optional<InferResult>> ComposedTier::infer_batch(
 
 BackendStats ComposedTier::stats() const {
   BackendStats s = group_.stats();
-  // The Router sheds before any replica queue sees the request; fold those
-  // into the unified rejected counter so the composed tier reports one
-  // admission picture. In tenant mode the Router's per-tenant lanes are the
-  // authoritative accounting (the backends only ever see admitted traffic),
-  // so they replace the leaves' view rather than merging with it.
+  // Every loss in the tier passes through the Router: its sheds are the
+  // tier's rejections. A leaf bounce is one of them in legacy mode, and in
+  // tenant mode it is re-parked and served later, so it is no loss at all.
+  // In tenant mode the Router's per-tenant lanes are the authoritative
+  // accounting (the backends only ever see admitted traffic), so they
+  // replace the leaves' view rather than merging with it.
   const RouterStats routed = router_.stats();
-  s.rejected += routed.shed_deadline + routed.shed_priority + routed.shed_budget;
+  s.rejected = routed.shed();
   if (!routed.tenants.empty()) s.tenants = routed.tenants;
   return s;
 }

@@ -96,7 +96,7 @@ class ComposedTier : public ServingBackend {
   int concurrency() const override { return group_.concurrency(); }
   const Dataset& dataset() const override { return group_.dataset(); }
   /// Aggregate over the grid: children[r] is replica r (whose own children
-  /// are its P ranks); rejected folds in the Router's shed counts.
+  /// are its P ranks); rejected is the Router's shed count.
   BackendStats stats() const override;
   /// ScrapeSource: one walk of the whole tier — router counters, group
   /// publishes, and every replica's (sharded) stage histograms. The Router

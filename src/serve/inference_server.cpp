@@ -115,18 +115,16 @@ bool InferenceServer::submit(vid_t vertex, const RequestMeta& meta,
     request.trace->set_stage(obs::Stage::kAdmit, enqueue, pre_push);
     request.trace->begin_stage(obs::Stage::kQueue, pre_push);
   }
-  // Admitted is counted before the push so a drain() that starts after this
+  // In-flight is raised before the push so a drain() that starts after this
   // submit returns can never miss the request (the rejection path undoes it).
-  admitted_.fetch_add(1, std::memory_order_release);
+  in_flight_.fetch_add(1, std::memory_order_release);
+  stage_metrics_.submitted.with(meta.tenant).add();
   if (queue_.try_push(std::move(request))) {
-    stage_metrics_.submitted.with(meta.tenant).add();
     stage_metrics_.observe_stage(obs::Stage::kAdmit, meta.tenant,
                                  std::chrono::duration<double>(pre_push - enqueue).count());
     return true;
   }
-  admitted_.fetch_sub(1, std::memory_order_release);
-  rejected_.fetch_add(1, std::memory_order_relaxed);
-  stage_metrics_.submitted.with(meta.tenant).add();
+  in_flight_.fetch_sub(1, std::memory_order_release);
   stage_metrics_.shed.with(meta.tenant).add();
   return false;
 }
@@ -152,9 +150,9 @@ InferResult InferenceServer::infer_sync(vid_t vertex) {
     request.trace->set_stage(obs::Stage::kAdmit, enqueue, pre_push);
     request.trace->begin_stage(obs::Stage::kQueue, pre_push);
   }
-  admitted_.fetch_add(1, std::memory_order_release);
+  in_flight_.fetch_add(1, std::memory_order_release);
   if (!queue_.push(std::move(request))) {
-    admitted_.fetch_sub(1, std::memory_order_release);
+    in_flight_.fetch_sub(1, std::memory_order_release);
     throw std::runtime_error("InferenceServer: infer_sync on a stopped server");
   }
   stage_metrics_.submitted.with(kDefaultTenant).add();
@@ -167,7 +165,7 @@ void InferenceServer::drain() {
   // Quiesce: everything admitted so far has completed. Polling keeps the
   // completion path free of extra synchronization; drains are rare (publish
   // barriers, shutdown) while completions are the hot path.
-  while (completed_.load(std::memory_order_acquire) < admitted_.load(std::memory_order_acquire))
+  while (in_flight_.load(std::memory_order_acquire) != 0)
     std::this_thread::sleep_for(std::chrono::microseconds(50));
 }
 
@@ -300,6 +298,16 @@ void InferenceServer::finish_batch(std::vector<InferRequest>& batch, const Dense
                                    std::uint64_t snapshot_version,
                                    ServeClock::time_point service_begin,
                                    const obs::BatchStageTimes& stages) {
+  reply_batch(batch, logits, snapshot_version, service_begin, stages, stage_metrics_, trace_sink_,
+              batch_counters_);
+  // Last, after every callback and counter: drain() reads this to quiesce.
+  in_flight_.fetch_sub(batch.size(), std::memory_order_release);
+}
+
+void reply_batch(std::vector<InferRequest>& batch, const DenseMatrix& logits,
+                 std::uint64_t snapshot_version, ServeClock::time_point service_begin,
+                 const obs::BatchStageTimes& stages, obs::StageMetrics& metrics,
+                 obs::TraceSink& sink, BatchCounters& counters) {
   const auto now = ServeClock::now();
   auto reply_begin = now;  // each request's reply window starts where the previous ended
   for (std::size_t r = 0; r < batch.size(); ++r) {
@@ -313,23 +321,21 @@ void InferenceServer::finish_batch(std::vector<InferRequest>& batch, const Dense
     result.tenant = request.tenant;
 
     // Batch-level stage windows, stamped per request: queue ended when the
-    // worker popped the batch; sample/forward (or embed_lookup) are the batch
-    // windows every rider shares.
-    stage_metrics_.observe_stage(
-        obs::Stage::kQueue, request.tenant,
-        std::chrono::duration<double>(service_begin - request.enqueue).count());
+    // worker popped the batch; sample/halo_wait/forward (or embed_lookup) are
+    // the batch windows every rider shares.
+    metrics.observe_stage(obs::Stage::kQueue, request.tenant,
+                          std::chrono::duration<double>(service_begin - request.enqueue).count());
     if (stages.sample.valid())
-      stage_metrics_.observe_stage(obs::Stage::kSample, request.tenant,
-                                   stages.sample.duration_seconds());
+      metrics.observe_stage(obs::Stage::kSample, request.tenant, stages.sample.duration_seconds());
     if (stages.halo_wait.valid())
-      stage_metrics_.observe_stage(obs::Stage::kHaloWait, request.tenant,
-                                   stages.halo_wait.duration_seconds());
+      metrics.observe_stage(obs::Stage::kHaloWait, request.tenant,
+                            stages.halo_wait.duration_seconds());
     if (stages.embed_lookup.valid())
-      stage_metrics_.observe_stage(obs::Stage::kEmbedLookup, request.tenant,
-                                   stages.embed_lookup.duration_seconds());
+      metrics.observe_stage(obs::Stage::kEmbedLookup, request.tenant,
+                            stages.embed_lookup.duration_seconds());
     if (stages.forward.valid())
-      stage_metrics_.observe_stage(obs::Stage::kForward, request.tenant,
-                                   stages.forward.duration_seconds());
+      metrics.observe_stage(obs::Stage::kForward, request.tenant,
+                            stages.forward.duration_seconds());
     if (request.trace) {
       obs::TraceContext& trace = *request.trace;
       trace.end_stage(obs::Stage::kQueue, service_begin);
@@ -348,61 +354,35 @@ void InferenceServer::finish_batch(std::vector<InferRequest>& batch, const Dense
 
     if (request.done) request.done(std::move(result));
     const auto reply_end = ServeClock::now();
-    stage_metrics_.observe_stage(obs::Stage::kReply, request.tenant,
-                                 std::chrono::duration<double>(reply_end - reply_begin).count());
-    stage_metrics_.request_seconds.with(request.tenant)
+    metrics.observe_stage(obs::Stage::kReply, request.tenant,
+                          std::chrono::duration<double>(reply_end - reply_begin).count());
+    metrics.request_seconds.with(request.tenant)
         .observe(std::chrono::duration<double>(reply_end - request.enqueue).count());
-    stage_metrics_.completed.with(request.tenant).add();
+    metrics.completed.with(request.tenant).add();
     if (request.trace) {
       request.trace->end_stage(obs::Stage::kReply, reply_end);
-      trace_sink_.publish(request.trace->finish(reply_end));
+      sink.publish(request.trace->finish(reply_end));
     }
     reply_begin = reply_end;
   }
-
-  service_ns_.fetch_add(
-      static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                     ServeClock::now() - service_begin)
-                                     .count()),
-      std::memory_order_relaxed);
-  completed_.fetch_add(batch.size(), std::memory_order_relaxed);
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batched_requests_.fetch_add(batch.size(), std::memory_order_relaxed);
-  std::uint64_t seen = max_batch_seen_.load(std::memory_order_relaxed);
-  while (batch.size() > seen &&
-         !max_batch_seen_.compare_exchange_weak(seen, batch.size(), std::memory_order_relaxed)) {
-  }
+  counters.add_batch(batch.size(), ServeClock::now() - service_begin);
 }
 
 double InferenceServer::mean_service_seconds() const {
-  // Two atomic loads only — this sits on the per-request admission path, so
+  // Two counter reads only — this sits on the per-request admission path, so
   // it must not take the cache-stats locks a full stats() call would.
-  BackendStats s;
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.service_seconds = static_cast<double>(service_ns_.load(std::memory_order_relaxed)) * 1e-9;
-  return s.mean_service_seconds();
+  const std::uint64_t completed = batch_counters_.batched_requests.value();
+  return completed == 0 ? 0.0
+                        : static_cast<double>(batch_counters_.service_ns.value()) * 1e-9 /
+                              static_cast<double>(completed);
 }
 
 BackendStats InferenceServer::stats() const {
   BackendStats s;
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.batched_requests = batched_requests_.load(std::memory_order_relaxed);
-  s.max_batch_seen = max_batch_seen_.load(std::memory_order_relaxed);
-  s.service_seconds = static_cast<double>(service_ns_.load(std::memory_order_relaxed)) * 1e-9;
+  batch_counters_.read(s);
+  read_stage_metrics(stage_metrics_, s);
   s.queue_depth = queue_.size();
   s.publishes = holder_.num_publishes();
-  // Tenant lanes and the latency histogram fold out of the sharded metrics
-  // (acquire loads) — the server keeps no second set of books.
-  stage_metrics_.submitted.for_each(
-      [&](int id, const obs::Counter& c) { s.tenant_lane(id).submitted = c.value(); });
-  stage_metrics_.completed.for_each(
-      [&](int id, const obs::Counter& c) { s.tenant_lane(id).completed = c.value(); });
-  stage_metrics_.shed.for_each(
-      [&](int id, const obs::Counter& c) { s.tenant_lane(id).shed = c.value(); });
-  stage_metrics_.request_seconds.for_each(
-      [&](int, const obs::Histogram& h) { s.latency += h.snapshot(); });
   s.feature_cache = cache_.stats(/*space=*/0);
   if (const EmbedCache* cache = embed_cache_ptr()) s.embed_cache = cache->combined_stats();
   return s;

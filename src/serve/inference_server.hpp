@@ -145,22 +145,28 @@ class InferenceServer : public ServingBackend {
   util::SharedMutex graph_gate_;
   std::atomic<std::uint64_t> graph_epoch_{0};
 
-  /// Sharded wait-free telemetry: per-tenant submitted/completed/shed
-  /// counters, per-stage and end-to-end latency histograms. Replaces the old
-  /// mutex-guarded tenant_lanes_ — workers tally into their own cache lines,
-  /// stats()/scrape() fold on read.
+  /// The server's one set of books: per-tenant submitted/completed/shed
+  /// counters, per-stage and end-to-end latency histograms, and the batch
+  /// tallies. Workers add into their own cache lines; stats()/scrape() only
+  /// read.
   obs::MetricsRegistry metrics_;
   obs::StageMetrics stage_metrics_{metrics_, "server"};
+  BatchCounters batch_counters_{metrics_, "server"};
   obs::TraceSink trace_sink_;
 
   std::atomic<std::uint64_t> next_id_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> admitted_{0};  // successful queue pushes (drain target)
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> batched_requests_{0};
-  std::atomic<std::uint64_t> max_batch_seen_{0};
-  std::atomic<std::uint64_t> service_ns_{0};
+  /// Admitted requests whose batch has not finished replying: the drain()
+  /// signal. Raised before the queue push, lowered after the callbacks.
+  std::atomic<std::uint64_t> in_flight_{0};
 };
+
+/// Replies to every request of a finished batch and books it: per-request
+/// stage windows, trace spans, the callback, end-to-end latency and the
+/// completion into `metrics`/`sink`, then the batch into `counters`. The one
+/// completion path of InferenceServer workers and ShardedServer ranks.
+void reply_batch(std::vector<InferRequest>& batch, const DenseMatrix& logits,
+                 std::uint64_t snapshot_version, ServeClock::time_point service_begin,
+                 const obs::BatchStageTimes& stages, obs::StageMetrics& metrics,
+                 obs::TraceSink& sink, BatchCounters& counters);
 
 }  // namespace distgnn::serve

@@ -8,6 +8,12 @@
 
 namespace distgnn::serve {
 
+ModelRegistry::Entry::Entry(obs::MetricsRegistry& metrics, const obs::Labels& tenant)
+    : submitted(metrics.counter("distgnn_registry_submitted_total", tenant)),
+      admitted(metrics.counter("distgnn_registry_admitted_total", tenant)),
+      completed(metrics.counter("distgnn_registry_completed_total", tenant)),
+      shed(metrics.counter("distgnn_registry_shed_total", tenant)) {}
+
 ModelRegistry::Entry& ModelRegistry::entry(tenant_t tenant) {
   if (tenant < 0 || static_cast<std::size_t>(tenant) >= entries_.size())
     throw std::out_of_range("ModelRegistry: unknown tenant id");
@@ -24,7 +30,8 @@ tenant_t ModelRegistry::add(TenantSlo slo, std::unique_ptr<ServingBackend> backe
   if (!backend) throw std::invalid_argument("ModelRegistry: null backend");
   if (slo.name.empty()) throw std::invalid_argument("ModelRegistry: tenant needs a name");
   if (find(slo.name)) throw std::invalid_argument("ModelRegistry: duplicate name " + slo.name);
-  auto e = std::make_unique<Entry>();
+  auto e =
+      std::make_unique<Entry>(metrics_, obs::Labels{{"tenant", std::to_string(entries_.size())}});
   e->bucket = TokenBucket(slo.rate_limit, slo.burst);
   e->slo = std::move(slo);
   e->backend = std::move(backend);
@@ -73,20 +80,25 @@ RequestMeta ModelRegistry::make_meta(const Entry& e, tenant_t tenant) const {
 bool ModelRegistry::submit(tenant_t tenant, vid_t vertex,
                            std::function<void(InferResult&&)> done) {
   Entry& e = entry(tenant);
-  e.submitted.fetch_add(1, std::memory_order_relaxed);
+  e.submitted.add();
+  bool budgeted = false;
   {
     util::MutexLock lock(e.admission_mutex);
-    if (!e.bucket.try_take(ServeClock::now())) return false;  // budget shed
+    budgeted = e.bucket.try_take(ServeClock::now());
+  }
+  if (!budgeted) {
+    e.shed.add();
+    return false;
   }
   const bool ok = e.backend->submit(
       vertex, make_meta(e, tenant),
       [&e, user_done = std::move(done)](InferResult&& result) mutable {
         // Count before the user callback so a blocking caller that wakes
         // inside it observes its own completion in stats().
-        e.completed.fetch_add(1, std::memory_order_relaxed);
+        e.completed.add();
         if (user_done) user_done(std::move(result));
       });
-  if (ok) e.admitted.fetch_add(1, std::memory_order_relaxed);
+  (ok ? e.admitted : e.shed).add();
   return ok;
 }
 
@@ -118,7 +130,7 @@ std::vector<std::optional<InferResult>> ModelRegistry::infer_batch(
     tenant_t tenant, std::span<const vid_t> vertices) {
   Entry& e = entry(tenant);
   const std::size_t n = vertices.size();
-  e.submitted.fetch_add(n, std::memory_order_relaxed);
+  e.submitted.add(n);
   // Charge the budget up front; the admitted prefix proceeds as one batch
   // under the backend's admission epoch.
   std::size_t affordable = 0;
@@ -128,16 +140,18 @@ std::vector<std::optional<InferResult>> ModelRegistry::infer_batch(
     while (affordable < n && e.bucket.try_take(now)) ++affordable;
   }
   std::vector<std::optional<InferResult>> results(n);
-  if (affordable == 0) return results;
-  auto answered = e.backend->infer_batch(vertices.first(affordable), make_meta(e, tenant));
   std::uint64_t got = 0;
-  for (std::size_t i = 0; i < answered.size(); ++i) {
-    if (!answered[i]) continue;
-    results[i] = std::move(answered[i]);
-    ++got;
+  if (affordable != 0) {
+    auto answered = e.backend->infer_batch(vertices.first(affordable), make_meta(e, tenant));
+    for (std::size_t i = 0; i < answered.size(); ++i) {
+      if (!answered[i]) continue;
+      results[i] = std::move(answered[i]);
+      ++got;
+    }
   }
-  e.admitted.fetch_add(got, std::memory_order_relaxed);
-  e.completed.fetch_add(got, std::memory_order_relaxed);
+  e.admitted.add(got);
+  e.completed.add(got);
+  e.shed.add(n - got);  // budget sheds plus backend rejections
   return results;
 }
 
@@ -154,31 +168,15 @@ BackendStats ModelRegistry::stats() const {
   s.tenants.clear();
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = *entries_[i];
-    TenantCounters lane;
-    lane.tenant = static_cast<tenant_t>(i);
-    lane.submitted = e.submitted.load(std::memory_order_relaxed);
-    lane.completed = e.completed.load(std::memory_order_relaxed);
-    const std::uint64_t admitted = e.admitted.load(std::memory_order_relaxed);
-    lane.shed = lane.submitted - admitted;
-    s.tenants.push_back(lane);
+    s.tenants.push_back(TenantCounters{static_cast<tenant_t>(i), e.submitted.value(),
+                                       e.completed.value(), e.shed.value()});
   }
   return s;
 }
 
 void ModelRegistry::scrape(obs::MetricsSnapshot& out) const {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& e = *entries_[i];
-    const obs::Labels labels{{"tenant", std::to_string(i)}};
-    const std::uint64_t submitted = e.submitted.load(std::memory_order_relaxed);
-    const std::uint64_t admitted = e.admitted.load(std::memory_order_relaxed);
-    out.add_counter("distgnn_registry_submitted_total", labels, static_cast<double>(submitted));
-    out.add_counter("distgnn_registry_admitted_total", labels, static_cast<double>(admitted));
-    out.add_counter("distgnn_registry_completed_total", labels,
-                    static_cast<double>(e.completed.load(std::memory_order_relaxed)));
-    out.add_counter("distgnn_registry_shed_total", labels,
-                    static_cast<double>(submitted - admitted));
-    e.backend->scrape(out);
-  }
+  metrics_.scrape(out);
+  for (const auto& e : entries_) e->backend->scrape(out);
 }
 
 void ModelRegistry::collect_traces(std::vector<obs::Trace>& out) const {

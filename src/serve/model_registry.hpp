@@ -29,7 +29,6 @@
 // AdmissionConfig::tenants index their tenants.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -105,8 +104,9 @@ class ModelRegistry : public obs::ScrapeSource {
   BackendStats stats() const;
 
   /// ScrapeSource over the whole registry: per-tenant registry-edge
-  /// counters (distgnn_registry_*) plus every entry backend's scrape — one
-  /// scrape of the registry walks every tenant's tower down to its leaves.
+  /// counters (distgnn_registry_*_total{tenant}) plus every entry backend's
+  /// scrape — one scrape of the registry walks every tenant's tower down to
+  /// its leaves.
   void scrape(obs::MetricsSnapshot& out) const override;
   void collect_traces(std::vector<obs::Trace>& out) const override;
 
@@ -119,19 +119,25 @@ class ModelRegistry : public obs::ScrapeSource {
 
  private:
   struct Entry {
+    Entry(obs::MetricsRegistry& metrics, const obs::Labels& tenant);
+
     TenantSlo slo;
     std::unique_ptr<ServingBackend> backend;
     util::Mutex admission_mutex;  // serializes the (unsynchronized) bucket
     TokenBucket bucket GUARDED_BY(admission_mutex);
-    std::atomic<std::uint64_t> submitted{0};
-    std::atomic<std::uint64_t> admitted{0};
-    std::atomic<std::uint64_t> completed{0};
+    // The tenant's registry-edge lane in metrics_; shed counts budget sheds
+    // and backend rejections where they happen.
+    obs::Counter& submitted;
+    obs::Counter& admitted;
+    obs::Counter& completed;
+    obs::Counter& shed;
   };
 
   Entry& entry(tenant_t tenant);
   const Entry& entry(tenant_t tenant) const;
   RequestMeta make_meta(const Entry& e, tenant_t tenant) const;
 
+  obs::MetricsRegistry metrics_;
   std::vector<std::unique_ptr<Entry>> entries_;
   bool started_ = false;
 };

@@ -44,13 +44,14 @@ std::vector<vid_t> decode_ids(const std::vector<real_t>& payload) {
 HaloFetcher::HaloFetcher(Communicator& comm, std::span<const part_t> owner,
                          const DenseMatrix& owned_rows,
                          const std::unordered_map<vid_t, std::size_t>& owned_index,
-                         ShardedFeatureCache& cache)
+                         ShardedFeatureCache& cache, HaloCounters counters)
     : comm_(comm),
       owner_(owner),
       owned_rows_(owned_rows),
       owned_index_(owned_index),
       cache_(cache),
-      dim_(cache.dim()) {}
+      dim_(cache.dim()),
+      counters_(counters) {}
 
 void HaloFetcher::service_peers() {
   const int num_ranks = comm_.size();
@@ -156,15 +157,17 @@ void HaloFetcher::finish_fetch(HaloBatch& batch) {
         cache_.insert(/*space=*/1, static_cast<std::uint64_t>(ids[i]), src);
         in_flight_.erase(ids[i]);
       }
-      stats_.halo_rows_fetched += ids.size();
-      stats_.halo_bytes += ids.size() * dim_ * sizeof(real_t);
+      counters_.rows.add(ids.size());
+      counters_.bytes.add(ids.size() * dim_ * sizeof(real_t));
       ids.clear();
       --batch.outstanding;
     }
     std::this_thread::yield();
   }
-  stats_.wait_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wait_begin).count();
+  counters_.wait_ns.add(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
+                                                           wait_begin)
+          .count()));
   batch.in_flight = false;
 }
 

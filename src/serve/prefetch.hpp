@@ -13,7 +13,7 @@
 // responses, servicing peers while waiting). With two HaloBatch buffers the
 // server issues batch N+1's requests before running batch N's forward, so
 // the peer's reply and the wire transfer overlap compute and finish_fetch's
-// measured wait collapses — wait_seconds per batch is the overlap metric the
+// measured wait collapses — halo wait per batch is the overlap metric the
 // bench reports. Responses per (peer, tag) channel are FIFO, so in-order
 // begin/finish pairs always match their own replies even with two batches in
 // flight.
@@ -28,17 +28,19 @@
 #include <vector>
 
 #include "comm/world.hpp"
+#include "obs/metrics.hpp"
 #include "sampling/minibatch.hpp"
 #include "serve/feature_cache.hpp"
 #include "util/matrix.hpp"
 
 namespace distgnn::serve {
 
-/// Fetch-side counters for one rank's HaloFetcher.
-struct HaloFetchStats {
-  std::uint64_t halo_rows_fetched = 0;  // rows that crossed a rank boundary
-  std::uint64_t halo_bytes = 0;
-  double wait_seconds = 0;          // time blocked inside finish_fetch
+/// The rank's registry counters a HaloFetcher adds into: rows and bytes that
+/// crossed a rank boundary, and nanoseconds blocked inside finish_fetch.
+struct HaloCounters {
+  obs::Counter& rows;
+  obs::Counter& bytes;
+  obs::Counter& wait_ns;
 };
 
 /// One in-flight gather: the caller samples `minibatches`, begin_fetch fills
@@ -67,7 +69,7 @@ class HaloFetcher {
   /// rows, 1 = halo rows).
   HaloFetcher(Communicator& comm, std::span<const part_t> owner, const DenseMatrix& owned_rows,
               const std::unordered_map<vid_t, std::size_t>& owned_index,
-              ShardedFeatureCache& cache);
+              ShardedFeatureCache& cache, HaloCounters counters);
 
   /// Answers any queued halo requests from peers; never blocks. Must keep
   /// being called from every wait loop on the rank (a plain blocking wait
@@ -86,8 +88,6 @@ class HaloFetcher {
   /// begin order — the FIFO channel contract above.
   void finish_fetch(HaloBatch& batch);
 
-  const HaloFetchStats& stats() const { return stats_; }
-
  private:
   Communicator& comm_;
   std::span<const part_t> owner_;
@@ -95,7 +95,7 @@ class HaloFetcher {
   const std::unordered_map<vid_t, std::size_t>& owned_index_;
   ShardedFeatureCache& cache_;
   std::size_t dim_;
-  HaloFetchStats stats_;
+  HaloCounters counters_;
   /// Vertex -> (requesting batch, index in its need[owner]) for every halo
   /// row currently on the wire; later begin_fetch calls piggyback on it.
   /// Valid while the referenced batch stays in flight (double-buffer usage:

@@ -35,7 +35,7 @@ void ReplicaGroup::publish_under_barrier(std::uint64_t version,
   while (outstanding_ != 0) cv_.wait(lock);
   swap();
   version_ = version;
-  ++publishes_;
+  publishes_.add();
   publishing_ = false;
   cv_.notify_all();
 }
@@ -198,10 +198,7 @@ std::uint64_t ReplicaGroup::version() const {
   return version_;
 }
 
-std::uint64_t ReplicaGroup::publishes() const {
-  util::MutexLock lock(mutex_);
-  return publishes_;
-}
+std::uint64_t ReplicaGroup::publishes() const { return publishes_.value(); }
 
 BackendStats ReplicaGroup::stats() const {
   BackendStats g;
@@ -211,7 +208,7 @@ BackendStats ReplicaGroup::stats() const {
 }
 
 void ReplicaGroup::scrape(obs::MetricsSnapshot& out) const {
-  out.add_counter("distgnn_group_publishes_total", {}, static_cast<double>(publishes()));
+  metrics_.scrape(out);
   for (const auto& replica : replicas_) replica->scrape(out);
 }
 

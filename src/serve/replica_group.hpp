@@ -150,8 +150,10 @@ class ReplicaGroup : public ServingBackend {
   std::size_t outstanding_ GUARDED_BY(mutex_) = 0;  // admission slots handed out, not yet released
   bool publishing_ GUARDED_BY(mutex_) = false;
   std::uint64_t version_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t publishes_ GUARDED_BY(mutex_) = 0;
   std::atomic<std::uint64_t> rr_next_{0};
+
+  obs::MetricsRegistry metrics_;
+  obs::Counter& publishes_{metrics_.counter("distgnn_group_publishes_total")};
 };
 
 /// Group snapshot publication over a World: `root` flattens its snapshot

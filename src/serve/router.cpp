@@ -32,11 +32,22 @@ Router::Router(ReplicaGroup& group, RoutePolicy policy, AdmissionConfig admissio
       policy_(policy),
       admission_(std::move(admission)),
       outstanding_(new std::atomic<std::uint64_t>[static_cast<std::size_t>(group.num_replicas())]),
-      admitted_per_replica_(
-          new std::atomic<std::uint64_t>[static_cast<std::size_t>(group.num_replicas())]) {
+      submitted_(metrics_.counter("distgnn_router_submitted_total")),
+      completed_(metrics_.counter("distgnn_router_completed_total")),
+      shed_deadline_(metrics_.counter("distgnn_router_shed_total", {{"reason", "deadline"}})),
+      shed_priority_(metrics_.counter("distgnn_router_shed_total", {{"reason", "priority"}})),
+      shed_queue_full_(metrics_.counter("distgnn_router_shed_total", {{"reason", "queue_full"}})),
+      shed_budget_(metrics_.counter("distgnn_router_shed_total", {{"reason", "budget"}})) {
   for (int r = 0; r < group_.num_replicas(); ++r) {
     outstanding_[static_cast<std::size_t>(r)].store(0, std::memory_order_relaxed);
-    admitted_per_replica_[static_cast<std::size_t>(r)].store(0, std::memory_order_relaxed);
+    admitted_.push_back(
+        &metrics_.counter("distgnn_router_admitted_total", {{"replica", std::to_string(r)}}));
+  }
+  for (std::size_t t = 0; t < admission_.tenants.size(); ++t) {
+    const obs::Labels labels{{"tenant", std::to_string(t)}};
+    lane_counters_.push_back({&metrics_.counter("distgnn_router_tenant_submitted_total", labels),
+                              &metrics_.counter("distgnn_router_tenant_completed_total", labels),
+                              &metrics_.counter("distgnn_router_tenant_shed_total", labels)});
   }
   {
     // Construction-time population still takes the lane lock: nothing can
@@ -109,7 +120,7 @@ bool Router::submit(vid_t vertex, const RequestMeta& meta,
 
 bool Router::route_one(vid_t vertex, const RequestMeta& meta,
                        std::function<void(InferResult&&)> done) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_.add();
   const int r = pick_replica();
   ServingBackend& replica = group_.replica(r);
 
@@ -120,7 +131,7 @@ bool Router::route_one(vid_t vertex, const RequestMeta& meta,
   if (admission_.shed_deadlines && meta.deadline != ServeClock::time_point::max()) {
     const auto now = ServeClock::now();
     if (meta.deadline <= now) {
-      shed_deadline_.fetch_add(1, std::memory_order_relaxed);
+      shed_deadline_.add();
       group_.end_request();
       return false;
     }
@@ -134,7 +145,7 @@ bool Router::route_one(vid_t vertex, const RequestMeta& meta,
       if (now + std::chrono::duration_cast<ServeClock::duration>(
                     std::chrono::duration<double>(estimate)) >
           meta.deadline) {
-        shed_deadline_.fetch_add(1, std::memory_order_relaxed);
+        shed_deadline_.add();
         group_.end_request();
         return false;
       }
@@ -145,7 +156,7 @@ bool Router::route_one(vid_t vertex, const RequestMeta& meta,
   // low-priority work sheds so the burst headroom goes to the high lane.
   if (meta.priority == Priority::kLow && admission_.low_priority_depth > 0 &&
       replica.queue_depth() >= admission_.low_priority_depth) {
-    shed_priority_.fetch_add(1, std::memory_order_relaxed);
+    shed_priority_.add();
     group_.end_request();
     return false;
   }
@@ -157,7 +168,7 @@ bool Router::route_one(vid_t vertex, const RequestMeta& meta,
         vertex, meta,
         [this, r, user_done = std::move(done)](InferResult&& result) mutable {
           outstanding_[static_cast<std::size_t>(r)].fetch_sub(1, std::memory_order_relaxed);
-          completed_.fetch_add(1, std::memory_order_relaxed);
+          completed_.add();
           if (user_done) user_done(std::move(result));
           group_.end_request();
         });
@@ -170,25 +181,25 @@ bool Router::route_one(vid_t vertex, const RequestMeta& meta,
   }
   if (!ok) {
     outstanding_[static_cast<std::size_t>(r)].fetch_sub(1, std::memory_order_relaxed);
-    shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
+    shed_queue_full_.add();
     group_.end_request();
     return false;
   }
-  admitted_.fetch_add(1, std::memory_order_relaxed);
-  admitted_per_replica_[static_cast<std::size_t>(r)].fetch_add(1, std::memory_order_relaxed);
+  admitted_[static_cast<std::size_t>(r)]->add();
   return true;
 }
 
 bool Router::admit_one(vid_t vertex, RequestMeta meta, std::function<void(InferResult&&)> done) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_.add();
+  const LaneCounters& counters = lane_counters_[static_cast<std::size_t>(meta.tenant)];
+  counters.submitted->add();
   // The first shed reason that fires wins; the admission slot is released
   // after the lock is dropped (end_request may wake a publish barrier, and
   // the lock hierarchy forbids calling into the group while holding it).
-  std::atomic<std::uint64_t>* shed_reason = nullptr;
+  obs::Counter* shed_reason = nullptr;
   {
     util::MutexLock lock(stage_mutex_);
     TenantLane& lane = lanes_[static_cast<std::size_t>(meta.tenant)];
-    ++lane.submitted;
 
     // Token-bucket budget first: an over-budget tenant sheds regardless of
     // system load — that is what keeps its overload out of everyone's queues.
@@ -230,16 +241,15 @@ bool Router::admit_one(vid_t vertex, RequestMeta meta, std::function<void(InferR
     if (!shed_reason && lane.staged.size() >= lane.slo.stage_capacity)
       shed_reason = &shed_queue_full_;
 
-    if (shed_reason) {
-      shed_reason->fetch_add(1, std::memory_order_relaxed);
-      ++lane.shed;
-    } else {
+    if (!shed_reason) {
       lane.staged.push_back(Staged{vertex, meta, std::move(done)});
       ++total_staged_;
       pump_locked();
     }
   }
   if (shed_reason) {
+    shed_reason->add();
+    counters.shed->add();
     group_.end_request();
     return false;
   }
@@ -280,11 +290,11 @@ void Router::pump_locked() {
       ok = replica.submit(
           st.vertex, st.meta, [this, r, tenant, done_ptr](InferResult&& result) {
             outstanding_[static_cast<std::size_t>(r)].fetch_sub(1, std::memory_order_relaxed);
-            completed_.fetch_add(1, std::memory_order_relaxed);
+            completed_.add();
+            lane_counters_[static_cast<std::size_t>(tenant)].completed->add();
             if (*done_ptr) (*done_ptr)(std::move(result));
             group_.end_request();
             util::MutexLock relock(stage_mutex_);
-            ++lanes_[static_cast<std::size_t>(tenant)].completed;
             --inflight_;
             pump_locked();
           });
@@ -304,14 +314,13 @@ void Router::pump_locked() {
         // Progress guarantee: with nothing in flight nobody would re-pump,
         // so the request sheds. Only reachable when a replica queue is
         // smaller than the dispatch window.
-        shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-        ++lanes_[static_cast<std::size_t>(tenant)].shed;
+        shed_queue_full_.add();
+        lane_counters_[static_cast<std::size_t>(tenant)].shed->add();
         group_.end_request();
       }
       return;
     }
-    admitted_.fetch_add(1, std::memory_order_relaxed);
-    admitted_per_replica_[static_cast<std::size_t>(r)].fetch_add(1, std::memory_order_relaxed);
+    admitted_[static_cast<std::size_t>(r)]->add();
   }
 }
 
@@ -388,53 +397,26 @@ RouterStats RouterStats::since(const RouterStats& base) const {
 
 RouterStats Router::stats() const {
   RouterStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.admitted = admitted_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-  s.shed_priority = shed_priority_.load(std::memory_order_relaxed);
-  s.shed_queue_full = shed_queue_full_.load(std::memory_order_relaxed);
-  s.shed_budget = shed_budget_.load(std::memory_order_relaxed);
-  s.admitted_per_replica.resize(static_cast<std::size_t>(group_.num_replicas()));
-  for (int r = 0; r < group_.num_replicas(); ++r)
-    s.admitted_per_replica[static_cast<std::size_t>(r)] =
-        admitted_per_replica_[static_cast<std::size_t>(r)].load(std::memory_order_relaxed);
-  {
-    util::MutexLock lock(stage_mutex_);
-    for (std::size_t t = 0; t < lanes_.size(); ++t) {
-      TenantCounters lane;
-      lane.tenant = static_cast<tenant_t>(t);
-      lane.submitted = lanes_[t].submitted;
-      lane.completed = lanes_[t].completed;
-      lane.shed = lanes_[t].shed;
-      s.tenants.push_back(lane);
-    }
+  s.submitted = submitted_.value();
+  s.completed = completed_.value();
+  s.shed_deadline = shed_deadline_.value();
+  s.shed_priority = shed_priority_.value();
+  s.shed_queue_full = shed_queue_full_.value();
+  s.shed_budget = shed_budget_.value();
+  for (const obs::Counter* admitted : admitted_) {
+    s.admitted_per_replica.push_back(admitted->value());
+    s.admitted += s.admitted_per_replica.back();
+  }
+  for (std::size_t t = 0; t < lane_counters_.size(); ++t) {
+    const LaneCounters& lane = lane_counters_[t];
+    s.tenants.push_back(TenantCounters{static_cast<tenant_t>(t), lane.submitted->value(),
+                                       lane.completed->value(), lane.shed->value()});
   }
   return s;
 }
 
 void Router::scrape(obs::MetricsSnapshot& out) const {
-  const RouterStats s = stats();
-  out.add_counter("distgnn_router_submitted_total", {}, static_cast<double>(s.submitted));
-  out.add_counter("distgnn_router_admitted_total", {}, static_cast<double>(s.admitted));
-  out.add_counter("distgnn_router_completed_total", {}, static_cast<double>(s.completed));
-  out.add_counter("distgnn_router_shed_total", {{"reason", "deadline"}},
-                  static_cast<double>(s.shed_deadline));
-  out.add_counter("distgnn_router_shed_total", {{"reason", "priority"}},
-                  static_cast<double>(s.shed_priority));
-  out.add_counter("distgnn_router_shed_total", {{"reason", "queue_full"}},
-                  static_cast<double>(s.shed_queue_full));
-  out.add_counter("distgnn_router_shed_total", {{"reason", "budget"}},
-                  static_cast<double>(s.shed_budget));
-  for (const TenantCounters& lane : s.tenants) {
-    const obs::Labels labels{{"tenant", std::to_string(lane.tenant)}};
-    out.add_counter("distgnn_router_tenant_submitted_total", labels,
-                    static_cast<double>(lane.submitted));
-    out.add_counter("distgnn_router_tenant_completed_total", labels,
-                    static_cast<double>(lane.completed));
-    out.add_counter("distgnn_router_tenant_shed_total", labels,
-                    static_cast<double>(lane.shed));
-  }
+  metrics_.scrape(out);
   group_.scrape(out);
 }
 

@@ -68,6 +68,8 @@ struct AdmissionConfig {
   std::size_t dispatch_window = 0;
 };
 
+/// Typed view of the Router's registry counters (Router::stats() reads them;
+/// nothing is counted here).
 struct RouterStats {
   std::uint64_t submitted = 0;
   std::uint64_t admitted = 0;
@@ -114,10 +116,9 @@ class Router : public obs::ScrapeSource {
                                                       const RequestMeta& meta = {});
 
   RouterStats stats() const;
-  /// ScrapeSource: synthesizes distgnn_router_* counters from the admission
-  /// atomics (submitted/admitted/completed, sheds by reason, tenant lanes)
-  /// and recurses into the fronted group — one scrape of the Router walks
-  /// the whole tier below it.
+  /// ScrapeSource: the Router's distgnn_router_* counters (submitted,
+  /// admitted per replica, completed, sheds by reason, tenant lanes), then
+  /// the fronted group — one scrape of the Router walks the whole tier.
   void scrape(obs::MetricsSnapshot& out) const override;
   void collect_traces(std::vector<obs::Trace>& out) const override;
   RoutePolicy policy() const { return policy_; }
@@ -138,7 +139,12 @@ class Router : public obs::ScrapeSource {
     TokenBucket bucket{0, 0};
     std::deque<Staged> staged;
     double wrr_current = 0;
-    std::uint64_t submitted = 0, completed = 0, shed = 0;
+  };
+  /// One tenant lane's distgnn_router_tenant_*_total handles.
+  struct LaneCounters {
+    obs::Counter* submitted;
+    obs::Counter* completed;
+    obs::Counter* shed;
   };
 
   /// Assumes one admission slot is already held; releases it on shed, or
@@ -162,19 +168,21 @@ class Router : public obs::ScrapeSource {
 
   std::atomic<std::uint64_t> rr_next_{0};
   std::atomic<std::uint64_t> p2c_draws_{0};
-
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> admitted_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> shed_deadline_{0};
-  std::atomic<std::uint64_t> shed_priority_{0};
-  std::atomic<std::uint64_t> shed_queue_full_{0};
-  std::atomic<std::uint64_t> shed_budget_{0};
-  // Per-replica: requests admitted but not yet completed (queued + in
-  // service), and lifetime admitted counts. Raw arrays because atomics are
+  // Per-replica requests admitted but not yet completed (queued + in
+  // service) — the least-outstanding signal. A raw array because atomics are
   // not movable.
   std::unique_ptr<std::atomic<std::uint64_t>[]> outstanding_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> admitted_per_replica_;
+
+  // The Router's one set of books; stats() and scrape() only read them.
+  obs::MetricsRegistry metrics_;
+  obs::Counter& submitted_;
+  obs::Counter& completed_;
+  obs::Counter& shed_deadline_;
+  obs::Counter& shed_priority_;
+  obs::Counter& shed_queue_full_;
+  obs::Counter& shed_budget_;
+  std::vector<obs::Counter*> admitted_;     // per replica, fixed at construction
+  std::vector<LaneCounters> lane_counters_;  // per tenant lane, fixed at construction
 
   // Tenant mode (num_lanes_ == 0 = legacy single-tenant path; num_lanes_ is
   // the immutable mirror of lanes_.size() for lock-free mode checks).

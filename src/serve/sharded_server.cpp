@@ -6,7 +6,6 @@
 
 #include "partition/partition_setup.hpp"
 #include "serve/inference_server.hpp"
-#include "serve/prefetch.hpp"
 
 namespace distgnn::serve {
 
@@ -30,6 +29,12 @@ std::vector<part_t> vertex_owners(const EdgeList& edges, const EdgePartition& pa
       owners[v] = static_cast<part_t>(v % static_cast<std::size_t>(partition.num_parts));
   return owners;
 }
+
+ShardedServer::RankCounters::RankCounters(obs::MetricsRegistry& registry, const obs::Labels& rank)
+    : batch(registry, "sharded", rank),
+      halo{registry.counter("distgnn_sharded_halo_rows_total", rank),
+           registry.counter("distgnn_sharded_halo_bytes_total", rank),
+           registry.counter("distgnn_sharded_halo_wait_ns_total", rank)} {}
 
 ShardedServer::ShardedServer(const Dataset& dataset, const EdgePartition& partition,
                              ShardedServeConfig config)
@@ -69,12 +74,12 @@ ShardedServer::ShardedServer(const Dataset& dataset, const EdgePartition& partit
 
   queues_.reserve(static_cast<std::size_t>(num_parts_));
   caches_.reserve(static_cast<std::size_t>(num_parts_));
-  rank_states_.reserve(static_cast<std::size_t>(num_parts_));
+  rank_counters_.reserve(static_cast<std::size_t>(num_parts_));
   for (part_t p = 0; p < num_parts_; ++p) {
     queues_.push_back(std::make_unique<BoundedRequestQueue>(config_.queue_capacity));
     caches_.push_back(std::make_unique<ShardedFeatureCache>(config_.cache_bytes, f,
                                                             config_.cache_shards));
-    rank_states_.push_back(std::make_unique<RankState>());
+    rank_counters_.emplace_back(metrics_, obs::Labels{{"rank", std::to_string(p)}});
   }
   {
     util::MutexLock lock(embed_mutex_);
@@ -174,18 +179,16 @@ bool ShardedServer::submit(vid_t vertex, const RequestMeta& meta,
     request.trace->begin_stage(obs::Stage::kQueue, pre_push);
   }
   const part_t target = owner_[static_cast<std::size_t>(vertex)];
-  // Admitted is counted before the push so a drain() that starts after this
+  // In-flight is raised before the push so a drain() that starts after this
   // submit returns can never miss the request (the rejection path undoes it).
-  admitted_.fetch_add(1, std::memory_order_release);
+  in_flight_.fetch_add(1, std::memory_order_release);
+  stage_metrics_.submitted.with(meta.tenant).add();
   if (queues_[static_cast<std::size_t>(target)]->try_push(std::move(request))) {
-    stage_metrics_.submitted.with(meta.tenant).add();
     stage_metrics_.observe_stage(obs::Stage::kAdmit, meta.tenant,
                                  std::chrono::duration<double>(pre_push - enqueue).count());
     return true;
   }
-  admitted_.fetch_sub(1, std::memory_order_release);
-  rejected_.fetch_add(1, std::memory_order_relaxed);
-  stage_metrics_.submitted.with(meta.tenant).add();
+  in_flight_.fetch_sub(1, std::memory_order_release);
   stage_metrics_.shed.with(meta.tenant).add();
   return false;
 }
@@ -197,15 +200,18 @@ std::size_t ShardedServer::queue_depth() const {
 }
 
 void ShardedServer::drain() {
-  while (completed_.load(std::memory_order_acquire) < admitted_.load(std::memory_order_acquire))
-    std::this_thread::sleep_for(kIdlePoll);
+  while (in_flight_.load(std::memory_order_acquire) != 0) std::this_thread::sleep_for(kIdlePoll);
 }
 
 double ShardedServer::mean_service_seconds() const {
-  const std::uint64_t completed = completed_.load(std::memory_order_relaxed);
-  if (completed == 0) return 0.0;
-  return static_cast<double>(service_ns_.load(std::memory_order_relaxed)) * 1e-9 /
-         static_cast<double>(completed);
+  // Two counter reads per rank, no locks: this sits on the admission path.
+  std::uint64_t completed = 0, service_ns = 0;
+  for (const RankCounters& rank : rank_counters_) {
+    completed += rank.batch.batched_requests.value();
+    service_ns += rank.batch.service_ns.value();
+  }
+  return completed == 0 ? 0.0
+                        : static_cast<double>(service_ns) * 1e-9 / static_cast<double>(completed);
 }
 
 EmbedCache* ShardedServer::embed_cache_ptr(part_t rank) const {
@@ -216,33 +222,22 @@ EmbedCache* ShardedServer::embed_cache_ptr(part_t rank) const {
 BackendStats ShardedServer::stats() const {
   BackendStats s;
   for (part_t p = 0; p < num_parts_; ++p) {
+    const RankCounters& rank = rank_counters_[static_cast<std::size_t>(p)];
     BackendStats child;
-    {
-      const RankState& state = *rank_states_[static_cast<std::size_t>(p)];
-      util::MutexLock lock(state.mutex);
-      child = state.stats;
-    }
-    child.children.clear();
+    rank.batch.read(child);
+    child.halo_rows_fetched = rank.halo.rows.value();
+    child.halo_bytes = rank.halo.bytes.value();
+    child.halo_wait_seconds = static_cast<double>(rank.halo.wait_ns.value()) * 1e-9;
     child.queue_depth = queues_[static_cast<std::size_t>(p)]->size();
     child.feature_cache = caches_[static_cast<std::size_t>(p)]->stats(/*space=*/0);
     child.halo_cache = caches_[static_cast<std::size_t>(p)]->stats(/*space=*/1);
     if (const EmbedCache* cache = embed_cache_ptr(p)) child.embed_cache = cache->combined_stats();
     s.absorb(std::move(child));
   }
-  s.rejected = rejected_.load(std::memory_order_relaxed);  // counted at submit, not per rank
+  // Tenant lanes, rejections (counted at submit) and the latency fold are
+  // accounted at the server edge, not per rank.
+  read_stage_metrics(stage_metrics_, s);
   s.publishes = holder_.num_publishes();
-  // Tenant lanes are accounted at the server edge, not per rank; they (and
-  // the latency fold) come straight out of the sharded metrics.
-  s.tenants.clear();
-  stage_metrics_.submitted.for_each(
-      [&](int id, const obs::Counter& c) { s.tenant_lane(id).submitted = c.value(); });
-  stage_metrics_.completed.for_each(
-      [&](int id, const obs::Counter& c) { s.tenant_lane(id).completed = c.value(); });
-  stage_metrics_.shed.for_each(
-      [&](int id, const obs::Counter& c) { s.tenant_lane(id).shed = c.value(); });
-  s.latency = obs::HistogramData{};
-  stage_metrics_.request_seconds.for_each(
-      [&](int, const obs::Histogram& h) { s.latency += h.snapshot(); });
   return s;
 }
 
@@ -252,82 +247,15 @@ void ShardedServer::collect_traces(std::vector<obs::Trace>& out) const {
   trace_sink_.collect(out);
 }
 
-void ShardedServer::finish_requests(std::vector<InferRequest>& batch, const DenseMatrix& logits,
-                                    std::uint64_t snapshot_version,
-                                    ServeClock::time_point service_begin, RankState& state,
-                                    const obs::BatchStageTimes& stages) {
-  const auto now = ServeClock::now();
-  auto reply_begin = now;  // each request's reply window starts where the previous ended
-  for (std::size_t r = 0; r < batch.size(); ++r) {
-    InferRequest& request = batch[r];
-    InferResult result;
-    result.request_id = request.id;
-    result.vertex = request.vertex;
-    result.logits.assign(logits.row(r), logits.row(r) + logits.cols());
-    result.latency_seconds = std::chrono::duration<double>(now - request.enqueue).count();
-    result.snapshot_version = snapshot_version;
-    result.tenant = request.tenant;
-
-    // Batch-level stage windows stamped per request (see InferenceServer::
-    // finish_batch): queue ended when the rank popped the batch.
-    stage_metrics_.observe_stage(
-        obs::Stage::kQueue, request.tenant,
-        std::chrono::duration<double>(service_begin - request.enqueue).count());
-    if (stages.sample.valid())
-      stage_metrics_.observe_stage(obs::Stage::kSample, request.tenant,
-                                   stages.sample.duration_seconds());
-    if (stages.halo_wait.valid())
-      stage_metrics_.observe_stage(obs::Stage::kHaloWait, request.tenant,
-                                   stages.halo_wait.duration_seconds());
-    if (stages.embed_lookup.valid())
-      stage_metrics_.observe_stage(obs::Stage::kEmbedLookup, request.tenant,
-                                   stages.embed_lookup.duration_seconds());
-    if (stages.forward.valid())
-      stage_metrics_.observe_stage(obs::Stage::kForward, request.tenant,
-                                   stages.forward.duration_seconds());
-    if (request.trace) {
-      obs::TraceContext& trace = *request.trace;
-      trace.end_stage(obs::Stage::kQueue, service_begin);
-      if (stages.sample.valid()) trace.set_stage(obs::Stage::kSample, stages.sample);
-      if (stages.halo_wait.valid()) trace.set_stage(obs::Stage::kHaloWait, stages.halo_wait);
-      if (stages.embed_lookup.valid())
-        trace.set_stage(obs::Stage::kEmbedLookup, stages.embed_lookup);
-      if (stages.forward.valid()) trace.set_stage(obs::Stage::kForward, stages.forward);
-      // Trace reply span starts at batch finish so a later rider's wait on
-      // its predecessors' callbacks stays inside its spans (coverage); the
-      // histogram keeps the chained marginal window below.
-      trace.begin_stage(obs::Stage::kReply, now);
-    }
-
-    if (request.done) request.done(std::move(result));
-    const auto reply_end = ServeClock::now();
-    stage_metrics_.observe_stage(obs::Stage::kReply, request.tenant,
-                                 std::chrono::duration<double>(reply_end - reply_begin).count());
-    stage_metrics_.request_seconds.with(request.tenant)
-        .observe(std::chrono::duration<double>(reply_end - request.enqueue).count());
-    stage_metrics_.completed.with(request.tenant).add();
-    if (request.trace) {
-      request.trace->end_stage(obs::Stage::kReply, reply_end);
-      trace_sink_.publish(request.trace->finish(reply_end));
-    }
-    reply_begin = reply_end;
-  }
-
-  const auto service_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(ServeClock::now() - service_begin)
-          .count());
-  {
-    util::MutexLock lock(state.mutex);
-    state.stats.completed += batch.size();
-    state.stats.batches += 1;
-    state.stats.batched_requests += batch.size();
-    state.stats.max_batch_seen = std::max<std::uint64_t>(state.stats.max_batch_seen, batch.size());
-    state.stats.service_seconds += static_cast<double>(service_ns) * 1e-9;
-  }
-  service_ns_.fetch_add(service_ns, std::memory_order_relaxed);
-  // completed_ is the drain()/publish-barrier signal: it must go last, after
-  // every callback has run.
-  completed_.fetch_add(batch.size(), std::memory_order_release);
+void ShardedServer::finish_batch(std::vector<InferRequest>& batch, const DenseMatrix& logits,
+                                 std::uint64_t snapshot_version,
+                                 ServeClock::time_point service_begin, RankCounters& counters,
+                                 const obs::BatchStageTimes& stages) {
+  reply_batch(batch, logits, snapshot_version, service_begin, stages, stage_metrics_, trace_sink_,
+              counters.batch);
+  // Last, after every callback and counter: drain() and the publish barrier
+  // read this to quiesce.
+  in_flight_.fetch_sub(batch.size(), std::memory_order_release);
 }
 
 void ShardedServer::apply_graph_update(const std::function<void()>& apply,
@@ -393,29 +321,11 @@ void ShardedServer::rank_loop(Communicator& comm) {
 void ShardedServer::run_classic_rank(Communicator& comm, part_t me) {
   BoundedRequestQueue& queue = *queues_[static_cast<std::size_t>(me)];
   ShardedFeatureCache& cache = *caches_[static_cast<std::size_t>(me)];
-  RankState& state = *rank_states_[static_cast<std::size_t>(me)];
+  RankCounters& counters = rank_counters_[static_cast<std::size_t>(me)];
   HaloFetcher fetcher(comm, owner_, local_feats_[static_cast<std::size_t>(me)],
-                      local_index_[static_cast<std::size_t>(me)], cache);
+                      local_index_[static_cast<std::size_t>(me)], cache, counters.halo);
   ForwardScratch scratch;
   DenseMatrix logits;
-
-  // Halo-counter baseline: the fetcher is fresh per start(), but rank stats
-  // accumulate across restarts.
-  std::uint64_t base_rows, base_bytes;
-  double base_wait;
-  {
-    util::MutexLock lock(state.mutex);
-    base_rows = state.stats.halo_rows_fetched;
-    base_bytes = state.stats.halo_bytes;
-    base_wait = state.stats.halo_wait_seconds;
-  }
-  const auto flush_halo = [&] {
-    const HaloFetchStats& fs = fetcher.stats();
-    util::MutexLock lock(state.mutex);
-    state.stats.halo_rows_fetched = base_rows + fs.halo_rows_fetched;
-    state.stats.halo_bytes = base_bytes + fs.halo_bytes;
-    state.stats.halo_wait_seconds = base_wait + fs.wait_seconds;
-  };
 
   // Ring of in-flight halo batches. A slot holds everything a batch needs
   // between begin_fetch and its forward; slots recycle so steady state never
@@ -517,9 +427,8 @@ void ShardedServer::run_classic_rank(Communicator& comm, part_t me) {
     stages.sample = obs::make_span(slot->service_begin, slot->sample_end);
     stages.halo_wait = obs::make_span(slot->sample_end, halo_end);
     stages.forward = obs::make_span(halo_end, forward_end);
-    finish_requests(slot->requests, logits, slot->snapshot->version(), slot->service_begin,
-                    state, stages);
-    flush_halo();
+    finish_batch(slot->requests, logits, slot->snapshot->version(), slot->service_begin, counters,
+                 stages);
     slot->snapshot.reset();
     free_slots.push_back(slot);
   }
@@ -531,7 +440,6 @@ void ShardedServer::run_classic_rank(Communicator& comm, part_t me) {
     fetcher.service_peers();
     std::this_thread::sleep_for(kIdlePoll);
   }
-  flush_halo();
 }
 
 void ShardedServer::run_embed_rank(Communicator& comm, part_t me) {
@@ -539,7 +447,7 @@ void ShardedServer::run_embed_rank(Communicator& comm, part_t me) {
                // through the shared in-process feature store via the rank's
                // feature cache — so the loop is a plain poll over the queue.
   BoundedRequestQueue& queue = *queues_[static_cast<std::size_t>(me)];
-  RankState& state = *rank_states_[static_cast<std::size_t>(me)];
+  RankCounters& counters = rank_counters_[static_cast<std::size_t>(me)];
   EmbedForward evaluator(dataset_, config_.fanouts, config_.sample_seed, embed_cache_ptr(me),
                          caches_[static_cast<std::size_t>(me)].get());
   std::vector<vid_t> seeds;
@@ -578,7 +486,7 @@ void ShardedServer::run_embed_rank(Communicator& comm, part_t me) {
     evaluator.infer(*snapshot, seeds, logits, graph_epoch_.load(std::memory_order_acquire));
     obs::BatchStageTimes stages;
     stages.embed_lookup = obs::make_span(service_begin, ServeClock::now());
-    finish_requests(batch, logits, snapshot->version(), service_begin, state, stages);
+    finish_batch(batch, logits, snapshot->version(), service_begin, counters, stages);
   }
 
   done_ranks_.fetch_add(1, std::memory_order_acq_rel);

@@ -54,14 +54,12 @@
 #include "serve/embed_cache.hpp"
 #include "serve/feature_cache.hpp"
 #include "serve/model_snapshot.hpp"
+#include "serve/prefetch.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/tier_config.hpp"
 #include "util/sync.hpp"
 
 namespace distgnn::serve {
-
-class HaloFetcher;
-struct HaloBatch;
 
 /// Sharded-tier config: the shared TierConfig knobs (queue_capacity and the
 /// caches apply per rank) plus the halo prefetch ring depth. Field names are
@@ -111,8 +109,8 @@ class ShardedServer : public ServingBackend {
   /// One serving loop per rank.
   int concurrency() const override { return num_parts_; }
   const Dataset& dataset() const override { return dataset_; }
-  /// Aggregate over ranks; children[r] is rank r's detail (halo counters,
-  /// per-rank caches, queue depth).
+  /// Aggregate over ranks; children[r] is rank r's detail (batch and halo
+  /// counters, per-rank caches, queue depth).
   BackendStats stats() const override;
   /// ScrapeSource: fold the shard's stage histograms (including halo_wait)
   /// and tenant counters into `out`.
@@ -140,17 +138,21 @@ class ShardedServer : public ServingBackend {
   const std::vector<part_t>& owners() const { return owner_; }
 
  private:
-  struct RankState {
-    mutable util::Mutex mutex;
-    BackendStats stats GUARDED_BY(mutex);  // batch/halo counters only; caches read live
+  /// One rank loop's books in metrics_, labelled rank="<r>": its batch
+  /// tallies and the halo traffic its HaloFetcher adds into. The handles
+  /// outlive every start()/stop() cycle, so a restarted rank keeps counting.
+  struct RankCounters {
+    RankCounters(obs::MetricsRegistry& registry, const obs::Labels& rank);
+    BatchCounters batch;
+    HaloCounters halo;
   };
 
   void rank_loop(Communicator& comm);
   void run_classic_rank(Communicator& comm, part_t me);
   void run_embed_rank(Communicator& comm, part_t me);
-  void finish_requests(std::vector<InferRequest>& batch, const DenseMatrix& logits,
-                       std::uint64_t snapshot_version, ServeClock::time_point service_begin,
-                       RankState& state, const obs::BatchStageTimes& stages);
+  void finish_batch(std::vector<InferRequest>& batch, const DenseMatrix& logits,
+                    std::uint64_t snapshot_version, ServeClock::time_point service_begin,
+                    RankCounters& counters, const obs::BatchStageTimes& stages);
   EmbedCache* embed_cache_ptr(part_t rank) const;
 
   const Dataset& dataset_;
@@ -170,15 +172,14 @@ class ShardedServer : public ServingBackend {
   std::vector<std::unique_ptr<ShardedFeatureCache>> caches_;
   mutable util::Mutex embed_mutex_;
   std::vector<std::unique_ptr<EmbedCache>> embed_caches_ GUARDED_BY(embed_mutex_);
-  std::vector<std::unique_ptr<RankState>> rank_states_;
   SnapshotHolder holder_;
 
-  // Server-level telemetry (ranks are an implementation detail of the shard,
-  // so tenants are accounted where requests enter and leave): sharded
-  // wait-free counters + stage/latency histograms, one trace sink shared by
-  // every rank thread.
+  // The shard's one set of books. Tenants are accounted where requests enter
+  // and leave (ranks are an implementation detail of the shard), batch and
+  // halo tallies per rank; one trace sink is shared by every rank thread.
   obs::MetricsRegistry metrics_;
   obs::StageMetrics stage_metrics_{metrics_, "sharded"};
+  std::vector<RankCounters> rank_counters_;  // one per rank, fixed at construction
   obs::TraceSink trace_sink_;
 
   std::atomic<bool> running_{false};
@@ -193,10 +194,9 @@ class ShardedServer : public ServingBackend {
   std::atomic<std::uint64_t> graph_epoch_{0};
 
   std::atomic<std::uint64_t> next_id_{0};
-  std::atomic<std::uint64_t> admitted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> service_ns_{0};
+  /// Admitted requests whose batch has not finished replying: the drain()
+  /// signal. Raised before the queue push, lowered after the callbacks.
+  std::atomic<std::uint64_t> in_flight_{0};
 };
 
 /// Vertex -> owning rank from a vertex-cut partition: the rank whose clone

@@ -96,15 +96,14 @@ std::uint64_t DeltaPublisher::publish(const GraphDelta& delta) {
   {
     util::MutexLock lock(mutex_);
     epoch_ = notice.epoch;
-    stats_.deltas_published += 1;
-    stats_.edges_inserted += applied.edges_inserted;
-    stats_.edges_deleted += applied.edges_deleted;
-    stats_.features_updated += delta.feature_updates.size();
-    for (const auto& layer : notice.dirty_layers)
-      stats_.dirty_entries += layer.size();
-    stats_.full_flush_equivalent += static_cast<std::uint64_t>(dataset_.num_vertices()) *
-                                    static_cast<std::uint64_t>(std::max(0, num_layers));
   }
+  deltas_.add();
+  edges_inserted_.add(applied.edges_inserted);
+  edges_deleted_.add(applied.edges_deleted);
+  features_updated_.add(delta.feature_updates.size());
+  for (const auto& layer : notice.dirty_layers) dirty_entries_.add(layer.size());
+  full_flush_equivalent_.add(static_cast<std::uint64_t>(dataset_.num_vertices()) *
+                             static_cast<std::uint64_t>(std::max(0, num_layers)));
 
   stage_metrics_.observe_stage(obs::Stage::kRepartition, /*tenant=*/0,
                                seconds_between(prepare_begin, prepare_end));
@@ -138,27 +137,17 @@ std::uint64_t DeltaPublisher::epoch() const {
 }
 
 StreamStats DeltaPublisher::stats() const {
-  util::MutexLock lock(mutex_);
-  return stats_;
+  StreamStats s;
+  s.deltas_published = deltas_.value();
+  s.edges_inserted = edges_inserted_.value();
+  s.edges_deleted = edges_deleted_.value();
+  s.features_updated = features_updated_.value();
+  s.dirty_entries = dirty_entries_.value();
+  s.full_flush_equivalent = full_flush_equivalent_.value();
+  return s;
 }
 
-void DeltaPublisher::scrape(obs::MetricsSnapshot& out) const {
-  metrics_.scrape(out);
-  StreamStats s;
-  {
-    util::MutexLock lock(mutex_);
-    s = stats_;
-  }
-  out.add_counter("distgnn_stream_deltas_total", {}, static_cast<double>(s.deltas_published));
-  out.add_counter("distgnn_stream_edges_inserted_total", {},
-                  static_cast<double>(s.edges_inserted));
-  out.add_counter("distgnn_stream_edges_deleted_total", {}, static_cast<double>(s.edges_deleted));
-  out.add_counter("distgnn_stream_features_updated_total", {},
-                  static_cast<double>(s.features_updated));
-  out.add_counter("distgnn_stream_dirty_entries_total", {}, static_cast<double>(s.dirty_entries));
-  out.add_counter("distgnn_stream_full_flush_equivalent_total", {},
-                  static_cast<double>(s.full_flush_equivalent));
-}
+void DeltaPublisher::scrape(obs::MetricsSnapshot& out) const { metrics_.scrape(out); }
 
 void DeltaPublisher::collect_traces(std::vector<obs::Trace>& out) const {
   trace_sink_.collect(out);

@@ -50,6 +50,7 @@ struct StreamConfig {
   bool update_partition = true;
 };
 
+/// Typed view of the publisher's distgnn_stream_* counters.
 struct StreamStats {
   std::uint64_t deltas_published = 0;
   std::uint64_t edges_inserted = 0;
@@ -80,7 +81,8 @@ class DeltaPublisher : public obs::ScrapeSource {
   std::uint64_t epoch() const;
   StreamStats stats() const;
 
-  /// ScrapeSource: the stream-layer stage histograms + delta counters.
+  /// ScrapeSource: the stream-layer stage histograms + delta counters, all
+  /// from the publisher's registry.
   void scrape(obs::MetricsSnapshot& out) const override;
   /// Per-delta publication traces: repartition/apply/invalidate spans on the
   /// kStreamTrack tenant (request_id = epoch), so render_chrome_trace lays
@@ -105,10 +107,16 @@ class DeltaPublisher : public obs::ScrapeSource {
   util::Mutex publish_mutex_ ACQUIRED_BEFORE(mutex_);
   mutable util::Mutex mutex_;
   std::uint64_t epoch_ GUARDED_BY(mutex_) = 0;
-  StreamStats stats_ GUARDED_BY(mutex_);
 
   obs::MetricsRegistry metrics_;
   obs::StageMetrics stage_metrics_{metrics_, "stream"};
+  obs::Counter& deltas_{metrics_.counter("distgnn_stream_deltas_total")};
+  obs::Counter& edges_inserted_{metrics_.counter("distgnn_stream_edges_inserted_total")};
+  obs::Counter& edges_deleted_{metrics_.counter("distgnn_stream_edges_deleted_total")};
+  obs::Counter& features_updated_{metrics_.counter("distgnn_stream_features_updated_total")};
+  obs::Counter& dirty_entries_{metrics_.counter("distgnn_stream_dirty_entries_total")};
+  obs::Counter& full_flush_equivalent_{
+      metrics_.counter("distgnn_stream_full_flush_equivalent_total")};
   obs::TraceSink trace_sink_{/*ring_capacity=*/64, /*top_k=*/8};
 };
 

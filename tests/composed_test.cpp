@@ -153,6 +153,38 @@ TEST(ShardedServer, PrefetchRingDepthsAreBitwiseIdentical) {
   EXPECT_GT(halo3, 0u);
 }
 
+TEST(ShardedServer, CountersAccumulateAcrossRestarts) {
+  const Dataset dataset = make_composed_dataset();
+  const auto snapshot = ModelSnapshot::random(sage_spec(dataset), /*seed=*/77, /*version=*/3);
+  const EdgePartition partition = partition_libra(dataset.graph.coo(), /*num_parts=*/2);
+  ShardedServeConfig cfg;
+  cfg.max_batch = 4;
+  cfg.fanouts = {5, 5};
+  cfg.cache_bytes = 1;  // a near-empty halo cache: every run fetches rows
+  ShardedServer server(dataset, partition, cfg);
+  server.publish(snapshot);
+
+  // A long first run, then a short second one after a restart: the rank
+  // loops and their halo fetchers are rebuilt, the books are not.
+  const std::vector<vid_t> first = probe_vertices(dataset, 40, 37);
+  const std::vector<vid_t> second = probe_vertices(dataset, 4, 11);
+  const auto run = [&](const std::vector<vid_t>& vertices) {
+    server.start();
+    for (const vid_t v : vertices) (void)server.infer_sync(v);
+    server.drain();
+    const BackendStats stats = server.stats();
+    server.stop();
+    return stats;
+  };
+  const BackendStats after_first = run(first);
+  const BackendStats after_second = run(second);
+
+  EXPECT_EQ(after_first.completed, first.size());
+  EXPECT_EQ(after_second.completed, first.size() + second.size());
+  EXPECT_GT(after_first.halo_rows_fetched, 0u);
+  EXPECT_GT(after_second.halo_rows_fetched, after_first.halo_rows_fetched);
+}
+
 TEST(ShardedServer, RejectsInvalidConfigAndLifecycleMisuse) {
   const Dataset dataset = make_composed_dataset();
   const EdgePartition partition = partition_libra(dataset.graph.coo(), 2);
@@ -311,6 +343,43 @@ TEST(ComposedTier, StatsAggregateAcrossTheGrid) {
   ASSERT_EQ(stats.children[0].children.size(), 2u); // ranks within a replica
   EXPECT_EQ(stats.children[0].completed + stats.children[1].completed, vertices.size());
   EXPECT_EQ(tier.concurrency(), 4);  // R x P serving loops
+}
+
+TEST(ComposedTier, RejectedIsTheRoutersShedInBothModes) {
+  const Dataset dataset = make_composed_dataset();
+  const auto snapshot = ModelSnapshot::random(sage_spec(dataset), /*seed=*/31, /*version=*/1);
+  const EdgePartition partition = partition_libra(dataset.graph.coo(), 2);
+  const std::vector<vid_t> vertices = probe_vertices(dataset, 64, 13);
+  for (const bool tenant_mode : {false, true}) {
+    SCOPED_TRACE(tenant_mode ? "tenant mode" : "legacy mode");
+    ComposedConfig cfg;
+    cfg.replicas = 2;
+    cfg.shard.max_batch = 4;
+    cfg.shard.fanouts = {5, 5};
+    if (tenant_mode) {
+      // One staged request per lane and one in flight: the batch mostly
+      // sheds at the Router's stage, before any leaf queue sees it.
+      TenantSlo slo;
+      slo.name = "only";
+      slo.stage_capacity = 1;
+      cfg.admission.tenants = {slo};
+      cfg.admission.dispatch_window = 1;
+    } else {
+      cfg.shard.queue_capacity = 1;  // leaf bounces, shed by the Router as queue_full
+    }
+    ComposedTier tier(dataset, partition, cfg);
+    tier.publish(snapshot);
+    tier.start();
+    (void)tier.infer_batch(vertices);
+    tier.drain();
+    const BackendStats stats = tier.stats();
+    const RouterStats routed = tier.router().stats();
+    tier.stop();
+
+    if (tenant_mode) EXPECT_GT(routed.shed(), 0u);
+    EXPECT_EQ(stats.rejected, routed.shed());
+    EXPECT_EQ(stats.completed + stats.rejected, vertices.size());
+  }
 }
 
 // --------------------------------------------- heterogeneous backend mixes

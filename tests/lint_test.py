@@ -65,6 +65,12 @@ class LintFixtureTest(unittest.TestCase):
     def test_allowlisted_test_may_sleep(self):
         self.assert_clean("pass_sleep_allowlisted")
 
+    def test_control_atomics_and_registry_counters_pass(self):
+        # next_id_ / in_flight_ / outstanding_[r] / done_ranks_-> in serving
+        # and stream, a fetch_add inside the registry itself, and fetch_add
+        # text in comments and strings all lint clean.
+        self.assert_clean("pass_control_atomics")
+
     def test_serving_row_loops_and_teams_outside_serving_pass(self):
         # A serial serving loop over nn/layer_rows.hpp, a team in src/nn/,
         # and team syntax inside serving comments and strings all lint clean.
@@ -94,6 +100,15 @@ class LintFixtureTest(unittest.TestCase):
     def test_driver_include_in_serving_fails(self):
         self.assert_finding(
             "fail_driver_include_in_serving", "omp-team-in-serving", "nn/gemm.hpp"
+        )
+
+    def test_counter_outside_registry_fails(self):
+        self.assert_finding(
+            "fail_counter_outside_registry", "counter-outside-registry", "src/serve/tally.cpp:4"
+        )
+        self.assert_finding(
+            "fail_counter_outside_registry", "counter-outside-registry",
+            "src/stream/publisher.cpp:4",
         )
 
     # ------------------------------------------------------------------ real tree

@@ -433,36 +433,17 @@ TEST(ObsLatencyRecorder, FoldMergesSamples) {
 }
 
 // ---------------------------------------------------------------------------
-// Tenant-lane fold consistency
+// Tenant-lane fold consistency, asserted on one scrape: sibling replicas'
+// leaf series merge by (name, labels), so the scrape itself is the leaves'
+// fold, and the registry edge is checked against it.
 
-TEST(ObsTenantFold, SyntheticStrictAndEdgeModes) {
-  BackendStats parent;
-  BackendStats child1, child2;
-  child1.tenant_lane(0).submitted = 10;
-  child1.tenant_lane(0).completed = 9;
-  child1.tenant_lane(0).shed = 1;
-  child2.tenant_lane(0).submitted = 5;
-  child2.tenant_lane(0).completed = 5;
-  parent.children = {child1, child2};
-  parent.tenant_lane(0).submitted = 15;
-  parent.tenant_lane(0).completed = 14;
-  parent.tenant_lane(0).shed = 1;
-  EXPECT_TRUE(check_tenant_fold(parent, /*edge_authoritative=*/false).consistent);
-
-  // Edge mode tolerates parent-side sheds the children never saw...
-  parent.tenant_lane(0).submitted = 20;
-  parent.tenant_lane(0).shed = 6;
-  EXPECT_FALSE(check_tenant_fold(parent, /*edge_authoritative=*/false).consistent);
-  EXPECT_TRUE(check_tenant_fold(parent, /*edge_authoritative=*/true).consistent);
-
-  // ...but completed must match the fold exactly in both modes.
-  parent.tenant_lane(0).completed = 13;
-  const TenantFoldReport bad = check_tenant_fold(parent, /*edge_authoritative=*/true);
-  EXPECT_FALSE(bad.consistent);
-  EXPECT_FALSE(bad.detail.empty());
+double series_value(const obs::MetricsSnapshot& snap, const std::string& name,
+                    const obs::Labels& labels) {
+  const obs::MetricPoint* point = snap.find(name, labels);
+  return point == nullptr ? 0.0 : point->value;
 }
 
-TEST(ObsTenantFold, LiveReplicaGroupIsStrictlyConsistent) {
+TEST(ObsTenantFold, LiveReplicaGroupsFoldIntoTheRegistryEdge) {
   LearnableSbmParams params;
   params.num_vertices = 256;
   params.num_classes = 4;
@@ -476,24 +457,120 @@ TEST(ObsTenantFold, LiveReplicaGroupIsStrictlyConsistent) {
   spec.num_classes = dataset.num_classes;
   spec.num_layers = 2;
 
+  // Two tenants, each a 2-replica group. Small queues let leaves bounce;
+  // tenant 1's budget sheds at the edge before any leaf sees the request.
   ServeConfig cfg;
   cfg.num_workers = 1;
   cfg.max_batch = 4;
   cfg.fanouts = {4, 4};
-  ReplicaGroup group(dataset, cfg, /*replicas=*/2);
-  group.publish(ModelSnapshot::random(spec, /*seed=*/1, /*version=*/1));
-  group.start();
-  std::vector<vid_t> vertices;
-  for (vid_t v = 0; v < 40; ++v) vertices.push_back(v % 256);
-  RequestMeta meta;
-  meta.tenant = 1;
-  (void)group.infer_batch(vertices, meta);
-  group.drain();
-  BackendStats stats = group.stats();
-  group.stop();
-  const TenantFoldReport report = check_tenant_fold(stats, /*edge_authoritative=*/false);
-  EXPECT_TRUE(report.consistent) << report.detail;
-  EXPECT_EQ(stats.tenant_lane(1).completed, 40u);
+  cfg.queue_capacity = 2;
+  TenantSlo open;
+  open.name = "open";
+  TenantSlo budgeted = open;
+  budgeted.name = "budgeted";
+  budgeted.rate_limit = 1;
+  budgeted.burst = 8;
+  ModelRegistry registry;
+  for (const TenantSlo& slo : {open, budgeted}) {
+    const tenant_t t =
+        registry.add(slo, std::make_unique<ReplicaGroup>(dataset, cfg, /*replicas=*/2));
+    registry.publish(t, ModelSnapshot::random(spec, /*seed=*/1, /*version=*/1));
+  }
+  registry.start();
+  for (tenant_t t = 0; t < registry.num_models(); ++t)
+    for (vid_t v = 0; v < 40; ++v) (void)registry.submit(t, (v * 7) % 256, nullptr);
+  for (tenant_t t = 0; t < registry.num_models(); ++t) registry.backend(t).drain();
+  const obs::MetricsSnapshot snap = registry.scrape_snapshot();
+  registry.stop();
+
+  for (tenant_t t = 0; t < registry.num_models(); ++t) {
+    const obs::Labels labels{{"tenant", std::to_string(t)}};
+    const auto edge = [&](const char* what) {
+      return series_value(snap, std::string("distgnn_registry_") + what + "_total", labels);
+    };
+    const auto leaves = [&](const char* what) {
+      return series_value(snap, std::string("distgnn_server_") + what + "_total", labels);
+    };
+    EXPECT_EQ(edge("submitted"), 40.0) << "tenant " << t;
+    EXPECT_GT(edge("completed"), 0.0) << "tenant " << t;
+    // Every admitted request is answered exactly once below the edge...
+    EXPECT_EQ(edge("completed"), leaves("completed")) << "tenant " << t;
+    // ...and the edge sees everything its leaves see, plus its own sheds.
+    EXPECT_GE(edge("submitted"), leaves("submitted")) << "tenant " << t;
+    EXPECT_GE(edge("shed"), leaves("shed")) << "tenant " << t;
+    EXPECT_EQ(edge("submitted"), edge("completed") + edge("shed")) << "tenant " << t;
+  }
+  // The budget really shed at the edge only.
+  const obs::Labels tenant1{{"tenant", "1"}};
+  EXPECT_GT(series_value(snap, "distgnn_registry_shed_total", tenant1),
+            series_value(snap, "distgnn_server_shed_total", tenant1));
+}
+
+// ---------------------------------------------------------------------------
+// The health engine's stall watchdog folds every layer's _submitted_total,
+// _completed_total and _shed_total series and assumes each layer balances to
+// its in-flight count. Drained, with sheds forced at the leaves (legacy) or
+// at the Router's stage (tenant mode), the fold over one scrape is zero.
+
+TEST(ObsScrape, DrainedRegistryOverComposedTierBalances) {
+  LearnableSbmParams params;
+  params.num_vertices = 256;
+  params.num_classes = 4;
+  params.avg_degree = 8;
+  params.feature_dim = 16;
+  params.seed = 5;
+  const Dataset dataset = make_learnable_sbm(params);
+  ModelSpec spec;
+  spec.feature_dim = dataset.feature_dim();
+  spec.hidden_dim = 16;
+  spec.num_classes = dataset.num_classes;
+  spec.num_layers = 2;
+  const EdgePartition partition = partition_libra(dataset.graph.coo(), /*num_parts=*/2);
+
+  for (const bool tenant_mode : {false, true}) {
+    ComposedConfig cfg;
+    cfg.replicas = 2;
+    cfg.shard.max_batch = 4;
+    cfg.shard.fanouts = {4, 4};
+    TenantSlo slo;
+    slo.name = "tier";
+    if (tenant_mode) {
+      slo.stage_capacity = 1;
+      cfg.admission.tenants = {slo};
+      cfg.admission.dispatch_window = 1;
+    } else {
+      cfg.shard.queue_capacity = 2;
+    }
+    ModelRegistry registry;
+    const tenant_t t =
+        registry.add(slo, std::make_unique<ComposedTier>(dataset, partition, cfg));
+    registry.publish(t, ModelSnapshot::random(spec, /*seed=*/1, /*version=*/1));
+    registry.start();
+    std::vector<vid_t> vertices;
+    for (vid_t v = 0; v < 200; ++v) vertices.push_back((v * 7) % 256);
+    for (const vid_t v : vertices) (void)registry.submit(t, v, nullptr);
+    (void)registry.infer_batch(t, vertices);
+    registry.backend(t).drain();
+    const obs::MetricsSnapshot snap = registry.scrape_snapshot();
+    registry.stop();
+
+    const auto fold = [&](const std::string& suffix) {
+      double total = 0;
+      for (const obs::MetricPoint& p : snap.points)
+        if (!p.is_histogram && p.name.size() >= suffix.size() &&
+            p.name.compare(p.name.size() - suffix.size(), suffix.size(), suffix) == 0)
+          total += p.value;
+      return total;
+    };
+    const double submitted = fold("_submitted_total");
+    const double completed = fold("_completed_total");
+    const double shed = fold("_shed_total");
+    SCOPED_TRACE(tenant_mode ? "tenant mode" : "legacy mode");
+    EXPECT_GT(shed, 0.0);
+    EXPECT_GT(completed, 0.0);
+    EXPECT_EQ(submitted - completed - shed, 0.0)
+        << submitted << " - " << completed << " - " << shed;
+  }
 }
 
 // ---------------------------------------------------------------------------

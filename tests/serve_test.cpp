@@ -360,7 +360,8 @@ TEST(InferenceServer, MicroBatchedResultsEqualPerRequestResults) {
   while (remaining.load() > 0) std::this_thread::yield();
   batched.stop();
 
-  EXPECT_GT(batched.stats().max_batch_seen, 1u);
+  // Some batch held more than one request.
+  EXPECT_LT(batched.stats().batches, batched.stats().batched_requests);
   EXPECT_LT(batched.stats().batches, vertices.size());
   for (std::size_t i = 0; i < vertices.size(); ++i)
     EXPECT_EQ(got[i], expected[i]) << "vertex " << vertices[i];

@@ -2,7 +2,7 @@
 """Repo-invariant concurrency lint (see README "Concurrency correctness").
 
 Pure-Python (stdlib only, no libclang) so it runs anywhere the repo builds.
-Five rules, each with an explicit allowlist or scope kept in this file so a
+Six rules, each with an explicit allowlist or scope kept in this file so a
 reviewer can see every exemption in one place:
 
   raw-primitive   No raw std::mutex / std::shared_mutex / std::condition_variable
@@ -40,6 +40,15 @@ reviewer can see every exemption in one place:
                   run concurrently; a team per worker would oversubscribe the
                   host. Serving reaches the layer arithmetic through the
                   team-free row functions in nn/layer_rows.hpp.
+
+  counter-outside-registry
+                  Under src/serve/ and src/stream/, fetch_add / fetch_sub only
+                  on the control atomics in CONTROL_ATOMIC_ALLOWLIST: request
+                  ids, the in-flight and outstanding tallies that drain and
+                  route, the routing cursors, and the rank-exit rendezvous.
+                  A value that only counts belongs in the tier's
+                  obs::MetricsRegistry, the one book stats() and scrape()
+                  read; a second book drifts from the first.
 
 Exit status: 0 clean, 1 findings, 2 usage error. Each finding prints
 `path:line: [rule] message` so editors and CI annotate it directly.
@@ -79,7 +88,6 @@ RELAXED_ORDER_ALLOWLIST = {
     "src/obs/metrics.hpp",
     "src/obs/trace.cpp",
     "src/serve/inference_server.cpp",
-    "src/serve/model_registry.cpp",
     "src/serve/replica_group.cpp",
     "src/serve/router.cpp",
     "src/serve/sharded_server.cpp",
@@ -124,6 +132,23 @@ TEAM_DRIVER_HEADERS = {
     "nn/gat_inference.hpp",
     "kernels/aggregate.hpp",
 }
+
+# counter-outside-registry: the subtrees whose counters live in a
+# MetricsRegistry, and the atomics there that control or synchronise rather
+# than count.
+REGISTRY_COUNTER_PREFIXES = ("src/serve/", "src/stream/")
+CONTROL_ATOMIC_ALLOWLIST = {
+    "next_id_",      # request ids
+    "in_flight_",    # drain() signal: admitted, not yet replied
+    "outstanding_",  # Router: per-replica admitted, not yet completed
+    "rr_next_",      # round-robin cursor
+    "p2c_draws_",    # power-of-two-choices draw stream
+    "done_ranks_",   # ShardedServer rank-exit rendezvous
+}
+FETCH_RMW_RE = re.compile(r"\bfetch_(?:add|sub)\s*\(")
+# The atomic a fetch_* call applies to: `name_.`, `name_->` or `name_[i].`
+# right before the call.
+RMW_TARGET_RE = re.compile(r"(\w+)\s*(?:\[[^\[\]]*\])?\s*(?:\.|->)\s*$")
 
 # --------------------------------------------------------------------------- lexing
 
@@ -290,6 +315,23 @@ def check_omp_team_in_serving(rel: str, code: str, raw: str, findings: list[str]
             )
 
 
+def check_counter_outside_registry(rel: str, code: str, findings: list[str]) -> None:
+    if not rel.startswith(REGISTRY_COUNTER_PREFIXES):
+        return
+    for lineno, line in enumerate(code.splitlines(), start=1):
+        for call in FETCH_RMW_RE.finditer(line):
+            target = RMW_TARGET_RE.search(line[: call.start()])
+            name = target.group(1) if target else "?"
+            if name in CONTROL_ATOMIC_ALLOWLIST:
+                continue
+            findings.append(
+                f"{rel}:{lineno}: [counter-outside-registry] fetch_add/fetch_sub on "
+                f"`{name}`, which is not a control atomic; count it with an "
+                f"obs::MetricsRegistry handle, or add it to CONTROL_ATOMIC_ALLOWLIST in "
+                f"tools/lint_concurrency.py if it drains, routes or synchronises"
+            )
+
+
 # --------------------------------------------------------------------------- driver
 
 
@@ -303,6 +345,7 @@ def lint_file(root: Path, path: Path) -> list[str]:
     check_callback_under_lock(rel, code, findings)
     check_sleep_in_test(rel, code, findings)
     check_omp_team_in_serving(rel, code, raw, findings)
+    check_counter_outside_registry(rel, code, findings)
     return findings
 
 
