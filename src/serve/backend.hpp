@@ -1,11 +1,9 @@
 // The unified serving contract every tier implements.
 //
-// The serving stack grew three entry points with three incompatible APIs:
-// InferenceServer::submit, ReplicaGroup + Router::infer_batch, and the
-// serve_sharded free-function driver. ServingBackend is the one polymorphic
-// contract behind all of them — submit with deadline/priority metadata,
-// batch inference, snapshot publication, queue-depth introspection, drain —
-// so read scaling (replication) and memory scaling (sharding) compose: a
+// ServingBackend is the one polymorphic contract behind every tier — submit
+// with deadline/priority metadata, batch inference, snapshot publication,
+// queue-depth introspection, drain — so read scaling (replication) and
+// memory scaling (sharding) compose: a
 // Router can front any mix of backends, a ReplicaGroup can replicate
 // ShardedServers, and admission control / traffic generation / the embedding
 // cache apply uniformly to every tier.
@@ -49,6 +47,10 @@ struct TenantCounters {
     return submitted == 0 ? 0.0 : static_cast<double>(shed) / static_cast<double>(submitted);
   }
 };
+
+/// Find-or-insert the lane for `tenant` (lanes keep insertion order — tiers
+/// register tenants in first-seen order, which is id order in practice).
+TenantCounters& tenant_lane(std::vector<TenantCounters>& lanes, tenant_t tenant);
 
 /// One stats snapshot shape for every tier: a typed view that stats() builds
 /// by reading the tier's MetricsRegistry handles (nothing is counted here).
@@ -103,15 +105,6 @@ struct BackendStats {
     return batches == 0 ? 0.0 : halo_wait_seconds / static_cast<double>(batches);
   }
 
-  /// Find-or-insert the lane for `tenant` (lanes stay sorted by insertion —
-  /// registries insert in id order, so index == id in practice).
-  TenantCounters& tenant_lane(tenant_t tenant) {
-    for (TenantCounters& lane : tenants)
-      if (lane.tenant == tenant) return lane;
-    tenants.push_back(TenantCounters{tenant, 0, 0, 0});
-    return tenants.back();
-  }
-
   /// Folds a member's counters into this snapshot and records it as a child.
   /// `publishes` is deliberately not summed — composite backends publish as
   /// one group operation and report their own count.
@@ -130,7 +123,7 @@ struct BackendStats {
     embed_cache += child.embed_cache;
     latency += child.latency;
     for (const TenantCounters& lane : child.tenants) {
-      TenantCounters& mine = tenant_lane(lane.tenant);
+      TenantCounters& mine = tenant_lane(tenants, lane.tenant);
       mine.submitted += lane.submitted;
       mine.completed += lane.completed;
       mine.shed += lane.shed;
@@ -157,10 +150,31 @@ struct BatchCounters {
   obs::Counter& service_ns;
 };
 
+/// Per-tenant lanes out of three tenant-keyed counter families (a leaf's
+/// StageMetrics, the Router's tenant books).
+void read_tenant_lanes(const obs::CounterFamily& submitted, const obs::CounterFamily& completed,
+                       const obs::CounterFamily& shed, std::vector<TenantCounters>& lanes);
+
 /// A leaf's per-tenant view of its StageMetrics: tenant lanes, `rejected`
 /// (a leaf sheds only by bouncing off its bounded queue, so that is the sum
 /// of its shed counters) and the end-to-end latency fold.
 void read_stage_metrics(const obs::StageMetrics& metrics, BackendStats& s);
+
+/// Submits entry i of a batch, handing `done` to the tier; false = refused.
+using SubmitAt = std::function<bool(std::size_t, std::function<void(InferResult&&)>)>;
+
+/// The one blocking wait behind every infer_batch and infer_sync: calls
+/// `submit(i, done)` for each i < n, then waits until every admitted entry's
+/// `done` has run. Refused entries, and InferResult::shed answers, stay nullopt.
+std::vector<std::optional<InferResult>> collect_batch(std::size_t n, const SubmitAt& submit);
+
+/// The closed-loop retry behind every infer_sync: resubmits while the tier
+/// refuses and `accepting()` holds (backpressure, not an error), throws
+/// std::runtime_error once it stops accepting, and returns the answer, whose
+/// latency counts from the first attempt. Each refused attempt is booked by
+/// the tier as a submit and a shed.
+InferResult infer_until_admitted(const std::function<bool(std::function<void(InferResult&&)>)>& submit,
+                                 const std::function<bool()>& accepting);
 
 /// Sideband a DeltaPublisher hands to apply_graph_update so each tier can
 /// invalidate precisely. `epoch` is the graph epoch after the apply (folded
@@ -223,16 +237,17 @@ class ServingBackend : public obs::ScrapeSource {
     return infer_batch(vertices, RequestMeta{});
   }
 
-  /// Blocking convenience wrapper for closed-loop clients and tests. The
-  /// default retries while the backend is accepting() (closed-loop callers
-  /// want backpressure, not an error) and throws std::runtime_error once it
-  /// stops — a rejection from a stopped backend would otherwise retry
-  /// forever.
-  virtual InferResult infer_sync(vid_t vertex);
+  /// Blocking convenience wrapper for closed-loop clients and tests, over
+  /// the virtual submit(): retries while the backend is accepting()
+  /// (closed-loop callers want backpressure, not an error) and throws
+  /// std::runtime_error once it stops — a rejection from a stopped backend
+  /// would otherwise retry forever.
+  InferResult infer_sync(vid_t vertex);
 
-  /// Whether submissions can currently be admitted (start()ed and not
-  /// stop()ped). The default is true; backends with a real stopped state
-  /// override so blocking callers fail instead of spinning.
+  /// Whether submissions can currently be admitted (start()ed, not
+  /// stop()ped, and with queue room to admit anything at all). The default
+  /// is true; backends with a real stopped state override so blocking
+  /// callers fail instead of spinning.
   virtual bool accepting() const { return true; }
 
   /// Requests currently waiting (excludes in-service batches) — the signal

@@ -34,14 +34,12 @@ std::vector<std::optional<InferResult>> ComposedTier::infer_batch(
 BackendStats ComposedTier::stats() const {
   BackendStats s = group_.stats();
   // Every loss in the tier passes through the Router: its sheds are the
-  // tier's rejections. A leaf bounce is one of them in legacy mode, and in
-  // tenant mode it is re-parked and served later, so it is no loss at all.
-  // In tenant mode the Router's per-tenant lanes are the authoritative
-  // accounting (the backends only ever see admitted traffic), so they
-  // replace the leaves' view rather than merging with it.
-  const RouterStats routed = router_.stats();
+  // tier's rejections, and its per-tenant lanes the authoritative accounting
+  // (a leaf bounce of a staged request is re-parked and served later, so the
+  // leaves' lanes would count it twice), replacing the leaves' view.
+  RouterStats routed = router_.stats();
   s.rejected = routed.shed();
-  if (!routed.tenants.empty()) s.tenants = routed.tenants;
+  s.tenants = std::move(routed.tenants);
   return s;
 }
 

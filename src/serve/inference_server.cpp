@@ -1,7 +1,6 @@
 #include "serve/inference_server.hpp"
 
 #include <chrono>
-#include <future>
 #include <stdexcept>
 #include <thread>
 
@@ -88,13 +87,12 @@ void InferenceServer::stop() {
   running_.store(false, std::memory_order_release);
 }
 
-bool InferenceServer::submit(vid_t vertex, const RequestMeta& meta,
-                             std::function<void(InferResult&&)> done) {
-  if (vertex < 0 || vertex >= num_vertices_)
-    throw std::out_of_range("InferenceServer: vertex id out of range");
+bool admit_request(BoundedRequestQueue& queue, std::uint64_t id, vid_t vertex,
+                   const RequestMeta& meta, std::function<void(InferResult&&)> done,
+                   double trace_sample_rate, obs::StageMetrics& metrics) {
   const auto enqueue = ServeClock::now();
   InferRequest request;
-  request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  request.id = id;
   request.vertex = vertex;
   request.enqueue = enqueue;
   request.deadline = meta.deadline;
@@ -102,63 +100,40 @@ bool InferenceServer::submit(vid_t vertex, const RequestMeta& meta,
   request.tenant = meta.tenant;
   request.done = std::move(done);
   // Trace stamping happens entirely before the push — the request is moved
-  // into the queue, and a post-push write would race the popping worker.
+  // into the queue, and a post-push write would race the popping thread.
   if (meta.trace) {
     request.trace = meta.trace;
-  } else if (config_.trace_sample_rate > 0 &&
-             obs::trace_sampled(request.id, meta.tenant, config_.trace_sample_rate)) {
-    request.trace = std::make_shared<obs::TraceContext>(
-        request.id, meta.tenant, static_cast<std::int64_t>(vertex), enqueue);
+  } else if (trace_sample_rate > 0 && obs::trace_sampled(id, meta.tenant, trace_sample_rate)) {
+    request.trace = std::make_shared<obs::TraceContext>(id, meta.tenant,
+                                                        static_cast<std::int64_t>(vertex), enqueue);
   }
   const auto pre_push = ServeClock::now();
   if (request.trace) {
     request.trace->set_stage(obs::Stage::kAdmit, enqueue, pre_push);
     request.trace->begin_stage(obs::Stage::kQueue, pre_push);
   }
-  // In-flight is raised before the push so a drain() that starts after this
-  // submit returns can never miss the request (the rejection path undoes it).
-  in_flight_.fetch_add(1, std::memory_order_release);
-  stage_metrics_.submitted.with(meta.tenant).add();
-  if (queue_.try_push(std::move(request))) {
-    stage_metrics_.observe_stage(obs::Stage::kAdmit, meta.tenant,
-                                 std::chrono::duration<double>(pre_push - enqueue).count());
+  metrics.submitted.with(meta.tenant).add();
+  if (queue.try_push(std::move(request))) {
+    metrics.observe_stage(obs::Stage::kAdmit, meta.tenant,
+                          std::chrono::duration<double>(pre_push - enqueue).count());
     return true;
   }
-  in_flight_.fetch_sub(1, std::memory_order_release);
-  stage_metrics_.shed.with(meta.tenant).add();
+  metrics.shed.with(meta.tenant).add();
   return false;
 }
 
-InferResult InferenceServer::infer_sync(vid_t vertex) {
-  std::promise<InferResult> promise;
-  auto future = promise.get_future();
-  const auto enqueue = ServeClock::now();
-  InferRequest request;
-  request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  request.vertex = vertex;
-  request.enqueue = enqueue;
-  request.done = [&promise](InferResult&& r) { promise.set_value(std::move(r)); };
-  // Closed-loop requests trace like submitted ones (stamped pre-push; the
-  // blocking push orders the hand-off the same way try_push does).
-  if (config_.trace_sample_rate > 0 &&
-      obs::trace_sampled(request.id, kDefaultTenant, config_.trace_sample_rate)) {
-    request.trace = std::make_shared<obs::TraceContext>(
-        request.id, kDefaultTenant, static_cast<std::int64_t>(vertex), enqueue);
-  }
-  const auto pre_push = ServeClock::now();
-  if (request.trace) {
-    request.trace->set_stage(obs::Stage::kAdmit, enqueue, pre_push);
-    request.trace->begin_stage(obs::Stage::kQueue, pre_push);
-  }
+bool InferenceServer::submit(vid_t vertex, const RequestMeta& meta,
+                             std::function<void(InferResult&&)> done) {
+  if (vertex < 0 || vertex >= num_vertices_)
+    throw std::out_of_range("InferenceServer: vertex id out of range");
+  // In-flight is raised before the push so a drain() that starts after this
+  // submit returns can never miss the request (a bounce undoes it).
   in_flight_.fetch_add(1, std::memory_order_release);
-  if (!queue_.push(std::move(request))) {
-    in_flight_.fetch_sub(1, std::memory_order_release);
-    throw std::runtime_error("InferenceServer: infer_sync on a stopped server");
-  }
-  stage_metrics_.submitted.with(kDefaultTenant).add();
-  stage_metrics_.observe_stage(obs::Stage::kAdmit, kDefaultTenant,
-                               std::chrono::duration<double>(pre_push - enqueue).count());
-  return future.get();
+  if (admit_request(queue_, next_id_.fetch_add(1, std::memory_order_relaxed), vertex, meta,
+                    std::move(done), config_.trace_sample_rate, stage_metrics_))
+    return true;
+  in_flight_.fetch_sub(1, std::memory_order_release);
+  return false;
 }
 
 void InferenceServer::drain() {

@@ -33,8 +33,7 @@ namespace distgnn::serve {
 
 /// Single-process server config: the shared tier knobs (batching, fanouts,
 /// caches, sampling seed, embed mode — see serve/tier_config.hpp) plus the
-/// worker-pool width. Field names are unchanged from the pre-TierConfig
-/// struct, so existing initialization code is untouched.
+/// worker-pool width.
 struct ServeConfig : TierConfig {
   int num_workers = 2;
 };
@@ -71,16 +70,15 @@ class InferenceServer : public ServingBackend {
   /// per-tenant stats lanes.
   bool submit(vid_t vertex, const RequestMeta& meta,
               std::function<void(InferResult&&)> done) override;
-  /// Blocking convenience wrapper for closed-loop clients and tests; blocks
-  /// on the bounded queue (backpressure) and throws on a stopped server.
-  InferResult infer_sync(vid_t vertex) override;
 
   /// Requests currently waiting in the bounded queue (excludes in-service
   /// batches); the signal power-of-two-choices routing compares.
   std::size_t queue_depth() const override { return queue_.size(); }
   /// Blocks until every admitted request has completed.
   void drain() override;
-  bool accepting() const override { return running_.load(std::memory_order_acquire); }
+  bool accepting() const override {
+    return config_.queue_capacity > 0 && running_.load(std::memory_order_acquire);
+  }
   /// Amortized per-request service time observed so far (0 until the first
   /// batch completes).
   double mean_service_seconds() const override;
@@ -159,6 +157,14 @@ class InferenceServer : public ServingBackend {
   /// signal. Raised before the queue push, lowered after the callbacks.
   std::atomic<std::uint64_t> in_flight_{0};
 };
+
+/// Builds and trace-stamps request `id` and offers it to `queue`: the one
+/// admission path of InferenceServer and ShardedServer. Books the submit
+/// and its admit stage in `metrics`; a bounce counts a shed and returns
+/// false.
+bool admit_request(BoundedRequestQueue& queue, std::uint64_t id, vid_t vertex,
+                   const RequestMeta& meta, std::function<void(InferResult&&)> done,
+                   double trace_sample_rate, obs::StageMetrics& metrics);
 
 /// Replies to every request of a finished batch and books it: per-request
 /// stage windows, trace spans, the callback, end-to-end latency and the

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/health.hpp"
 
@@ -95,7 +94,7 @@ bool ModelRegistry::submit(tenant_t tenant, vid_t vertex,
       [&e, user_done = std::move(done)](InferResult&& result) mutable {
         // Count before the user callback so a blocking caller that wakes
         // inside it observes its own completion in stats().
-        e.completed.add();
+        (result.shed ? e.shed : e.completed).add();
         if (user_done) user_done(std::move(result));
       });
   (ok ? e.admitted : e.shed).add();
@@ -103,27 +102,13 @@ bool ModelRegistry::submit(tenant_t tenant, vid_t vertex,
 }
 
 InferResult ModelRegistry::infer_sync(tenant_t tenant, vid_t vertex) {
-  util::Mutex mutex;
-  util::CondVar cv;
-  bool ready = false;
-  InferResult out;
-  for (;;) {
-    const bool ok = submit(tenant, vertex, [&](InferResult&& result) {
-      util::MutexLock lock(mutex);
-      out = std::move(result);
-      ready = true;
-      cv.notify_all();
-    });
-    if (ok) break;
-    if (!entry(tenant).backend->accepting())
-      throw std::runtime_error("ModelRegistry: backend stopped while inferring");
-    // Closed-loop backpressure: a budget shed or full queue means wait, not
-    // fail (the bucket refills continuously).
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  util::MutexLock lock(mutex);
-  while (!ready) cv.wait(lock);
-  return out;
+  // A budget shed or a full queue means wait (the bucket refills
+  // continuously); a stopped backend throws.
+  return infer_until_admitted(
+      [&](std::function<void(InferResult&&)> done) {
+        return submit(tenant, vertex, std::move(done));
+      },
+      [&] { return entry(tenant).backend->accepting(); });
 }
 
 std::vector<std::optional<InferResult>> ModelRegistry::infer_batch(

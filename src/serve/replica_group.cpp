@@ -24,58 +24,55 @@ ReplicaGroup::ReplicaGroup(const Dataset& dataset, int num_replicas,
 
 ReplicaGroup::~ReplicaGroup() { stop(); }
 
-void ReplicaGroup::publish_under_barrier(std::uint64_t version,
-                                         const std::function<void()>& swap) {
+void ReplicaGroup::under_barrier(const std::function<void()>& work,
+                                 std::optional<std::uint64_t> version) {
   util::MutexLock lock(mutex_);
-  while (publishing_) cv_.wait(lock);  // one publisher at a time
+  while (publishing_) cv_.wait(lock);  // one barrier holder at a time
   publishing_ = true;
-  // Version barrier: drain every admitted request before the swap. Replica
-  // queues are empty once outstanding_ hits zero, so after the swap every
-  // replica serves the new version and nothing in flight straddles it.
+  // Drain every admitted request first. Replica queues are empty once
+  // outstanding_ hits zero, so nothing in flight straddles the work.
   while (outstanding_ != 0) cv_.wait(lock);
-  swap();
-  version_ = version;
-  publishes_.add();
+  work();
+  if (version) {
+    version_ = *version;
+    publishes_.add();
+  }
   publishing_ = false;
   cv_.notify_all();
 }
 
 void ReplicaGroup::publish(std::shared_ptr<const ModelSnapshot> snapshot) {
   if (!snapshot) throw std::invalid_argument("ReplicaGroup: null snapshot");
-  publish_under_barrier(snapshot->version(), [&] {
-    for (auto& replica : replicas_) replica->publish(snapshot);
-  });
+  under_barrier([&] { for (auto& replica : replicas_) replica->publish(snapshot); },
+                snapshot->version());
 }
 
 void ReplicaGroup::publish_broadcast(std::shared_ptr<const ModelSnapshot> snapshot) {
   if (!snapshot) throw std::invalid_argument("ReplicaGroup: null snapshot");
   const ModelSpec spec = snapshot->spec();
-  publish_under_barrier(snapshot->version(), [&] {
-    // One broadcast rank per replica: rank 0 is the publisher, every other
-    // rank reconstructs from the flattened wire payload — the same bytes a
-    // cross-process deployment would put on the network.
-    World world(num_replicas());
-    world.run([&](Communicator& comm) {
-      const auto mine = broadcast_snapshot(
-          comm, spec, comm.rank() == 0 ? snapshot : nullptr, /*root=*/0);
-      replicas_[static_cast<std::size_t>(comm.rank())]->publish(mine);
-    });
-  });
+  under_barrier(
+      [&] {
+        // One broadcast rank per replica: rank 0 is the publisher, every
+        // other rank reconstructs from the flattened wire payload — the same
+        // bytes a cross-process deployment would put on the network.
+        World world(num_replicas());
+        world.run([&](Communicator& comm) {
+          const auto mine = broadcast_snapshot(
+              comm, spec, comm.rank() == 0 ? snapshot : nullptr, /*root=*/0);
+          replicas_[static_cast<std::size_t>(comm.rank())]->publish(mine);
+        });
+      },
+      snapshot->version());
 }
 
 void ReplicaGroup::apply_graph_update(const std::function<void()>& apply,
                                       const GraphUpdateNotice& notice) {
-  // Reuse the publish barrier (one mutator at a time, admitted traffic
-  // drained), but keep version_ untouched — graph epochs are orthogonal to
+  // The publish barrier without a version: graph epochs are orthogonal to
   // snapshot versions. Sequential delivery, replica 0 with the real apply.
-  util::MutexLock lock(mutex_);
-  while (publishing_) cv_.wait(lock);
-  publishing_ = true;
-  while (outstanding_ != 0) cv_.wait(lock);
-  for (std::size_t r = 0; r < replicas_.size(); ++r)
-    replicas_[r]->apply_graph_update(r == 0 ? apply : std::function<void()>{}, notice);
-  publishing_ = false;
-  cv_.notify_all();
+  under_barrier([&] {
+    for (std::size_t r = 0; r < replicas_.size(); ++r)
+      replicas_[r]->apply_graph_update(r == 0 ? apply : std::function<void()>{}, notice);
+  });
 }
 
 std::shared_ptr<const ModelSnapshot> ReplicaGroup::snapshot() const {
@@ -84,9 +81,18 @@ std::shared_ptr<const ModelSnapshot> ReplicaGroup::snapshot() const {
 
 void ReplicaGroup::start() {
   for (auto& replica : replicas_) replica->start();
+  util::MutexLock lock(mutex_);
+  stopped_ = false;
 }
 
 void ReplicaGroup::stop() {
+  // Close admission, then stop the replicas; each answers what it holds.
+  // Their completions pump a fronting Router's staged requests to a replica
+  // still running, or answer them as shed once none will take them.
+  {
+    util::MutexLock lock(mutex_);
+    stopped_ = true;
+  }
   for (auto& replica : replicas_) replica->stop();
 }
 
@@ -95,19 +101,15 @@ int ReplicaGroup::pick_round_robin() {
                           static_cast<std::uint64_t>(replicas_.size()));
 }
 
-bool ReplicaGroup::submit(vid_t vertex, const RequestMeta& meta,
-                          std::function<void(InferResult&&)> done) {
-  if (vertex < 0 || vertex >= num_vertices_)
-    throw std::out_of_range("ReplicaGroup: vertex id out of range");
-  begin_requests(1);
-  ServingBackend& target = replica(pick_round_robin());
+bool ReplicaGroup::place(vid_t vertex, const RequestMeta& meta,
+                         std::function<void(InferResult&&)> done) {
   bool ok = false;
   try {
-    ok = target.submit(vertex, meta,
-                       [this, user_done = std::move(done)](InferResult&& result) mutable {
-                         if (user_done) user_done(std::move(result));
-                         end_request();
-                       });
+    ok = replica(pick_round_robin())
+             .submit(vertex, meta, [this, user_done = std::move(done)](InferResult&& result) mutable {
+               if (user_done) user_done(std::move(result));
+               end_request();
+             });
   } catch (...) {
     end_request();
     throw;
@@ -116,43 +118,26 @@ bool ReplicaGroup::submit(vid_t vertex, const RequestMeta& meta,
   return ok;
 }
 
+bool ReplicaGroup::submit(vid_t vertex, const RequestMeta& meta,
+                          std::function<void(InferResult&&)> done) {
+  if (vertex < 0 || vertex >= num_vertices_)
+    throw std::out_of_range("ReplicaGroup: vertex id out of range");
+  return begin_requests(1) && place(vertex, meta, std::move(done));
+}
+
 std::vector<std::optional<InferResult>> ReplicaGroup::infer_batch(
     std::span<const vid_t> vertices, const RequestMeta& meta) {
   const std::size_t n = vertices.size();
-  std::vector<std::optional<InferResult>> results(n);
-  if (n == 0) return results;
   for (const vid_t v : vertices)
     if (v < 0 || v >= num_vertices_)
       throw std::out_of_range("ReplicaGroup: vertex id out of range");
-
   // Reserve the whole batch's admission slots atomically: a group publish
   // has to wait until every request below completes, so all admitted
   // answers come from one snapshot version.
-  begin_requests(n);
-
-  util::Mutex mutex;
-  util::CondVar cv;
-  std::size_t pending = n;
-  for (std::size_t i = 0; i < n; ++i) {
-    ServingBackend& target = replica(pick_round_robin());
-    const bool ok =
-        target.submit(vertices[i], meta, [&, i](InferResult&& result) {
-          {
-            util::MutexLock lock(mutex);
-            results[i] = std::move(result);
-            if (--pending == 0) cv.notify_all();
-          }
-          end_request();
-        });
-    if (!ok) {
-      end_request();
-      util::MutexLock lock(mutex);
-      if (--pending == 0) cv.notify_all();
-    }
-  }
-  util::MutexLock lock(mutex);
-  while (pending != 0) cv.wait(lock);
-  return results;
+  if (n == 0 || !begin_requests(n)) return std::vector<std::optional<InferResult>>(n);
+  return collect_batch(n, [&](std::size_t i, std::function<void(InferResult&&)> done) {
+    return place(vertices[i], meta, std::move(done));
+  });
 }
 
 std::size_t ReplicaGroup::queue_depth() const {
@@ -162,10 +147,20 @@ std::size_t ReplicaGroup::queue_depth() const {
 }
 
 void ReplicaGroup::drain() {
+  {
+    // Every admission slot back: nothing is staged in a Router or in flight
+    // at a replica through the group.
+    util::MutexLock lock(mutex_);
+    while (outstanding_ != 0) cv_.wait(lock);
+  }
   for (auto& replica : replicas_) replica->drain();
 }
 
 bool ReplicaGroup::accepting() const {
+  {
+    util::MutexLock lock(mutex_);
+    if (stopped_) return false;
+  }
   for (const auto& replica : replicas_)
     if (!replica->accepting()) return false;
   return true;
@@ -216,10 +211,12 @@ void ReplicaGroup::collect_traces(std::vector<obs::Trace>& out) const {
   for (const auto& replica : replicas_) replica->collect_traces(out);
 }
 
-void ReplicaGroup::begin_requests(std::size_t n) {
+bool ReplicaGroup::begin_requests(std::size_t n) {
   util::MutexLock lock(mutex_);
   while (publishing_) cv_.wait(lock);
+  if (stopped_) return false;
   outstanding_ += n;
+  return true;
 }
 
 void ReplicaGroup::end_request() {

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "comm/world.hpp"
@@ -70,6 +71,12 @@ class ReplicaGroup : public ServingBackend {
   std::shared_ptr<const ModelSnapshot> snapshot() const override;
 
   void start() override;
+  /// Closes the group's admission, then stops the replicas, which answer
+  /// what they hold. A fronting Router's staged requests are served by a
+  /// replica still running or answered as shed (InferResult::shed), so
+  /// every admitted request is answered when stop() returns, and it waits
+  /// for nothing a replica's own stop() does not. A later submit returns
+  /// false until start().
   void stop() override;
 
   using ServingBackend::submit;
@@ -95,6 +102,8 @@ class ReplicaGroup : public ServingBackend {
   std::uint64_t graph_epoch() const override { return replicas_.front()->graph_epoch(); }
 
   std::size_t queue_depth() const override;
+  /// Waits until every admission slot is released — nothing staged in a
+  /// Router, nothing in flight — then drains each replica.
   void drain() override;
   bool accepting() const override;
   double mean_service_seconds() const override;
@@ -125,18 +134,23 @@ class ReplicaGroup : public ServingBackend {
 
   /// Admission epoch gate (Router protocol). begin_requests(n) reserves n
   /// admission slots atomically, blocking while a publish barrier is in
-  /// progress — which is what pins a whole client batch to one version.
-  /// Every reserved slot must be released by exactly one end_request(),
-  /// whether the request was admitted (on completion) or shed (immediately).
-  void begin_requests(std::size_t n);
+  /// progress — which is what pins a whole client batch to one version — and
+  /// returns false, reserving nothing, once the group is stopped. Every
+  /// reserved slot must be released by exactly one end_request(), whether
+  /// the request was admitted (on completion) or shed (immediately).
+  bool begin_requests(std::size_t n);
   void end_request();
 
  private:
-  /// Runs `swap` (which must publish to every replica) under the version
-  /// barrier: one publisher at a time, all admitted traffic drained first.
-  void publish_under_barrier(std::uint64_t version,
-                             const std::function<void()>& swap);
+  /// Runs `work` under the version barrier: one holder at a time, all
+  /// admitted traffic drained first. A publish passes the `version` its
+  /// work swaps every replica to.
+  void under_barrier(const std::function<void()>& work,
+                     std::optional<std::uint64_t> version = std::nullopt);
   int pick_round_robin();
+  /// Round-robin placement of one request whose admission slot is held; the
+  /// slot is released on a bounce or after `done`.
+  bool place(vid_t vertex, const RequestMeta& meta, std::function<void(InferResult&&)> done);
 
   const Dataset& dataset_;
   /// Immutable mirror of dataset().num_vertices(): the streamed-update
@@ -149,6 +163,7 @@ class ReplicaGroup : public ServingBackend {
   util::CondVar cv_;
   std::size_t outstanding_ GUARDED_BY(mutex_) = 0;  // admission slots handed out, not yet released
   bool publishing_ GUARDED_BY(mutex_) = false;
+  bool stopped_ GUARDED_BY(mutex_) = false;  // between stop() and start()
   std::uint64_t version_ GUARDED_BY(mutex_) = 0;
   std::atomic<std::uint64_t> rr_next_{0};
 

@@ -29,6 +29,10 @@ struct InferResult {
   double latency_seconds = 0.0;        // submit -> completion
   std::uint64_t snapshot_version = 0;  // which model produced this answer
   tenant_t tenant = kDefaultTenant;    // echo of the request's tenant lane
+  /// Admitted, then shed before any replica took it (a Router's staged
+  /// request once the tier stopped under it). Carries no logits; callers
+  /// count it as shed, not completed.
+  bool shed = false;
 };
 
 struct InferRequest {
@@ -65,18 +69,6 @@ class BoundedRequestQueue {
     return true;
   }
 
-  /// Blocking admission; false only when the queue is closed.
-  bool push(InferRequest request) {
-    {
-      util::MutexLock lock(mutex_);
-      while (!closed_ && queue_.size() >= capacity_) not_full_.wait(lock);
-      if (closed_) return false;
-      queue_.push_back(std::move(request));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Pops the next micro-batch: blocks for the first request, then keeps
   /// accepting until the batch is full or `max_delay` has passed since the
   /// first pop. An empty result means the queue is closed and drained.
@@ -101,8 +93,6 @@ class BoundedRequestQueue {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
-    lock.unlock();
-    not_full_.notify_all();
     return batch;
   }
 
@@ -112,14 +102,11 @@ class BoundedRequestQueue {
   /// would stop answering peers' halo requests (distributed deadlock).
   std::vector<InferRequest> try_pop_batch(int max_batch) {
     std::vector<InferRequest> batch;
-    {
-      util::MutexLock lock(mutex_);
-      while (static_cast<int>(batch.size()) < max_batch && !queue_.empty()) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+    util::MutexLock lock(mutex_);
+    while (static_cast<int>(batch.size()) < max_batch && !queue_.empty()) {
+      batch.push_back(std::move(queue_.front()));
+      queue_.pop_front();
     }
-    if (!batch.empty()) not_full_.notify_all();
     return batch;
   }
 
@@ -130,14 +117,13 @@ class BoundedRequestQueue {
     closed_ = false;
   }
 
-  /// Wakes every waiter; pending requests are still drained by pop_batch.
+  /// Wakes every consumer; pending requests are still drained by pop_batch.
   void close() {
     {
       util::MutexLock lock(mutex_);
       closed_ = true;
     }
     not_empty_.notify_all();
-    not_full_.notify_all();
   }
 
   std::size_t size() const {
@@ -157,7 +143,7 @@ class BoundedRequestQueue {
 
  private:
   mutable util::Mutex mutex_;
-  util::CondVar not_empty_, not_full_;
+  util::CondVar not_empty_;
   std::deque<InferRequest> queue_ GUARDED_BY(mutex_);
   std::size_t capacity_;  // immutable after construction
   bool closed_ GUARDED_BY(mutex_) = false;

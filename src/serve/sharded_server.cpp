@@ -155,41 +155,16 @@ bool ShardedServer::submit(vid_t vertex, const RequestMeta& meta,
                            std::function<void(InferResult&&)> done) {
   if (vertex < 0 || vertex >= num_vertices_)
     throw std::out_of_range("ShardedServer: vertex id out of range");
-  const auto enqueue = ServeClock::now();
-  InferRequest request;
-  request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  request.vertex = vertex;
-  request.enqueue = enqueue;
-  request.deadline = meta.deadline;
-  request.priority = meta.priority;
-  request.tenant = meta.tenant;
-  request.done = std::move(done);
-  // Trace stamping happens entirely before the push (the rank thread owns
-  // the request after the pop; the queue mutex orders the hand-off).
-  if (meta.trace) {
-    request.trace = meta.trace;
-  } else if (config_.trace_sample_rate > 0 &&
-             obs::trace_sampled(request.id, meta.tenant, config_.trace_sample_rate)) {
-    request.trace = std::make_shared<obs::TraceContext>(
-        request.id, meta.tenant, static_cast<std::int64_t>(vertex), enqueue);
-  }
-  const auto pre_push = ServeClock::now();
-  if (request.trace) {
-    request.trace->set_stage(obs::Stage::kAdmit, enqueue, pre_push);
-    request.trace->begin_stage(obs::Stage::kQueue, pre_push);
-  }
+  // Owner-rank routing: the rank that owns the vertex's features serves it.
   const part_t target = owner_[static_cast<std::size_t>(vertex)];
   // In-flight is raised before the push so a drain() that starts after this
-  // submit returns can never miss the request (the rejection path undoes it).
+  // submit returns can never miss the request (a bounce undoes it).
   in_flight_.fetch_add(1, std::memory_order_release);
-  stage_metrics_.submitted.with(meta.tenant).add();
-  if (queues_[static_cast<std::size_t>(target)]->try_push(std::move(request))) {
-    stage_metrics_.observe_stage(obs::Stage::kAdmit, meta.tenant,
-                                 std::chrono::duration<double>(pre_push - enqueue).count());
+  if (admit_request(*queues_[static_cast<std::size_t>(target)],
+                    next_id_.fetch_add(1, std::memory_order_relaxed), vertex, meta,
+                    std::move(done), config_.trace_sample_rate, stage_metrics_))
     return true;
-  }
   in_flight_.fetch_sub(1, std::memory_order_release);
-  stage_metrics_.shed.with(meta.tenant).add();
   return false;
 }
 

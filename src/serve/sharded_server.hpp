@@ -62,8 +62,7 @@
 namespace distgnn::serve {
 
 /// Sharded-tier config: the shared TierConfig knobs (queue_capacity and the
-/// caches apply per rank) plus the halo prefetch ring depth. Field names are
-/// unchanged from the pre-TierConfig struct.
+/// caches apply per rank) plus the halo prefetch ring depth.
 struct ShardedServeConfig : TierConfig {
   /// In-flight halo batches per rank: 1 = synchronous fetch, 2 = the classic
   /// double buffer, d = a ring pipelining d-1 batches of fetch latency
@@ -104,7 +103,9 @@ class ShardedServer : public ServingBackend {
 
   std::size_t queue_depth() const override;
   void drain() override;
-  bool accepting() const override { return running_.load(std::memory_order_acquire); }
+  bool accepting() const override {
+    return config_.queue_capacity > 0 && running_.load(std::memory_order_acquire);
+  }
   double mean_service_seconds() const override;
   /// One serving loop per rank.
   int concurrency() const override { return num_parts_; }

@@ -352,8 +352,8 @@ std::vector<LoadReport> run_open_loop(
       meta.deadline = ServeClock::now() + std::chrono::duration_cast<ServeClock::duration>(
           std::chrono::duration<double>(stream.deadline_seconds));
     const bool accepted = submit(arrival.vertex, meta, [&, s](InferResult&& result) {
-      tallies[s].latencies.record(result.latency_seconds);
-      account(s, false);
+      if (!result.shed) tallies[s].latencies.record(result.latency_seconds);
+      account(s, result.shed);
     });
     if (!accepted) account(s, true);
   }

@@ -7,7 +7,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <deque>
+#include <functional>
+#include <future>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -345,41 +351,203 @@ TEST(ComposedTier, StatsAggregateAcrossTheGrid) {
   EXPECT_EQ(tier.concurrency(), 4);  // R x P serving loops
 }
 
-TEST(ComposedTier, RejectedIsTheRoutersShedInBothModes) {
+TEST(ComposedTier, RejectedIsTheRoutersShed) {
   const Dataset dataset = make_composed_dataset();
   const auto snapshot = ModelSnapshot::random(sage_spec(dataset), /*seed=*/31, /*version=*/1);
   const EdgePartition partition = partition_libra(dataset.graph.coo(), 2);
   const std::vector<vid_t> vertices = probe_vertices(dataset, 64, 13);
-  for (const bool tenant_mode : {false, true}) {
-    SCOPED_TRACE(tenant_mode ? "tenant mode" : "legacy mode");
+  ComposedConfig cfg;
+  cfg.replicas = 2;
+  cfg.shard.max_batch = 4;
+  cfg.shard.fanouts = {5, 5};
+  // One staged request per lane and one in flight: the batch mostly sheds
+  // at the Router's stage, before any leaf queue sees it.
+  TenantSlo slo;
+  slo.name = "only";
+  slo.stage_capacity = 1;
+  cfg.admission.tenants = {slo};
+  cfg.admission.dispatch_window = 1;
+  ComposedTier tier(dataset, partition, cfg);
+  tier.publish(snapshot);
+  tier.start();
+  (void)tier.infer_batch(vertices);
+  tier.drain();
+  const BackendStats stats = tier.stats();
+  const RouterStats routed = tier.router().stats();
+  tier.stop();
+
+  EXPECT_GT(routed.shed(), 0u);
+  EXPECT_EQ(stats.rejected, routed.shed());
+  EXPECT_EQ(stats.completed + stats.rejected, vertices.size());
+}
+
+// ------------------------------------------------- the admission contract
+//
+// A true from submit leads to exactly one done; blocking calls against a
+// backend that cannot admit return or throw; drain() and stop() wait for
+// every admitted request, including those the Router still stages. Each
+// blocking call runs under a watchdog, so a regression to an untimed wait
+// fails in seconds instead of hanging the suite.
+
+constexpr auto kWatchdog = std::chrono::seconds(30);
+
+void within_watchdog(const std::function<void()>& call) {
+  auto finished = std::async(std::launch::async, call);
+  if (finished.wait_for(kWatchdog) != std::future_status::ready) {
+    std::fprintf(stderr, "watchdog: a call was still blocked after %lld s\n",
+                 static_cast<long long>(kWatchdog.count()));
+    std::_Exit(1);  // the blocked thread cannot be joined: fail now
+  }
+  finished.get();  // rethrows the call's exception
+}
+
+ServeConfig contract_config(std::size_t queue_capacity) {
+  ServeConfig cfg;
+  cfg.num_workers = 1;
+  cfg.max_batch = 4;
+  cfg.fanouts = {5, 5};
+  cfg.queue_capacity = queue_capacity;
+  return cfg;
+}
+
+/// `lanes` configured tenants; 0 leaves the Router its one default lane.
+AdmissionConfig with_lanes(int lanes) {
+  AdmissionConfig admission;
+  for (int t = 0; t < lanes; ++t) {
+    TenantSlo slo;
+    slo.name = "lane" + std::to_string(t);
+    admission.tenants.push_back(slo);
+  }
+  return admission;
+}
+
+TEST(Router, RefusesRatherThanDropsWhenNoReplicaCanAdmit) {
+  const Dataset dataset = make_composed_dataset();
+  const auto snapshot = ModelSnapshot::random(sage_spec(dataset), /*seed=*/31, /*version=*/1);
+  for (const bool stopped : {false, true}) {
+    for (const int lanes : {0, 1, 2}) {
+      SCOPED_TRACE(std::string(stopped ? "stopped group" : "zero-capacity queues") + ", " +
+                   std::to_string(lanes) + " configured lanes");
+      ReplicaGroup group(dataset, contract_config(stopped ? 64 : 0), /*num_replicas=*/2);
+      group.publish(snapshot);
+      group.start();
+      if (stopped) group.stop();
+      Router router(group, RoutePolicy::kRoundRobin, with_lanes(lanes));
+
+      std::atomic<int> calls{0};
+      within_watchdog([&] {
+        for (tenant_t t = 0; t < std::max(lanes, 1); ++t) {
+          RequestMeta meta;
+          meta.tenant = t;
+          EXPECT_FALSE(router.submit(1, meta, [&](InferResult&&) { calls.fetch_add(1); }));
+        }
+        for (const auto& result : router.infer_batch(std::vector<vid_t>{1, 2}))
+          EXPECT_FALSE(result.has_value());
+      });
+      EXPECT_EQ(calls.load(), 0);
+      const RouterStats stats = router.stats();
+      EXPECT_EQ(stats.completed, 0u);
+      EXPECT_EQ(stats.shed(), stats.submitted);
+    }
+  }
+}
+
+TEST(Backends, ZeroCapacityOrStoppedBackendsReturnOrThrowWithinTheWatchdog) {
+  const Dataset dataset = make_composed_dataset();
+  const auto snapshot = ModelSnapshot::random(sage_spec(dataset), /*seed=*/31, /*version=*/1);
+  const EdgePartition partition = partition_libra(dataset.graph.coo(), 2);
+  const auto make = [&](const std::string& kind,
+                        std::size_t capacity) -> std::unique_ptr<ServingBackend> {
+    if (kind == "server") return std::make_unique<InferenceServer>(dataset, contract_config(capacity));
+    if (kind == "group")
+      return std::make_unique<ReplicaGroup>(dataset, contract_config(capacity), 2);
     ComposedConfig cfg;
-    cfg.replicas = 2;
     cfg.shard.max_batch = 4;
     cfg.shard.fanouts = {5, 5};
-    if (tenant_mode) {
-      // One staged request per lane and one in flight: the batch mostly
-      // sheds at the Router's stage, before any leaf queue sees it.
-      TenantSlo slo;
-      slo.name = "only";
-      slo.stage_capacity = 1;
-      cfg.admission.tenants = {slo};
-      cfg.admission.dispatch_window = 1;
-    } else {
-      cfg.shard.queue_capacity = 1;  // leaf bounces, shed by the Router as queue_full
-    }
-    ComposedTier tier(dataset, partition, cfg);
-    tier.publish(snapshot);
-    tier.start();
-    (void)tier.infer_batch(vertices);
-    tier.drain();
-    const BackendStats stats = tier.stats();
-    const RouterStats routed = tier.router().stats();
-    tier.stop();
+    cfg.shard.queue_capacity = capacity;
+    return std::make_unique<ComposedTier>(dataset, partition, cfg);
+  };
+  for (const char* kind : {"server", "group", "tier"}) {
+    for (const bool stopped : {false, true}) {
+      SCOPED_TRACE(std::string(kind) + (stopped ? ", stopped" : ", zero capacity"));
+      const auto backend = make(kind, stopped ? 64 : 0);
+      backend->publish(snapshot);
+      backend->start();
+      if (stopped) backend->stop();
 
-    if (tenant_mode) EXPECT_GT(routed.shed(), 0u);
-    EXPECT_EQ(stats.rejected, routed.shed());
-    EXPECT_EQ(stats.completed + stats.rejected, vertices.size());
+      std::atomic<int> calls{0};
+      within_watchdog([&] {
+        EXPECT_FALSE(backend->submit(3, [&](InferResult&&) { calls.fetch_add(1); }));
+        for (const auto& result : backend->infer_batch(std::vector<vid_t>{3, 4}))
+          EXPECT_FALSE(result.has_value());
+        EXPECT_THROW(backend->infer_sync(3), std::runtime_error);
+        backend->drain();
+      });
+      EXPECT_EQ(calls.load(), 0);
+    }
   }
+}
+
+ComposedConfig one_in_flight() {
+  ComposedConfig cfg;
+  cfg.shard.max_batch = 4;
+  cfg.shard.fanouts = {5, 5};
+  cfg.admission.dispatch_window = 1;  // everything past the first request stages
+  return cfg;
+}
+
+TEST(ComposedTier, DrainWaitsForRequestsStagedInTheRouter) {
+  const Dataset dataset = make_composed_dataset();
+  const EdgePartition partition = partition_libra(dataset.graph.coo(), 2);
+  ComposedTier tier(dataset, partition, one_in_flight());
+  tier.publish(ModelSnapshot::random(sage_spec(dataset), /*seed=*/31, /*version=*/1));
+  tier.start();
+
+  std::atomic<int> answered{0};
+  int admitted = 0;
+  for (int i = 0; i < 400; ++i)
+    admitted += tier.submit(static_cast<vid_t>(i % dataset.num_vertices()),
+                            [&](InferResult&&) { answered.fetch_add(1); });
+  within_watchdog([&] { tier.drain(); });
+  EXPECT_EQ(admitted, 400);  // the default lane stages up to 1024
+  EXPECT_EQ(answered.load(), admitted);
+  tier.stop();
+}
+
+TEST(ComposedTier, StopAnswersEveryStagedRequestExactlyOnce) {
+  const Dataset dataset = make_composed_dataset();
+  const EdgePartition partition = partition_libra(dataset.graph.coo(), 2);
+  ComposedTier tier(dataset, partition, one_in_flight());
+  tier.publish(ModelSnapshot::random(sage_spec(dataset), /*seed=*/31, /*version=*/1));
+  tier.start();
+
+  constexpr int kRequests = 200;
+  std::vector<std::atomic<int>> calls(kRequests);
+  std::vector<bool> admitted(kRequests);
+  std::atomic<int> served{0}, shed{0};
+  for (int i = 0; i < kRequests; ++i) {
+    admitted[static_cast<std::size_t>(i)] = tier.submit(
+        static_cast<vid_t>(i % dataset.num_vertices()),
+        [&, i](InferResult&& result) {
+          // Served by a replica still running, or shed once none would take it.
+          EXPECT_NE(result.logits.empty(), !result.shed);
+          (result.shed ? shed : served).fetch_add(1);
+          calls[static_cast<std::size_t>(i)].fetch_add(1);
+        });
+  }
+  within_watchdog([&] { tier.stop(); });
+  for (int i = 0; i < kRequests; ++i)
+    EXPECT_EQ(calls[static_cast<std::size_t>(i)].load(), admitted[static_cast<std::size_t>(i)] ? 1 : 0)
+        << "request " << i;
+  const RouterStats routed = tier.router().stats();
+  EXPECT_GT(served.load(), 0);
+  EXPECT_EQ(routed.completed, static_cast<std::uint64_t>(served.load()));
+  EXPECT_EQ(routed.shed(), routed.submitted - routed.completed);
+
+  within_watchdog([&] {
+    EXPECT_FALSE(tier.submit(1, [](InferResult&&) { FAIL() << "answered after stop"; }));
+    EXPECT_THROW(tier.infer_sync(1), std::runtime_error);
+  });
 }
 
 // --------------------------------------------- heterogeneous backend mixes
@@ -500,6 +668,34 @@ class FakeBackend : public ServingBackend {
   std::atomic<std::uint64_t> completed_{0};
 };
 
+TEST(Backends, InferSyncLatencyCountsFromTheFirstRefusedAttempt) {
+  // Refuses its first three submits, then serves with a zero leaf latency:
+  // the whole reported latency is the retries' wait.
+  class RefusesFirst : public FakeBackend {
+   public:
+    using FakeBackend::FakeBackend;
+    using ServingBackend::submit;
+    bool submit(vid_t vertex, const RequestMeta& meta,
+                std::function<void(InferResult&&)> done) override {
+      if (refusals_.fetch_add(1) < 3) return false;
+      return FakeBackend::submit(vertex, meta, std::move(done));
+    }
+
+   private:
+    std::atomic<int> refusals_{0};
+  };
+  const Dataset dataset = make_composed_dataset();
+  RefusesFirst backend(dataset, std::chrono::microseconds(0));
+  backend.start();
+  const auto begin = ServeClock::now();
+  const InferResult result = backend.infer_sync(1);
+  const double elapsed = std::chrono::duration<double>(ServeClock::now() - begin).count();
+  backend.stop();
+  EXPECT_EQ(result.logits, std::vector<real_t>{1.0f});
+  EXPECT_GE(result.latency_seconds, 3 * 50e-6);  // three backoffs of >= 50 us
+  EXPECT_LE(result.latency_seconds, elapsed);
+}
+
 TEST(Router, PowerOfTwoAvoidsTheSlowBackendInAHeterogeneousMix) {
   const Dataset dataset = make_composed_dataset();
   // Replica 1 is paused — its queue only ever grows — while the submitter
@@ -536,6 +732,84 @@ TEST(Router, PowerOfTwoAvoidsTheSlowBackendInAHeterogeneousMix) {
             static_cast<std::uint64_t>(total));
   // Not a 50/50 split: the fast backend must carry a clear majority.
   EXPECT_GT(stats.admitted_per_replica[0], 2 * stats.admitted_per_replica[1]);
+}
+
+TEST(Router, AnswersStagedRequestsNoReplicaWillTakeAnyMore) {
+  const Dataset dataset = make_composed_dataset();
+  FakeBackend* member = nullptr;
+  ReplicaGroup group(dataset, /*num_replicas=*/1, [&](int) {
+    auto backend = std::make_unique<FakeBackend>(dataset, std::chrono::microseconds(100));
+    member = backend.get();
+    return backend;
+  });
+  group.publish(ModelSnapshot::random(sage_spec(dataset), 1, 1));
+  group.start();
+  member->set_paused(true);
+  AdmissionConfig admission;
+  admission.dispatch_window = 1;
+  Router router(group, RoutePolicy::kRoundRobin, admission);
+
+  // Request 0 goes to the paused member; 1 and 2 stage behind it. Stopping
+  // the member directly (not through the group) answers 0, and its
+  // completion finds nothing in flight and a member that refuses.
+  std::vector<std::atomic<int>> calls(3);
+  std::vector<bool> shed(3, false);
+  for (int i = 0; i < 3; ++i)
+    ASSERT_TRUE(router.submit(static_cast<vid_t>(i), [&, i](InferResult&& result) {
+      shed[static_cast<std::size_t>(i)] = result.shed;
+      calls[static_cast<std::size_t>(i)].fetch_add(1);
+    }));
+  within_watchdog([&] {
+    member->stop();
+    group.stop();
+  });
+
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(calls[static_cast<std::size_t>(i)].load(), 1);
+  EXPECT_FALSE(shed[0]);  // served
+  EXPECT_TRUE(shed[1]);   // answered as shed
+  EXPECT_TRUE(shed[2]);
+  const RouterStats stats = router.stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.shed_queue_full, 2u);
+}
+
+TEST(Router, DestroyedWithRequestsStagedAnswersThemAndTheGroupStillStops) {
+  const Dataset dataset = make_composed_dataset();
+  FakeBackend* member = nullptr;
+  ReplicaGroup group(dataset, /*num_replicas=*/1, [&](int) {
+    auto backend = std::make_unique<FakeBackend>(dataset, std::chrono::microseconds(100));
+    member = backend.get();
+    return backend;
+  });
+  group.publish(ModelSnapshot::random(sage_spec(dataset), 1, 1));
+  group.start();
+  member->set_paused(true);  // still accepting, never answering
+  AdmissionConfig admission;
+  admission.dispatch_window = 1;
+  auto router = std::make_unique<Router>(group, RoutePolicy::kRoundRobin, admission);
+
+  // Request 0 sits in the paused member; 1..4 stage behind it.
+  constexpr int kRequests = 5;
+  std::vector<std::atomic<int>> calls(kRequests);
+  std::vector<bool> shed(kRequests, false);
+  for (int i = 0; i < kRequests; ++i)
+    ASSERT_TRUE(router->submit(static_cast<vid_t>(i), [&, i](InferResult&& result) {
+      shed[static_cast<std::size_t>(i)] = result.shed;
+      calls[static_cast<std::size_t>(i)].fetch_add(1);
+    }));
+  // Neither call may wait on the paused member: the Router answers what it
+  // stages, and the group's stop() leaves the member's own stop() to answer
+  // request 0 (whose completion must not touch the destroyed Router).
+  within_watchdog([&] { router.reset(); });
+  for (int i = 1; i < kRequests; ++i) {
+    EXPECT_EQ(calls[static_cast<std::size_t>(i)].load(), 1) << "request " << i;
+    EXPECT_TRUE(shed[static_cast<std::size_t>(i)]) << "request " << i;
+  }
+  EXPECT_EQ(calls[0].load(), 0);
+  within_watchdog([&] { group.stop(); });
+  EXPECT_EQ(calls[0].load(), 1);
+  EXPECT_FALSE(shed[0]);
+  within_watchdog([&] { group.drain(); });  // every admission slot came back
 }
 
 TEST(ReplicaGroup, ActsAsAPlainServingBackendWithRoundRobinPlacement) {

@@ -509,8 +509,8 @@ TEST(ObsTenantFold, LiveReplicaGroupsFoldIntoTheRegistryEdge) {
 // ---------------------------------------------------------------------------
 // The health engine's stall watchdog folds every layer's _submitted_total,
 // _completed_total and _shed_total series and assumes each layer balances to
-// its in-flight count. Drained, with sheds forced at the leaves (legacy) or
-// at the Router's stage (tenant mode), the fold over one scrape is zero.
+// its in-flight count. Drained, with sheds forced at the Router's stage, the
+// fold over one scrape is zero.
 
 TEST(ObsScrape, DrainedRegistryOverComposedTierBalances) {
   LearnableSbmParams params;
@@ -527,50 +527,93 @@ TEST(ObsScrape, DrainedRegistryOverComposedTierBalances) {
   spec.num_layers = 2;
   const EdgePartition partition = partition_libra(dataset.graph.coo(), /*num_parts=*/2);
 
-  for (const bool tenant_mode : {false, true}) {
+  ComposedConfig cfg;
+  cfg.replicas = 2;
+  cfg.shard.max_batch = 4;
+  cfg.shard.fanouts = {4, 4};
+  TenantSlo slo;
+  slo.name = "tier";
+  slo.stage_capacity = 1;
+  cfg.admission.tenants = {slo};
+  cfg.admission.dispatch_window = 1;
+  ModelRegistry registry;
+  const tenant_t t = registry.add(slo, std::make_unique<ComposedTier>(dataset, partition, cfg));
+  registry.publish(t, ModelSnapshot::random(spec, /*seed=*/1, /*version=*/1));
+  registry.start();
+  std::vector<vid_t> vertices;
+  for (vid_t v = 0; v < 200; ++v) vertices.push_back((v * 7) % 256);
+  for (const vid_t v : vertices) (void)registry.submit(t, v, nullptr);
+  (void)registry.infer_batch(t, vertices);
+  registry.backend(t).drain();
+  const obs::MetricsSnapshot snap = registry.scrape_snapshot();
+  registry.stop();
+
+  const auto fold = [&](const std::string& suffix) {
+    double total = 0;
+    for (const obs::MetricPoint& p : snap.points)
+      if (!p.is_histogram && p.name.size() >= suffix.size() &&
+          p.name.compare(p.name.size() - suffix.size(), suffix.size(), suffix) == 0)
+        total += p.value;
+    return total;
+  };
+  const double submitted = fold("_submitted_total");
+  const double completed = fold("_completed_total");
+  const double shed = fold("_shed_total");
+  EXPECT_GT(shed, 0.0);
+  EXPECT_GT(completed, 0.0);
+  EXPECT_EQ(submitted - completed - shed, 0.0)
+      << submitted << " - " << completed << " - " << shed;
+}
+
+// ---------------------------------------------------------------------------
+// A registry stamps its entry index as the tenant id, so the second entry's
+// tier sees tenant 1. A tier without configured tenants runs one lane that
+// serves any id, and its Router books the request under that id.
+
+TEST(ObsScrape, UnconfiguredTiersCountTheRegistrysTenantIds) {
+  LearnableSbmParams params;
+  params.num_vertices = 256;
+  params.num_classes = 4;
+  params.avg_degree = 8;
+  params.feature_dim = 16;
+  params.seed = 5;
+  const Dataset dataset = make_learnable_sbm(params);
+  ModelSpec spec;
+  spec.feature_dim = dataset.feature_dim();
+  spec.hidden_dim = 16;
+  spec.num_classes = dataset.num_classes;
+  spec.num_layers = 2;
+  const EdgePartition partition = partition_libra(dataset.graph.coo(), /*num_parts=*/2);
+
+  ModelRegistry registry;
+  for (const char* name : {"alpha", "bravo"}) {
     ComposedConfig cfg;
     cfg.replicas = 2;
     cfg.shard.max_batch = 4;
     cfg.shard.fanouts = {4, 4};
     TenantSlo slo;
-    slo.name = "tier";
-    if (tenant_mode) {
-      slo.stage_capacity = 1;
-      cfg.admission.tenants = {slo};
-      cfg.admission.dispatch_window = 1;
-    } else {
-      cfg.shard.queue_capacity = 2;
-    }
-    ModelRegistry registry;
+    slo.name = name;
     const tenant_t t =
         registry.add(slo, std::make_unique<ComposedTier>(dataset, partition, cfg));
     registry.publish(t, ModelSnapshot::random(spec, /*seed=*/1, /*version=*/1));
-    registry.start();
-    std::vector<vid_t> vertices;
-    for (vid_t v = 0; v < 200; ++v) vertices.push_back((v * 7) % 256);
-    for (const vid_t v : vertices) (void)registry.submit(t, v, nullptr);
-    (void)registry.infer_batch(t, vertices);
-    registry.backend(t).drain();
-    const obs::MetricsSnapshot snap = registry.scrape_snapshot();
-    registry.stop();
-
-    const auto fold = [&](const std::string& suffix) {
-      double total = 0;
-      for (const obs::MetricPoint& p : snap.points)
-        if (!p.is_histogram && p.name.size() >= suffix.size() &&
-            p.name.compare(p.name.size() - suffix.size(), suffix.size(), suffix) == 0)
-          total += p.value;
-      return total;
-    };
-    const double submitted = fold("_submitted_total");
-    const double completed = fold("_completed_total");
-    const double shed = fold("_shed_total");
-    SCOPED_TRACE(tenant_mode ? "tenant mode" : "legacy mode");
-    EXPECT_GT(shed, 0.0);
-    EXPECT_GT(completed, 0.0);
-    EXPECT_EQ(submitted - completed - shed, 0.0)
-        << submitted << " - " << completed << " - " << shed;
   }
+  registry.start();
+  const std::vector<vid_t> vertices{3, 17, 42, 99, 200};
+  for (const auto& result : registry.infer_batch(/*tenant=*/1, vertices))
+    EXPECT_TRUE(result.has_value());
+  registry.backend(1).drain();
+  const obs::MetricsSnapshot snap = registry.scrape_snapshot();
+  const BackendStats stats = registry.backend(1).stats();
+  registry.stop();
+
+  const obs::Labels tenant1{{"tenant", "1"}};
+  const auto n = static_cast<double>(vertices.size());
+  EXPECT_EQ(series_value(snap, "distgnn_router_tenant_submitted_total", tenant1), n);
+  EXPECT_EQ(series_value(snap, "distgnn_router_tenant_completed_total", tenant1), n);
+  EXPECT_EQ(series_value(snap, "distgnn_router_tenant_shed_total", tenant1), 0.0);
+  ASSERT_EQ(stats.tenants.size(), 1u);
+  EXPECT_EQ(stats.tenants[0].tenant, 1);
+  EXPECT_EQ(stats.tenants[0].completed, vertices.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -208,7 +208,6 @@ TEST(Router, WeightedFairSharesConvergeToSloWeightsUnderSaturation) {
   admission.tenants = {heavy, light};
   admission.dispatch_window = 2;  // force staging so WRR decides the order
   Router router(group, RoutePolicy::kRoundRobin, admission);
-  ASSERT_TRUE(router.tenant_mode());
 
   // Both tenants offer far above capacity; while both lanes are backlogged
   // the dispatch shares follow the 2:1 weights. Sample the lanes the moment
