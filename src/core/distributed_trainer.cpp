@@ -12,6 +12,7 @@
 
 #include "comm/compression.hpp"
 #include "comm/world.hpp"
+#include "core/output_frontier.hpp"
 #include "core/sage_model.hpp"
 #include "kernels/aggregate.hpp"
 #include "nn/loss.hpp"
@@ -95,14 +96,32 @@ class RankTrainer {
     for (std::size_t v = 0; v < n; ++v)
       inv_norm_.at(v, 0) = 1.0f / (static_cast<real_t>(lp_.global_in_degree[v]) + 1.0f);
 
+    // The output frontier is every local clone of a training vertex, not
+    // just its label owner: a leaf's partial aggregate reaches the owner
+    // through the halo. The loss reads the owners only.
+    all_rows_ = OutputFrontier::all_rows(blocked_in_, blocked_out_, inv_norm_);
+    std::vector<std::uint8_t> train_clone(n);
+    for (std::size_t v = 0; v < n; ++v)
+      train_clone[v] = dataset.train_mask[static_cast<std::size_t>(lp_.global_ids[v])];
+    train_rows_ = OutputFrontier::select(blocked_in_, blocked_out_, inv_norm_, train_clone);
+    train_labels_ = train_rows_.gather(std::span<const int>(labels_));
+    train_loss_mask_ = train_rows_.gather(std::span<const std::uint8_t>(lp_.owns_label));
+    train_plan_ = restrict_halo_plan(plan_, train_rows_.compact_ids(lp_.num_vertices));
+
     acts_.resize(static_cast<std::size_t>(config.num_layers));
     aggs_.resize(static_cast<std::size_t>(config.num_layers));
 
     // The local features never change, so neither does layer 0's local
     // partial aggregate; the halo sync works on a copy of it each epoch.
-    local_agg0_.resize_discard(n, features_.cols(), 0);
-    aggregate_prepartitioned(blocked_in_, features_.cview(), {}, local_agg0_.view(), ApConfig{});
+    // The output layer aggregates its own rows every pass instead.
+    if (config.num_layers > 1) {
+      local_agg0_.resize_discard(n, features_.cols(), 0);
+      aggregate_prepartitioned(blocked_in_, features_.cview(), {}, local_agg0_.view(),
+                               ApConfig{});
+    }
 
+    // The output layer's cache holds only frontier rows, and only at roots:
+    // its halo never returns totals to leaves.
     if (config.algorithm == Algorithm::kCdR &&
         config_.staleness == StalenessPolicy::kCache) {
       root_extra_.resize(static_cast<std::size_t>(config.num_layers));
@@ -110,11 +129,14 @@ class RankTrainer {
       leaf_total_.resize(static_cast<std::size_t>(config.num_layers));
       leaf_has_.resize(static_cast<std::size_t>(config.num_layers));
       for (int l = 0; l < config.num_layers; ++l) {
+        const auto li = static_cast<std::size_t>(l);
         const std::size_t d = layer_in_dim(l);
-        root_extra_[static_cast<std::size_t>(l)].resize_discard(n, d, 0);
-        root_has_[static_cast<std::size_t>(l)].assign(n, 0);
-        leaf_total_[static_cast<std::size_t>(l)].resize_discard(n, d, 0);
-        leaf_has_[static_cast<std::size_t>(l)].assign(n, 0);
+        const std::size_t rows = l == last_layer() ? train_rows_.size() : n;
+        root_extra_[li].resize_discard(rows, d, 0);
+        root_has_[li].assign(rows, 0);
+        if (l == last_layer()) continue;
+        leaf_total_[li].resize_discard(n, d, 0);
+        leaf_has_[li].assign(n, 0);
       }
     }
 
@@ -133,11 +155,16 @@ class RankTrainer {
     return config_.algorithm == Algorithm::kCdR ? std::max(1, config_.delay) : 1;
   }
 
-  /// Forward pass. `epoch` drives the DRPA bin schedule; when `exact` is
-  /// true a blocking cd-0 halo exchange is used regardless of the algorithm
-  /// (evaluation semantics). Returns (LAT, RAT) seconds. LAT is the local
-  /// aggregation of layers 1.. plus the restore of layer 0's cached local
-  /// partial; that layer's aggregation itself ran once, at construction.
+  int last_layer() const { return config_.num_layers - 1; }
+
+  /// Forward pass. `epoch` drives the DRPA bin schedule. A training pass
+  /// runs the output layer on the training frontier and its halo on
+  /// train_plan_; when `exact` is true (evaluation) it runs on every row
+  /// with the full plan, and a blocking cd-0 halo exchange is used
+  /// regardless of the algorithm. Returns (LAT, RAT) seconds. LAT is the
+  /// local aggregation of layers 1.. plus the restore of layer 0's cached
+  /// local partial; that layer's aggregation itself ran once, at
+  /// construction.
   /// Phase times use per-thread CPU clocks: ranks are simulated by threads
   /// that may outnumber host cores, and wall clock would charge scheduler
   /// waits of other ranks to this rank's LAT/RAT. For RAT this deliberately
@@ -146,34 +173,36 @@ class RankTrainer {
   /// is why the runtime reports communication *volumes* (CommStats) instead.
   std::pair<double, double> forward(int epoch, bool exact) {
     double lat = 0.0, rat = 0.0;
-    const auto n = static_cast<std::size_t>(lp_.num_vertices);
     for (int l = 0; l < config_.num_layers; ++l) {
       const auto li = static_cast<std::size_t>(l);
+      const bool output = l == last_layer();
+      const OutputFrontier& rows = output && !exact ? train_rows_ : all_rows_;
+      const HaloPlan& plan = output && !exact ? train_plan_ : plan_;
       const ConstMatrixView H = l == 0 ? features_.cview() : acts_[li - 1].cview();
       double t0 = thread_cpu_seconds();
-      if (l == 0) {
+      if (l == 0 && !output) {
         aggs_[0] = local_agg0_;
       } else {
-        aggs_[li].resize_discard(n, H.cols, 0);
-        aggregate_prepartitioned(blocked_in_, H, {}, aggs_[li].view(), ApConfig{});
+        aggs_[li].resize_discard(rows.size(), H.cols, 0);
+        aggregate_prepartitioned(rows.in(), H, {}, aggs_[li].view(), ApConfig{});
       }
       lat += thread_cpu_seconds() - t0;
 
       t0 = thread_cpu_seconds();
       if (exact) {
-        halo_sync_blocking(l, /*purpose=*/1);
+        halo_sync_blocking(l, plan, /*purpose=*/1);
       } else {
         switch (config_.algorithm) {
           case Algorithm::k0c: break;
-          case Algorithm::kCd0: halo_sync_blocking(l, /*purpose=*/0); break;
-          case Algorithm::kCdR: halo_sync_delayed(l, epoch); break;
+          case Algorithm::kCd0: halo_sync_blocking(l, plan, /*purpose=*/0); break;
+          case Algorithm::kCdR: halo_sync_delayed(l, plan, epoch); break;
         }
       }
       rat += thread_cpu_seconds() - t0;
 
       // The synced aggregate becomes the layer's Linear input in place.
-      GraphSageLayer::combine(H, aggs_[li].cview(), inv_norm_.cview(), aggs_[li].view());
-      acts_[li].resize_discard(n, model_.layer(l).out_dim());
+      rows.combine(H, aggs_[li].cview(), aggs_[li].view());
+      acts_[li].resize_discard(rows.size(), model_.layer(l).out_dim());
       model_.layer(l).forward(aggs_[li].cview(), acts_[li].view());
     }
     return {lat, rat};
@@ -184,32 +213,32 @@ class RankTrainer {
     lat = l;
     rat = r;
 
-    double loss = loss_.forward(acts_.back().cview(), labels_, train_mask_, global_train_count_);
+    double loss = loss_.forward(acts_.back().cview(), train_labels_, train_loss_mask_,
+                                global_train_count_);
     // Global loss for reporting (gradients already use the global divisor).
     std::array<double, 1> loss_buf{loss};
     comm_.allreduce_sum(std::span<double>(loss_buf));
     loss = loss_buf[0];
 
     model_.zero_grad();
-    const auto n = static_cast<std::size_t>(lp_.num_vertices);
-    d_upper_.resize_discard(n, acts_.back().cols());
+    d_upper_.resize_discard(train_rows_.size(), acts_.back().cols());
     loss_.backward(d_upper_.view());
 
-    for (int l2 = config_.num_layers - 1; l2 >= 0; --l2) {
+    for (int l2 = last_layer(); l2 >= 0; --l2) {
+      const OutputFrontier& rows = l2 == last_layer() ? train_rows_ : all_rows_;
       // The input layer computes only its weight gradients.
       MatrixView dscaled;
       if (l2 > 0) {
-        dscaled_.resize_discard(n, model_.layer(l2).in_dim());
+        dscaled_.resize_discard(rows.size(), model_.layer(l2).in_dim());
         dscaled = dscaled_.view();
       }
       model_.layer(l2).backward_to_scaled(aggs_[static_cast<std::size_t>(l2)].cview(),
-                                          inv_norm_.cview(), d_upper_.cview(), dscaled);
+                                          rows.inv_norm(), d_upper_.cview(), dscaled);
       if (l2 == 0) break;
-      dH_.resize_discard(n, dscaled_.cols(), 0);
-      aggregate_prepartitioned(blocked_out_, dscaled_.cview(), {}, dH_.view(), ApConfig{});
-      const std::size_t total = dH_.size();
-#pragma omp parallel for schedule(static)
-      for (std::size_t i = 0; i < total; ++i) dH_.data()[i] += dscaled_.data()[i];
+      // dH = dscaled + A_localᵀ · dscaled, full height.
+      dH_.resize_discard(static_cast<std::size_t>(rows.out().num_rows()), dscaled_.cols(), 0);
+      aggregate_prepartitioned(rows.out(), dscaled_.cview(), {}, dH_.view(), ApConfig{});
+      rows.add_self(dscaled_.cview(), dH_.view());
       std::swap(d_upper_, dH_);
     }
 
@@ -248,49 +277,53 @@ class RankTrainer {
   }
 
   /// cd-0 (and evaluation) halo: blocking two-phase tree sync on bin 0..all.
-  void halo_sync_blocking(int layer, int purpose) {
-    for (int bin = 0; bin < plan_.num_bins; ++bin) {
+  /// The output layer runs phase 0 only: label owners are roots, and no
+  /// leaf reads an output total.
+  void halo_sync_blocking(int layer, const HaloPlan& plan, int purpose) {
+    for (int bin = 0; bin < plan.num_bins; ++bin) {
       DenseMatrix& agg = aggs_[static_cast<std::size_t>(layer)];
       // Phase 0: leaves -> roots.
-      for (part_t p = 0; p < plan_.num_parts; ++p) {
+      for (part_t p = 0; p < plan.num_parts; ++p) {
         if (p == comm_.rank()) continue;
         send_halo(p, make_tag(layer, bin, 0, purpose),
-                  gather_rows(agg, plan_.peer(bin, p).send_leaf));
+                  gather_rows(agg, plan.peer(bin, p).send_leaf));
       }
-      for (part_t p = 0; p < plan_.num_parts; ++p) {
+      for (part_t p = 0; p < plan.num_parts; ++p) {
         if (p == comm_.rank()) continue;
         const auto payload = recv_halo(p, make_tag(layer, bin, 0, purpose),
-                                       plan_.peer(bin, p).recv_root.size() * agg.cols());
-        scatter_rows_add(agg, plan_.peer(bin, p).recv_root, payload);
+                                       plan.peer(bin, p).recv_root.size() * agg.cols());
+        scatter_rows_add(agg, plan.peer(bin, p).recv_root, payload);
       }
+      if (layer == last_layer()) continue;
       // Phase 1: roots -> leaves (totals overwrite leaf partials).
-      for (part_t p = 0; p < plan_.num_parts; ++p) {
+      for (part_t p = 0; p < plan.num_parts; ++p) {
         if (p == comm_.rank()) continue;
         send_halo(p, make_tag(layer, bin, 1, purpose),
-                  gather_rows(agg, plan_.peer(bin, p).send_root));
+                  gather_rows(agg, plan.peer(bin, p).send_root));
       }
-      for (part_t p = 0; p < plan_.num_parts; ++p) {
+      for (part_t p = 0; p < plan.num_parts; ++p) {
         if (p == comm_.rank()) continue;
         const auto payload = recv_halo(p, make_tag(layer, bin, 1, purpose),
-                                       plan_.peer(bin, p).recv_leaf.size() * agg.cols());
-        scatter_rows_set(agg, plan_.peer(bin, p).recv_leaf, payload);
+                                       plan.peer(bin, p).recv_leaf.size() * agg.cols());
+        scatter_rows_set(agg, plan.peer(bin, p).recv_leaf, payload);
       }
     }
   }
 
   /// cd-r: Alg. 4. Only bin (epoch % r) communicates; leaf partials sent in
   /// epoch e are folded into roots at e+r and the returned totals reach the
-  /// leaves at e+2r.
-  void halo_sync_delayed(int layer, int epoch) {
+  /// leaves at e+2r. The output layer stops after the fold at the roots, as
+  /// in halo_sync_blocking.
+  void halo_sync_delayed(int layer, const HaloPlan& plan, int epoch) {
     const int r = num_bins();
     const int bin = epoch % r;
     DenseMatrix& agg = aggs_[static_cast<std::size_t>(layer)];
     const auto li = static_cast<std::size_t>(layer);
 
     // (a) Leaves push this epoch's *fresh local* partials for the bin.
-    for (part_t p = 0; p < plan_.num_parts; ++p) {
+    for (part_t p = 0; p < plan.num_parts; ++p) {
       if (p == comm_.rank()) continue;
-      send_halo(p, make_tag(layer, bin, 0, 0), gather_rows(agg, plan_.peer(bin, p).send_leaf));
+      send_halo(p, make_tag(layer, bin, 0, 0), gather_rows(agg, plan.peer(bin, p).send_leaf));
     }
 
     const bool cache = config_.staleness == StalenessPolicy::kCache;
@@ -299,27 +332,27 @@ class RankTrainer {
     if (epoch >= r) {
       if (cache) {
         // Reset the bin's cached rows, then accumulate the fresh payloads.
-        for (part_t p = 0; p < plan_.num_parts; ++p) {
+        for (part_t p = 0; p < plan.num_parts; ++p) {
           if (p == comm_.rank()) continue;
-          for (const vid_t row : plan_.peer(bin, p).recv_root) {
+          for (const vid_t row : plan.peer(bin, p).recv_root) {
             real_t* dst = root_extra_[li].row(static_cast<std::size_t>(row));
             std::fill(dst, dst + root_extra_[li].cols(), real_t{0});
           }
         }
-        for (part_t p = 0; p < plan_.num_parts; ++p) {
+        for (part_t p = 0; p < plan.num_parts; ++p) {
           if (p == comm_.rank()) continue;
           const auto payload = recv_halo(p, make_tag(layer, bin, 0, 0),
-                                         plan_.peer(bin, p).recv_root.size() * agg.cols());
-          scatter_rows_add(root_extra_[li], plan_.peer(bin, p).recv_root, payload);
-          for (const vid_t row : plan_.peer(bin, p).recv_root)
+                                         plan.peer(bin, p).recv_root.size() * agg.cols());
+          scatter_rows_add(root_extra_[li], plan.peer(bin, p).recv_root, payload);
+          for (const vid_t row : plan.peer(bin, p).recv_root)
             root_has_[li][static_cast<std::size_t>(row)] = 1;
         }
       } else {
-        for (part_t p = 0; p < plan_.num_parts; ++p) {
+        for (part_t p = 0; p < plan.num_parts; ++p) {
           if (p == comm_.rank()) continue;
           const auto payload = recv_halo(p, make_tag(layer, bin, 0, 0),
-                                         plan_.peer(bin, p).recv_root.size() * agg.cols());
-          scatter_rows_add(agg, plan_.peer(bin, p).recv_root, payload);
+                                         plan.peer(bin, p).recv_root.size() * agg.cols());
+          scatter_rows_add(agg, plan.peer(bin, p).recv_root, payload);
         }
       }
     }
@@ -335,33 +368,35 @@ class RankTrainer {
       }
     }
 
+    if (layer == last_layer()) return;
+
     // (d) Roots return (possibly stale-augmented) totals for the bin. Alg. 4
     // guards this send with e >= r (lines 13-16), which keeps the root->leaf
     // channel exactly one delay behind the leaf->root one.
     if (epoch >= r) {
-      for (part_t p = 0; p < plan_.num_parts; ++p) {
+      for (part_t p = 0; p < plan.num_parts; ++p) {
         if (p == comm_.rank()) continue;
-        send_halo(p, make_tag(layer, bin, 1, 0), gather_rows(agg, plan_.peer(bin, p).send_root));
+        send_halo(p, make_tag(layer, bin, 1, 0), gather_rows(agg, plan.peer(bin, p).send_root));
       }
     }
 
     // (e) Mature root->leaf totals (sent r epochs ago).
     if (epoch >= 2 * r) {
       if (cache) {
-        for (part_t p = 0; p < plan_.num_parts; ++p) {
+        for (part_t p = 0; p < plan.num_parts; ++p) {
           if (p == comm_.rank()) continue;
           const auto payload = recv_halo(p, make_tag(layer, bin, 1, 0),
-                                         plan_.peer(bin, p).recv_leaf.size() * agg.cols());
-          scatter_rows_set(leaf_total_[li], plan_.peer(bin, p).recv_leaf, payload);
-          for (const vid_t row : plan_.peer(bin, p).recv_leaf)
+                                         plan.peer(bin, p).recv_leaf.size() * agg.cols());
+          scatter_rows_set(leaf_total_[li], plan.peer(bin, p).recv_leaf, payload);
+          for (const vid_t row : plan.peer(bin, p).recv_leaf)
             leaf_has_[li][static_cast<std::size_t>(row)] = 1;
         }
       } else {
-        for (part_t p = 0; p < plan_.num_parts; ++p) {
+        for (part_t p = 0; p < plan.num_parts; ++p) {
           if (p == comm_.rank()) continue;
           const auto payload = recv_halo(p, make_tag(layer, bin, 1, 0),
-                                         plan_.peer(bin, p).recv_leaf.size() * agg.cols());
-          scatter_rows_set(agg, plan_.peer(bin, p).recv_leaf, payload);
+                                         plan.peer(bin, p).recv_leaf.size() * agg.cols());
+          scatter_rows_set(agg, plan.peer(bin, p).recv_leaf, payload);
         }
       }
     }
@@ -408,16 +443,26 @@ class RankTrainer {
   std::vector<std::uint8_t> train_mask_, val_mask_, test_mask_;
   std::int64_t global_train_count_ = 0;
 
+  // all_rows_: hidden layers, and the output layer in evaluation.
+  // train_rows_: the output layer in training, with its labels, its loss
+  // mask (owns_label) and plan_ restricted to its trees in compact ids.
+  OutputFrontier all_rows_, train_rows_;
+  std::vector<int> train_labels_;
+  std::vector<std::uint8_t> train_loss_mask_;
+  HaloPlan train_plan_;
+
   // aggs_[l]: layer l's aggregate, which the halo sync completes and the
   // combine then turns, in place, into the layer's Linear input (kept for
-  // backward). local_agg0_: layer 0's local partial aggregate, built once.
-  // acts_[l]: layer l's output; layer 0 reads features_.
+  // backward); the output layer's has its frontier's rows. local_agg0_:
+  // layer 0's local partial aggregate, built once. acts_[l]: layer l's
+  // output; layer 0 reads features_.
   std::vector<DenseMatrix> acts_, aggs_;
   DenseMatrix local_agg0_;
   DenseMatrix d_upper_, dscaled_, dH_;
   std::vector<real_t> flat_grads_;
 
-  // cd-r staleness caches (kCache policy), per layer.
+  // cd-r staleness caches (kCache policy), per layer; the output layer has
+  // only root_extra_/root_has_, over its training frontier.
   std::vector<DenseMatrix> root_extra_, leaf_total_;
   std::vector<std::vector<std::uint8_t>> root_has_, leaf_has_;
 };

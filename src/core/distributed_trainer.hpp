@@ -13,6 +13,13 @@
 //
 // Model replicas start from identical seeds and stay synchronized through a
 // per-epoch gradient AllReduce (the paper's parameter sync).
+//
+// In training, the output layer runs only on its output frontier
+// (core/output_frontier.hpp): every local clone of a training vertex, since
+// a leaf's partial aggregate completes its label owner's. Its halo uses the
+// plan restricted to training trees (restrict_halo_plan) and runs leaf->root
+// only, in every algorithm and in evaluation too: label owners are roots,
+// and no leaf reads an output total.
 #pragma once
 
 #include <cstdint>

@@ -14,13 +14,14 @@ MiniBatchWork minibatch_work(const std::vector<HopWork>& hops, std::int64_t trai
 }
 
 FullBatchWork fullbatch_work(std::int64_t partition_vertices, double avg_degree,
-                             const std::vector<int>& feats_per_hop) {
+                             const std::vector<int>& feats_per_hop,
+                             std::int64_t output_vertices) {
   FullBatchWork out;
   int hop_number = static_cast<int>(feats_per_hop.size()) - 1;
   for (const int f : feats_per_hop) {
     HopWork h;
+    h.vertices = hop_number == 0 && output_vertices >= 0 ? output_vertices : partition_vertices;
     h.label = "Hop-" + std::to_string(hop_number--);
-    h.vertices = partition_vertices;
     h.avg_degree = avg_degree;
     h.feats = f;
     out.socket_ops += h.ops();

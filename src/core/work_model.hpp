@@ -43,7 +43,11 @@ struct FullBatchWork {
 
 /// Table 8: every hop touches all partition vertices with the full average
 /// degree; `feats_per_hop` is input-most first (f, h, h ... matching layers).
+/// The output hop ("Hop-0") touches `output_vertices` instead when it is
+/// >= 0: the training vertices (their clones, on a partition) that the
+/// output frontier computes. The default, -1, is the paper's count.
 FullBatchWork fullbatch_work(std::int64_t partition_vertices, double avg_degree,
-                             const std::vector<int>& feats_per_hop);
+                             const std::vector<int>& feats_per_hop,
+                             std::int64_t output_vertices = -1);
 
 }  // namespace distgnn

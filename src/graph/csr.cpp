@@ -1,6 +1,5 @@
 #include "graph/csr.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace distgnn {
@@ -43,9 +42,16 @@ CsrMatrix CsrMatrix::transpose_from_coo(const EdgeList& coo) {
 
 CsrMatrix CsrMatrix::from_raw(std::vector<eid_t> row_ptr, std::vector<vid_t> col_idx,
                               std::vector<eid_t> edge_id) {
-  assert(!row_ptr.empty());
-  assert(col_idx.size() == edge_id.size());
-  assert(static_cast<std::size_t>(row_ptr.back()) == col_idx.size());
+  if (row_ptr.empty()) throw std::invalid_argument("CsrMatrix::from_raw: row_ptr is empty");
+  if (col_idx.size() != edge_id.size())
+    throw std::invalid_argument("CsrMatrix::from_raw: col_idx and edge_id sizes differ");
+  if (row_ptr.front() != 0)
+    throw std::invalid_argument("CsrMatrix::from_raw: row_ptr does not start at 0");
+  for (std::size_t r = 1; r < row_ptr.size(); ++r)
+    if (row_ptr[r] < row_ptr[r - 1])
+      throw std::invalid_argument("CsrMatrix::from_raw: row_ptr decreases");
+  if (static_cast<std::size_t>(row_ptr.back()) != col_idx.size())
+    throw std::invalid_argument("CsrMatrix::from_raw: row_ptr does not end at the entry count");
   CsrMatrix m;
   m.row_ptr_ = std::move(row_ptr);
   m.col_idx_ = std::move(col_idx);
@@ -74,10 +80,13 @@ CsrMatrix CsrMatrix::transposed() const {
 }
 
 std::vector<CsrMatrix> CsrMatrix::column_blocks(int num_blocks) const {
-  assert(num_blocks >= 1);
+  if (num_blocks < 1) throw std::invalid_argument("CsrMatrix::column_blocks: num_blocks < 1");
   const vid_t n = num_rows();
   const vid_t block_size = (n + num_blocks - 1) / num_blocks;
   const auto block_of = [&](vid_t u) { return static_cast<int>(u / block_size); };
+  for (const vid_t u : col_idx_)
+    if (u < 0 || u >= n)
+      throw std::out_of_range("CsrMatrix::column_blocks: column outside [0, num_rows())");
 
   // Per-block entry counts per row, then prefix sums, then scatter.
   std::vector<std::vector<eid_t>> row_ptrs(
@@ -113,6 +122,51 @@ std::vector<CsrMatrix> CsrMatrix::column_blocks(int num_blocks) const {
   for (int b = 0; b < num_blocks; ++b)
     out.push_back(from_raw(std::move(row_ptrs[b]), std::move(cols[b]), std::move(eids[b])));
   return out;
+}
+
+CsrMatrix CsrMatrix::select_rows(std::span<const vid_t> rows) const {
+  std::vector<eid_t> row_ptr(rows.size() + 1, 0);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i] < 0 || rows[i] >= num_rows())
+      throw std::out_of_range("CsrMatrix::select_rows: row outside [0, num_rows())");
+    row_ptr[i + 1] = row_ptr[i] + degree(rows[i]);
+  }
+  std::vector<vid_t> col_idx;
+  std::vector<eid_t> edge_id;
+  col_idx.reserve(static_cast<std::size_t>(row_ptr.back()));
+  edge_id.reserve(static_cast<std::size_t>(row_ptr.back()));
+  for (const vid_t r : rows) {
+    const auto nbrs = neighbors(r);
+    const auto ids = edge_ids(r);
+    col_idx.insert(col_idx.end(), nbrs.begin(), nbrs.end());
+    edge_id.insert(edge_id.end(), ids.begin(), ids.end());
+  }
+  return from_raw(std::move(row_ptr), std::move(col_idx), std::move(edge_id));
+}
+
+CsrMatrix CsrMatrix::select_columns(std::span<const vid_t> column_map) const {
+  const auto mapped = [&](vid_t c) {
+    if (c < 0 || static_cast<std::size_t>(c) >= column_map.size())
+      throw std::out_of_range("CsrMatrix::select_columns: column outside the column map");
+    return column_map[static_cast<std::size_t>(c)];
+  };
+  const vid_t n = num_rows();
+  std::vector<eid_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+  for (vid_t r = 0; r < n; ++r) {
+    eid_t kept = 0;
+    for (const vid_t c : neighbors(r)) kept += mapped(c) >= 0 ? 1 : 0;
+    row_ptr[static_cast<std::size_t>(r) + 1] = row_ptr[static_cast<std::size_t>(r)] + kept;
+  }
+  std::vector<vid_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
+  std::vector<eid_t> edge_id(col_idx.size());
+  std::size_t slot = 0;
+  for (std::size_t i = 0; i < col_idx_.size(); ++i) {
+    const vid_t c = column_map[static_cast<std::size_t>(col_idx_[i])];
+    if (c < 0) continue;
+    col_idx[slot] = c;
+    edge_id[slot++] = edge_id_[i];
+  }
+  return from_raw(std::move(row_ptr), std::move(col_idx), std::move(edge_id));
 }
 
 }  // namespace distgnn

@@ -51,10 +51,24 @@ class CsrMatrix {
   /// Splits the *column* (source-vertex) range into `num_blocks` contiguous
   /// blocks and returns one CSR per block, implementing the cache-blocking
   /// preprocessing of Alg. 2. Row counts are preserved; each block holds only
-  /// the entries whose source vertex falls in [b*B, (b+1)*B).
+  /// the entries whose source vertex falls in [b*B, (b+1)*B). The matrix must
+  /// be square: a column outside [0, num_rows()) throws std::out_of_range.
   std::vector<CsrMatrix> column_blocks(int num_blocks) const;
 
+  /// Row i of the result is row rows[i] of this matrix, entries in their
+  /// original order; the column space is unchanged, so the result is
+  /// rows.size() x (this matrix's column count).
+  CsrMatrix select_rows(std::span<const vid_t> rows) const;
+
+  /// Keeps the entries whose column c has column_map[c] >= 0, renumbered to
+  /// column_map[c], in their original order; every row is kept.
+  CsrMatrix select_columns(std::span<const vid_t> column_map) const;
+
   /// Direct construction from raw arrays (row_ptr has num_rows+1 entries).
+  /// Throws std::invalid_argument unless row_ptr is non-empty, starts at 0,
+  /// never decreases and ends at the entry count, and col_idx and edge_id
+  /// have the same size. Columns are not range-checked here: a row or column
+  /// selection is rectangular.
   static CsrMatrix from_raw(std::vector<eid_t> row_ptr, std::vector<vid_t> col_idx,
                             std::vector<eid_t> edge_id);
 

@@ -90,6 +90,20 @@ BlockedCsr::BlockedCsr(const CsrMatrix& A, int num_blocks) {
   blocks_ = A.column_blocks(num_blocks);
 }
 
+BlockedCsr BlockedCsr::select_rows(std::span<const vid_t> rows) const {
+  std::vector<CsrMatrix> out;
+  out.reserve(blocks_.size());
+  for (const CsrMatrix& b : blocks_) out.push_back(b.select_rows(rows));
+  return BlockedCsr(std::move(out));
+}
+
+BlockedCsr BlockedCsr::select_columns(std::span<const vid_t> column_map) const {
+  std::vector<CsrMatrix> out;
+  out.reserve(blocks_.size());
+  for (const CsrMatrix& b : blocks_) out.push_back(b.select_columns(column_map));
+  return BlockedCsr(std::move(out));
+}
+
 void aggregate_prepartitioned(const BlockedCsr& blocks, ConstMatrixView fV, ConstMatrixView fE,
                               MatrixView fO, const ApConfig& cfg) {
   if (blocks.num_blocks() == 0) return;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -50,12 +51,21 @@ class BlockedCsr {
   BlockedCsr() = default;
   BlockedCsr(const CsrMatrix& A, int num_blocks);
 
+  /// Blocks derived entry for entry from these (CsrMatrix::select_rows /
+  /// select_columns on each block), never re-blocked: an AP over the result
+  /// adds every kept row's terms block by block in the same order as an AP
+  /// over this matrix, so the kept rows come out bitwise equal.
+  BlockedCsr select_rows(std::span<const vid_t> rows) const;
+  BlockedCsr select_columns(std::span<const vid_t> column_map) const;
+
   int num_blocks() const { return static_cast<int>(blocks_.size()); }
   vid_t num_rows() const { return blocks_.empty() ? 0 : blocks_.front().num_rows(); }
   const CsrMatrix& block(int b) const { return blocks_[static_cast<std::size_t>(b)]; }
   std::span<const CsrMatrix> blocks() const { return blocks_; }
 
  private:
+  explicit BlockedCsr(std::vector<CsrMatrix> blocks) : blocks_(std::move(blocks)) {}
+
   std::vector<CsrMatrix> blocks_;
 };
 

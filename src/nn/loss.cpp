@@ -1,12 +1,13 @@
 #include "nn/loss.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace distgnn {
 
-double SoftmaxCrossEntropy::forward(ConstMatrixView logits, const std::vector<int>& labels,
-                                    const std::vector<std::uint8_t>& mask,
+double SoftmaxCrossEntropy::forward(ConstMatrixView logits, std::span<const int> labels,
+                                    std::span<const std::uint8_t> mask,
                                     std::int64_t normalization) {
   if (labels.size() != logits.rows || mask.size() != logits.rows)
     throw std::invalid_argument("SoftmaxCrossEntropy: labels/mask size mismatch");
@@ -14,11 +15,12 @@ double SoftmaxCrossEntropy::forward(ConstMatrixView logits, const std::vector<in
   labels_ = labels;
   mask_ = mask;
 
-  masked_count_ = 0;
-  for (const auto m : mask)
-    if (m) ++masked_count_;
-  divisor_ = static_cast<double>(normalization > 0 ? normalization
-                                                   : std::max<std::int64_t>(1, masked_count_));
+  if (normalization <= 0) {
+    normalization = 0;
+    for (const auto m : mask)
+      if (m) ++normalization;
+  }
+  divisor_ = static_cast<double>(std::max<std::int64_t>(1, normalization));
 
   double loss_sum = 0.0;
   const std::size_t n = logits.rows, c = logits.cols;

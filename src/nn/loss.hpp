@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "util/matrix.hpp"
 
@@ -14,23 +14,24 @@ namespace distgnn {
 class SoftmaxCrossEntropy {
  public:
   /// Computes mean NLL over rows where mask != 0. `normalization` overrides
-  /// the divisor (use the global count across ranks); 0 means "local count".
-  /// Caches probabilities for backward. Returns the *sum* divided by the
-  /// divisor, i.e. sum_local / normalization.
-  double forward(ConstMatrixView logits, const std::vector<int>& labels,
-                 const std::vector<std::uint8_t>& mask, std::int64_t normalization = 0);
+  /// the divisor (a trainer passes the masked count it computed once, or the
+  /// global count across ranks); 0 counts the mask on this call. Caches
+  /// probabilities for backward. Returns the *sum* divided by the divisor,
+  /// i.e. sum_local / normalization.
+  ///
+  /// The loss keeps views of `labels` and `mask`, not copies: both must
+  /// outlive the backward() that follows.
+  double forward(ConstMatrixView logits, std::span<const int> labels,
+                 std::span<const std::uint8_t> mask, std::int64_t normalization = 0);
 
   /// dLogits[v] = (softmax(v) - onehot(label_v)) / divisor for masked rows,
   /// zero elsewhere.
   void backward(MatrixView dLogits) const;
 
-  std::int64_t last_masked_count() const { return masked_count_; }
-
  private:
   DenseMatrix probs_;
-  std::vector<int> labels_;
-  std::vector<std::uint8_t> mask_;
-  std::int64_t masked_count_ = 0;
+  std::span<const int> labels_;
+  std::span<const std::uint8_t> mask_;
   double divisor_ = 1.0;
 };
 

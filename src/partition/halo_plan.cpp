@@ -61,4 +61,28 @@ std::vector<HaloPlan> build_halo_plans(const PartitionedGraph& pg, int num_bins)
   return plans;
 }
 
+HaloPlan restrict_halo_plan(const HaloPlan& plan, std::span<const vid_t> row_map) {
+  const auto restrict = [&](const std::vector<vid_t>& rows) {
+    std::vector<vid_t> out;
+    for (const vid_t v : rows) {
+      if (v < 0 || static_cast<std::size_t>(v) >= row_map.size())
+        throw std::out_of_range("restrict_halo_plan: local index outside the row map");
+      const vid_t mapped = row_map[static_cast<std::size_t>(v)];
+      if (mapped >= 0) out.push_back(mapped);
+    }
+    return out;
+  };
+  HaloPlan out;
+  out.num_bins = plan.num_bins;
+  out.num_parts = plan.num_parts;
+  out.lists.resize(plan.lists.size());
+  for (std::size_t bin = 0; bin < plan.lists.size(); ++bin) {
+    for (const HaloPeerLists& pl : plan.lists[bin]) {
+      out.lists[bin].push_back({restrict(pl.send_leaf), restrict(pl.recv_root),
+                                restrict(pl.send_root), restrict(pl.recv_leaf)});
+    }
+  }
+  return out;
+}
+
 }  // namespace distgnn

@@ -12,6 +12,7 @@
 // cd-0 uses num_bins == 1 and syncs every tree every epoch.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "partition/partition_setup.hpp"
@@ -42,5 +43,12 @@ struct HaloPlan {
 
 /// Builds plans for all partitions; result[p] is partition p's plan.
 std::vector<HaloPlan> build_halo_plans(const PartitionedGraph& pg, int num_bins);
+
+/// `plan` restricted to the entries whose local index v has row_map[v] >= 0,
+/// each replaced by row_map[v] (e.g. a compact row id). Every list keeps its
+/// order, so the two ends of a channel stay aligned as long as `row_map`
+/// keeps or drops all clones of a tree alike, as a per-global-vertex
+/// predicate does.
+HaloPlan restrict_halo_plan(const HaloPlan& plan, std::span<const vid_t> row_map);
 
 }  // namespace distgnn

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/distributed_trainer.hpp"
 #include "core/single_socket_trainer.hpp"
 #include "graph/datasets.hpp"
+#include "partition/halo_plan.hpp"
 #include "partition/libra.hpp"
 #include "partition/partition_setup.hpp"
 
@@ -196,6 +198,135 @@ TEST(Distributed, Bf16HalvesHaloBytes) {
               0.5 * static_cast<double>(fp32.total_bytes_sent),
               0.1 * static_cast<double>(fp32.total_bytes_sent));
   EXPECT_EQ(bf16.allreduce_bytes, fp32.allreduce_bytes);
+}
+
+// The output frontier of a rank: every local clone of a training vertex,
+// as compact ids (-1 off the frontier) and as the ascending local rows.
+struct TrainClones {
+  std::vector<vid_t> compact;
+  std::vector<vid_t> rows;
+};
+
+TrainClones train_clones(const LocalPartition& lp, const std::vector<std::uint8_t>& train_mask) {
+  TrainClones out;
+  out.compact.assign(static_cast<std::size_t>(lp.num_vertices), -1);
+  for (vid_t v = 0; v < lp.num_vertices; ++v) {
+    if (!train_mask[static_cast<std::size_t>(lp.global_ids[static_cast<std::size_t>(v)])]) continue;
+    out.compact[static_cast<std::size_t>(v)] = static_cast<vid_t>(out.rows.size());
+    out.rows.push_back(v);
+  }
+  return out;
+}
+
+TEST(OutputHaloPlan, IsThePlanRestrictedToTrainingTreesOnBothEnds) {
+  const Dataset ds = learnable(1024, 55);
+  const PartitionedGraph pg = partitioned(ds, 4);
+  for (const int bins : {1, 3}) {
+    const std::vector<HaloPlan> plans = build_halo_plans(pg, bins);
+    std::vector<TrainClones> clones;
+    std::vector<HaloPlan> out_plans;
+    for (const LocalPartition& lp : pg.parts) {
+      clones.push_back(train_clones(lp, ds.train_mask));
+      out_plans.push_back(restrict_halo_plan(plans[static_cast<std::size_t>(lp.id)],
+                                             clones.back().compact));
+    }
+    // Local row of compact id `c` on partition p, and its global vertex.
+    const auto local = [&](part_t p, vid_t c) {
+      return clones[static_cast<std::size_t>(p)].rows[static_cast<std::size_t>(c)];
+    };
+    const auto global = [&](part_t p, vid_t c) {
+      return pg.parts[static_cast<std::size_t>(p)].global_ids[static_cast<std::size_t>(local(p, c))];
+    };
+    std::size_t kept = 0;
+    for (part_t p = 0; p < pg.num_parts; ++p) {
+      for (int bin = 0; bin < bins; ++bin) {
+        for (part_t q = 0; q < pg.num_parts; ++q) {
+          const HaloPeerLists& full = plans[static_cast<std::size_t>(p)].peer(bin, q);
+          const HaloPeerLists& out = out_plans[static_cast<std::size_t>(p)].peer(bin, q);
+          // Equal to the full plan's training entries, in the same order.
+          const auto expect = [&](const std::vector<vid_t>& full_list,
+                                  const std::vector<vid_t>& out_list) {
+            std::vector<vid_t> want, got;
+            for (const vid_t v : full_list)
+              if (ds.train_mask[static_cast<std::size_t>(
+                      pg.parts[static_cast<std::size_t>(p)].global_ids[static_cast<std::size_t>(v)])])
+                want.push_back(v);
+            for (const vid_t c : out_list) got.push_back(local(p, c));
+            EXPECT_EQ(got, want) << "part " << p << " bin " << bin << " peer " << q;
+          };
+          expect(full.send_leaf, out.send_leaf);
+          expect(full.recv_root, out.recv_root);
+          expect(full.send_root, out.send_root);
+          expect(full.recv_leaf, out.recv_leaf);
+          kept += out.send_leaf.size();
+          // Both ends of p -> q carry the same trees in the same order.
+          const HaloPeerLists& peer = out_plans[static_cast<std::size_t>(q)].peer(bin, p);
+          ASSERT_EQ(out.send_leaf.size(), peer.recv_root.size());
+          for (std::size_t i = 0; i < out.send_leaf.size(); ++i)
+            EXPECT_EQ(global(p, out.send_leaf[i]), global(q, peer.recv_root[i]));
+          ASSERT_EQ(out.send_root.size(), peer.recv_leaf.size());
+          for (std::size_t i = 0; i < out.send_root.size(); ++i)
+            EXPECT_EQ(global(p, out.send_root[i]), global(q, peer.recv_leaf[i]));
+        }
+      }
+    }
+    EXPECT_GT(kept, 0u) << "the sweep must exercise some training trees";
+  }
+}
+
+TEST(OutputHaloPlan, Cd0HaloBytesMatchThePlans) {
+  // Each training epoch, layers below the output sync both phases of the
+  // full plan and the output layer only phase 0 of the training-tree plan;
+  // the closing evaluation runs the full plan, again with no phase 1 at the
+  // output layer. fp32 payloads are 4 bytes per value with no header.
+  const Dataset ds = learnable(1024, 57);
+  const PartitionedGraph pg = partitioned(ds, 4);
+  const TrainConfig cfg = dist_config(Algorithm::kCd0, 5);
+  const std::vector<HaloPlan> plans = build_halo_plans(pg, 1);
+
+  std::uint64_t per_epoch = 0, eval = 0;
+  for (const LocalPartition& lp : pg.parts) {
+    const HaloPlan& plan = plans[static_cast<std::size_t>(lp.id)];
+    const HaloPlan out = restrict_halo_plan(plan, train_clones(lp, ds.train_mask).compact);
+    for (int l = 0; l < cfg.num_layers; ++l) {
+      const std::uint64_t width = sizeof(real_t) * static_cast<std::uint64_t>(
+                                      l == 0 ? ds.feature_dim() : cfg.hidden_dim);
+      for (part_t q = 0; q < pg.num_parts; ++q) {
+        const HaloPeerLists& full = plan.peer(0, q);
+        if (l + 1 < cfg.num_layers) {
+          const std::uint64_t both = full.send_leaf.size() + full.send_root.size();
+          per_epoch += both * width;
+          eval += both * width;
+        } else {
+          per_epoch += out.peer(0, q).send_leaf.size() * width;
+          eval += full.send_leaf.size() * width;
+        }
+      }
+    }
+  }
+  const DistTrainResult result = train_distributed(ds, pg, cfg);
+  EXPECT_EQ(result.total_bytes_sent, static_cast<std::uint64_t>(cfg.epochs) * per_epoch + eval);
+}
+
+TEST(Distributed, SplitVerticesOnlyMaskTrainsWithFiniteLosses) {
+  // Every training vertex is split, so every loss row's aggregate is
+  // completed through the output layer's restricted halo.
+  Dataset ds = learnable(1024, 59);
+  const PartitionedGraph pg = partitioned(ds, 4);
+  std::vector<std::uint8_t> split(static_cast<std::size_t>(ds.num_vertices()), 0);
+  for (const LocalPartition& lp : pg.parts)
+    for (std::size_t v = 0; v < lp.global_ids.size(); ++v)
+      if (lp.is_split[v]) split[static_cast<std::size_t>(lp.global_ids[v])] = 1;
+  ASSERT_GT(std::count(split.begin(), split.end(), std::uint8_t{1}), 0);
+  ds.train_mask = split;
+  for (const Algorithm alg : {Algorithm::kCd0, Algorithm::kCdR}) {
+    const DistTrainResult result = train_distributed(ds, pg, dist_config(alg, 8));
+    for (const DistEpochRecord& rec : result.epochs) {
+      EXPECT_TRUE(std::isfinite(rec.loss)) << to_string(alg);
+      EXPECT_GT(rec.loss, 0.0) << to_string(alg);
+    }
+    EXPECT_LT(result.epochs.back().loss, result.epochs.front().loss) << to_string(alg);
+  }
 }
 
 TEST(DistTrainResult, MeanSkipsWarmupEpochs) {

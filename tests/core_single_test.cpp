@@ -2,12 +2,15 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "core/memory_model.hpp"
 #include "core/single_socket_trainer.hpp"
 #include "core/work_model.hpp"
 #include "graph/datasets.hpp"
+#include "util/rng.hpp"
 
 namespace distgnn {
 namespace {
@@ -90,20 +93,48 @@ TEST(SingleSocket, ExplicitBlockCountHonored) {
   EXPECT_EQ(trainer.effective_num_blocks(), 7);
 }
 
-// The trainer aggregates and combines the constant input features once. A
-// reference loop built from the public kernels and layers, which
-// re-aggregates layer 0 every epoch, must reach bitwise the same parameters.
+// The trainer aggregates and combines the constant input features once, and
+// runs the output layer, its loss and its backward only on the rows the
+// loss reads. A reference loop built from the public kernels and layers
+// re-aggregates layer 0 every epoch and runs every layer on the unpruned
+// full graph; it must reach bitwise the same parameters (memcmp, the
+// exhaustive reference-tester idiom) for every AP mode, depth and mask.
 // The losses pass through an OpenMP reduction, so they match to 12
 // significant digits.
-class SingleSocketInputLayer : public ::testing::TestWithParam<ApMode> {};
+enum class MaskKind { kEmpty, kSingleRow, kAllRows, kRandomTenth };
 
-TEST_P(SingleSocketInputLayer, MatchesPerEpochReaggregationBitwise) {
-  const Dataset ds = learnable(512, 4, 0.8f, 23);
+std::vector<std::uint8_t> make_mask(MaskKind kind, std::size_t n) {
+  std::vector<std::uint8_t> mask(n, kind == MaskKind::kAllRows ? 1 : 0);
+  if (kind == MaskKind::kSingleRow) mask[n / 3] = 1;
+  if (kind == MaskKind::kRandomTenth) {
+    Rng rng(77);
+    for (auto& m : mask) m = rng.next_u64() % 10 == 0 ? 1 : 0;
+  }
+  return mask;
+}
+
+const char* mask_name(MaskKind kind) {
+  switch (kind) {
+    case MaskKind::kEmpty: return "Empty";
+    case MaskKind::kSingleRow: return "SingleRow";
+    case MaskKind::kAllRows: return "AllRows";
+    case MaskKind::kRandomTenth: return "RandomTenth";
+  }
+  return "?";
+}
+
+class SingleSocketReference
+    : public ::testing::TestWithParam<std::tuple<ApMode, int, MaskKind>> {};
+
+TEST_P(SingleSocketReference, MatchesUnprunedFullGraphBitwise) {
+  const auto [ap_mode, num_layers, mask_kind] = GetParam();
+  Dataset ds = learnable(512, 4, 0.8f, 23);
+  ds.train_mask = make_mask(mask_kind, static_cast<std::size_t>(ds.num_vertices()));
   TrainConfig cfg = small_config();
-  cfg.num_layers = 3;
+  cfg.num_layers = num_layers;
   cfg.momentum = 0.9;
   cfg.num_blocks = 3;
-  cfg.ap_mode = GetParam();
+  cfg.ap_mode = ap_mode;
   constexpr int kEpochs = 4;
 
   SingleSocketTrainer trainer(ds, cfg);
@@ -171,11 +202,33 @@ TEST_P(SingleSocketInputLayer, MatchesPerEpochReaggregationBitwise) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(BothApModes, SingleSocketInputLayer,
-                         ::testing::Values(ApMode::kOptimized, ApMode::kBaseline),
-                         [](const auto& info) {
-                           return info.param == ApMode::kOptimized ? "Optimized" : "Baseline";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, SingleSocketReference,
+    ::testing::Combine(::testing::Values(ApMode::kOptimized, ApMode::kBaseline),
+                       ::testing::Values(2, 3),
+                       ::testing::Values(MaskKind::kEmpty, MaskKind::kSingleRow,
+                                         MaskKind::kAllRows, MaskKind::kRandomTenth)),
+    [](const auto& info) {
+      const ApMode mode = std::get<0>(info.param);
+      return std::string(mode == ApMode::kOptimized ? "Optimized" : "Baseline") + "_" +
+             std::to_string(std::get<1>(info.param)) + "Layers_" +
+             mask_name(std::get<2>(info.param));
+    });
+
+TEST(SingleSocket, OutputFrontierIsTheTrainingRows) {
+  const Dataset ds = learnable(512);
+  SingleSocketTrainer trainer(ds, small_config());
+  const OutputFrontier& f = trainer.output_frontier();
+  std::vector<vid_t> want;
+  eid_t edges = 0;
+  for (vid_t v = 0; v < ds.num_vertices(); ++v) {
+    if (!ds.train_mask[static_cast<std::size_t>(v)]) continue;
+    want.push_back(v);
+    edges += ds.graph.in_csr().degree(v);
+  }
+  EXPECT_EQ(std::vector<vid_t>(f.rows().begin(), f.rows().end()), want);
+  EXPECT_EQ(f.num_edges(), edges);
+}
 
 TEST(SingleSocket, InputAggregationIsTimedOnceAtConstruction) {
   const Dataset ds = learnable(512);
@@ -218,6 +271,26 @@ TEST(WorkModel, Table8PaperNumbers) {
 
   const FullBatchWork sixteen = fullbatch_work(596'499, 51.5, {100, 256, 256});
   EXPECT_NEAR(sixteen.socket_ops / 1e9, 18.80, 0.2);
+}
+
+TEST(WorkModel, OutputFrontierNumbers) {
+  // The same OGBN-Products shapes with the output hop on the frontier: the
+  // 196,615 training vertices on one socket, and on 16 their clones at the
+  // training rate, 596,499 x 196,615 / 2,449,029 = 47,889 per partition.
+  const FullBatchWork one = fullbatch_work(2'449'029, 51.5, {100, 256, 256}, 196'615);
+  ASSERT_EQ(one.hops.size(), 3u);
+  EXPECT_EQ(one.hops[0].vertices, 2'449'029);
+  EXPECT_EQ(one.hops[1].vertices, 2'449'029);
+  EXPECT_EQ(one.hops[2].vertices, 196'615);
+  EXPECT_EQ(one.hops[2].label, "Hop-0");
+  EXPECT_NEAR(one.hops[0].giga_ops(), 12.61, 0.1);
+  EXPECT_NEAR(one.hops[1].giga_ops(), 32.29, 0.1);
+  EXPECT_NEAR(one.hops[2].giga_ops(), 2.592, 0.001);
+  EXPECT_NEAR(one.socket_ops / 1e9, 47.49, 0.01);
+
+  const FullBatchWork sixteen = fullbatch_work(596'499, 51.5, {100, 256, 256}, 47'889);
+  EXPECT_NEAR(sixteen.hops[2].giga_ops(), 0.631, 0.001);
+  EXPECT_NEAR(sixteen.socket_ops / 1e9, 11.57, 0.01);
 }
 
 TEST(WorkModel, FullBatchDoesMoreWorkThanMiniBatch) {

@@ -73,6 +73,81 @@ TEST(Csr, RejectsOutOfRangeEndpoints) {
   EXPECT_THROW(CsrMatrix::from_coo(el), std::out_of_range);
 }
 
+// from_raw validates the arrays (Release builds compile asserts out), and
+// column_blocks range-checks every column, so a malformed or rectangular
+// matrix is a typed error rather than a write past a block's row pointers.
+TEST(Csr, FromRawRejectsEmptyRowPtr) {
+  EXPECT_THROW(CsrMatrix::from_raw({}, {}, {}), std::invalid_argument);
+}
+
+TEST(Csr, FromRawRejectsNonMonotoneRowPtr) {
+  EXPECT_THROW(CsrMatrix::from_raw({0, 2, 1, 2}, {0, 1}, {0, 1}), std::invalid_argument);
+  EXPECT_THROW(CsrMatrix::from_raw({1, 1, 2}, {0, 1}, {0, 1}), std::invalid_argument);
+}
+
+TEST(Csr, FromRawRejectsRowPtrNotEndingAtEntryCount) {
+  EXPECT_THROW(CsrMatrix::from_raw({0, 1, 1}, {0, 1}, {0, 1}), std::invalid_argument);
+  EXPECT_THROW(CsrMatrix::from_raw({0, 1, 3}, {0, 1}, {0, 1}), std::invalid_argument);
+}
+
+TEST(Csr, FromRawRejectsMismatchedEntryArrays) {
+  EXPECT_THROW(CsrMatrix::from_raw({0, 1, 2}, {0, 1}, {0}), std::invalid_argument);
+}
+
+TEST(Csr, FromRawAcceptsAWellFormedMatrix) {
+  const CsrMatrix m = CsrMatrix::from_raw({0, 1, 1, 3}, {2, 0, 1}, {7, 8, 9});
+  EXPECT_EQ(m.num_rows(), 3);
+  EXPECT_EQ(m.num_entries(), 3);
+  EXPECT_EQ(m.degree(1), 0);
+}
+
+TEST(Csr, ColumnBlocksRejectsColumnsOutsideTheRowRange) {
+  // Two rows, a column 5: rectangular, so block sizes from num_rows() do not
+  // cover it.
+  const CsrMatrix wide = CsrMatrix::from_raw({0, 1, 2}, {0, 5}, {0, 1});
+  EXPECT_THROW(wide.column_blocks(2), std::out_of_range);
+  const CsrMatrix negative = CsrMatrix::from_raw({0, 1, 1}, {-1}, {0});
+  EXPECT_THROW(negative.column_blocks(1), std::out_of_range);
+  EXPECT_THROW(CsrMatrix::from_raw({0, 0}, {}, {}).column_blocks(0), std::invalid_argument);
+}
+
+TEST(Csr, SelectRowsKeepsEachRowsEntriesInOrder) {
+  const EdgeList el = generate_rmat({.num_vertices = 64, .num_edges = 512, .seed = 9});
+  const CsrMatrix csr = CsrMatrix::from_coo(el);
+  const std::vector<vid_t> rows{3, 10, 11, 63};
+  const CsrMatrix sel = csr.select_rows(rows);
+  ASSERT_EQ(sel.num_rows(), 4);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto got = sel.neighbors(static_cast<vid_t>(i));
+    const auto want = csr.neighbors(rows[i]);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end())) << "row " << i;
+    const auto got_ids = sel.edge_ids(static_cast<vid_t>(i));
+    const auto want_ids = csr.edge_ids(rows[i]);
+    EXPECT_TRUE(std::equal(got_ids.begin(), got_ids.end(), want_ids.begin(), want_ids.end()));
+  }
+  EXPECT_THROW(csr.select_rows(std::vector<vid_t>{64}), std::out_of_range);
+}
+
+TEST(Csr, SelectColumnsKeepsMappedEntriesRenumbered) {
+  const EdgeList el = generate_rmat({.num_vertices = 64, .num_edges = 512, .seed = 9});
+  const CsrMatrix csr = CsrMatrix::from_coo(el);
+  std::vector<vid_t> column_map(64, -1);
+  column_map[5] = 0;
+  column_map[17] = 1;
+  column_map[40] = 2;
+  const CsrMatrix sel = csr.select_columns(column_map);
+  ASSERT_EQ(sel.num_rows(), csr.num_rows());
+  for (vid_t v = 0; v < csr.num_rows(); ++v) {
+    std::vector<vid_t> want;
+    for (const vid_t u : csr.neighbors(v))
+      if (column_map[static_cast<std::size_t>(u)] >= 0)
+        want.push_back(column_map[static_cast<std::size_t>(u)]);
+    const auto got = sel.neighbors(v);
+    EXPECT_EQ(std::vector<vid_t>(got.begin(), got.end()), want) << "row " << v;
+  }
+  EXPECT_THROW(csr.select_columns(std::vector<vid_t>(10, 0)), std::out_of_range);
+}
+
 class CsrBlockTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CsrBlockTest, ColumnBlocksPartitionEntries) {
