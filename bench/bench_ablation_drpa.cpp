@@ -3,7 +3,7 @@
 //       degradation at r=10 from increasingly stale aggregates;
 //   (b) staleness policy — Alg. 4's literal "overwrite one bin per epoch"
 //       vs the cached "reapply the last received remote contribution every
-//       epoch" interpretation (see DESIGN.md §4).
+//       epoch" interpretation (see StalenessPolicy in core/config.hpp).
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -40,12 +40,12 @@ int main(int argc, char** argv) {
   cfg.lr = 0.1;
   cfg.epochs = epochs;
 
-  // (a) delay sweep. r = 0 means cd-0 (fresh, blocking).
+  // (a) delay sweep. r = 0 is cd-0: Alg. 4 with lag 0 (fresh, blocking).
   TextTable delay_table({"delay r", "algorithm", "test acc (%)", "final loss",
                          "halo MB/epoch"});
   for (const int r : {0, 1, 2, 5, 10}) {
     cfg.algorithm = r == 0 ? Algorithm::kCd0 : Algorithm::kCdR;
-    cfg.delay = std::max(1, r);
+    cfg.delay = r;
     cfg.staleness = StalenessPolicy::kCache;
     const DistTrainResult result = train_distributed(ds, pg, cfg);
     delay_table.add_row({TextTable::fmt_int(r), r == 0 ? "cd-0" : "cd-" + std::to_string(r),

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nPaper reference (Table 4): Reddit 1.75/2.94/4.66/6.93 at 2/4/8/16;\n"
               "Proteins lowest (1.33..2.37) thanks to protein-family clusters; replication\n"
-              "grows with partition count everywhere. See DESIGN.md for the known\n"
-              "deviation on the synthetic proteins-sim magnitude.\n");
+              "grows with partition count everywhere. proteins-sim's magnitude comes from\n"
+              "its SBM homophily, set in its spec in graph/datasets.cpp.\n");
   return 0;
 }

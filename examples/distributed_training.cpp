@@ -5,6 +5,7 @@
 //   ./distributed_training [--ranks=4] [--algorithm=cd-r|cd-0|0c] [--delay=5]
 //                          [--epochs=40] [--dataset=<registry name>]
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "core/distributed_trainer.hpp"
@@ -62,7 +63,13 @@ int main(int argc, char** argv) {
 
   std::printf("training %s on %d simulated sockets (delay r=%d)...\n",
               to_string(config.algorithm).c_str(), ranks, config.delay);
-  const DistTrainResult result = train_distributed(dataset, pg, config);
+  DistTrainResult result;
+  try {
+    result = train_distributed(dataset, pg, config);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   for (std::size_t e = 0; e < result.epochs.size(); e += 10)
     std::printf("epoch %3zu  loss %.4f  %.2f ms/epoch (LAT %.2f ms, RAT %.2f ms)\n", e,

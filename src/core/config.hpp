@@ -1,5 +1,5 @@
-// Training configuration shared by the single-socket and distributed
-// trainers.
+// Training configuration shared by the full-batch trainers, and what one
+// single-process epoch reports.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +57,14 @@ struct TrainConfig {
   /// FP16/BF16 halve the communication volume at a small accuracy cost).
   /// Gradient AllReduce always stays FP32.
   HaloPrecision halo_precision = HaloPrecision::kFp32;
+};
+
+/// One epoch of SingleSocketTrainer or RgcnTrainer, in wall seconds.
+struct EpochStats {
+  double loss = 0.0;
+  double total_seconds = 0.0;
+  double ap_seconds = 0.0;   // forward + backward aggregation time
+  double mlp_seconds = 0.0;  // combine/linear/activation/loss/optimizer time
 };
 
 }  // namespace distgnn

@@ -1,15 +1,19 @@
 // Distributed full-batch GraphSAGE training (§5): data-parallel model
-// replicas, one rank per partition, with the three aggregation-communication
-// algorithms of §5.3:
+// replicas, one rank per partition. Each rank runs the single socket's
+// full-batch program (core/fullbatch_sage.hpp) on its local partition, with
+// one halo routine — Alg. 4 with a lag — as the program's per-layer sync
+// hook. The three aggregation-communication algorithms of §5.3 are:
 //
 //   0c    — local partial aggregates only; no communication (the roofline).
-//   cd-0  — every epoch, every split tree synchronizes: leaves push partial
-//           aggregates to the root, the root reduces and pushes totals back.
-//           Matches the single-socket forward exactly.
-//   cd-r  — Delayed Remote Partial Aggregates (Alg. 4): split trees are
-//           binned; each epoch only bin (e mod r) communicates, and its data
-//           is consumed r epochs later, overlapping communication with
-//           computation at the cost of staleness.
+//   cd-0  — Alg. 4 with lag 0: every epoch, every split tree synchronizes:
+//           leaves push partial aggregates to the root, the root reduces and
+//           pushes totals back. Matches the single-socket forward exactly.
+//   cd-r  — Delayed Remote Partial Aggregates, Alg. 4 with lag r >= 1: split
+//           trees are binned; each epoch only bin (e mod r) communicates, and
+//           its data is consumed r epochs later, overlapping communication
+//           with computation at the cost of staleness.
+//
+// Evaluation is exact: Alg. 4 with lag 0 over every bin of the plan.
 //
 // Model replicas start from identical seeds and stay synchronized through a
 // per-epoch gradient AllReduce (the paper's parameter sync).
@@ -57,7 +61,8 @@ struct DistTrainResult {
 };
 
 /// Trains `config.epochs` epochs of GraphSAGE over the given partitioning,
-/// one simulated socket (rank thread) per partition. The final accuracies
+/// one simulated socket (rank thread) per partition. Throws
+/// std::invalid_argument for cd-r with a delay below 1. The final accuracies
 /// are measured with a fully synchronized (cd-0 style) forward pass so all
 /// algorithms are scored on the true full-neighbourhood semantics.
 DistTrainResult train_distributed(const Dataset& dataset, const PartitionedGraph& pg,

@@ -1,0 +1,126 @@
+// The full-batch GraphSAGE program (§4, §5): one forward, loss, backward and
+// optimizer step over one graph. SingleSocketTrainer runs it on the whole
+// graph; each rank of train_distributed runs it on its local partition,
+// with a sync hook that completes every layer's partial aggregate through
+// the halo exchange (Alg. 4) — the distributed trainer is the single-socket
+// one plus remote partial aggregation.
+//
+// A pass, layer by layer:  AP → sync hook (if any) → combine → Linear,
+// then the softmax loss, then backward layer by layer:
+// backward_to_scaled → transpose AP → add_self (dH = dscaled + Aᵀ·dscaled).
+//
+// Layer 0's aggregate of the constant input features is built once, at
+// construction. Without a sync hook it is combined once too, and each pass
+// layer 0 runs only its Linear; with one, each pass restores the local
+// partial and syncs it first, since what the halo adds changes per pass.
+//
+// Training runs the output layer, its loss and its backward only on the
+// training frontier (core/output_frontier.hpp); every other layer, and the
+// output layer of a forward_all(), run on the all-rows frontier.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <span>
+#include <vector>
+
+#include "core/config.hpp"
+#include "core/output_frontier.hpp"
+#include "core/sage_model.hpp"
+#include "graph/csr.hpp"
+#include "kernels/aggregate.hpp"
+#include "nn/loss.hpp"
+
+namespace distgnn {
+
+/// The graph a program runs on: the whole graph, or one rank's local
+/// partition. Only `features` is referenced after construction.
+struct FullBatchGraph {
+  const CsrMatrix& in_csr;             // row v: v's (local) in-neighbours
+  const CsrMatrix& out_csr;            // its transpose
+  std::span<const eid_t> in_degree;    // global in-degree per row: 1/(deg+1)
+  ConstMatrixView features;            // constant input features, per row
+  std::span<const int> labels;         // per row
+  std::span<const std::uint8_t> output_rows;  // rows the training output layer computes
+  std::span<const std::uint8_t> loss_rows;    // of those, the rows the loss reads
+};
+
+/// Seconds spent per phase, on the program's clock.
+struct PassTimes {
+  double ap = 0.0;           // forward AP, and the restore of layer 0's partial
+  double sync = 0.0;         // the sync hook
+  double backward_ap = 0.0;  // transpose AP + add_self
+  double mlp = 0.0;          // combine, Linear, loss, backward_to_scaled, step
+};
+
+class FullBatchSage {
+ public:
+  /// Seconds on some monotone clock: wall for one socket, thread CPU for a
+  /// rank (see thread_cpu_seconds).
+  using Clock = double (*)();
+  /// Completes layer `layer`'s aggregate `agg` in place, between the AP and
+  /// the combine. `training` is false in forward_all(). In training, the
+  /// output layer's `agg` has the training frontier's rows.
+  using SyncHook = std::function<void(int layer, bool training, MatrixView agg)>;
+
+  FullBatchSage(const FullBatchGraph& graph, const TrainConfig& config, int num_classes,
+                Clock clock, SyncHook sync = {});
+  // The frontiers refer to the program's own blocks.
+  FullBatchSage(const FullBatchSage&) = delete;
+  FullBatchSage& operator=(const FullBatchSage&) = delete;
+
+  /// Training forward, loss and backward; leaves the parameter gradients in
+  /// model(). Returns the loss over the loss rows divided by `divisor`
+  /// (0 = their count).
+  double train_pass(std::int64_t divisor, PassTimes& times);
+  /// One optimizer step on model()'s gradients.
+  void step(PassTimes& times);
+  /// Forward on every row; returns the logits, one row per graph row.
+  ConstMatrixView forward_all();
+
+  SageModel& model() { return model_; }
+  int num_blocks() const { return num_blocks_; }
+  /// Clock seconds of the one layer-0 aggregation run at construction (0
+  /// when layer 0 is the output layer, which aggregates every pass).
+  double input_ap_seconds() const { return input_ap_seconds_; }
+  /// The rows and edges the output layer computes in training.
+  const OutputFrontier& output_frontier() const { return train_rows_; }
+
+ private:
+  void forward(bool training, PassTimes& times);
+  /// out = A·X over `blocks` with the configured AP; out has the blocks' rows.
+  void aggregate(const BlockedCsr& blocks, ConstMatrixView X, DenseMatrix& out) const;
+  /// Adds the clock seconds since `t0` to `total`; returns now.
+  double lap(double& total, double t0) const;
+
+  TrainConfig config_;
+  Clock clock_;
+  SyncHook sync_;
+  ConstMatrixView features_;
+  SageModel model_;
+  SoftmaxCrossEntropy loss_;
+  Sgd optimizer_;
+  int num_blocks_ = 1;
+  double input_ap_seconds_ = 0.0;
+
+  // Forward and backward (transpose) adjacency: column blocks for
+  // ApMode::kOptimized, the plain CSR as one block for kBaseline.
+  BlockedCsr blocked_in_, blocked_out_;
+  DenseMatrix inv_norm_;       // n x 1, 1/(in_degree+1)
+  OutputFrontier all_rows_;    // hidden layers, and the output layer in forward_all()
+  OutputFrontier train_rows_;  // the output layer in train_pass()
+  std::vector<int> train_labels_;              // labels at train_rows_
+  std::vector<std::uint8_t> train_loss_mask_;  // loss_rows at train_rows_
+
+  // combined_[l] is layer l's Linear input, (agg + H) · inv_norm, built in
+  // place of its (synced) aggregate; the output layer's has the pass's
+  // frontier rows. Without a sync hook combined_[0] is built once, at
+  // construction; with one, input_agg_ keeps layer 0's local partial.
+  // acts_[l] is layer l's output; layer 0 reads features_.
+  std::vector<DenseMatrix> combined_;
+  std::vector<DenseMatrix> acts_;
+  DenseMatrix input_agg_;
+  DenseMatrix d_upper_, dscaled_, dH_;
+};
+
+}  // namespace distgnn

@@ -3,13 +3,9 @@
 #include <chrono>
 #include <utility>
 
-namespace distgnn {
+#include "util/stopwatch.hpp"
 
-namespace {
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-}  // namespace
+namespace distgnn {
 
 RgcnTrainer::RgcnTrainer(const HeteroDataset& dataset, TrainConfig config)
     : dataset_(dataset),
@@ -86,31 +82,31 @@ void RgcnTrainer::aggregate_layer(std::size_t l) {
   }
 }
 
-void RgcnTrainer::forward(bool timed, RgcnEpochStats* stats) {
+void RgcnTrainer::forward(EpochStats& stats) {
   const auto n = static_cast<std::size_t>(dataset_.num_vertices());
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     if (l > 0) {
       const auto t0 = std::chrono::steady_clock::now();
       aggregate_layer(l);
-      if (timed) stats->ap_seconds += seconds_since(t0);
+      stats.ap_seconds += seconds_since(t0);
     }
 
     const auto t1 = std::chrono::steady_clock::now();
     acts_[l].resize_discard(n, layers_[l].out_dim());
     layers_[l].forward_from_aggregates(layer_input(l), aggs_[l], inv_norms_, acts_[l].view());
-    if (timed) stats->mlp_seconds += seconds_since(t1);
+    stats.mlp_seconds += seconds_since(t1);
   }
 }
 
-RgcnEpochStats RgcnTrainer::train_epoch() {
-  RgcnEpochStats stats;
+EpochStats RgcnTrainer::train_epoch() {
+  EpochStats stats;
   const auto begin = std::chrono::steady_clock::now();
   const auto n = static_cast<std::size_t>(dataset_.num_vertices());
   const int relations = num_relations();
   ApConfig ap;
   ap.dynamic_schedule = false;
 
-  forward(/*timed=*/true, &stats);
+  forward(stats);
 
   auto t0 = std::chrono::steady_clock::now();
   stats.loss = loss_.forward(acts_.back().cview(), dataset_.labels, dataset_.train_mask);
@@ -167,7 +163,8 @@ RgcnEpochStats RgcnTrainer::train_epoch() {
 }
 
 double RgcnTrainer::evaluate(const std::vector<std::uint8_t>& mask) {
-  forward(/*timed=*/false, nullptr);
+  EpochStats unused;
+  forward(unused);
   return masked_accuracy(acts_.back().cview(), dataset_.labels, mask).accuracy();
 }
 

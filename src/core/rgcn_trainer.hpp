@@ -17,18 +17,11 @@
 
 namespace distgnn {
 
-struct RgcnEpochStats {
-  double loss = 0.0;
-  double total_seconds = 0.0;
-  double ap_seconds = 0.0;
-  double mlp_seconds = 0.0;
-};
-
 class RgcnTrainer {
  public:
   RgcnTrainer(const HeteroDataset& dataset, TrainConfig config);
 
-  RgcnEpochStats train_epoch();
+  EpochStats train_epoch();
   double evaluate(const std::vector<std::uint8_t>& mask);
 
   int num_relations() const { return dataset_.graph.num_edge_types(); }
@@ -46,7 +39,7 @@ class RgcnTrainer {
   ConstMatrixView logits() const { return acts_.back().cview(); }
 
  private:
-  void forward(bool timed, RgcnEpochStats* stats);
+  void forward(EpochStats& stats);
   ConstMatrixView layer_input(std::size_t l) const;
   /// aggs_[l][r] = A_r · layer_input(l) for every relation r.
   void aggregate_layer(std::size_t l);

@@ -1,7 +1,8 @@
 // Synthetic graph generators. The paper's datasets are unavailable offline,
 // so we generate graphs whose *density character* (power-law degrees for
 // Reddit/OGBN, clustered structure for Proteins, SBM for accuracy studies)
-// matches the phenomena each experiment depends on. See DESIGN.md §1.
+// matches the phenomena each experiment depends on. The dataset registry
+// (graph/datasets.cpp) maps each of the paper's datasets to one of them.
 #pragma once
 
 #include <cstdint>

@@ -12,8 +12,7 @@ double thread_cpu_seconds() {
   if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0)
     return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 #endif
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
+  return seconds_since({});
 }
 
 }  // namespace distgnn

@@ -1,12 +1,8 @@
-// Wall-clock timing helpers. Stopwatch accumulates across start/stop pairs so
-// the trainer can separate phases (local aggregation, remote aggregation,
-// MLP, backprop) the way Figure 6 of the paper does.
+// Timing helpers for the trainers' phase times: wall seconds on the steady
+// clock, and per-thread CPU seconds for simulated ranks.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <map>
-#include <string>
 
 namespace distgnn {
 
@@ -18,64 +14,9 @@ namespace distgnn {
 /// without a per-thread CPU clock.
 double thread_cpu_seconds();
 
-class Stopwatch {
- public:
-  void start() { begin_ = clock::now(); running_ = true; }
-
-  /// Stops and returns the elapsed seconds of this start/stop interval.
-  double stop() {
-    if (!running_) return 0.0;
-    const double s = std::chrono::duration<double>(clock::now() - begin_).count();
-    total_ += s;
-    ++laps_;
-    running_ = false;
-    return s;
-  }
-
-  void reset() { total_ = 0.0; laps_ = 0; running_ = false; }
-
-  double total_seconds() const { return total_; }
-  std::uint64_t laps() const { return laps_; }
-  double mean_seconds() const { return laps_ == 0 ? 0.0 : total_ / static_cast<double>(laps_); }
-
- private:
-  using clock = std::chrono::steady_clock;
-  clock::time_point begin_{};
-  double total_ = 0.0;
-  std::uint64_t laps_ = 0;
-  bool running_ = false;
-};
-
-/// Named collection of stopwatches, e.g. one per training phase.
-class PhaseTimers {
- public:
-  Stopwatch& operator[](const std::string& name) { return timers_[name]; }
-
-  double total_seconds(const std::string& name) const {
-    const auto it = timers_.find(name);
-    return it == timers_.end() ? 0.0 : it->second.total_seconds();
-  }
-
-  const std::map<std::string, Stopwatch>& all() const { return timers_; }
-
-  void reset() {
-    for (auto& [_, t] : timers_) t.reset();
-  }
-
- private:
-  std::map<std::string, Stopwatch> timers_;
-};
-
-/// RAII lap: starts on construction, stops on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Stopwatch& sw) : sw_(sw) { sw_.start(); }
-  ~ScopedTimer() { sw_.stop(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Stopwatch& sw_;
-};
+/// Wall seconds from `t0` to now on the steady clock.
+inline double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
 
 }  // namespace distgnn

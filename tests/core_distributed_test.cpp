@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/distributed_trainer.hpp"
 #include "core/single_socket_trainer.hpp"
@@ -141,15 +144,19 @@ TEST(Distributed, LiteralStalenessPolicyAlsoConverges) {
 
 TEST(Distributed, SinglePartitionMatchesSingleSocket) {
   const Dataset ds = learnable(512, 45);
-  TrainConfig cfg = dist_config(Algorithm::kCd0, 4);
-  SingleSocketTrainer single(ds, cfg);
-  std::vector<double> expect;
-  for (int e = 0; e < cfg.epochs; ++e) expect.push_back(single.train_epoch().loss);
-
   const PartitionedGraph pg = partitioned(ds, 1);
-  const DistTrainResult result = train_distributed(ds, pg, cfg);
-  for (std::size_t e = 0; e < expect.size(); ++e)
-    EXPECT_NEAR(result.epochs[e].loss, expect[e], 1e-3 * std::max(1.0, std::abs(expect[e])));
+  // Ranks run the same program as the single socket, in either AP mode.
+  for (const ApMode mode : {ApMode::kOptimized, ApMode::kBaseline}) {
+    TrainConfig cfg = dist_config(Algorithm::kCd0, 4);
+    cfg.ap_mode = mode;
+    SingleSocketTrainer single(ds, cfg);
+    std::vector<double> expect;
+    for (int e = 0; e < cfg.epochs; ++e) expect.push_back(single.train_epoch().loss);
+
+    const DistTrainResult result = train_distributed(ds, pg, cfg);
+    for (std::size_t e = 0; e < expect.size(); ++e)
+      EXPECT_NEAR(result.epochs[e].loss, expect[e], 1e-3 * std::max(1.0, std::abs(expect[e])));
+  }
 }
 
 TEST(Distributed, EpochRecordsArePopulated) {
@@ -198,6 +205,76 @@ TEST(Distributed, Bf16HalvesHaloBytes) {
               0.5 * static_cast<double>(fp32.total_bytes_sent),
               0.1 * static_cast<double>(fp32.total_bytes_sent));
   EXPECT_EQ(bf16.allreduce_bytes, fp32.allreduce_bytes);
+}
+
+TEST(Distributed, CdrRejectsDelayBelowOne) {
+  // cd-r with r < 1 is not cd-0 in disguise: the caller asked for bins that
+  // do not exist, and silently training cd-1 would mislabel the run.
+  const Dataset ds = learnable(256, 61);
+  const PartitionedGraph pg = partitioned(ds, 2);
+  TrainConfig cfg = dist_config(Algorithm::kCdR, 2);
+  for (const int delay : {0, -1}) {
+    cfg.delay = delay;
+    EXPECT_THROW(train_distributed(ds, pg, cfg), std::invalid_argument) << "delay " << delay;
+  }
+}
+
+// Every (layers, halo precision) pair the halo tests below sweep.
+std::vector<std::pair<int, HaloPrecision>> halo_sweep() {
+  std::vector<std::pair<int, HaloPrecision>> out;
+  for (const int layers : {1, 2, 3})
+    for (const HaloPrecision p : {HaloPrecision::kFp32, HaloPrecision::kBf16})
+      out.emplace_back(layers, p);
+  return out;
+}
+
+TEST(Distributed, CdrBeforeItsFirstMaturedBinIs0c) {
+  // Before epoch r no delayed partial has matured, so cd-r's aggregates are
+  // the local partials of 0c and its losses are bitwise 0c's, under either
+  // staleness policy.
+  const Dataset ds = learnable(1024, 33);
+  const PartitionedGraph pg = partitioned(ds, 4);
+  for (const auto& [layers, precision] : halo_sweep()) {
+    TrainConfig cfg = dist_config(Algorithm::k0c, 5);
+    cfg.num_layers = layers;
+    cfg.halo_precision = precision;
+    const DistTrainResult zero = train_distributed(ds, pg, cfg);
+    cfg.algorithm = Algorithm::kCdR;
+    for (const StalenessPolicy policy : {StalenessPolicy::kCache, StalenessPolicy::kLiteral}) {
+      cfg.staleness = policy;
+      const DistTrainResult cdr = train_distributed(ds, pg, cfg);
+      for (int e = 0; e < cfg.delay; ++e)
+        EXPECT_EQ(cdr.epochs[static_cast<std::size_t>(e)].loss,
+                  zero.epochs[static_cast<std::size_t>(e)].loss)
+            << layers << " layers, " << to_string(precision) << ", epoch " << e;
+      // The first matured bin changes the aggregates.
+      EXPECT_NE(cdr.epochs.back().loss, zero.epochs.back().loss) << layers << " layers";
+    }
+  }
+}
+
+TEST(Distributed, Cd0IgnoresTheStalenessPolicy) {
+  // cd-0 is Alg. 4 with lag 0: every pull adds straight into the aggregate,
+  // in peer order, under either policy; a cache of remote sums would round
+  // a + (p1 + p2) instead of (a + p1) + p2.
+  const Dataset ds = learnable(1024, 33);
+  const PartitionedGraph pg = partitioned(ds, 4);
+  for (const auto& [layers, precision] : halo_sweep()) {
+    TrainConfig cfg = dist_config(Algorithm::kCd0, 5);
+    cfg.num_layers = layers;
+    cfg.halo_precision = precision;
+    cfg.staleness = StalenessPolicy::kCache;
+    const DistTrainResult cache = train_distributed(ds, pg, cfg);
+    cfg.staleness = StalenessPolicy::kLiteral;
+    const DistTrainResult literal = train_distributed(ds, pg, cfg);
+    for (std::size_t e = 0; e < cache.epochs.size(); ++e)
+      EXPECT_EQ(cache.epochs[e].loss, literal.epochs[e].loss)
+          << layers << " layers, " << to_string(precision) << ", epoch " << e;
+    EXPECT_EQ(cache.train_accuracy, literal.train_accuracy);
+    EXPECT_EQ(cache.val_accuracy, literal.val_accuracy);
+    EXPECT_EQ(cache.test_accuracy, literal.test_accuracy);
+    EXPECT_EQ(cache.total_bytes_sent, literal.total_bytes_sent);
+  }
 }
 
 // The output frontier of a rank: every local clone of a training vertex,

@@ -2,10 +2,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
 
+#include "core/fullbatch_sage.hpp"
 #include "core/memory_model.hpp"
 #include "core/single_socket_trainer.hpp"
 #include "core/work_model.hpp"
@@ -228,6 +231,26 @@ TEST(SingleSocket, OutputFrontierIsTheTrainingRows) {
   }
   EXPECT_EQ(std::vector<vid_t>(f.rows().begin(), f.rows().end()), want);
   EXPECT_EQ(f.num_edges(), edges);
+}
+
+TEST(FullBatchSage, RejectsPerRowInputsOfTheWrongLength) {
+  const Dataset ds = learnable(64);
+  const CsrMatrix& in_csr = ds.graph.in_csr();
+  const std::vector<eid_t> degree(static_cast<std::size_t>(ds.num_vertices()), 1);
+  const std::vector<int> short_labels(ds.labels.begin(), ds.labels.end() - 1);
+  const auto build = [&](std::span<const eid_t> in_degree, std::span<const int> labels) {
+    FullBatchSage pass({.in_csr = in_csr,
+                        .out_csr = ds.graph.out_csr(),
+                        .in_degree = in_degree,
+                        .features = ds.features.cview(),
+                        .labels = labels,
+                        .output_rows = ds.train_mask,
+                        .loss_rows = ds.train_mask},
+                       small_config(), ds.num_classes, [] { return 0.0; });
+  };
+  EXPECT_NO_THROW(build(degree, ds.labels));
+  EXPECT_THROW(build(degree, short_labels), std::invalid_argument);
+  EXPECT_THROW(build(std::span(degree).first(1), ds.labels), std::invalid_argument);
 }
 
 TEST(SingleSocket, InputAggregationIsTimedOnceAtConstruction) {

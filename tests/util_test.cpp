@@ -11,7 +11,6 @@
 #include "util/matrix.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
-#include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
 namespace distgnn {
@@ -114,31 +113,6 @@ TEST(DenseMatrix, ResizeDiscardZeroes) {
   DenseMatrix m(2, 2, 9.0f);
   m.resize_discard(3, 3);
   for (std::size_t i = 0; i < m.size(); ++i) EXPECT_EQ(m.data()[i], 0.0f);
-}
-
-TEST(Stopwatch, AccumulatesAcrossLaps) {
-  Stopwatch sw;
-  sw.start();
-  sw.stop();
-  sw.start();
-  sw.stop();
-  EXPECT_EQ(sw.laps(), 2u);
-  EXPECT_GE(sw.total_seconds(), 0.0);
-}
-
-TEST(Stopwatch, StopWithoutStartIsNoop) {
-  Stopwatch sw;
-  EXPECT_EQ(sw.stop(), 0.0);
-  EXPECT_EQ(sw.laps(), 0u);
-}
-
-TEST(PhaseTimers, TracksNamedPhases) {
-  PhaseTimers timers;
-  {
-    ScopedTimer t(timers["agg"]);
-  }
-  EXPECT_EQ(timers["agg"].laps(), 1u);
-  EXPECT_EQ(timers.total_seconds("missing"), 0.0);
 }
 
 TEST(TextTable, RendersAlignedRows) {
