@@ -1,11 +1,13 @@
 // google-benchmark microbenchmarks of the Aggregation Primitive variants:
 // the kernel-level view behind Figures 2-4, plus the two GEMMs of the MLP
 // that follows the aggregation. Run with --benchmark_filter=... to drill
-// into one variant.
+// into one variant. The context line `isa` names the kernel variant the
+// host runs (kernels/isa.hpp).
 #include <benchmark/benchmark.h>
 
 #include "graph/generators.hpp"
 #include "kernels/aggregate.hpp"
+#include "kernels/isa.hpp"
 #include "nn/gemm.hpp"
 #include "util/rng.hpp"
 
@@ -163,4 +165,11 @@ BENCHMARK(BM_GemmWeightGrad)->Unit(benchmark::kMillisecond)->UseRealTime();
 }  // namespace
 }  // namespace distgnn
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("isa", distgnn::kernels::active_isa());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

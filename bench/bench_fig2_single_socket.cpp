@@ -18,6 +18,7 @@
 #include "bench_common.hpp"
 #include "core/rgcn_trainer.hpp"
 #include "core/single_socket_trainer.hpp"
+#include "kernels/isa.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
 
@@ -83,6 +84,7 @@ int main(int argc, char** argv) {
 
   bench::print_header("Single-socket training: baseline DGL AP vs optimized AP",
                       "Figure 2 (GraphSAGE on Reddit/OGBN-Products/Proteins, RGCN on AM)");
+  std::printf("[kernels] %s variant\n", kernels::active_isa());
 
   // Paper model shapes: 2 layers/16 hidden for Reddit, 3/256 otherwise
   // (hidden scaled down with the datasets to keep the MLP proportionate).

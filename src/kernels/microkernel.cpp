@@ -1,6 +1,7 @@
 #include "kernels/microkernel.hpp"
 
-#include <array>
+#include <stdexcept>
+#include <string>
 
 namespace distgnn {
 
@@ -36,9 +37,13 @@ real_t reduce_identity(ReduceOp op) {
 
 namespace {
 
+using kernels::Isa;
+
 // The generic instantiation: neighbours in the outer loop, SIMD over the
 // feature dimension, accumulator kept hot. The destination row is read and
 // written once per call — the Alg. 3 property that LIBXSMM's reordering buys.
+// Every acc[j] takes its terms in neighbour order, so the baseline and AVX2
+// builds of it give the same bits as row_kernel_reference.
 template <BinaryOp B, ReduceOp R>
 void row_kernel_impl(const vid_t* nbrs, const eid_t* eids, std::size_t degree, const real_t* fV,
                      const real_t* fE, std::size_t d, real_t* acc) {
@@ -59,28 +64,62 @@ void row_kernel_impl(const vid_t* nbrs, const eid_t* eids, std::size_t degree, c
   }
 }
 
-template <BinaryOp B>
+#if DISTGNN_HAVE_AVX2_VARIANT
+template <BinaryOp B, ReduceOp R>
+DISTGNN_TARGET_AVX2 void row_kernel_avx2(const vid_t* nbrs, const eid_t* eids, std::size_t degree,
+                                         const real_t* fV, const real_t* fE, std::size_t d,
+                                         real_t* acc) {
+  row_kernel_impl<B, R>(nbrs, eids, degree, fV, fE, d, acc);
+}
+#endif
+
+template <Isa I, BinaryOp B, ReduceOp R>
+constexpr RowKernelFn row_kernel() {
+#if DISTGNN_HAVE_AVX2_VARIANT
+  if constexpr (I == Isa::kAvx2) return &row_kernel_avx2<B, R>;
+#endif
+  return &row_kernel_impl<B, R>;
+}
+
+template <Isa I, BinaryOp B>
 constexpr RowKernelFn select_reduce(ReduceOp reduce) {
   switch (reduce) {
-    case ReduceOp::kSum: return &row_kernel_impl<B, ReduceOp::kSum>;
-    case ReduceOp::kMax: return &row_kernel_impl<B, ReduceOp::kMax>;
-    case ReduceOp::kMin: return &row_kernel_impl<B, ReduceOp::kMin>;
+    case ReduceOp::kSum: return row_kernel<I, B, ReduceOp::kSum>();
+    case ReduceOp::kMax: return row_kernel<I, B, ReduceOp::kMax>();
+    case ReduceOp::kMin: return row_kernel<I, B, ReduceOp::kMin>();
+  }
+  return nullptr;
+}
+
+template <Isa I>
+RowKernelFn select_binary(BinaryOp binary, ReduceOp reduce) {
+  switch (binary) {
+    case BinaryOp::kAdd: return select_reduce<I, BinaryOp::kAdd>(reduce);
+    case BinaryOp::kSub: return select_reduce<I, BinaryOp::kSub>(reduce);
+    case BinaryOp::kMul: return select_reduce<I, BinaryOp::kMul>(reduce);
+    case BinaryOp::kDiv: return select_reduce<I, BinaryOp::kDiv>(reduce);
+    case BinaryOp::kCopyLhs: return select_reduce<I, BinaryOp::kCopyLhs>(reduce);
+    case BinaryOp::kCopyRhs: return select_reduce<I, BinaryOp::kCopyRhs>(reduce);
   }
   return nullptr;
 }
 
 }  // namespace
 
+namespace detail {
+
+RowKernelFn lookup_row_kernel(Isa isa, BinaryOp binary, ReduceOp reduce) {
+  if (!kernels::isa_supported(isa))
+    throw std::invalid_argument(std::string("lookup_row_kernel: the ") + kernels::to_string(isa) +
+                                " variant does not run on this host");
+  if (isa == Isa::kAvx2) return select_binary<Isa::kAvx2>(binary, reduce);
+  return select_binary<Isa::kBaseline>(binary, reduce);
+}
+
+}  // namespace detail
+
 RowKernelFn lookup_row_kernel(BinaryOp binary, ReduceOp reduce) {
-  switch (binary) {
-    case BinaryOp::kAdd: return select_reduce<BinaryOp::kAdd>(reduce);
-    case BinaryOp::kSub: return select_reduce<BinaryOp::kSub>(reduce);
-    case BinaryOp::kMul: return select_reduce<BinaryOp::kMul>(reduce);
-    case BinaryOp::kDiv: return select_reduce<BinaryOp::kDiv>(reduce);
-    case BinaryOp::kCopyLhs: return select_reduce<BinaryOp::kCopyLhs>(reduce);
-    case BinaryOp::kCopyRhs: return select_reduce<BinaryOp::kCopyRhs>(reduce);
-  }
-  return nullptr;
+  return detail::lookup_row_kernel(kernels::host_isa(), binary, reduce);
 }
 
 namespace {

@@ -9,8 +9,13 @@
 //     and holds each tile of C in registers across a chunk; every C[i][j]
 //     still adds its terms in ascending k.
 // So every output keeps the float operation order of the untiled loops.
+//
+// The gemm / gemm_bias row blocks, the gemm_at_b stripes and column_sums are
+// compiled for the x86-64 baseline and for AVX2 (kernels/isa.hpp) and run
+// the host's variant; both give the same bits. gemm_a_bt stays baseline.
 #pragma once
 
+#include "kernels/isa.hpp"
 #include "util/matrix.hpp"
 
 namespace distgnn {
@@ -32,5 +37,19 @@ void gemm_a_bt(ConstMatrixView A, ConstMatrixView B, MatrixView C, bool accumula
 
 /// bias_grad[j] = sum_i M[i][j] (accumulates into out, 1 x n).
 void column_sums(ConstMatrixView M, MatrixView out, bool accumulate = false);
+
+namespace detail {
+
+// One variant of each dispatched kernel, for the tests that compare the
+// variants bit for bit. The functions above run kernels::host_isa()'s.
+// Each throws std::invalid_argument when the host cannot run `isa`.
+void gemm(kernels::Isa isa, ConstMatrixView A, ConstMatrixView B, MatrixView C, bool accumulate);
+void gemm_bias(kernels::Isa isa, ConstMatrixView A, ConstMatrixView B, const real_t* bias,
+               MatrixView C);
+void gemm_at_b(kernels::Isa isa, ConstMatrixView A, ConstMatrixView B, MatrixView C,
+               bool accumulate);
+void column_sums(kernels::Isa isa, ConstMatrixView M, MatrixView out, bool accumulate);
+
+}  // namespace detail
 
 }  // namespace distgnn

@@ -8,11 +8,13 @@
 // rows. Both sides run the same functions, so a served row is bitwise the
 // training-side row whenever the inputs and the neighbour order agree.
 //
-// `xw_rows` is the register-tiled form of `xw` over a block of rows: gemm,
-// Linear and serving's GAT projection run it. It computes kMr x kNr output
-// tiles in registers instead of storing the output row after every k, but
-// each output still starts from 0 (or its Y value) and adds its k terms in
-// ascending order, so every row is bitwise `xw`.
+// `xw_rows` is the register-tiled form of `xw` over a block of rows:
+// serving's GAT projection runs it inline on the baseline ISA, and gemm
+// (Linear) runs its tile templates in the host's variant (kernels/isa.hpp),
+// with a 4 x 16 tile under AVX2. It computes output tiles in registers
+// instead of storing the output row after every k, but each output still
+// starts from 0 (or its Y value) and adds its k terms in ascending order,
+// so every row is bitwise `xw` at any tile shape and vector width.
 //
 // Nothing here starts an OpenMP team: serving workers call these
 // concurrently, and a team per worker would oversubscribe the host. Only
@@ -82,13 +84,14 @@ inline void xw_tile_cols(const real_t* x, std::size_t ldx, ConstMatrixView W, st
   if constexpr (NR > 1) xw_tile_cols<MR, NR / 2>(x, ldx, W, j0, y, ldy, accumulate);
 }
 
-/// Rows [i0, X.rows): MR-row blocks, then the remainder at half the height.
-template <std::size_t MR>
+/// Rows [i0, X.rows) in MR x NR tiles: MR-row blocks, then the remainder
+/// at half the height. gemm's AVX2 variant runs it with a wider tile.
+template <std::size_t MR, std::size_t NR>
 inline void xw_tile_rows(ConstMatrixView X, ConstMatrixView W, MatrixView Y, std::size_t i0,
                          bool accumulate) {
   for (; i0 + MR <= X.rows; i0 += MR)
-    xw_tile_cols<MR, kNr>(X.row(i0), X.cols, W, 0, Y.row(i0), Y.cols, accumulate);
-  if constexpr (MR > 1) xw_tile_rows<MR / 2>(X, W, Y, i0, accumulate);
+    xw_tile_cols<MR, NR>(X.row(i0), X.cols, W, 0, Y.row(i0), Y.cols, accumulate);
+  if constexpr (MR > 1) xw_tile_rows<MR / 2, NR>(X, W, Y, i0, accumulate);
 }
 
 }  // namespace detail
@@ -96,7 +99,7 @@ inline void xw_tile_rows(ConstMatrixView X, ConstMatrixView W, MatrixView Y, std
 /// Y = X · W, or Y += X · W when `accumulate`: row i of Y is bitwise
 /// xw(X.row(i), W, Y.row(i), accumulate). X is m x W.rows, Y m x W.cols.
 inline void xw_rows(ConstMatrixView X, ConstMatrixView W, MatrixView Y, bool accumulate = false) {
-  detail::xw_tile_rows<kMr>(X, W, Y, 0, accumulate);
+  detail::xw_tile_rows<kMr, kNr>(X, W, Y, 0, accumulate);
 }
 
 /// y += b over n values.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <tuple>
 
 #include "nn/activations.hpp"
@@ -112,10 +113,20 @@ TEST(Gemm, BiasAndColumnSums) {
 // leaves one row past gemm_at_b's 256-row k chunk. The tiled kernels keep
 // each output's float operation order, so every result is compared with
 // memcmp against the per-row reference, not within a tolerance.
-using GemmShape = std::tuple<std::size_t, std::size_t, std::size_t>;  // m, k, n
+using kernels::Isa;
+using GemmCase = std::tuple<Isa, std::size_t, std::size_t, std::size_t>;  // variant, m, k, n
 
-class GemmSweep : public ::testing::TestWithParam<GemmShape> {
+// Each kernel variant (kernels/isa.hpp) against the per-row reference, bit
+// for bit, in the style of a per-SIMD-width micro-kernel tester. The shapes
+// leave remainders of both variants' register tiles: 4 x 8 and 4 x 16 for
+// the x·W blocks, 1 x 32 and 2 x 32 for gemm_at_b.
+class GemmSweep : public ::testing::TestWithParam<GemmCase> {
  protected:
+  void SetUp() override {
+    if (!kernels::isa_supported(std::get<0>(GetParam())))
+      GTEST_SKIP() << "this host does not run the " << kernels::to_string(std::get<0>(GetParam()))
+                   << " variant";
+  }
   /// Uniform values with exact 0.0f and -0.0f sprinkled in.
   static DenseMatrix with_zeros(std::size_t rows, std::size_t cols, Rng& rng) {
     DenseMatrix m = random_matrix(rows, cols, rng);
@@ -129,7 +140,7 @@ class GemmSweep : public ::testing::TestWithParam<GemmShape> {
 };
 
 TEST_P(GemmSweep, XwRowsGemmAndLinearAreBitwisePerRowXw) {
-  const auto [m, k, n] = GetParam();
+  const auto [isa, m, k, n] = GetParam();
   Rng rng(m * 1000003 + k * 1009 + n);
   const DenseMatrix X = with_zeros(m, k, rng);
   const DenseMatrix W = random_matrix(k, n, rng);
@@ -142,22 +153,24 @@ TEST_P(GemmSweep, XwRowsGemmAndLinearAreBitwisePerRowXw) {
     rows::xw_rows(X.cview(), W.cview(), tiled.view(), accumulate);
     EXPECT_TRUE(same_bits(tiled, expect)) << "xw_rows accumulate=" << accumulate;
     DenseMatrix full = Y0;
-    gemm(X.cview(), W.cview(), full.view(), accumulate);
+    detail::gemm(isa, X.cview(), W.cview(), full.view(), accumulate);
     EXPECT_TRUE(same_bits(full, expect)) << "gemm accumulate=" << accumulate;
   }
 
   Linear linear(k, n, rng);
   for (std::size_t j = 0; j < n; ++j) linear.bias().at(0, j) = rng.uniform(-1.0f, 1.0f);
-  DenseMatrix expect(m, n), Y(m, n);
+  DenseMatrix expect(m, n), Y(m, n), Yb(m, n);
   for (std::size_t i = 0; i < m; ++i)
     rows::affine(X.row(i), linear.weight().cview(), linear.bias().data(), expect.row(i));
+  detail::gemm_bias(isa, X.cview(), linear.weight().cview(), linear.bias().data(), Yb.view());
+  EXPECT_TRUE(same_bits(Yb, expect)) << "gemm_bias";
   linear.forward(X.cview(), Y.view());
   EXPECT_TRUE(same_bits(Y, expect)) << "Linear::forward";
 }
 
 TEST_P(GemmSweep, GemmAtBIsBitwiseAscendingKWithZeroSkip) {
   // Here k is the reduction length: A is stored (k x m), B (k x n).
-  const auto [m, k, n] = GetParam();
+  const auto [isa, m, k, n] = GetParam();
   Rng rng(m * 7919 + k * 104729 + n);
   DenseMatrix A = with_zeros(k, m, rng);
   if (m > 1)  // an all-zero column: its C row keeps its initial bits
@@ -178,15 +191,42 @@ TEST_P(GemmSweep, GemmAtBIsBitwiseAscendingKWithZeroSkip) {
         expect.at(i, j) = acc;
       }
     DenseMatrix C = C0;
-    gemm_at_b(A.cview(), B.cview(), C.view(), accumulate);
+    detail::gemm_at_b(isa, A.cview(), B.cview(), C.view(), accumulate);
     EXPECT_TRUE(same_bits(C, expect)) << "gemm_at_b accumulate=" << accumulate;
   }
 }
 
+TEST_P(GemmSweep, ColumnSumsAreBitwiseAscendingRows) {
+  const auto [isa, m, k, n] = GetParam();
+  Rng rng(m * 31 + k * 7 + n);
+  const DenseMatrix M = with_zeros(m * k, n, rng);
+  const DenseMatrix out0 = random_matrix(1, n, rng);
+  for (const bool accumulate : {false, true}) {
+    DenseMatrix expect(1, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      real_t acc = accumulate ? out0.at(0, j) : 0.0f;
+      for (std::size_t i = 0; i < M.rows(); ++i) acc += M.at(i, j);
+      expect.at(0, j) = acc;
+    }
+    DenseMatrix out = out0;
+    detail::column_sums(isa, M.cview(), out.view(), accumulate);
+    EXPECT_TRUE(same_bits(out, expect)) << "column_sums accumulate=" << accumulate;
+  }
+}
+
+std::string gemm_case_name(const ::testing::TestParamInfo<GemmCase>& info) {
+  const auto& [isa, m, k, n] = info.param;
+  return std::string(kernels::to_string(isa)) + "_m" + std::to_string(m) + "_k" +
+         std::to_string(k) + "_n" + std::to_string(n);
+}
+
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmSweep,
-                         ::testing::Combine(::testing::Values<std::size_t>(1, 3, 4, 5, 67),
+                         ::testing::Combine(::testing::Values(Isa::kBaseline, Isa::kAvx2),
+                                            ::testing::Values<std::size_t>(1, 3, 4, 5, 67),
                                             ::testing::Values<std::size_t>(1, 7, 128, 257),
-                                            ::testing::Values<std::size_t>(1, 5, 16, 19, 32, 47)));
+                                            ::testing::Values<std::size_t>(1, 5, 16, 19, 24, 32,
+                                                                           40, 47)),
+                         gemm_case_name);
 
 TEST(Init, XavierWithinBound) {
   Rng rng(4);
