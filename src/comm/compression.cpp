@@ -131,8 +131,4 @@ std::vector<real_t> decode_halo(const std::vector<real_t>& packed, std::size_t c
   return values;
 }
 
-std::size_t wire_bytes(std::size_t count, HaloPrecision precision) {
-  return precision == HaloPrecision::kFp32 ? count * 4 : ((count + 1) / 2) * 4;
-}
-
 }  // namespace distgnn

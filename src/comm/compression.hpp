@@ -36,7 +36,4 @@ std::vector<real_t> encode_halo(const std::vector<real_t>& values, HaloPrecision
 std::vector<real_t> decode_halo(const std::vector<real_t>& packed, std::size_t count,
                                 HaloPrecision precision);
 
-/// Bytes a payload of `count` floats occupies on the wire at this precision.
-std::size_t wire_bytes(std::size_t count, HaloPrecision precision);
-
 }  // namespace distgnn

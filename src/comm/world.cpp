@@ -139,17 +139,6 @@ std::vector<std::int64_t> Communicator::allgather(std::int64_t value) {
   return out;
 }
 
-std::vector<std::vector<real_t>> Communicator::alltoallv(
-    const std::vector<std::vector<real_t>>& send) {
-  if (send.size() != static_cast<std::size_t>(size()))
-    throw std::invalid_argument("alltoallv: send must have one buffer per rank");
-  constexpr int kAlltoallTag = -424242;  // reserved internal tag
-  for (int p = 0; p < size(); ++p) this->send(p, kAlltoallTag, send[static_cast<std::size_t>(p)]);
-  std::vector<std::vector<real_t>> recv(static_cast<std::size_t>(size()));
-  for (int p = 0; p < size(); ++p) recv[static_cast<std::size_t>(p)] = this->recv(p, kAlltoallTag);
-  return recv;
-}
-
 void Communicator::send(int dest, int tag, std::vector<real_t> payload) {
   if (dest < 0 || dest >= size()) throw std::out_of_range("send: bad destination rank");
   auto& st = world_.stats_[static_cast<std::size_t>(rank_)];

@@ -7,8 +7,8 @@
 // collectives that mirror the MPI surface the paper's algorithms use:
 //
 //   * barrier / allreduce(sum|max) / broadcast / allgather
-//   * alltoallv of float payloads (the partial-aggregate exchange)
-//   * nonblocking tagged send + blocking/polling recv (the cd-r delayed path)
+//   * nonblocking tagged send + blocking/polling recv (the halo exchange of
+//     partial aggregates, on time for cd-0 and delayed for cd-r)
 //
 // Semantics match MPI where it matters: per (source, tag) channel ordering,
 // no message loss, collectives synchronize all ranks. Wall-clock costs are
@@ -119,11 +119,6 @@ class Communicator {
 
   /// Gathers each rank's value; result indexed by rank. Available on all ranks.
   std::vector<std::int64_t> allgather(std::int64_t value);
-
-  /// Exchange: sends send[p] to rank p, returns recv where recv[p] is the
-  /// payload rank p sent here. The collective the partial-aggregate halo
-  /// exchange uses (paper: OneCCL AlltoAll).
-  std::vector<std::vector<real_t>> alltoallv(const std::vector<std::vector<real_t>>& send);
 
   /// Nonblocking tagged point-to-point: enqueues and returns immediately.
   void send(int dest, int tag, std::vector<real_t> payload);

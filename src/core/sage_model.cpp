@@ -36,10 +36,4 @@ void SageModel::zero_grad() {
   for (auto& layer : layers_) layer.zero_grad();
 }
 
-std::size_t SageModel::num_parameters() const {
-  std::size_t n = 0;
-  for (const auto& layer : layers_) n += layer.linear().num_parameters();
-  return n;
-}
-
 }  // namespace distgnn

@@ -24,9 +24,6 @@ class SageModel {
   std::vector<ParamRef> params();
   void zero_grad();
 
-  /// Total scalar parameter count (for the allreduce-volume accounting).
-  std::size_t num_parameters() const;
-
  private:
   std::vector<GraphSageLayer> layers_;
 };

@@ -59,26 +59,6 @@ CsrMatrix CsrMatrix::from_raw(std::vector<eid_t> row_ptr, std::vector<vid_t> col
   return m;
 }
 
-CsrMatrix CsrMatrix::transposed() const {
-  const vid_t n = num_rows();
-  std::vector<eid_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
-  for (const vid_t c : col_idx_) ++row_ptr[static_cast<std::size_t>(c) + 1];
-  for (vid_t v = 0; v < n; ++v) row_ptr[v + 1] += row_ptr[v];
-
-  std::vector<vid_t> col_idx(col_idx_.size());
-  std::vector<eid_t> edge_id(edge_id_.size());
-  std::vector<eid_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
-  for (vid_t r = 0; r < n; ++r) {
-    for (eid_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
-      const vid_t c = col_idx_[static_cast<std::size_t>(i)];
-      const eid_t slot = cursor[static_cast<std::size_t>(c)]++;
-      col_idx[static_cast<std::size_t>(slot)] = r;
-      edge_id[static_cast<std::size_t>(slot)] = edge_id_[static_cast<std::size_t>(i)];
-    }
-  }
-  return from_raw(std::move(row_ptr), std::move(col_idx), std::move(edge_id));
-}
-
 std::vector<CsrMatrix> CsrMatrix::column_blocks(int num_blocks) const {
   if (num_blocks < 1) throw std::invalid_argument("CsrMatrix::column_blocks: num_blocks < 1");
   const vid_t n = num_rows();

@@ -26,9 +26,6 @@ class CsrMatrix {
   /// backpropagation through the aggregation and by neighbour sampling.
   static CsrMatrix transpose_from_coo(const EdgeList& coo);
 
-  /// Transposes this matrix (swap source/destination roles), preserving ids.
-  CsrMatrix transposed() const;
-
   vid_t num_rows() const { return static_cast<vid_t>(row_ptr_.size()) - 1; }
   eid_t num_entries() const { return static_cast<eid_t>(col_idx_.size()); }
 

@@ -35,17 +35,4 @@ DegreeStats in_degree_stats(const Graph& g) {
   return s;
 }
 
-std::vector<eid_t> degree_histogram_log2(const Graph& g) {
-  std::vector<eid_t> hist;
-  const CsrMatrix& csr = g.in_csr();
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    const eid_t d = csr.degree(v);
-    std::size_t bucket = 0;
-    while ((eid_t{1} << (bucket + 1)) <= d + 1) ++bucket;
-    if (bucket >= hist.size()) hist.resize(bucket + 1, 0);
-    ++hist[bucket];
-  }
-  return hist;
-}
-
 }  // namespace distgnn

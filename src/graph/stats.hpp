@@ -20,8 +20,4 @@ struct DegreeStats {
 
 DegreeStats in_degree_stats(const Graph& g);
 
-/// Degree histogram with power-of-two buckets: bucket[i] counts vertices of
-/// degree in [2^i, 2^{i+1}).
-std::vector<eid_t> degree_histogram_log2(const Graph& g);
-
 }  // namespace distgnn

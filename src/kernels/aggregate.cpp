@@ -46,7 +46,8 @@ void process_block(const CsrMatrix& block, ConstMatrixView fV, ConstMatrixView f
   const std::size_t d = fO.cols;
 
   if (cfg.dynamic_schedule) {
-    const int chunk = std::max(1, cfg.chunk_size);
+    // Read only by the pragma, which a serial build ignores.
+    [[maybe_unused]] const int chunk = std::max(1, cfg.chunk_size);
 #pragma omp parallel for schedule(dynamic, chunk)
     for (vid_t v = 0; v < n; ++v) {
       const auto nbrs = block.neighbors(v);

@@ -9,8 +9,8 @@
 //   * BlockedCsr + aggregate_prepartitioned — the production path: the
 //     per-block CSRs are built once and reused every epoch.
 //
-// All variants reduce *into* fO; callers seed fO with zeros (sum) or the
-// reduction identity (max/min) exactly as DGL does.
+// All variants reduce *into* fO; callers seed fO with the reduction's
+// identity (0 for sum, -inf for max, +inf for min) exactly as DGL does.
 #pragma once
 
 #include <span>

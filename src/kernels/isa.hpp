@@ -11,9 +11,9 @@
 // Both variants are bitwise identical: every output starts from the same
 // value and adds its terms in the same order, with a separate multiply and
 // add (the build passes -ffp-contract=off, and the AVX2 target leaves FMA
-// off). Only the register tile and the vector width differ. Kernels whose
-// `omp simd reduction` reassociates a sum by vector width (gemm_a_bt,
-// sddmm_dot) stay on the baseline ISA.
+// off). Only the register tile and the vector width differ. gemm_a_bt,
+// whose `omp simd reduction` reassociates a sum by vector width, stays on
+// the baseline ISA.
 #pragma once
 
 namespace distgnn::kernels {

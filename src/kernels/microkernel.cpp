@@ -5,36 +5,6 @@
 
 namespace distgnn {
 
-std::string to_string(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kAdd: return "add";
-    case BinaryOp::kSub: return "sub";
-    case BinaryOp::kMul: return "mul";
-    case BinaryOp::kDiv: return "div";
-    case BinaryOp::kCopyLhs: return "copylhs";
-    case BinaryOp::kCopyRhs: return "copyrhs";
-  }
-  return "?";
-}
-
-std::string to_string(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::kSum: return "sum";
-    case ReduceOp::kMax: return "max";
-    case ReduceOp::kMin: return "min";
-  }
-  return "?";
-}
-
-real_t reduce_identity(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::kSum: return ReduceFn<ReduceOp::kSum>::identity();
-    case ReduceOp::kMax: return ReduceFn<ReduceOp::kMax>::identity();
-    case ReduceOp::kMin: return ReduceFn<ReduceOp::kMin>::identity();
-  }
-  return 0;
-}
-
 namespace {
 
 using kernels::Isa;

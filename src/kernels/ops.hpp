@@ -4,8 +4,6 @@
 #pragma once
 
 #include <algorithm>
-#include <limits>
-#include <string>
 
 #include "util/types.hpp"
 
@@ -22,9 +20,6 @@ inline constexpr ReduceOp kAllReduceOps[] = {ReduceOp::kSum, ReduceOp::kMax, Red
 constexpr bool uses_lhs(BinaryOp op) { return op != BinaryOp::kCopyRhs; }
 /// True when the operator reads the edge-feature operand (rhs = fE[e]).
 constexpr bool uses_rhs(BinaryOp op) { return op != BinaryOp::kCopyLhs; }
-
-std::string to_string(BinaryOp op);
-std::string to_string(ReduceOp op);
 
 /// Compile-time functors used to instantiate the micro-kernels.
 template <BinaryOp Op>
@@ -61,19 +56,14 @@ struct ReduceFn;
 template <>
 struct ReduceFn<ReduceOp::kSum> {
   static real_t apply(real_t z, real_t v) { return z + v; }
-  static constexpr real_t identity() { return real_t{0}; }
 };
 template <>
 struct ReduceFn<ReduceOp::kMax> {
   static real_t apply(real_t z, real_t v) { return std::max(z, v); }
-  static constexpr real_t identity() { return -std::numeric_limits<real_t>::infinity(); }
 };
 template <>
 struct ReduceFn<ReduceOp::kMin> {
   static real_t apply(real_t z, real_t v) { return std::min(z, v); }
-  static constexpr real_t identity() { return std::numeric_limits<real_t>::infinity(); }
 };
-
-real_t reduce_identity(ReduceOp op);
 
 }  // namespace distgnn

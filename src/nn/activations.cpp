@@ -27,33 +27,4 @@ void Relu::backward(ConstMatrixView dY, MatrixView dX) const {
   for (std::size_t i = 0; i < n; ++i) dX.data[i] = mask_[i] ? dY.data[i] : 0;
 }
 
-void Dropout::forward(ConstMatrixView X, MatrixView Y, bool training, Rng& rng) {
-  if (X.rows != Y.rows || X.cols != Y.cols) throw std::invalid_argument("Dropout: shape mismatch");
-  last_training_ = training && p_ > 0;
-  if (!last_training_) {
-    if (Y.data != X.data)
-      for (std::size_t i = 0; i < X.size(); ++i) Y.data[i] = X.data[i];
-    return;
-  }
-  const float keep = 1.0f - p_;
-  const float scale = 1.0f / keep;
-  mask_.assign(X.size(), 0);
-  for (std::size_t i = 0; i < X.size(); ++i) {
-    // Serial loop: the mask must be identical for a fixed rng state.
-    const bool keep_it = rng.next_float() < keep;
-    mask_[i] = keep_it ? 1 : 0;
-    Y.data[i] = keep_it ? X.data[i] * scale : 0;
-  }
-}
-
-void Dropout::backward(ConstMatrixView dY, MatrixView dX) const {
-  if (!last_training_) {
-    if (dX.data != dY.data)
-      for (std::size_t i = 0; i < dY.size(); ++i) dX.data[i] = dY.data[i];
-    return;
-  }
-  const float scale = 1.0f / (1.0f - p_);
-  for (std::size_t i = 0; i < dY.size(); ++i) dX.data[i] = mask_[i] ? dY.data[i] * scale : 0;
-}
-
 }  // namespace distgnn

@@ -1,11 +1,10 @@
-// Element-wise activations and inverted dropout with manual backward.
+// The ReLU activation with manual backward.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "util/matrix.hpp"
-#include "util/rng.hpp"
 
 namespace distgnn {
 
@@ -17,23 +16,6 @@ class Relu {
   void backward(ConstMatrixView dY, MatrixView dX) const;
 
  private:
-  std::vector<std::uint8_t> mask_;
-};
-
-/// Inverted dropout: at train time zeroes activations with probability p and
-/// scales survivors by 1/(1-p); at eval time it is the identity.
-class Dropout {
- public:
-  explicit Dropout(float p = 0.5f) : p_(p) {}
-
-  void forward(ConstMatrixView X, MatrixView Y, bool training, Rng& rng);
-  void backward(ConstMatrixView dY, MatrixView dX) const;
-
-  float probability() const { return p_; }
-
- private:
-  float p_;
-  bool last_training_ = false;
   std::vector<std::uint8_t> mask_;
 };
 

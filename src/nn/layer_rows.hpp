@@ -2,11 +2,12 @@
 // arithmetic that training and serving share.
 //
 // The full-graph drivers (gemm / gemm_bias, Linear, GraphSageLayer,
-// RgcnLayer, GatInference, Relu) wrap these functions in
-// `#pragma omp parallel for` row loops. ModelSnapshot and
-// SampledSageTrainer::forward_batch call them serially over their stacked
-// rows. Both sides run the same functions, so a served row is bitwise the
-// training-side row whenever the inputs and the neighbour order agree.
+// RgcnLayer, Relu) wrap these functions in `#pragma omp parallel for` row
+// loops. ModelSnapshot and SampledSageTrainer::forward_batch call them
+// serially over their stacked rows. Both sides run the same functions, so a
+// served row is bitwise the training-side row whenever the inputs and the
+// neighbour order agree. GAT is served only; its rows are checked against a
+// scalar reference in the tests.
 //
 // `xw_rows` is the register-tiled form of `xw` over a block of rows:
 // serving's GAT projection runs it inline on the baseline ISA, and gemm

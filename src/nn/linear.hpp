@@ -34,9 +34,6 @@ class Linear {
   const DenseMatrix& weight() const { return weight_; }
   const DenseMatrix& bias() const { return bias_; }
 
-  /// Number of scalar parameters (weights + bias).
-  std::size_t num_parameters() const { return weight_.size() + bias_.size(); }
-
  private:
   DenseMatrix weight_;       // in x out
   DenseMatrix bias_;         // 1 x out

@@ -1,8 +1,5 @@
 #include "nn/optim.hpp"
 
-#include <cmath>
-#include <stdexcept>
-
 namespace distgnn {
 
 void Sgd::step(std::span<ParamRef> params) {
@@ -20,34 +17,6 @@ void Sgd::step(std::span<ParamRef> params) {
         g = vel;
       }
       p.value[i] -= static_cast<real_t>(lr_) * g;
-    }
-  }
-}
-
-void Adam::step(std::span<ParamRef> params) {
-  if (m_.size() != params.size()) {
-    m_.clear();
-    v_.clear();
-    for (const ParamRef& p : params) {
-      m_.emplace_back(p.size, real_t{0});
-      v_.emplace_back(p.size, real_t{0});
-    }
-    t_ = 0;
-  }
-  ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (std::size_t k = 0; k < params.size(); ++k) {
-    const ParamRef& p = params[k];
-    for (std::size_t i = 0; i < p.size; ++i) {
-      const real_t g = p.grad[i] + static_cast<real_t>(weight_decay_) * p.value[i];
-      real_t& m = m_[k][i];
-      real_t& v = v_[k][i];
-      m = static_cast<real_t>(beta1_) * m + static_cast<real_t>(1.0 - beta1_) * g;
-      v = static_cast<real_t>(beta2_) * v + static_cast<real_t>(1.0 - beta2_) * g * g;
-      const double mhat = m / bc1;
-      const double vhat = v / bc2;
-      p.value[i] -= static_cast<real_t>(lr_ * mhat / (std::sqrt(vhat) + eps_));
     }
   }
 }

@@ -1,9 +1,8 @@
-// First-order optimizers over flat parameter references. The trainer collects
+// The optimizer step over flat parameter references. The trainer collects
 // ParamRefs from every layer; the same list is what gets AllReduced in the
 // distributed data-parallel step.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -17,51 +16,18 @@ struct ParamRef {
   std::size_t size = 0;
 };
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  virtual void step(std::span<ParamRef> params) = 0;
-  virtual void reset_state() = 0;
-};
-
 /// SGD with optional momentum and decoupled L2 weight decay (the paper trains
 /// with wd = 5e-4).
-class Sgd final : public Optimizer {
+class Sgd {
  public:
   explicit Sgd(double lr, double momentum = 0.0, double weight_decay = 0.0)
       : lr_(lr), momentum_(momentum), weight_decay_(weight_decay) {}
 
-  void step(std::span<ParamRef> params) override;
-  void reset_state() override { velocity_.clear(); }
-
-  void set_lr(double lr) { lr_ = lr; }
-  double lr() const { return lr_; }
+  void step(std::span<ParamRef> params);
 
  private:
   double lr_, momentum_, weight_decay_;
   std::vector<std::vector<real_t>> velocity_;
-};
-
-class Adam final : public Optimizer {
- public:
-  explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8,
-                double weight_decay = 0.0)
-      : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps), weight_decay_(weight_decay) {}
-
-  void step(std::span<ParamRef> params) override;
-  void reset_state() override {
-    m_.clear();
-    v_.clear();
-    t_ = 0;
-  }
-
-  void set_lr(double lr) { lr_ = lr; }
-  double lr() const { return lr_; }
-
- private:
-  double lr_, beta1_, beta2_, eps_, weight_decay_;
-  std::int64_t t_ = 0;
-  std::vector<std::vector<real_t>> m_, v_;
 };
 
 }  // namespace distgnn

@@ -122,43 +122,6 @@ std::string render_prometheus(const MetricsSnapshot& snapshot) {
   return out.str();
 }
 
-std::string render_json(const MetricsSnapshot& snapshot) {
-  std::ostringstream out;
-  out << "[";
-  bool first_point = true;
-  for (const MetricPoint& p : snapshot.points) {
-    if (!first_point) out << ",";
-    first_point = false;
-    out << "\n  {\"name\":\"" << json_escape(p.name) << "\",\"labels\":{";
-    bool first_label = true;
-    for (const auto& [k, v] : p.labels) {
-      if (!first_label) out << ",";
-      first_label = false;
-      out << "\"" << json_escape(k) << "\":\"" << json_escape(v) << "\"";
-    }
-    out << "},";
-    if (!p.is_histogram) {
-      out << "\"type\":\"counter\",\"value\":" << fmt_number(p.value) << "}";
-      continue;
-    }
-    out << "\"type\":\"histogram\",\"count\":" << p.histogram.count
-        << ",\"sum\":" << fmt_number(p.histogram.sum_seconds) << ",\"buckets\":[";
-    std::uint64_t cumulative = 0;
-    bool first_bucket = true;
-    for (int k = 0; k < kNumBuckets; ++k) {
-      const std::uint64_t in_bucket = p.histogram.buckets[static_cast<std::size_t>(k)];
-      if (in_bucket == 0) continue;
-      cumulative += in_bucket;
-      if (!first_bucket) out << ",";
-      first_bucket = false;
-      out << "{\"le\":" << fmt_le(bucket_upper_seconds(k)) << ",\"count\":" << cumulative << "}";
-    }
-    out << "]}";
-  }
-  out << "\n]\n";
-  return out.str();
-}
-
 std::string render_chrome_trace(std::span<const Trace> traces) {
   // Timestamps are offset to the earliest trace so Perfetto's viewport
   // starts at ~0 rather than hours of steady-clock uptime.

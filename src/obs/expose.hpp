@@ -1,4 +1,4 @@
-// Exposition: scrape snapshots to Prometheus text / JSON, traces to Chrome
+// Exposition: scrape snapshots to Prometheus text, traces to Chrome
 // trace_event JSON, plus a minimal Prometheus parser for round-trip tests
 // and CI assertions.
 #pragma once
@@ -18,11 +18,6 @@ class HealthMonitor;
 /// plus `_sum`/`_count`. Series are grouped by metric name with one # TYPE
 /// line each; label values are escaped per the spec.
 std::string render_prometheus(const MetricsSnapshot& snapshot);
-
-/// The same snapshot as a JSON array of {name, labels, type, ...} objects —
-/// counters carry "value", histograms carry "count"/"sum"/"buckets"
-/// ({le, count} cumulative, mirroring the Prometheus encoding).
-std::string render_json(const MetricsSnapshot& snapshot);
 
 /// Chrome trace_event JSON ("X" complete events, microsecond timestamps):
 /// one event per recorded stage span, pid = tenant, tid = request id, so

@@ -373,13 +373,6 @@ std::size_t HealthMonitor::num_series() const {
   return total;
 }
 
-const TimeSeriesStore* HealthMonitor::store(std::string_view source_name) const {
-  util::MutexLock lock(mutex_);
-  for (const auto& src : sources_)
-    if (src->name == source_name) return &src->store;
-  return nullptr;
-}
-
 std::string HealthMonitor::summary_line() const {
   util::MutexLock lock(mutex_);
   std::ostringstream out;

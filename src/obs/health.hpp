@@ -203,9 +203,6 @@ class HealthMonitor : public ScrapeSource {
   /// alerts by rule/subject/tenant.
   std::string summary_line() const;
 
-  /// Read access to a source's store (rule tests assert window math).
-  const TimeSeriesStore* store(std::string_view source_name) const;
-
   /// ScrapeSource: distgnn_health_ticks_total, distgnn_health_active{rule=},
   /// distgnn_health_events_total{rule=}, distgnn_health_series, queue-depth
   /// gauges.

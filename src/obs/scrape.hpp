@@ -4,8 +4,8 @@
 // its telemetry through this interface: scrape() folds the component's own
 // metrics into the caller's snapshot and recurses into children, so a single
 // scrape of the tower root yields every stage histogram and counter of every
-// tier, merged by (name, labels) — ready for render_prometheus /
-// render_json. collect_traces() is the same walk for completed stage traces
+// tier, merged by (name, labels) — ready for render_prometheus.
+// collect_traces() is the same walk for completed stage traces
 // (leaf servers own the TraceSinks).
 //
 // Metric naming convention: distgnn_<layer>_<name>{tenant="..."} where

@@ -58,16 +58,6 @@ double ValueSeries::delta(double now, double window) const {
   return std::max(0.0, newest().value - base->value);
 }
 
-double ValueSeries::rate(double now, double window) const {
-  if (size_ < 2) return 0;
-  const TsSample* base = at_or_before(now - window);
-  if (base == nullptr) base = &oldest();
-  if (base == &newest()) return 0;
-  const double span = newest().t - base->t;
-  if (span <= 0) return 0;
-  return std::max(0.0, newest().value - base->value) / span;
-}
-
 // ------------------------------------------------------------ HistogramSeries
 
 HistogramSeries::HistogramSeries(std::size_t capacity)
@@ -82,10 +72,6 @@ void HistogramSeries::push(double t, const HistogramData& cumulative) {
 
 const HistogramSeries::Snap& HistogramSeries::at(std::size_t logical) const {
   return ring_[(head_ + ring_.size() - size_ + logical) % ring_.size()];
-}
-
-const HistogramData* HistogramSeries::newest() const {
-  return size_ == 0 ? nullptr : &at(size_ - 1).h;
 }
 
 HistogramData HistogramSeries::window_delta(double now, double window) const {
@@ -109,10 +95,6 @@ HistogramData HistogramSeries::window_delta(double now, double window) const {
   }
   out.sum_seconds = std::max(0.0, top.h.sum_seconds - base->h.sum_seconds);
   return out;
-}
-
-double HistogramSeries::window_quantile(double now, double window, double q) const {
-  return window_delta(now, window).quantile(q);
 }
 
 // ------------------------------------------------------------ TimeSeriesStore
@@ -178,20 +160,6 @@ void TimeSeriesStore::ingest_gauge(double t, const std::string& name, const Labe
   if (e->values) e->values->push(t, value);
 }
 
-const ValueSeries* TimeSeriesStore::find_values(std::string_view name,
-                                                const Labels& labels) const {
-  for (const Entry& e : entries_)
-    if (e.name == name && e.labels == labels && e.values) return e.values.get();
-  return nullptr;
-}
-
-const HistogramSeries* TimeSeriesStore::find_histograms(std::string_view name,
-                                                        const Labels& labels) const {
-  for (const Entry& e : entries_)
-    if (e.name == name && e.labels == labels && e.hist) return e.hist.get();
-  return nullptr;
-}
-
 bool TimeSeriesStore::entry_matches(const Entry& e, std::string_view suffix,
                                     std::string_view label_key,
                                     std::string_view label_value) const {
@@ -207,16 +175,6 @@ double TimeSeriesStore::fold_counter_delta(std::string_view suffix, std::string_
   for (const Entry& e : entries_)
     if (e.values && entry_matches(e, suffix, label_key, label_value))
       total += e.values->delta(now, window);
-  return total;
-}
-
-double TimeSeriesStore::fold_counter_rate(std::string_view suffix, std::string_view label_key,
-                                          std::string_view label_value, double now,
-                                          double window) const {
-  double total = 0;
-  for (const Entry& e : entries_)
-    if (e.values && entry_matches(e, suffix, label_key, label_value))
-      total += e.values->rate(now, window);
   return total;
 }
 

@@ -47,8 +47,6 @@ class ValueSeries {
   void push(double t, double value);
 
   bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-  std::size_t capacity() const { return ring_.size(); }
   const TsSample& newest() const;
   const TsSample& oldest() const;
 
@@ -60,9 +58,6 @@ class ValueSeries {
   /// selection). Clamped at 0 so a counter reset reads as quiet, not as a
   /// huge negative burst. 0 with fewer than two samples.
   double delta(double now, double window) const;
-  /// delta() divided by the *actual* baseline->newest span (not the nominal
-  /// window), so truncated windows still report a correct per-second rate.
-  double rate(double now, double window) const;
 
  private:
   const TsSample& at(std::size_t logical) const;  // 0 = oldest
@@ -81,12 +76,7 @@ class HistogramSeries {
 
   void push(double t, const HistogramData& cumulative);
 
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-  const HistogramData* newest() const;
-
   HistogramData window_delta(double now, double window) const;
-  double window_quantile(double now, double window, double q) const;
 
  private:
   struct Snap {
@@ -132,16 +122,11 @@ class TimeSeriesStore {
   std::uint64_t allocations() const { return allocations_; }
   std::size_t num_series() const { return entries_.size(); }
 
-  const ValueSeries* find_values(std::string_view name, const Labels& labels = {}) const;
-  const HistogramSeries* find_histograms(std::string_view name, const Labels& labels = {}) const;
-
   // -- Folds over every series whose name ends with `suffix` and (when
   // label_key is non-empty) carries label_key="label_value". None allocate.
 
   double fold_counter_delta(std::string_view suffix, std::string_view label_key,
                             std::string_view label_value, double now, double window) const;
-  double fold_counter_rate(std::string_view suffix, std::string_view label_key,
-                           std::string_view label_value, double now, double window) const;
   /// Sum of the newest readings (a point-in-time total, e.g. completed so
   /// far).
   double fold_counter_latest(std::string_view suffix, std::string_view label_key,

@@ -6,13 +6,6 @@
 
 namespace distgnn {
 
-part_t PartitionedGraph::partition_of_local_id(vid_t global_local) const {
-  const auto it = std::upper_bound(vertex_map.begin(), vertex_map.end(), global_local);
-  if (it == vertex_map.begin() || it == vertex_map.end())
-    throw std::out_of_range("partition_of_local_id: id outside vertex_map");
-  return static_cast<part_t>(it - vertex_map.begin() - 1);
-}
-
 PartitionedGraph build_partitions(const EdgeList& edges, const EdgePartition& ep,
                                   std::uint64_t seed) {
   if (ep.edge_owner.size() != edges.edges.size())

@@ -42,8 +42,6 @@ struct PartitionedGraph {
   std::int64_t num_split_trees = 0;
 
   vid_t global_local_id(part_t p, vid_t local) const { return vertex_map[static_cast<std::size_t>(p)] + local; }
-  /// Which partition owns a global local-ID (binary search over vertex_map).
-  part_t partition_of_local_id(vid_t global_local) const;
   vid_t total_local_vertices() const { return vertex_map.back(); }
 };
 

@@ -162,15 +162,6 @@ std::size_t ModelSnapshot::num_parameters() const {
   return n;
 }
 
-void ModelSnapshot::save(const std::string& path) const {
-  // save_checkpoint only reads through value; the const_cast is safe.
-  std::vector<ParamRef> refs;
-  for_each_param(layers_, [&](const DenseMatrix& m) {
-    refs.push_back({const_cast<real_t*>(m.data()), nullptr, m.size()});
-  });
-  save_checkpoint(refs, path);
-}
-
 void ModelSnapshot::forward_batch(std::span<const MiniBatch> batch, ConstMatrixView inputs,
                                   ForwardScratch& scratch, DenseMatrix& logits) const {
   const auto num_layers = layers_.size();
@@ -233,8 +224,8 @@ void ModelSnapshot::apply_layer(const LayerWeights& lw, std::span<const MiniBatc
       return;
     }
     case ModelKind::kGat: {
-      // GatInference: project every source row and take its a_src half once,
-      // then attend per destination over its sampled in-neighbours.
+      // Project every source row and take its a_src half once, then attend
+      // per destination over its sampled in-neighbours.
       scratch.z.resize_discard(cur.rows, d_out);
       scratch.src_term.resize(cur.rows);
       rows::xw_rows(cur, W, scratch.z.view());

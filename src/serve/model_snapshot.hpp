@@ -74,10 +74,6 @@ class ModelSnapshot {
   std::uint64_t version() const { return version_; }
   std::size_t num_parameters() const;
 
-  /// Writes this snapshot's weights as a checkpoint (snapshot round-trips and
-  /// the demo's hot-swap publisher use this).
-  void save(const std::string& path) const;
-
   /// All weights in checkpoint order as one contiguous buffer — the wire
   /// format broadcast to replica ranks (see serve::broadcast_snapshot).
   std::vector<real_t> flatten() const;
@@ -133,8 +129,8 @@ class ModelSnapshot {
   ///   SAGE  sum of sampled neighbours, (sum + h_v) / (deg + 1), affine,
   ///         ReLU on hidden layers (GraphSageLayer);
   ///   GAT   x·W and a_src·z once per source row, then per-destination
-  ///         softmax attention (GatInference: no self edge, degree-0
-  ///         destinations output zeros);
+  ///         softmax attention (no self edge, degree-0 destinations
+  ///         output zeros);
   ///   RGCN  self affine, then per relation ascending the mean of that
   ///         relation's sampled neighbours times W_r, accumulated even for
   ///         an empty relation, then ReLU on hidden layers (RgcnLayer;

@@ -94,21 +94,6 @@ TEST(Comm, AllgatherCollectsRankValues) {
   });
 }
 
-TEST(Comm, AlltoallvExchangesPayloads) {
-  World::launch(4, [](Communicator& comm) {
-    std::vector<std::vector<real_t>> send(4);
-    for (int p = 0; p < 4; ++p)
-      send[static_cast<std::size_t>(p)] = {static_cast<real_t>(comm.rank() * 100 + p)};
-    const auto recv = comm.alltoallv(send);
-    ASSERT_EQ(recv.size(), 4u);
-    for (int p = 0; p < 4; ++p) {
-      ASSERT_EQ(recv[static_cast<std::size_t>(p)].size(), 1u);
-      EXPECT_FLOAT_EQ(recv[static_cast<std::size_t>(p)][0],
-                      static_cast<real_t>(p * 100 + comm.rank()));
-    }
-  });
-}
-
 TEST(Comm, SendRecvPreservesChannelOrder) {
   World::launch(2, [](Communicator& comm) {
     constexpr int kTag = 3;

@@ -2,18 +2,50 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <tuple>
 
 #include "graph/generators.hpp"
 #include "kernels/aggregate.hpp"
 #include "kernels/microkernel.hpp"
 #include "kernels/ops.hpp"
-#include "kernels/sddmm.hpp"
 #include "kernels/traffic_replay.hpp"
 #include "util/rng.hpp"
 
 namespace distgnn {
 namespace {
+
+/// The value aggregate's callers seed fO with for each reduction.
+real_t reduce_identity(ReduceOp op) {
+  switch (op) {
+    case ReduceOp::kSum: return 0;
+    case ReduceOp::kMax: return -std::numeric_limits<real_t>::infinity();
+    case ReduceOp::kMin: return std::numeric_limits<real_t>::infinity();
+  }
+  return 0;
+}
+
+std::string to_string(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kAdd: return "add";
+    case BinaryOp::kSub: return "sub";
+    case BinaryOp::kMul: return "mul";
+    case BinaryOp::kDiv: return "div";
+    case BinaryOp::kCopyLhs: return "copylhs";
+    case BinaryOp::kCopyRhs: return "copyrhs";
+  }
+  return "?";
+}
+
+std::string to_string(ReduceOp op) {
+  switch (op) {
+    case ReduceOp::kSum: return "sum";
+    case ReduceOp::kMax: return "max";
+    case ReduceOp::kMin: return "min";
+  }
+  return "?";
+}
 
 DenseMatrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng, real_t lo = 0.5f,
                           real_t hi = 2.0f) {
@@ -218,41 +250,6 @@ TEST(Microkernel, ZeroDegreeLeavesAccumulatorUntouched) {
   lookup_row_kernel(BinaryOp::kCopyLhs, ReduceOp::kSum)(nullptr, nullptr, 0, nullptr, nullptr, 4,
                                                         acc.data());
   for (const real_t v : acc) EXPECT_EQ(v, 3.5f);
-}
-
-TEST(Sddmm, ElementwiseMatchesDirectComputation) {
-  Rng rng(31);
-  EdgeList el;
-  el.num_vertices = 6;
-  el.add(0, 1);
-  el.add(2, 3);
-  el.add(5, 0);
-  const DenseMatrix fV = random_matrix(6, 4, rng);
-  DenseMatrix out(3, 4);
-  sddmm_elementwise(el, fV.cview(), BinaryOp::kMul, out.view());
-  for (std::size_t e = 0; e < 3; ++e)
-    for (std::size_t j = 0; j < 4; ++j)
-      EXPECT_FLOAT_EQ(out.at(e, j),
-                      fV.at(static_cast<std::size_t>(el.edges[e].src), j) *
-                          fV.at(static_cast<std::size_t>(el.edges[e].dst), j));
-}
-
-TEST(Sddmm, DotMatchesInnerProduct) {
-  Rng rng(32);
-  EdgeList el;
-  el.num_vertices = 5;
-  el.add(1, 2);
-  el.add(4, 0);
-  const DenseMatrix fV = random_matrix(5, 8, rng);
-  DenseMatrix out(2, 1);
-  sddmm_dot(el, fV.cview(), out.view());
-  for (std::size_t e = 0; e < 2; ++e) {
-    real_t expect = 0;
-    for (std::size_t j = 0; j < 8; ++j)
-      expect += fV.at(static_cast<std::size_t>(el.edges[e].src), j) *
-                fV.at(static_cast<std::size_t>(el.edges[e].dst), j);
-    EXPECT_NEAR(out.at(e, 0), expect, 1e-4f);
-  }
 }
 
 TEST(TrafficReplay, InfiniteCacheReachesIdealReuse) {

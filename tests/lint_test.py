@@ -76,6 +76,13 @@ class LintFixtureTest(unittest.TestCase):
         # and team syntax inside serving comments and strings all lint clean.
         self.assert_clean("pass_serving_row_loops")
 
+    def test_modules_reached_from_entry_points_pass(self):
+        # An example reaches src/graph/graph.hpp, which reaches
+        # src/util/types.hpp; graph.hpp's sibling graph.cpp reaches
+        # src/util/detail.hpp; a ledger-local header reaches
+        # src/util/ledger_only.hpp. Every header is reached.
+        self.assert_clean("pass_reached_modules")
+
     # ---------------------------------------------------------------- fail cases
 
     def test_raw_mutex_fails(self):
@@ -110,6 +117,16 @@ class LintFixtureTest(unittest.TestCase):
             "fail_counter_outside_registry", "counter-outside-registry",
             "src/stream/publisher.cpp:4",
         )
+
+    def test_unreached_module_fails(self):
+        # src/widget/orphan.hpp is included only by a test and by a comment
+        # in the example; used.hpp and the helper its .cpp includes are
+        # reached and must not be reported.
+        self.assert_finding(
+            "fail_unreached_module", "unreached-module", "src/widget/orphan.hpp:1"
+        )
+        result = run_lint(FIXTURES / "fail_unreached_module")
+        self.assertEqual(result.stdout.count("[unreached-module]"), 1, result.stdout)
 
     # ------------------------------------------------------------------ real tree
 

@@ -170,10 +170,6 @@ TEST_P(SetupTest, VertexMapIsConsistent) {
   for (part_t p = 0; p < pg_.num_parts; ++p) {
     EXPECT_EQ(pg_.vertex_map[static_cast<std::size_t>(p) + 1] - pg_.vertex_map[static_cast<std::size_t>(p)],
               pg_.parts[static_cast<std::size_t>(p)].num_vertices);
-    if (pg_.parts[static_cast<std::size_t>(p)].num_vertices > 0) {
-      const vid_t gl = pg_.global_local_id(p, 0);
-      EXPECT_EQ(pg_.partition_of_local_id(gl), p);
-    }
   }
 }
 

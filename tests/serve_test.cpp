@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "core/sage_model.hpp"
+#include "gat_reference.hpp"
 #include "graph/datasets.hpp"
 #include "kernels/aggregate.hpp"
-#include "nn/gat_inference.hpp"
 #include "nn/serialize.hpp"
 #include "partition/libra.hpp"
 #include "serve/feature_cache.hpp"
@@ -72,12 +72,18 @@ std::vector<real_t> reference_logits(const Dataset& dataset, const ModelSnapshot
 TEST(ModelSnapshot, CheckpointRoundTripServesIdentically) {
   const Dataset dataset = make_serving_dataset();
   const ModelSpec spec = sage_spec(dataset);
-  const auto original = ModelSnapshot::random(spec, /*seed=*/11, /*version=*/1);
+  SageModel model(spec.feature_dim, spec.hidden_dim, spec.num_classes, spec.num_layers,
+                  /*seed=*/11);
+  const std::vector<ParamRef> params = model.params();
+  std::vector<real_t> flat;
+  for (const ParamRef& p : params) flat.insert(flat.end(), p.value, p.value + p.size);
+  const auto original = ModelSnapshot::from_flat(spec, flat, /*version=*/1);
 
   const std::string path = ::testing::TempDir() + "distgnn_serve_snapshot.ckpt";
-  original->save(path);
+  save_checkpoint(params, path);
   const auto restored = ModelSnapshot::from_checkpoint(spec, path, /*version=*/2);
   std::remove(path.c_str());
+  EXPECT_EQ(restored->flatten(), flat);
 
   const std::vector<int> fanouts = {4, 4};
   for (const vid_t v : {vid_t{0}, vid_t{17}, vid_t{333}})
@@ -504,24 +510,23 @@ TEST(TrainServeEquality, FullFanoutSageServesTrainerLogitsBitwise) {
   expect_served_bitwise(dataset, std::move(snapshot), h.cview());
 }
 
-TEST(TrainServeEquality, FullFanoutGatServesGatInferenceBitwise) {
-  // 16 output columns, so the attention dot products are wide enough that a
-  // SIMD-reassociated sum on either side would change bits.
+TEST(TrainServeEquality, FullFanoutGatServesScalarReferenceBitwise) {
+  // The served GAT layer against the naive scalar reference over the whole
+  // graph. 16 output columns, so the attention dot products are wide enough
+  // that a SIMD-reassociated sum on either side would change bits.
   const Dataset dataset = make_serving_dataset(/*num_classes=*/16);
   ModelSpec spec = sage_spec(dataset);
   spec.kind = ModelKind::kGat;
   spec.num_layers = 1;
   Rng rng(31);
-  GatInference gat(static_cast<std::size_t>(spec.feature_dim),
-                   static_cast<std::size_t>(spec.num_classes), rng, spec.leaky_slope);
-  std::vector<real_t> flat;
-  for (const DenseMatrix* m : {&gat.weight(), &gat.attn_src(), &gat.attn_dst()})
-    flat.insert(flat.end(), m->data(), m->data() + m->size());
-  auto snapshot = ModelSnapshot::from_flat(spec, flat, /*version=*/1);
+  const GatWeights gat = GatWeights::random(static_cast<std::size_t>(spec.feature_dim),
+                                            static_cast<std::size_t>(spec.num_classes), rng,
+                                            spec.leaky_slope);
+  auto snapshot = ModelSnapshot::from_flat(spec, gat.flatten(), /*version=*/1);
 
   DenseMatrix logits(static_cast<std::size_t>(dataset.num_vertices()),
                      static_cast<std::size_t>(spec.num_classes));
-  gat.forward(dataset.graph, dataset.features.cview(), logits.view());
+  gat_reference(dataset.graph.in_csr(), dataset.features.cview(), gat, logits.view());
   expect_served_bitwise(dataset, std::move(snapshot), logits.cview());
 }
 

@@ -2,7 +2,7 @@
 """Repo-invariant concurrency lint (see README "Concurrency correctness").
 
 Pure-Python (stdlib only, no libclang) so it runs anywhere the repo builds.
-Six rules, each with an explicit allowlist or scope kept in this file so a
+Seven rules, each with an explicit allowlist or scope kept in this file so a
 reviewer can see every exemption in one place:
 
   raw-primitive   No raw std::mutex / std::shared_mutex / std::condition_variable
@@ -36,7 +36,7 @@ reviewer can see every exemption in one place:
                   `#pragma omp parallel`, and no include of a full-graph
                   driver whose row loops are `omp parallel for` (nn/gemm,
                   nn/linear, nn/graphsage_layer, nn/rgcn_layer,
-                  nn/gat_inference, kernels/aggregate). R x P serving workers
+                  kernels/aggregate). R x P serving workers
                   run concurrently; a team per worker would oversubscribe the
                   host. Serving reaches the layer arithmetic through the
                   team-free row functions in nn/layer_rows.hpp.
@@ -49,6 +49,16 @@ reviewer can see every exemption in one place:
                   A value that only counts belongs in the tier's
                   obs::MetricsRegistry, the one book stats() and scrape()
                   read; a second book drifts from the first.
+
+  unreached-module
+                  Every header under src/ is reached through #include from
+                  an entry point: a bench, an example or the ledger driver.
+                  The walk follows quoted includes transitively, and a
+                  reached header's sibling .cpp counts as linked, so its
+                  includes are followed too. A module that only its own
+                  tests include is code nothing runs: delete it, or use it.
+                  The rule applies to trees that have at least one entry
+                  point directory.
 
 Exit status: 0 clean, 1 findings, 2 usage error. Each finding prints
 `path:line: [rule] message` so editors and CI annotate it directly.
@@ -91,7 +101,6 @@ RELAXED_ORDER_ALLOWLIST = {
     "src/serve/replica_group.cpp",
     "src/serve/router.cpp",
     "src/serve/sharded_server.cpp",
-    "src/util/log.cpp",
     # Test-side monotonic tallies (hit/served counters folded after join).
     "tests/embed_cache_test.cpp",
     "tests/stream_test.cpp",
@@ -129,7 +138,6 @@ TEAM_DRIVER_HEADERS = {
     "nn/linear.hpp",
     "nn/graphsage_layer.hpp",
     "nn/rgcn_layer.hpp",
-    "nn/gat_inference.hpp",
     "kernels/aggregate.hpp",
 }
 
@@ -149,6 +157,12 @@ FETCH_RMW_RE = re.compile(r"\bfetch_(?:add|sub)\s*\(")
 # The atomic a fetch_* call applies to: `name_.`, `name_->` or `name_[i].`
 # right before the call.
 RMW_TARGET_RE = re.compile(r"(\w+)\s*(?:\[[^\[\]]*\])?\s*(?:\.|->)\s*$")
+
+# unreached-module: the directories whose programs are what the library is
+# for, and the module tree whose headers they must reach.
+ENTRY_DIRS = ("bench", "examples", "ledger")
+MODULE_DIR = "src"
+HEADER_EXTENSIONS = {".hpp", ".hh", ".h"}
 
 # --------------------------------------------------------------------------- lexing
 
@@ -332,6 +346,55 @@ def check_counter_outside_registry(rel: str, code: str, findings: list[str]) -> 
             )
 
 
+def live_includes(path: Path) -> list[str]:
+    """Quoted or angled include paths of the live `#include` directives."""
+    raw = path.read_text(encoding="utf-8", errors="replace")
+    code = strip_comments_and_strings(raw)
+    out = []
+    for line, raw_line in zip(code.splitlines(), raw.splitlines()):
+        include = INCLUDE_RE.search(raw_line)
+        if include and line.lstrip().startswith("#"):
+            out.append(include.group(1))
+    return out
+
+
+def check_unreached_modules(root: Path, findings: list[str]) -> None:
+    entry_files = [
+        p
+        for sub in ENTRY_DIRS
+        if (root / sub).is_dir()
+        for p in sorted((root / sub).rglob("*"))
+        if p.is_file() and p.suffix in CXX_EXTENSIONS
+    ]
+    modules = root / MODULE_DIR
+    if not entry_files or not modules.is_dir():
+        return
+    reached: set[Path] = set()
+    queue = list(entry_files)
+    while queue:
+        path = queue.pop()
+        if path in reached:
+            continue
+        reached.add(path)
+        if path.suffix in HEADER_EXTENSIONS and path.is_relative_to(modules):
+            source = path.with_suffix(".cpp")
+            if source.is_file():
+                queue.append(source)
+        for include in live_includes(path):
+            for candidate in (path.parent / include, modules / include):
+                if candidate.is_file():
+                    queue.append(candidate.resolve())
+                    break
+    for header in sorted(modules.rglob("*")):
+        if header.is_file() and header.suffix in HEADER_EXTENSIONS and header not in reached:
+            rel = header.relative_to(root).as_posix()
+            findings.append(
+                f"{rel}:1: [unreached-module] no bench, example or ledger source reaches "
+                f"this header through #include; delete the module or use it from an "
+                f"entry point"
+            )
+
+
 # --------------------------------------------------------------------------- driver
 
 
@@ -384,6 +447,7 @@ def main(argv: list[str]) -> int:
     findings: list[str] = []
     for path in files:
         findings.extend(lint_file(root, path))
+    check_unreached_modules(root, findings)
 
     for finding in findings:
         print(finding)
