@@ -1,7 +1,8 @@
-// Figure 6: forward-pass scaling of local aggregation time (LAT) and remote
-// aggregation time (RAT, including gather/scatter pre/post-processing) for
-// cd-0 / cd-5 / 0c. LAT shrinks with more sockets; RAT scales poorly (it
-// follows the replication factor); 0c has no RAT at all.
+// Figure 6: scaling of local aggregation time (LAT) and remote aggregation
+// time (RAT, including gather/scatter pre/post-processing) for cd-0 / cd-5 /
+// 0c, with the rest of the epoch's CPU: the MLP and the backward AP. LAT
+// shrinks with more sockets; RAT scales poorly (it follows the replication
+// factor); 0c has no RAT at all.
 //
 // Each rank aggregates its constant local input features once, so LAT here
 // is the hidden layers' local aggregation plus a copy of layer 0's cached
@@ -36,21 +37,22 @@ int main(int argc, char** argv) {
 
   for (const char* name : {"ogbn-products-sim", "proteins-sim"}) {
     const Dataset ds = bench::load(name, scale);
-    TextTable table({"sockets", "cd-0 LAT (ms)", "cd-0 RAT (ms)", "cd-5 LAT (ms)", "cd-5 RAT (ms)",
-                     "0c LAT (ms)", "0c RAT (ms)"});
+    TextTable table({"sockets", "algorithm", "LAT (ms)", "RAT (ms)", "MLP (ms)", "bwd AP (ms)"});
     for (int ranks = 2; ranks <= max_ranks; ranks *= 2) {
       const PartitionedGraph pg =
           build_partitions(ds.graph.coo(), partition_libra(ds.graph.coo(), ranks), 1);
-      std::vector<std::string> row{TextTable::fmt_int(ranks)};
       for (const Algorithm alg : {Algorithm::kCd0, Algorithm::kCdR, Algorithm::k0c}) {
         TrainConfig cfg = base_cfg;
         cfg.algorithm = alg;
         const DistTrainResult result = train_distributed(ds, pg, cfg);
         const int skip = std::min(epochs - 2, 2 * cfg.delay);
-        row.push_back(TextTable::fmt(result.mean_local_agg_seconds(skip) * 1e3, 2));
-        row.push_back(TextTable::fmt(result.mean_remote_agg_seconds(skip) * 1e3, 2));
+        table.add_row({TextTable::fmt_int(ranks),
+                       alg == Algorithm::kCdR ? "cd-" + std::to_string(cfg.delay) : to_string(alg),
+                       TextTable::fmt(result.mean_local_agg_seconds(skip) * 1e3, 2),
+                       TextTable::fmt(result.mean_remote_agg_seconds(skip) * 1e3, 2),
+                       TextTable::fmt(result.mean_mlp_seconds(skip) * 1e3, 2),
+                       TextTable::fmt(result.mean_backward_ap_seconds(skip) * 1e3, 2)});
       }
-      table.add_row(row);
     }
     std::printf("%s", table.render(name).c_str());
   }
@@ -58,6 +60,9 @@ int main(int argc, char** argv) {
               "an artifact of the replication factor and scales poorly; 0c's RAT is zero;\n"
               "cd-5's RAT is almost entirely pre/post-processing since the communication\n"
               "itself is overlapped across epochs. LAT here leaves out layer 0's local\n"
-              "aggregation, which each rank runs once and restores every epoch.\n");
+              "aggregation, which each rank runs once and restores every epoch. RAT here\n"
+              "also counts the backward's gradient exchange (cd-0 and cd-r, at lag 0),\n"
+              "which lets each split vertex run its MLP backward once, at its root; MLP is\n"
+              "combine, Linear, loss, backward Linear and step; bwd AP the transpose AP.\n");
   return 0;
 }

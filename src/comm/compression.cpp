@@ -99,7 +99,7 @@ float decode_one(std::uint16_t bits, HaloPrecision precision) {
 
 }  // namespace
 
-std::vector<real_t> encode_halo(const std::vector<real_t>& values, HaloPrecision precision) {
+std::vector<real_t> encode_halo(std::vector<real_t> values, HaloPrecision precision) {
   if (precision == HaloPrecision::kFp32) return values;
   std::vector<real_t> packed((values.size() + 1) / 2);
   for (std::size_t i = 0; i < values.size(); i += 2) {
@@ -112,7 +112,7 @@ std::vector<real_t> encode_halo(const std::vector<real_t>& values, HaloPrecision
   return packed;
 }
 
-std::vector<real_t> decode_halo(const std::vector<real_t>& packed, std::size_t count,
+std::vector<real_t> decode_halo(std::vector<real_t> packed, std::size_t count,
                                 HaloPrecision precision) {
   if (precision == HaloPrecision::kFp32) {
     if (packed.size() != count) throw std::invalid_argument("decode_halo: fp32 size mismatch");

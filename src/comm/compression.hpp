@@ -28,12 +28,12 @@ std::uint16_t float_to_fp16(float value);
 float fp16_to_float(std::uint16_t bits);
 
 /// Packs `values` into ceil(n/2) float slots of 16-bit codes. kFp32 returns
-/// the input unchanged.
-std::vector<real_t> encode_halo(const std::vector<real_t>& values, HaloPrecision precision);
+/// the input unchanged, moved rather than copied.
+std::vector<real_t> encode_halo(std::vector<real_t> values, HaloPrecision precision);
 
 /// Inverse of encode_halo; `count` is the original element count (the halo
 /// plans know it, so it never travels on the wire).
-std::vector<real_t> decode_halo(const std::vector<real_t>& packed, std::size_t count,
+std::vector<real_t> decode_halo(std::vector<real_t> packed, std::size_t count,
                                 HaloPrecision precision);
 
 }  // namespace distgnn

@@ -23,16 +23,21 @@ namespace {
 
 // Tag layout: one distinct tag per (layer, bin, phase, purpose). Purpose 0 =
 // training halo, 1 = evaluation halo (separate so an eval pass can never
-// consume a pending delayed training message).
+// consume a pending delayed training message), 2 = the training backward's
+// gradient exchange.
+constexpr int kTrainHalo = 0, kEvalHalo = 1, kGradHalo = 2;
 int make_tag(int layer, int bin, int phase, int purpose) {
-  return ((layer * 1024 + bin) * 2 + phase) * 2 + purpose + 1;
+  return ((layer * 1024 + bin) * 2 + phase) * 3 + purpose + 1;
 }
 
 std::vector<real_t> gather_rows(ConstMatrixView m, const std::vector<vid_t>& rows) {
   const std::size_t d = m.cols;
-  std::vector<real_t> out(rows.size() * d);
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    std::memcpy(out.data() + i * d, m.row(static_cast<std::size_t>(rows[i])), d * sizeof(real_t));
+  std::vector<real_t> out;
+  out.reserve(rows.size() * d);
+  for (const vid_t r : rows) {
+    const real_t* src = m.row(static_cast<std::size_t>(r));
+    out.insert(out.end(), src, src + d);
+  }
   return out;
 }
 
@@ -59,7 +64,8 @@ void scatter_rows(MatrixView m, const std::vector<vid_t>& rows, const std::vecto
 /// reads the owners only.
 FullBatchSage local_pass(const LocalPartition& lp, const Dataset& dataset,
                          const DenseMatrix& features, const std::vector<int>& labels,
-                         const TrainConfig& config, FullBatchSage::SyncHook sync) {
+                         const TrainConfig& config, FullBatchSage::SyncHook sync,
+                         FullBatchSage::BackwardSync backward_sync) {
   const CsrMatrix in_csr = CsrMatrix::from_coo(lp.edges);
   const CsrMatrix out_csr = CsrMatrix::transpose_from_coo(lp.edges);
   std::vector<std::uint8_t> train_clone(lp.global_ids.size());
@@ -72,11 +78,13 @@ FullBatchSage local_pass(const LocalPartition& lp, const Dataset& dataset,
                         .labels = labels,
                         .output_rows = train_clone,
                         .loss_rows = lp.owns_label},
-                       config, dataset.num_classes, thread_cpu_seconds, std::move(sync));
+                       config, dataset.num_classes, thread_cpu_seconds, std::move(sync),
+                       std::move(backward_sync));
 }
 
 /// One rank: its partition's data, the program over it, the halo exchange
-/// the program calls as its sync hook, and the loss and gradient AllReduce.
+/// the program calls as its sync hook and, transposed, as its backward sync,
+/// and the loss and gradient AllReduce.
 class RankTrainer {
  public:
   RankTrainer(Communicator& comm, const Dataset& dataset, const PartitionedGraph& pg,
@@ -93,7 +101,8 @@ class RankTrainer {
         pass_(local_pass(lp_, dataset, features_, labels_, config,
                          [this](int layer, bool training, MatrixView agg) {
                            sync(layer, training, agg);
-                         })),
+                         },
+                         backward_sync())),
         train_plan_(
             restrict_halo_plan(plan_, pass_.output_frontier().compact_ids(lp_.num_vertices))),
         stale_(static_cast<std::size_t>(config.num_layers)) {
@@ -110,7 +119,7 @@ class RankTrainer {
   /// One training epoch; returns the global loss. `times.ap` is LAT: the
   /// local aggregation of layers 1.. plus the restore of layer 0's local
   /// partial, whose aggregation ran once, at construction. `times.sync` is
-  /// RAT.
+  /// RAT: the forward's halo and the backward's gradient exchange.
   /// Phase times use per-thread CPU clocks: ranks are simulated by threads
   /// that may outnumber host cores, and wall clock would charge scheduler
   /// waits of other ranks to this rank's LAT/RAT. For RAT this deliberately
@@ -154,16 +163,68 @@ class RankTrainer {
   /// layer's halo runs on train_plan_. Evaluation is exact: lag 0 over the
   /// full plan.
   void sync(int layer, bool training, MatrixView agg) {
-    if (!training) return halo_sync(layer, plan_, agg, /*lag=*/0, /*purpose=*/1);
+    if (!training) return halo_sync(layer, plan_, agg, /*lag=*/0, kEvalHalo);
     if (config_.algorithm == Algorithm::k0c) return;
     const int lag = config_.algorithm == Algorithm::kCdR ? config_.delay : 0;
-    halo_sync(layer, layer == last_layer() ? train_plan_ : plan_, agg, lag, /*purpose=*/0);
+    halo_sync(layer, layer == last_layer() ? train_plan_ : plan_, agg, lag, kTrainHalo);
+  }
+
+  /// The program's backward sync: halo_sync at lag 0 transposed, over every
+  /// bin and blocking, in cd-0 and cd-r alike. Lag 0 is the one lag under
+  /// which cd-0's gradient is the single socket's. 0c has none: by
+  /// definition it exchanges nothing, and every clone runs its backward.
+  FullBatchSage::BackwardSync backward_sync() {
+    if (config_.algorithm == Algorithm::k0c) return {};
+    return {.owned = lp_.owns_label,
+            .reduce = [this](int layer, MatrixView dH) { reduce_to_roots(layer, dH); },
+            .broadcast = [this](int layer, MatrixView dscaled) {
+              broadcast_to_leaves(layer, dscaled);
+            }};
+  }
+
+  /// Phases (a)-(b) at lag 0 on a gradient: each root adds its leaves' rows
+  /// of `dH` over plan_, in peer order.
+  void reduce_to_roots(int layer, MatrixView dH) {
+    for (int bin = 0; bin < plan_.num_bins; ++bin) {
+      const int tag = make_tag(layer, bin, 0, kGradHalo);
+      for_each_peer([&](part_t p) {
+        send_halo(p, tag, gather_rows(dH, plan_.peer(bin, p).send_leaf));
+      });
+      for_each_peer([&](part_t p) {
+        const std::vector<vid_t>& rows = plan_.peer(bin, p).recv_root;
+        scatter_rows(dH, rows, recv_halo(p, tag, rows.size() * dH.cols), /*add=*/true);
+      });
+    }
+  }
+
+  /// Phases (d)-(e) at lag 0 on a gradient: each leaf's row of `dscaled` is
+  /// set to its root's; the output layer's runs on train_plan_.
+  void broadcast_to_leaves(int layer, MatrixView dscaled) {
+    const HaloPlan& plan = layer == last_layer() ? train_plan_ : plan_;
+    for (int bin = 0; bin < plan.num_bins; ++bin) {
+      const int tag = make_tag(layer, bin, 1, kGradHalo);
+      for_each_peer([&](part_t p) {
+        send_halo(p, tag, gather_rows(dscaled, plan.peer(bin, p).send_root));
+      });
+      for_each_peer([&](part_t p) {
+        const std::vector<vid_t>& rows = plan.peer(bin, p).recv_leaf;
+        scatter_rows(dscaled, rows, recv_halo(p, tag, rows.size() * dscaled.cols),
+                     /*add=*/false);
+      });
+    }
+  }
+
+  /// fn(p) for every other rank p, ascending.
+  template <typename Fn>
+  void for_each_peer(Fn&& fn) {
+    for (part_t p = 0; p < comm_.size(); ++p)
+      if (p != comm_.rank()) fn(p);
   }
 
   /// Halo payloads travel at config_.halo_precision (fp32/bf16/fp16);
   /// gradient AllReduce always stays fp32.
   void send_halo(part_t dest, int tag, std::vector<real_t> payload) {
-    comm_.send(dest, tag, encode_halo(payload, config_.halo_precision));
+    comm_.send(dest, tag, encode_halo(std::move(payload), config_.halo_precision));
   }
   std::vector<real_t> recv_halo(part_t source, int tag, std::size_t count) {
     return decode_halo(comm_.recv(source, tag), count, config_.halo_precision);
@@ -192,24 +253,22 @@ class RankTrainer {
     const bool matured = epoch_ >= lag;
     const int first = lag == 0 ? 0 : epoch_ % lag;
     const int end = lag == 0 ? plan.num_bins : first + 1;
-    const auto peers = [&](auto&& fn) {
-      for (part_t p = 0; p < plan.num_parts; ++p)
-        if (p != comm_.rank()) fn(p);
-    };
     for (int bin = first; bin < end; ++bin) {
       const auto tag = [&](int phase) { return make_tag(layer, bin, phase, purpose); };
       // (a) Leaves push this epoch's *fresh local* partials for the bin.
-      peers([&](part_t p) { send_halo(p, tag(0), gather_rows(agg, plan.peer(bin, p).send_leaf)); });
+      for_each_peer([&](part_t p) {
+        send_halo(p, tag(0), gather_rows(agg, plan.peer(bin, p).send_leaf));
+      });
 
       // (b) Roots pull the leaf partials sent `lag` epochs ago: into agg, or
       // with kCache into the bin's rows of root_extra, reset first.
       if (matured) {
         if (cache)
-          peers([&](part_t p) {
+          for_each_peer([&](part_t p) {
             for (const vid_t row : plan.peer(bin, p).recv_root)
               std::fill_n(c.root_extra.row(static_cast<std::size_t>(row)), agg.cols, real_t{0});
           });
-        peers([&](part_t p) {
+        for_each_peer([&](part_t p) {
           const std::vector<vid_t>& rows = plan.peer(bin, p).recv_root;
           const auto payload = recv_halo(p, tag(0), rows.size() * agg.cols);
           scatter_rows(cache ? c.root_extra.view() : agg, rows, payload, /*add=*/true);
@@ -233,14 +292,14 @@ class RankTrainer {
       // guards this send with e >= r (lines 13-16), which keeps the
       // root->leaf channel exactly one lag behind the leaf->root one.
       if (matured)
-        peers([&](part_t p) {
+        for_each_peer([&](part_t p) {
           send_halo(p, tag(1), gather_rows(agg, plan.peer(bin, p).send_root));
         });
 
       // (e) Leaves pull the totals sent `lag` epochs ago: into agg, or with
       // kCache into leaf_total.
       if (epoch_ >= 2 * lag)
-        peers([&](part_t p) {
+        for_each_peer([&](part_t p) {
           const std::vector<vid_t>& rows = plan.peer(bin, p).recv_leaf;
           const auto payload = recv_halo(p, tag(1), rows.size() * agg.cols);
           scatter_rows(cache ? c.leaf_total.view() : agg, rows, payload, /*add=*/false);
@@ -328,6 +387,14 @@ double DistTrainResult::mean_remote_agg_seconds(int skip) const {
   return mean_after(epochs, skip, &DistEpochRecord::remote_agg_seconds);
 }
 
+double DistTrainResult::mean_mlp_seconds(int skip) const {
+  return mean_after(epochs, skip, &DistEpochRecord::mlp_seconds);
+}
+
+double DistTrainResult::mean_backward_ap_seconds(int skip) const {
+  return mean_after(epochs, skip, &DistEpochRecord::backward_ap_seconds);
+}
+
 DistTrainResult train_distributed(const Dataset& dataset, const PartitionedGraph& pg,
                                   const TrainConfig& config) {
   if (config.algorithm == Algorithm::kCdR && config.delay < 1)
@@ -359,7 +426,9 @@ DistTrainResult train_distributed(const Dataset& dataset, const PartitionedGraph
 
       // Record the slowest rank's phase times (the paper plots per-epoch
       // times of the whole machine, which the stragglers define).
-      std::array<real_t, 3> times{static_cast<real_t>(pass.ap), static_cast<real_t>(pass.sync),
+      std::array<real_t, 5> times{static_cast<real_t>(pass.ap), static_cast<real_t>(pass.sync),
+                                  static_cast<real_t>(pass.mlp),
+                                  static_cast<real_t>(pass.backward_ap),
                                   static_cast<real_t>(total)};
       comm.allreduce_max(std::span<real_t>(times));
       if (comm.rank() == 0) {
@@ -367,7 +436,9 @@ DistTrainResult train_distributed(const Dataset& dataset, const PartitionedGraph
         rec.loss = loss;
         rec.local_agg_seconds = times[0];
         rec.remote_agg_seconds = times[1];
-        rec.total_seconds = times[2];
+        rec.mlp_seconds = times[2];
+        rec.backward_ap_seconds = times[3];
+        rec.total_seconds = times[4];
       }
     }
 

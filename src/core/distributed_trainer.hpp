@@ -7,13 +7,22 @@
 //   0c    — local partial aggregates only; no communication (the roofline).
 //   cd-0  — Alg. 4 with lag 0: every epoch, every split tree synchronizes:
 //           leaves push partial aggregates to the root, the root reduces and
-//           pushes totals back. Matches the single-socket forward exactly.
+//           pushes totals back. Trains the single-socket model: its
+//           forward and, with the backward exchange below, its gradient
+//           match the single socket's up to reassociation.
 //   cd-r  — Delayed Remote Partial Aggregates, Alg. 4 with lag r >= 1: split
 //           trees are binned; each epoch only bin (e mod r) communicates, and
 //           its data is consumed r epochs later, overlapping communication
 //           with computation at the cost of staleness.
 //
 // Evaluation is exact: Alg. 4 with lag 0 over every bin of the plan.
+//
+// The backward runs Alg. 4 transposed, at lag 0 over every bin, in cd-0 and
+// cd-r (0c exchanges nothing): below the output layer each split vertex's
+// partial feature gradient dH is reduced leaf->root, only the root runs the
+// layer's ReLU′ and weight gradients, and above layer 0 the root's scaled
+// gradient is broadcast root->leaf, so that every clone's local edges carry
+// it back (core/fullbatch_sage.hpp).
 //
 // Model replicas start from identical seeds and stay synchronized through a
 // per-epoch gradient AllReduce (the paper's parameter sync).
@@ -23,7 +32,8 @@
 // a leaf's partial aggregate completes its label owner's. Its halo uses the
 // plan restricted to training trees (restrict_halo_plan) and runs leaf->root
 // only, in every algorithm and in evaluation too: label owners are roots,
-// and no leaf reads an output total.
+// and no leaf reads an output total. Its backward runs the other way: the
+// roots' scaled gradient goes root->leaf over the same restricted plan.
 #pragma once
 
 #include <cstdint>
@@ -36,13 +46,20 @@
 
 namespace distgnn {
 
+// Phase times are each the slowest rank's, on its thread CPU clock.
 struct DistEpochRecord {
   double loss = 0.0;            // global training loss
-  double total_seconds = 0.0;   // slowest rank
-  // LAT (forward pass), slowest rank: the local aggregation of layers 1..
-  // and the restore of layer 0's local partial, which is built once.
+  double total_seconds = 0.0;   // slowest rank, wall clock
+  // LAT (forward pass): the local aggregation of layers 1.. and the
+  // restore of layer 0's local partial, which is built once.
   double local_agg_seconds = 0.0;
-  double remote_agg_seconds = 0.0;  // RAT incl. pre/post-processing, slowest rank
+  // RAT incl. pre/post-processing: the forward's halo exchange and the
+  // backward's gradient exchange.
+  double remote_agg_seconds = 0.0;
+  // Combine, Linear, loss, backward_to_scaled (ReLU′ and the weight
+  // gradients) and the optimizer step.
+  double mlp_seconds = 0.0;
+  double backward_ap_seconds = 0.0;  // transpose AP + add_self
 };
 
 struct DistTrainResult {
@@ -58,6 +75,8 @@ struct DistTrainResult {
   double mean_epoch_seconds(int skip = 0) const;
   double mean_local_agg_seconds(int skip = 0) const;
   double mean_remote_agg_seconds(int skip = 0) const;
+  double mean_mlp_seconds(int skip = 0) const;
+  double mean_backward_ap_seconds(int skip = 0) const;
 };
 
 /// Trains `config.epochs` epochs of GraphSAGE over the given partitioning,

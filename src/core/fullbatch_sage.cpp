@@ -6,10 +6,12 @@
 namespace distgnn {
 
 FullBatchSage::FullBatchSage(const FullBatchGraph& graph, const TrainConfig& config,
-                             int num_classes, Clock clock, SyncHook sync)
+                             int num_classes, Clock clock, SyncHook sync,
+                             BackwardSync backward_sync)
     : config_(config),
       clock_(clock),
       sync_(std::move(sync)),
+      backward_sync_(std::move(backward_sync)),
       features_(graph.features),
       model_(static_cast<int>(graph.features.cols), config.hidden_dim, num_classes,
              config.num_layers, config.seed),
@@ -37,6 +39,25 @@ FullBatchSage::FullBatchSage(const FullBatchGraph& graph, const TrainConfig& con
 
   combined_.resize(static_cast<std::size_t>(config_.num_layers));
   acts_.resize(static_cast<std::size_t>(config_.num_layers));
+  if (cut()) {
+    if (!sync_ || backward_sync_.owned.size() != rows)
+      throw std::invalid_argument(
+          "FullBatchSage: a backward sync needs a sync hook and one owned flag per row");
+    const auto index = [](std::span<const std::uint8_t> flags, Owned& out) {
+      out.slot.assign(flags.size(), -1);
+      for (std::size_t i = 0; i < flags.size(); ++i) {
+        if (!flags[i]) continue;
+        out.slot[i] = static_cast<vid_t>(out.rows.size());
+        out.rows.push_back(static_cast<vid_t>(i));
+      }
+    };
+    index(backward_sync_.owned, owned_);
+    index(train_rows_.gather(backward_sync_.owned), train_owned_);
+    owned_combined_.resize(combined_.size());
+    for (int l = 0; l < config_.num_layers; ++l)
+      owned_combined_[static_cast<std::size_t>(l)].resize_discard(owned(l).rows.size(),
+                                                                  model_.layer(l).in_dim());
+  }
 
   // Layer 0's input is constant: aggregate it once, unless layer 0 is the
   // output layer, whose rows depend on the pass.
@@ -84,7 +105,12 @@ void FullBatchSage::forward(bool training, PassTimes& times) {
         sync_(l, training, combined.view());
         t0 = lap(times.sync, t0);
       }
-      rows.combine(H, combined.cview(), combined.view());
+      if (training && cut()) {
+        rows.combine(H, combined.cview(), combined.view(), owned(l).slot,
+                     owned_combined_[li].view());
+      } else {
+        rows.combine(H, combined.cview(), combined.view());
+      }
     }
     acts_[li].resize_discard(rows.size(), model_.layer(l).out_dim());
     model_.layer(l).forward(combined.cview(), acts_[li].view());
@@ -106,21 +132,41 @@ double FullBatchSage::train_pass(std::int64_t divisor, PassTimes& times) {
   for (int l = last; l >= 0; --l) {
     const auto li = static_cast<std::size_t>(l);
     const OutputFrontier& rows = l == last ? train_rows_ : all_rows_;
+    GraphSageLayer& layer = model_.layer(l);
     // The input layer computes only its weight gradients: nothing needs the
     // gradient w.r.t. the input features.
     MatrixView dscaled;
     if (l > 0) {
-      dscaled_.resize_discard(rows.size(), model_.layer(l).in_dim());
+      dscaled_.resize_discard(rows.size(), layer.in_dim());
       dscaled = dscaled_.view();
     }
-    model_.layer(l).backward_to_scaled(combined_[li].cview(), rows.inv_norm(), d_upper_.cview(),
-                                       dscaled);
-    t0 = lap(times.mlp, t0);
+    if (!cut()) {
+      layer.backward_to_scaled(combined_[li].cview(), rows.inv_norm(), d_upper_.cview(), dscaled);
+      t0 = lap(times.mlp, t0);
+    } else {
+      // The loss's dY is already complete at its rows, which are owned.
+      if (l != last) {
+        backward_sync_.reduce(l, d_upper_.view());
+        t0 = lap(times.sync, t0);
+      }
+      layer.backward_rows_to_scaled(owned(l).rows, owned_combined_[li].cview(), rows.inv_norm(),
+                                    d_upper_.cview(), dscaled);
+      t0 = lap(times.mlp, t0);
+      if (l > 0) {
+        backward_sync_.broadcast(l, dscaled);
+        t0 = lap(times.sync, t0);
+      }
+    }
     if (l == 0) break;
 
-    // dH = dscaled + Aᵀ·dscaled (self + neighbour paths), full height.
+    // dH = dscaled + Aᵀ·dscaled (self + neighbour paths), full height; on a
+    // cut the self path is a vertex's once, at its owned row.
     aggregate(rows.out(), dscaled_.cview(), dH_);
-    rows.add_self(dscaled_.cview(), dH_.view());
+    if (cut()) {
+      rows.add_self(owned(l).rows, dscaled_.cview(), dH_.view());
+    } else {
+      rows.add_self(dscaled_.cview(), dH_.view());
+    }
     t0 = lap(times.backward_ap, t0);
     std::swap(d_upper_, dH_);
   }

@@ -2,12 +2,24 @@
 // optimizer step over one graph. SingleSocketTrainer runs it on the whole
 // graph; each rank of train_distributed runs it on its local partition,
 // with a sync hook that completes every layer's partial aggregate through
-// the halo exchange (Alg. 4) — the distributed trainer is the single-socket
-// one plus remote partial aggregation.
+// the halo exchange (Alg. 4), and a backward sync that runs that exchange
+// transposed — the distributed trainer is the single-socket one plus remote
+// partial aggregation.
 //
 // A pass, layer by layer:  AP → sync hook (if any) → combine → Linear,
 // then the softmax loss, then backward layer by layer:
 // backward_to_scaled → transpose AP → add_self (dH = dscaled + Aᵀ·dscaled).
+//
+// With a backward sync the program runs on a vertex cut, where each split
+// vertex has one owned clone (its root) and leaf clones. Each layer's
+// backward then runs, top down:
+//   reduce (below the output layer): every leaf's partial dH is added into
+//     its root's row, so owned rows hold the complete dH;
+//   backward_to_scaled on the owned rows only: ReLU′ and the weight
+//     gradients count each vertex once;
+//   broadcast (above layer 0): every leaf's row of dscaled is set to its
+//     root's, so the transpose AP runs on every clone's local edges, each
+//     edge on exactly one rank; add_self runs on the owned rows only.
 //
 // Layer 0's aggregate of the constant input features is built once, at
 // construction. Without a sync hook it is combined once too, and each pass
@@ -48,7 +60,7 @@ struct FullBatchGraph {
 /// Seconds spent per phase, on the program's clock.
 struct PassTimes {
   double ap = 0.0;           // forward AP, and the restore of layer 0's partial
-  double sync = 0.0;         // the sync hook
+  double sync = 0.0;         // the sync hook and the backward sync
   double backward_ap = 0.0;  // transpose AP + add_self
   double mlp = 0.0;          // combine, Linear, loss, backward_to_scaled, step
 };
@@ -62,9 +74,26 @@ class FullBatchSage {
   /// the combine. `training` is false in forward_all(). In training, the
   /// output layer's `agg` has the training frontier's rows.
   using SyncHook = std::function<void(int layer, bool training, MatrixView agg)>;
+  /// The sync hook transposed, for training on a vertex cut. Each exchange
+  /// completes before it returns.
+  struct BackwardSync {
+    /// One flag per graph row: the rows whose backward this program runs
+    /// (every clone of an unsplit vertex, the root of a split one). Read at
+    /// construction only.
+    std::span<const std::uint8_t> owned;
+    /// Adds each leaf's row of `dH`, layer `layer`'s full-height output
+    /// gradient, into its root's row. Runs below the output layer.
+    std::function<void(int layer, MatrixView dH)> reduce;
+    /// Sets each leaf's row of `dscaled`, layer `layer`'s scaled input
+    /// gradient, to its root's; the output layer's has the training
+    /// frontier's rows. Runs above layer 0.
+    std::function<void(int layer, MatrixView dscaled)> broadcast;
+  };
 
+  /// Without a backward sync every row is owned, and the backward runs on
+  /// all of them.
   FullBatchSage(const FullBatchGraph& graph, const TrainConfig& config, int num_classes,
-                Clock clock, SyncHook sync = {});
+                Clock clock, SyncHook sync = {}, BackwardSync backward_sync = {});
   // The frontiers refer to the program's own blocks.
   FullBatchSage(const FullBatchSage&) = delete;
   FullBatchSage& operator=(const FullBatchSage&) = delete;
@@ -87,7 +116,18 @@ class FullBatchSage {
   const OutputFrontier& output_frontier() const { return train_rows_; }
 
  private:
+  /// With a backward sync: the owned rows of a frontier, as ascending
+  /// compact ids, and each compact row's index among them (-1 if not owned).
+  struct Owned {
+    std::vector<vid_t> rows, slot;
+  };
+
   void forward(bool training, PassTimes& times);
+  bool cut() const { return static_cast<bool>(backward_sync_.reduce); }
+  /// The owned rows of layer `l`'s training frontier.
+  const Owned& owned(int l) const {
+    return l == config_.num_layers - 1 ? train_owned_ : owned_;
+  }
   /// out = A·X over `blocks` with the configured AP; out has the blocks' rows.
   void aggregate(const BlockedCsr& blocks, ConstMatrixView X, DenseMatrix& out) const;
   /// Adds the clock seconds since `t0` to `total`; returns now.
@@ -96,6 +136,7 @@ class FullBatchSage {
   TrainConfig config_;
   Clock clock_;
   SyncHook sync_;
+  BackwardSync backward_sync_;
   ConstMatrixView features_;
   SageModel model_;
   SoftmaxCrossEntropy loss_;
@@ -111,13 +152,19 @@ class FullBatchSage {
   OutputFrontier train_rows_;  // the output layer in train_pass()
   std::vector<int> train_labels_;              // labels at train_rows_
   std::vector<std::uint8_t> train_loss_mask_;  // loss_rows at train_rows_
+  // owned_ is all_rows_'s, train_owned_ train_rows_'s.
+  Owned owned_, train_owned_;
 
   // combined_[l] is layer l's Linear input, (agg + H) · inv_norm, built in
   // place of its (synced) aggregate; the output layer's has the pass's
   // frontier rows. Without a sync hook combined_[0] is built once, at
   // construction; with one, input_agg_ keeps layer 0's local partial.
   // acts_[l] is layer l's output; layer 0 reads features_.
+  // With a backward sync, owned_combined_[l] is combined_[l] at the owned
+  // rows of the training frontier, written by the combine: the only rows
+  // of it the backward reads.
   std::vector<DenseMatrix> combined_;
+  std::vector<DenseMatrix> owned_combined_;
   std::vector<DenseMatrix> acts_;
   DenseMatrix input_agg_;
   DenseMatrix d_upper_, dscaled_, dH_;

@@ -1,5 +1,6 @@
 #include "core/output_frontier.hpp"
 
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -47,16 +48,21 @@ std::vector<vid_t> OutputFrontier::compact_ids(vid_t num_rows) const {
   return ids;
 }
 
-void OutputFrontier::combine(ConstMatrixView H, ConstMatrixView agg, MatrixView combined) const {
+void OutputFrontier::combine(ConstMatrixView H, ConstMatrixView agg, MatrixView combined,
+                             std::span<const vid_t> slot, MatrixView copies) const {
   const ConstMatrixView inv = inv_norm();
   if (agg.rows != size() || combined.rows != size() || agg.cols != H.cols ||
-      combined.cols != H.cols)
+      combined.cols != H.cols || (!slot.empty() && (slot.size() != size() || copies.cols != H.cols)))
     throw std::invalid_argument("OutputFrontier::combine: shape mismatch");
   const std::size_t n = size(), d = H.cols;
 #pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < n; ++i)
+  for (std::size_t i = 0; i < n; ++i) {
     rows::sage_combine(agg.row(i), H.row(static_cast<std::size_t>(rows_[i])), inv.at(i, 0), d,
                        combined.row(i));
+    if (!slot.empty() && slot[i] >= 0)
+      std::memcpy(copies.row(static_cast<std::size_t>(slot[i])), combined.row(i),
+                  d * sizeof(real_t));
+  }
 }
 
 void OutputFrontier::add_self(ConstMatrixView dscaled, MatrixView dH) const {
@@ -65,6 +71,21 @@ void OutputFrontier::add_self(ConstMatrixView dscaled, MatrixView dH) const {
   const std::size_t n = size(), d = dH.cols;
 #pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < n; ++i) {
+    real_t* dst = dH.row(static_cast<std::size_t>(rows_[i]));
+    const real_t* src = dscaled.row(i);
+#pragma omp simd
+    for (std::size_t j = 0; j < d; ++j) dst[j] += src[j];
+  }
+}
+
+void OutputFrontier::add_self(std::span<const vid_t> compact, ConstMatrixView dscaled,
+                              MatrixView dH) const {
+  if (dscaled.rows != size() || dscaled.cols != dH.cols)
+    throw std::invalid_argument("OutputFrontier::add_self: shape mismatch");
+  const std::size_t n = compact.size(), d = dH.cols;
+#pragma omp parallel for schedule(static)
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto i = static_cast<std::size_t>(compact[k]);
     real_t* dst = dH.row(static_cast<std::size_t>(rows_[i]));
     const real_t* src = dscaled.row(i);
 #pragma omp simd

@@ -72,11 +72,16 @@ class OutputFrontier {
 
   /// combined[i] = (agg[i] + H[rows()[i]]) · inv_norm()[i]: the layer's
   /// Linear input from its compact aggregate; `combined` may alias `agg`.
-  void combine(ConstMatrixView H, ConstMatrixView agg, MatrixView combined) const;
+  /// Each row i with slot[i] >= 0 is also written to row slot[i] of
+  /// `copies` (an empty `slot` writes none).
+  void combine(ConstMatrixView H, ConstMatrixView agg, MatrixView combined,
+               std::span<const vid_t> slot = {}, MatrixView copies = {}) const;
 
   /// dH[rows()[i]] += dscaled[i]: the self path of the backward, after
   /// out() has written the neighbour path into the full-height dH.
   void add_self(ConstMatrixView dscaled, MatrixView dH) const;
+  /// add_self for the compact rows `compact` only.
+  void add_self(std::span<const vid_t> compact, ConstMatrixView dscaled, MatrixView dH) const;
 
  private:
   std::vector<vid_t> rows_;

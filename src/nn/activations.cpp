@@ -27,4 +27,18 @@ void Relu::backward(ConstMatrixView dY, MatrixView dX) const {
   for (std::size_t i = 0; i < n; ++i) dX.data[i] = mask_[i] ? dY.data[i] : 0;
 }
 
+void Relu::backward_rows(std::span<const vid_t> rows, ConstMatrixView dY, MatrixView dX) const {
+  if (dY.size() != mask_.size() || dX.rows != rows.size() || dX.cols != dY.cols)
+    throw std::invalid_argument("Relu::backward_rows: size mismatch");
+  const std::size_t n = rows.size(), d = dY.cols;
+#pragma omp parallel for schedule(static)
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto r = static_cast<std::size_t>(rows[i]);
+    const real_t* dy = dY.row(r);
+    const std::uint8_t* m = mask_.data() + r * d;
+    real_t* dx = dX.row(i);
+    for (std::size_t j = 0; j < d; ++j) dx[j] = m[j] ? dy[j] : 0;
+  }
+}
+
 }  // namespace distgnn

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/matrix.hpp"
@@ -14,6 +15,9 @@ class Relu {
   void forward(ConstMatrixView X, MatrixView Y);
   /// dX = dY * 1[X > 0]; dY and dX may alias.
   void backward(ConstMatrixView dY, MatrixView dX) const;
+  /// dX[i] = dY[rows[i]] * 1[X[rows[i]] > 0]: the backward of the forward's
+  /// rows `rows` only, compacted; dX has rows.size() rows.
+  void backward_rows(std::span<const vid_t> rows, ConstMatrixView dY, MatrixView dX) const;
 
  private:
   std::vector<std::uint8_t> mask_;

@@ -1,5 +1,6 @@
 #include "nn/graphsage_layer.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "nn/layer_rows.hpp"
@@ -59,6 +60,36 @@ void GraphSageLayer::backward_to_scaled(ConstMatrixView combined, ConstMatrixVie
     real_t* row = dscaled.row(v);
 #pragma omp simd
     for (std::size_t j = 0; j < d; ++j) row[j] *= s;
+  }
+}
+
+void GraphSageLayer::backward_rows_to_scaled(std::span<const vid_t> rows, ConstMatrixView x,
+                                             ConstMatrixView inv_norm, ConstMatrixView dY,
+                                             MatrixView dscaled) {
+  if (x.rows != rows.size() || x.cols != in_dim() || inv_norm.rows != dY.rows ||
+      inv_norm.cols != 1 || (!dscaled.empty() && (dscaled.rows != dY.rows || dscaled.cols != x.cols)))
+    throw std::invalid_argument("GraphSageLayer::backward_rows_to_scaled: shape mismatch");
+  const std::size_t n = rows.size(), d = x.cols, m = dY.cols;
+  dz_.resize_discard(n, m);
+  if (apply_relu_) {
+    relu_.backward_rows(rows, dY, dz_.view());
+  } else {
+#pragma omp parallel for schedule(static)
+    for (std::size_t i = 0; i < n; ++i)
+      std::memcpy(dz_.row(i), dY.row(static_cast<std::size_t>(rows[i])), m * sizeof(real_t));
+  }
+
+  if (dscaled.empty()) return linear_.backward(x, dz_.cview(), {});
+  dx_.resize_discard(n, d);
+  linear_.backward(x, dz_.cview(), dx_.view());
+#pragma omp parallel for schedule(static)
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto r = static_cast<std::size_t>(rows[i]);
+    const real_t s = inv_norm.at(r, 0);
+    const real_t* src = dx_.row(i);
+    real_t* dst = dscaled.row(r);
+#pragma omp simd
+    for (std::size_t j = 0; j < d; ++j) dst[j] = src[j] * s;
   }
 }
 

@@ -12,6 +12,8 @@
 // through the (local) adjacency.
 #pragma once
 
+#include <span>
+
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
 #include "nn/optim.hpp"
@@ -45,6 +47,14 @@ class GraphSageLayer {
   void backward_to_scaled(ConstMatrixView combined, ConstMatrixView inv_norm, ConstMatrixView dY,
                           MatrixView dscaled);
 
+  /// backward_to_scaled of the forward's rows `rows` only, as if the
+  /// forward had run on just them. `x` holds those rows of the forward's
+  /// combined input, in order. Reads rows rows[i] of `inv_norm` and `dY`,
+  /// writes rows rows[i] of `dscaled` (as tall as dY, or empty), and no
+  /// other row.
+  void backward_rows_to_scaled(std::span<const vid_t> rows, ConstMatrixView x,
+                               ConstMatrixView inv_norm, ConstMatrixView dY, MatrixView dscaled);
+
   void zero_grad() { linear_.zero_grad(); }
   void collect_params(std::vector<ParamRef>& out);
 
@@ -59,6 +69,7 @@ class GraphSageLayer {
   bool apply_relu_;
   DenseMatrix z_;   // pre-activation
   DenseMatrix dz_;  // scratch for backward
+  DenseMatrix dx_;  // scratch for backward_rows_to_scaled: the rows' d(combined)
 };
 
 }  // namespace distgnn

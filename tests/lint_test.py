@@ -91,6 +91,12 @@ class LintFixtureTest(unittest.TestCase):
     def test_relaxed_order_fails(self):
         self.assert_finding("fail_relaxed_order", "relaxed-order", "src/counter.cpp")
 
+    def test_relaxed_order_in_ledger_fails(self):
+        # The benchmark driver is scanned like the library it drives.
+        self.assert_finding(
+            "fail_relaxed_order_in_ledger", "relaxed-order", "ledger/driver.cpp:5"
+        )
+
     def test_callback_under_lock_fails(self):
         self.assert_finding(
             "fail_callback_under_lock", "callback-under-lock", "src/obs/health.cpp"

@@ -5,6 +5,7 @@
 #include <functional>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/gemm.hpp"
@@ -508,6 +509,58 @@ TEST(GraphSageLayer, EmptyDscaledGivesTheSameParameterGradients) {
   };
   EXPECT_TRUE(bits_equal(with_buffer.linear().weight_grad(), without.linear().weight_grad()));
   EXPECT_TRUE(bits_equal(with_buffer.linear().bias_grad(), without.linear().bias_grad()));
+}
+
+TEST(GraphSageLayer, BackwardRowsIsTheBackwardOfAForwardOnJustThoseRows) {
+  // A full-height forward followed by backward_rows_to_scaled over a row
+  // subset gives bitwise the gradients of a forward and backward over the
+  // subset's compact rows, and writes no other row of dscaled.
+  const std::size_t n = 41, in = 19, out = 9;
+  const std::vector<vid_t> rows{0, 3, 4, 17, 29, 40};
+  for (const bool relu : {true, false}) {
+    Rng init_a(31), init_b(31), rng(32);
+    GraphSageLayer full(in, out, relu, init_a);
+    GraphSageLayer compact(in, out, relu, init_b);
+    const DenseMatrix combined = random_matrix(n, in, rng);
+    const DenseMatrix dY = random_matrix(n, out, rng);
+    DenseMatrix inv_norm(n, 1);
+    for (std::size_t v = 0; v < n; ++v) inv_norm.at(v, 0) = 1.0f / static_cast<real_t>(v % 5 + 1);
+
+    DenseMatrix x(rows.size(), in), x_dY(rows.size(), out), x_inv(rows.size(), 1);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto r = static_cast<std::size_t>(rows[i]);
+      std::memcpy(x.row(i), combined.row(r), in * sizeof(real_t));
+      std::memcpy(x_dY.row(i), dY.row(r), out * sizeof(real_t));
+      x_inv.at(i, 0) = inv_norm.at(r, 0);
+    }
+
+    DenseMatrix Y(n, out), x_Y(rows.size(), out);
+    full.forward(combined.cview(), Y.view());
+    compact.forward(x.cview(), x_Y.view());
+    full.zero_grad();
+    compact.zero_grad();
+    DenseMatrix dscaled(n, in, 7.0f), x_dscaled(rows.size(), in);
+    full.backward_rows_to_scaled(rows, x.cview(), inv_norm.cview(), dY.cview(), dscaled.view());
+    compact.backward_to_scaled(x.cview(), x_inv.cview(), x_dY.cview(), x_dscaled.view());
+
+    const auto bits_equal = [](const DenseMatrix& a, const DenseMatrix& b) {
+      return std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;
+    };
+    EXPECT_TRUE(bits_equal(full.linear().weight_grad(), compact.linear().weight_grad())) << relu;
+    EXPECT_TRUE(bits_equal(full.linear().bias_grad(), compact.linear().bias_grad())) << relu;
+    std::size_t next = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      const bool listed = next < rows.size() && static_cast<std::size_t>(rows[next]) == v;
+      for (std::size_t j = 0; j < in; ++j) {
+        if (listed) {
+          EXPECT_EQ(dscaled.at(v, j), x_dscaled.at(next, j)) << "row " << v;
+        } else {
+          EXPECT_EQ(dscaled.at(v, j), 7.0f) << "row " << v << " is not listed";
+        }
+      }
+      if (listed) ++next;
+    }
+  }
 }
 
 }  // namespace

@@ -869,7 +869,9 @@ TEST(SnapshotHolder, PublishHookMayReenterTheHolderWithoutDeadlock) {
     // section below a racing publish may already have superseded ours.
     const auto current = holder.get();
     ASSERT_NE(current, nullptr);
-    if (!concurrent.load()) EXPECT_EQ(current->version(), version);
+    if (!concurrent.load()) {
+      EXPECT_EQ(current->version(), version);
+    }
     seen_version.store(version);
     EXPECT_GT(holder.num_publishes(), 0u);
     holder.set_on_publish(hook);  // re-registration from the hook itself
