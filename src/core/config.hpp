@@ -19,12 +19,15 @@ enum class Algorithm {
 
 std::string to_string(Algorithm a);
 
-/// How stale remote data is used between bin firings in cd-r. The paper's
-/// Alg. 4 literally overwrites the bin's aggregates once every r epochs and
-/// otherwise leaves purely-local partials (kLiteral); keeping the last
-/// received remote contribution and reapplying it every epoch (kCache) is
-/// strictly fresher. Both are implemented; kCache is the default and the
-/// ablation bench compares them.
+/// Which of cd-r's channels a rank applies each epoch. A channel is one
+/// (layer, bin, peer, direction) of Alg. 4's exchange, and a rank keeps the
+/// last payload it received on each. kLiteral applies only the payloads that
+/// arrived this epoch, those of bin e mod r, as the paper's Alg. 4 does;
+/// every other split vertex keeps its local partial. kCache re-applies the
+/// last payload of every channel, so each split vertex sees its freshest
+/// known remote data every epoch. kCache is the default, and the ablation
+/// bench compares the two. cd-0 and evaluation have no stale channel: they
+/// run at lag 0, where both policies are the same.
 enum class StalenessPolicy { kCache, kLiteral };
 
 enum class ApMode {

@@ -21,13 +21,17 @@ namespace distgnn {
 
 namespace {
 
-// Tag layout: one distinct tag per (layer, bin, phase, purpose). Purpose 0 =
-// training halo, 1 = evaluation halo (separate so an eval pass can never
+// Alg. 4's two moves: leaves push partials to their roots, and roots return
+// totals to their leaves.
+enum Direction { kToRoot = 0, kToLeaf = 1 };
+
+// Tag layout: one distinct tag per (layer, bin, direction, purpose). Purpose
+// 0 = training halo, 1 = evaluation halo (separate so an eval pass can never
 // consume a pending delayed training message), 2 = the training backward's
 // gradient exchange.
 constexpr int kTrainHalo = 0, kEvalHalo = 1, kGradHalo = 2;
-int make_tag(int layer, int bin, int phase, int purpose) {
-  return ((layer * 1024 + bin) * 2 + phase) * 3 + purpose + 1;
+int make_tag(int layer, int bin, Direction dir, int purpose) {
+  return ((layer * 1024 + bin) * 2 + dir) * 3 + purpose + 1;
 }
 
 std::vector<real_t> gather_rows(ConstMatrixView m, const std::vector<vid_t>& rows) {
@@ -105,7 +109,9 @@ class RankTrainer {
                          backward_sync())),
         train_plan_(
             restrict_halo_plan(plan_, pass_.output_frontier().compact_ids(lp_.num_vertices))),
-        stale_(static_cast<std::size_t>(config.num_layers)) {
+        last_payloads_(static_cast<std::size_t>(
+            config.algorithm == Algorithm::kCdR ? 2 * config.num_layers * config.delay * comm.size()
+                                                : 0)) {
     // The gradient normalizer: the global count of training vertices.
     global_train_count_ =
         global_sum(std::accumulate(train_mask_.begin(), train_mask_.end(), std::int64_t{0}));
@@ -159,59 +165,109 @@ class RankTrainer {
   }
 
   /// The program's sync hook. Training runs the configured algorithm: none
-  /// for 0c, Alg. 4 at lag 0 for cd-0 and at lag r for cd-r; the output
-  /// layer's halo runs on train_plan_. Evaluation is exact: lag 0 over the
-  /// full plan.
+  /// for 0c, Alg. 4 at lag 0 for cd-0 and at lag r for cd-r, the output
+  /// layer's on train_plan_. Evaluation is exact: lag 0 over the full plan.
   void sync(int layer, bool training, MatrixView agg) {
-    if (!training) return halo_sync(layer, plan_, agg, /*lag=*/0, kEvalHalo);
+    if (!training) return exact_sync(layer, plan_, agg, kEvalHalo);
     if (config_.algorithm == Algorithm::k0c) return;
-    const int lag = config_.algorithm == Algorithm::kCdR ? config_.delay : 0;
-    halo_sync(layer, layer == last_layer() ? train_plan_ : plan_, agg, lag, kTrainHalo);
+    if (config_.algorithm == Algorithm::kCdR) return lagged_sync(layer, agg);
+    exact_sync(layer, plan_for(layer), agg, kTrainHalo);
   }
 
-  /// The program's backward sync: halo_sync at lag 0 transposed, over every
-  /// bin and blocking, in cd-0 and cd-r alike. Lag 0 is the one lag under
-  /// which cd-0's gradient is the single socket's. 0c has none: by
-  /// definition it exchanges nothing, and every clone runs its backward.
+  /// Alg. 4 at lag 0: both moves over every bin. The output layer's halo
+  /// moves to roots only: label owners are roots, and no leaf reads an
+  /// output total.
+  void exact_sync(int layer, const HaloPlan& plan, MatrixView agg, int purpose) {
+    move(layer, plan, kToRoot, agg, purpose);
+    if (layer != last_layer()) move(layer, plan, kToLeaf, agg, purpose);
+  }
+
+  /// The program's backward sync: the two moves at lag 0, transposed, in
+  /// cd-0 and cd-r alike. Lag 0 is the one lag under which cd-0's gradient
+  /// is the single socket's. 0c has none: by definition it exchanges
+  /// nothing, and every clone runs its backward.
   FullBatchSage::BackwardSync backward_sync() {
     if (config_.algorithm == Algorithm::k0c) return {};
     return {.owned = lp_.owns_label,
-            .reduce = [this](int layer, MatrixView dH) { reduce_to_roots(layer, dH); },
+            .reduce = [this](int layer, MatrixView dH) {
+              move(layer, plan_for(layer), kToRoot, dH, kGradHalo);
+            },
             .broadcast = [this](int layer, MatrixView dscaled) {
-              broadcast_to_leaves(layer, dscaled);
+              move(layer, plan_for(layer), kToLeaf, dscaled, kGradHalo);
             }};
   }
 
-  /// Phases (a)-(b) at lag 0 on a gradient: each root adds its leaves' rows
-  /// of `dH` over plan_, in peer order.
-  void reduce_to_roots(int layer, MatrixView dH) {
-    for (int bin = 0; bin < plan_.num_bins; ++bin) {
-      const int tag = make_tag(layer, bin, 0, kGradHalo);
+  /// The plan of `layer`'s training halo: train_plan_ at the output layer.
+  const HaloPlan& plan_for(int layer) const {
+    return layer == last_layer() ? train_plan_ : plan_;
+  }
+
+  /// One of Alg. 4's two moves at lag 0, over every bin of `plan`: to roots,
+  /// each root adds its peers' payloads in ascending peer order; to leaves,
+  /// each leaf's row is set to its root's. A row belongs to one tree, so to
+  /// one bin.
+  void move(int layer, const HaloPlan& plan, Direction dir, MatrixView m, int purpose) {
+    for (int bin = 0; bin < plan.num_bins; ++bin) {
+      const int tag = make_tag(layer, bin, dir, purpose);
+      send_move(plan, bin, dir, m, tag);
       for_each_peer([&](part_t p) {
-        send_halo(p, tag, gather_rows(dH, plan_.peer(bin, p).send_leaf));
-      });
-      for_each_peer([&](part_t p) {
-        const std::vector<vid_t>& rows = plan_.peer(bin, p).recv_root;
-        scatter_rows(dH, rows, recv_halo(p, tag, rows.size() * dH.cols), /*add=*/true);
+        const std::vector<vid_t>& rows = landing_rows(plan.peer(bin, p), dir);
+        scatter_rows(m, rows, recv_halo(p, tag, rows.size() * m.cols), dir == kToRoot);
       });
     }
   }
 
-  /// Phases (d)-(e) at lag 0 on a gradient: each leaf's row of `dscaled` is
-  /// set to its root's; the output layer's runs on train_plan_.
-  void broadcast_to_leaves(int layer, MatrixView dscaled) {
-    const HaloPlan& plan = layer == last_layer() ? train_plan_ : plan_;
-    for (int bin = 0; bin < plan.num_bins; ++bin) {
-      const int tag = make_tag(layer, bin, 1, kGradHalo);
-      for_each_peer([&](part_t p) {
-        send_halo(p, tag, gather_rows(dscaled, plan.peer(bin, p).send_root));
-      });
-      for_each_peer([&](part_t p) {
-        const std::vector<vid_t>& rows = plan.peer(bin, p).recv_leaf;
-        scatter_rows(dscaled, rows, recv_halo(p, tag, rows.size() * dscaled.cols),
-                     /*add=*/false);
-      });
+  /// cd-r: Alg. 4 at lag r, over bin e mod r only. Each move sends the
+  /// bin's rows now and receives what the peers sent r epochs before, which
+  /// becomes the last payload of its channel. kLiteral applies this epoch's
+  /// payloads; kCache re-applies the last payload of every channel. A row
+  /// belongs to one tree, so to one bin, and each root adds its payloads in
+  /// lag 0's ascending peer order.
+  void lagged_sync(int layer, MatrixView agg) {
+    const HaloPlan& plan = plan_for(layer);
+    const int lag = config_.delay;
+    const int bin = epoch_ % lag;
+    const bool cache = config_.staleness == StalenessPolicy::kCache;
+    for (const Direction dir : {kToRoot, kToLeaf}) {
+      if (dir == kToLeaf && layer == last_layer()) break;
+      const int tag = make_tag(layer, bin, dir, kTrainHalo);
+      // Alg. 4 returns totals only from epoch r on (lines 13-16), which
+      // keeps the root->leaf channel one lag behind the leaf->root one.
+      const int first_send = dir == kToRoot ? 0 : lag;
+      if (epoch_ >= first_send) send_move(plan, bin, dir, agg, tag);
+      if (epoch_ >= first_send + lag)
+        for_each_peer([&](part_t p) {
+          last_payload(layer, bin, p, dir) =
+              recv_halo(p, tag, landing_rows(plan.peer(bin, p), dir).size() * agg.cols);
+        });
+      const int first = cache ? 0 : bin, end = cache ? plan.num_bins : bin + 1;
+      for (int b = first; b < end; ++b)
+        for_each_peer([&](part_t p) {
+          const std::vector<real_t>& payload = last_payload(layer, b, p, dir);
+          if (!payload.empty())
+            scatter_rows(agg, landing_rows(plan.peer(b, p), dir), payload, dir == kToRoot);
+        });
     }
+  }
+
+  /// Sends each peer the rows of `m` that `dir` moves from this rank.
+  void send_move(const HaloPlan& plan, int bin, Direction dir, ConstMatrixView m, int tag) {
+    for_each_peer([&](part_t p) {
+      const HaloPeerLists& lists = plan.peer(bin, p);
+      send_halo(p, tag, gather_rows(m, dir == kToRoot ? lists.leaf : lists.root));
+    });
+  }
+
+  /// The rows a payload of `dir` from this peer lands on.
+  static const std::vector<vid_t>& landing_rows(const HaloPeerLists& lists, Direction dir) {
+    return dir == kToRoot ? lists.root : lists.leaf;
+  }
+
+  /// The last payload received on cd-r's channel (layer, bin, peer, dir);
+  /// empty until the first one arrives.
+  std::vector<real_t>& last_payload(int layer, int bin, part_t p, Direction dir) {
+    const auto channel = (layer * config_.delay + bin) * comm_.size() + p;
+    return last_payloads_[static_cast<std::size_t>(channel) * 2 + dir];
   }
 
   /// fn(p) for every other rank p, ascending.
@@ -228,92 +284,6 @@ class RankTrainer {
   }
   std::vector<real_t> recv_halo(part_t source, int tag, std::size_t count) {
     return decode_halo(comm_.recv(source, tag), count, config_.halo_precision);
-  }
-
-  /// Alg. 4 with lag r: each epoch only bin (e mod r) communicates; leaf
-  /// partials sent in epoch e are folded into roots at e+r, and the totals
-  /// the roots return then reach the leaves at e+2r. Lag 0 (cd-0,
-  /// evaluation) runs every bin of the plan to completion within the call,
-  /// and its pulls add into `agg` directly, in peer order: a lag-0 pull
-  /// never goes through the kCache root_extra, whose (p1 + p2) would round
-  /// unlike (agg + p1) + p2. The output layer stops after the fold at roots:
-  /// label owners are roots, and no leaf reads an output total.
-  void halo_sync(int layer, const HaloPlan& plan, MatrixView agg, int lag, int purpose) {
-    const bool cache = lag > 0 && config_.staleness == StalenessPolicy::kCache;
-    const bool output = layer == last_layer();
-    StaleCache& c = stale_[static_cast<std::size_t>(layer)];
-    if (cache && c.root_has.size() != agg.rows) {
-      c.root_extra.resize_discard(agg.rows, agg.cols, 0);
-      c.root_has.assign(agg.rows, 0);
-      if (!output) {
-        c.leaf_total.resize_discard(agg.rows, agg.cols, 0);
-        c.leaf_has.assign(agg.rows, 0);
-      }
-    }
-    const bool matured = epoch_ >= lag;
-    const int first = lag == 0 ? 0 : epoch_ % lag;
-    const int end = lag == 0 ? plan.num_bins : first + 1;
-    for (int bin = first; bin < end; ++bin) {
-      const auto tag = [&](int phase) { return make_tag(layer, bin, phase, purpose); };
-      // (a) Leaves push this epoch's *fresh local* partials for the bin.
-      for_each_peer([&](part_t p) {
-        send_halo(p, tag(0), gather_rows(agg, plan.peer(bin, p).send_leaf));
-      });
-
-      // (b) Roots pull the leaf partials sent `lag` epochs ago: into agg, or
-      // with kCache into the bin's rows of root_extra, reset first.
-      if (matured) {
-        if (cache)
-          for_each_peer([&](part_t p) {
-            for (const vid_t row : plan.peer(bin, p).recv_root)
-              std::fill_n(c.root_extra.row(static_cast<std::size_t>(row)), agg.cols, real_t{0});
-          });
-        for_each_peer([&](part_t p) {
-          const std::vector<vid_t>& rows = plan.peer(bin, p).recv_root;
-          const auto payload = recv_halo(p, tag(0), rows.size() * agg.cols);
-          scatter_rows(cache ? c.root_extra.view() : agg, rows, payload, /*add=*/true);
-          if (cache)
-            for (const vid_t row : rows) c.root_has[static_cast<std::size_t>(row)] = 1;
-        });
-      }
-
-      // (c) Fold the cached remote leaf sums into every root's fresh partial.
-      if (cache)
-        for (std::size_t v = 0; v < agg.rows; ++v) {
-          if (!c.root_has[v]) continue;
-          real_t* dst = agg.row(v);
-          const real_t* src = c.root_extra.row(v);
-          for (std::size_t j = 0; j < agg.cols; ++j) dst[j] += src[j];
-        }
-
-      if (output) continue;
-
-      // (d) Roots return (possibly stale-augmented) totals for the bin. Alg. 4
-      // guards this send with e >= r (lines 13-16), which keeps the
-      // root->leaf channel exactly one lag behind the leaf->root one.
-      if (matured)
-        for_each_peer([&](part_t p) {
-          send_halo(p, tag(1), gather_rows(agg, plan.peer(bin, p).send_root));
-        });
-
-      // (e) Leaves pull the totals sent `lag` epochs ago: into agg, or with
-      // kCache into leaf_total.
-      if (epoch_ >= 2 * lag)
-        for_each_peer([&](part_t p) {
-          const std::vector<vid_t>& rows = plan.peer(bin, p).recv_leaf;
-          const auto payload = recv_halo(p, tag(1), rows.size() * agg.cols);
-          scatter_rows(cache ? c.leaf_total.view() : agg, rows, payload, /*add=*/false);
-          if (cache)
-            for (const vid_t row : rows) c.leaf_has[static_cast<std::size_t>(row)] = 1;
-        });
-
-      // (f) Leaves substitute the freshest known global total.
-      if (cache)
-        for (std::size_t v = 0; v < agg.rows; ++v) {
-          if (!c.leaf_has[v]) continue;
-          std::memcpy(agg.row(v), c.leaf_total.row(v), agg.cols * sizeof(real_t));
-        }
-    }
   }
 
   void allreduce_gradients() {
@@ -346,15 +316,9 @@ class RankTrainer {
   // output layer's halo in training.
   HaloPlan train_plan_;
 
-  // cd-r's kCache state of one layer, allocated at its first cd-r sync over
-  // the rows of the layer's training aggregate: the remote leaf sums last
-  // pulled into each root, and the total last pulled into each leaf. The
-  // output layer has no leaf half: its halo never returns totals to leaves.
-  struct StaleCache {
-    DenseMatrix root_extra, leaf_total;
-    std::vector<std::uint8_t> root_has, leaf_has;
-  };
-  std::vector<StaleCache> stale_;  // per layer
+  // cd-r's last payload received on each (layer, bin, peer, direction)
+  // channel, at [((layer * delay + bin) * ranks + peer) * 2 + direction].
+  std::vector<std::vector<real_t>> last_payloads_;
 
   std::int64_t global_train_count_ = 0;
   int epoch_ = 0;  // drives the cd-r bin schedule

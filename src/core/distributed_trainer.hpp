@@ -1,8 +1,11 @@
 // Distributed full-batch GraphSAGE training (§5): data-parallel model
 // replicas, one rank per partition. Each rank runs the single socket's
 // full-batch program (core/fullbatch_sage.hpp) on its local partition, with
-// one halo routine — Alg. 4 with a lag — as the program's per-layer sync
-// hook. The three aggregation-communication algorithms of §5.3 are:
+// the halo exchange as the program's per-layer sync hook. The exchange is
+// Alg. 4, two moves over each bin of the halo plan: leaf->root, where each
+// root adds its peers' partials in ascending peer order, and root->leaf,
+// where each leaf's row is set to its root's total. The three
+// aggregation-communication algorithms of §5.3 are:
 //
 //   0c    — local partial aggregates only; no communication (the roofline).
 //   cd-0  — Alg. 4 with lag 0: every epoch, every split tree synchronizes:
@@ -13,16 +16,18 @@
 //   cd-r  — Delayed Remote Partial Aggregates, Alg. 4 with lag r >= 1: split
 //           trees are binned; each epoch only bin (e mod r) communicates, and
 //           its data is consumed r epochs later, overlapping communication
-//           with computation at the cost of staleness.
+//           with computation at the cost of staleness. Each rank keeps the
+//           last payload received on every (layer, bin, peer, direction)
+//           channel; the StalenessPolicy says which of them it applies.
 //
 // Evaluation is exact: Alg. 4 with lag 0 over every bin of the plan.
 //
-// The backward runs Alg. 4 transposed, at lag 0 over every bin, in cd-0 and
-// cd-r (0c exchanges nothing): below the output layer each split vertex's
-// partial feature gradient dH is reduced leaf->root, only the root runs the
-// layer's ReLU′ and weight gradients, and above layer 0 the root's scaled
-// gradient is broadcast root->leaf, so that every clone's local edges carry
-// it back (core/fullbatch_sage.hpp).
+// The backward runs the two moves transposed, at lag 0 over every bin, in
+// cd-0 and cd-r (0c exchanges nothing): below the output layer each split
+// vertex's partial feature gradient dH is reduced leaf->root, only the root
+// runs the layer's ReLU′ and weight gradients, and above layer 0 the root's
+// scaled gradient is broadcast root->leaf, so that every clone's local edges
+// carry it back (core/fullbatch_sage.hpp).
 //
 // Model replicas start from identical seeds and stay synchronized through a
 // per-epoch gradient AllReduce (the paper's parameter sync).

@@ -4,12 +4,6 @@
 
 namespace distgnn {
 
-std::size_t HaloPlan::leaf_send_volume(int bin) const {
-  std::size_t total = 0;
-  for (const auto& pl : lists[static_cast<std::size_t>(bin)]) total += pl.send_leaf.size();
-  return total;
-}
-
 std::vector<HaloPlan> build_halo_plans(const PartitionedGraph& pg, int num_bins) {
   if (num_bins < 1) throw std::invalid_argument("build_halo_plans: num_bins must be >= 1");
 
@@ -52,10 +46,8 @@ std::vector<HaloPlan> build_halo_plans(const PartitionedGraph& pg, int num_bins)
       if (leaf.root) continue;
       auto& leaf_plan = plans[static_cast<std::size_t>(leaf.part)].lists[static_cast<std::size_t>(bin)];
       auto& root_plan = plans[static_cast<std::size_t>(root->part)].lists[static_cast<std::size_t>(bin)];
-      leaf_plan[static_cast<std::size_t>(root->part)].send_leaf.push_back(leaf.local);
-      root_plan[static_cast<std::size_t>(leaf.part)].recv_root.push_back(root->local);
-      root_plan[static_cast<std::size_t>(leaf.part)].send_root.push_back(root->local);
-      leaf_plan[static_cast<std::size_t>(root->part)].recv_leaf.push_back(leaf.local);
+      leaf_plan[static_cast<std::size_t>(root->part)].leaf.push_back(leaf.local);
+      root_plan[static_cast<std::size_t>(leaf.part)].root.push_back(root->local);
     }
   }
   return plans;
@@ -77,10 +69,8 @@ HaloPlan restrict_halo_plan(const HaloPlan& plan, std::span<const vid_t> row_map
   out.num_parts = plan.num_parts;
   out.lists.resize(plan.lists.size());
   for (std::size_t bin = 0; bin < plan.lists.size(); ++bin) {
-    for (const HaloPeerLists& pl : plan.lists[bin]) {
-      out.lists[bin].push_back({restrict(pl.send_leaf), restrict(pl.recv_root),
-                                restrict(pl.send_root), restrict(pl.recv_leaf)});
-    }
+    for (const HaloPeerLists& pl : plan.lists[bin])
+      out.lists[bin].push_back({restrict(pl.leaf), restrict(pl.root)});
   }
   return out;
 }

@@ -19,12 +19,13 @@
 
 namespace distgnn {
 
-/// The four index lists of one partition for one (bin, peer) pair.
+/// The two index lists of one partition for one (bin, peer) pair. Each is
+/// one end of both of the pair's channels: leaf->root gathers `leaf` here and
+/// adds into the peer's `root`; root->leaf gathers `root` here and sets the
+/// peer's `leaf`.
 struct HaloPeerLists {
-  std::vector<vid_t> send_leaf;  // my leaf locals whose partials go to this peer's roots
-  std::vector<vid_t> recv_root;  // my root locals receiving this peer's leaf partials (reduce +=)
-  std::vector<vid_t> send_root;  // my root locals whose totals return to this peer's leaves
-  std::vector<vid_t> recv_leaf;  // my leaf locals overwritten by this peer's root totals
+  std::vector<vid_t> leaf;  // my leaf locals of the trees this peer roots
+  std::vector<vid_t> root;  // my root locals, once per leaf this peer holds
 };
 
 /// Plan for one partition: lists[bin][peer].
@@ -36,9 +37,6 @@ struct HaloPlan {
   const HaloPeerLists& peer(int bin, part_t p) const {
     return lists[static_cast<std::size_t>(bin)][static_cast<std::size_t>(p)];
   }
-
-  /// Total vertices this partition sends in the leaf->root phase of a bin.
-  std::size_t leaf_send_volume(int bin) const;
 };
 
 /// Builds plans for all partitions; result[p] is partition p's plan.

@@ -259,9 +259,8 @@ TEST(Distributed, CdrBeforeItsFirstMaturedBinRunsThe0cForward) {
 }
 
 TEST(Distributed, Cd0IgnoresTheStalenessPolicy) {
-  // cd-0 is Alg. 4 with lag 0: every pull adds straight into the aggregate,
-  // in peer order, under either policy; a cache of remote sums would round
-  // a + (p1 + p2) instead of (a + p1) + p2.
+  // cd-0 is Alg. 4 with lag 0: it keeps no stale channel, so the policy,
+  // which picks among cd-r's stale channels, cannot change a bit.
   const Dataset ds = learnable(1024, 33);
   const PartitionedGraph pg = partitioned(ds, 4);
   for (const auto& [layers, precision] : halo_sweep()) {
@@ -279,6 +278,47 @@ TEST(Distributed, Cd0IgnoresTheStalenessPolicy) {
     EXPECT_EQ(cache.val_accuracy, literal.val_accuracy);
     EXPECT_EQ(cache.test_accuracy, literal.test_accuracy);
     EXPECT_EQ(cache.total_bytes_sent, literal.total_bytes_sent);
+  }
+}
+
+TEST(Distributed, CdrCacheWithFrozenWeightsIsCd0OnceEveryBinHasMatured) {
+  // With lr = 0 the weights never move, so a stale payload equals a fresh
+  // one, and kCache, which re-applies the last payload of every channel in
+  // lag 0's peer order, runs cd-0's forward once every channel carries a
+  // payload sent from matured inputs. Layer 0's leaves hold totals from
+  // epoch 3r - 1 on (r to reach the roots, r to return, r - 1 to the last
+  // bin); each later layer's payloads are computed from the layer below, so
+  // a hidden layer matures 3r - 1 epochs after its input and the output
+  // layer, which returns nothing, 2r - 1 after. kLiteral applies only this
+  // epoch's payloads, so it never runs cd-0's forward.
+  const Dataset ds = learnable(1024, 33);
+  const PartitionedGraph pg = partitioned(ds, 4);
+  for (const auto& [layers, precision] : halo_sweep()) {
+    TrainConfig cfg = dist_config(Algorithm::kCd0);
+    cfg.lr = 0;
+    cfg.num_layers = layers;
+    cfg.halo_precision = precision;
+    const int r = cfg.delay;
+    const int matured = (layers - 1) * (3 * r - 1) + 2 * r - 1;
+    cfg.epochs = matured + r;
+    const DistTrainResult cd0 = train_distributed(ds, pg, cfg);
+    cfg.algorithm = Algorithm::kCdR;
+    cfg.staleness = StalenessPolicy::kCache;
+    const DistTrainResult cache = train_distributed(ds, pg, cfg);
+    cfg.staleness = StalenessPolicy::kLiteral;
+    const DistTrainResult literal = train_distributed(ds, pg, cfg);
+    const auto loss = [](const DistTrainResult& result, int e) {
+      return result.epochs[static_cast<std::size_t>(e)].loss;
+    };
+    EXPECT_NE(loss(cache, matured - 1), loss(cd0, matured - 1))
+        << layers << " layers, " << to_string(precision);
+    bool literal_differs = false;
+    for (int e = matured; e < cfg.epochs; ++e) {
+      EXPECT_EQ(loss(cache, e), loss(cd0, e))
+          << layers << " layers, " << to_string(precision) << ", epoch " << e;
+      literal_differs = literal_differs || loss(literal, e) != loss(cd0, e);
+    }
+    EXPECT_TRUE(literal_differs) << layers << " layers, " << to_string(precision);
   }
 }
 
@@ -336,19 +376,18 @@ TEST(OutputHaloPlan, IsThePlanRestrictedToTrainingTreesOnBothEnds) {
             for (const vid_t c : out_list) got.push_back(local(p, c));
             EXPECT_EQ(got, want) << "part " << p << " bin " << bin << " peer " << q;
           };
-          expect(full.send_leaf, out.send_leaf);
-          expect(full.recv_root, out.recv_root);
-          expect(full.send_root, out.send_root);
-          expect(full.recv_leaf, out.recv_leaf);
-          kept += out.send_leaf.size();
-          // Both ends of p -> q carry the same trees in the same order.
+          expect(full.leaf, out.leaf);
+          expect(full.root, out.root);
+          kept += out.leaf.size();
+          // Both ends of each channel between p and q carry the same trees
+          // in the same order.
           const HaloPeerLists& peer = out_plans[static_cast<std::size_t>(q)].peer(bin, p);
-          ASSERT_EQ(out.send_leaf.size(), peer.recv_root.size());
-          for (std::size_t i = 0; i < out.send_leaf.size(); ++i)
-            EXPECT_EQ(global(p, out.send_leaf[i]), global(q, peer.recv_root[i]));
-          ASSERT_EQ(out.send_root.size(), peer.recv_leaf.size());
-          for (std::size_t i = 0; i < out.send_root.size(); ++i)
-            EXPECT_EQ(global(p, out.send_root[i]), global(q, peer.recv_leaf[i]));
+          ASSERT_EQ(out.leaf.size(), peer.root.size());
+          for (std::size_t i = 0; i < out.leaf.size(); ++i)
+            EXPECT_EQ(global(p, out.leaf[i]), global(q, peer.root[i]));
+          ASSERT_EQ(out.root.size(), peer.leaf.size());
+          for (std::size_t i = 0; i < out.root.size(); ++i)
+            EXPECT_EQ(global(p, out.root[i]), global(q, peer.leaf[i]));
         }
       }
     }
@@ -357,13 +396,13 @@ TEST(OutputHaloPlan, IsThePlanRestrictedToTrainingTreesOnBothEnds) {
 }
 
 TEST(OutputHaloPlan, Cd0HaloBytesMatchThePlans) {
-  // Each training epoch, layers below the output sync both phases of the
-  // full plan and the output layer only phase 0 of the training-tree plan.
-  // The backward reduces each layer below the output's gradient over phase
-  // 0 of the full plan and broadcasts each layer above 0's over phase 1 of
-  // the plan its forward used; both are hidden_dim wide. The closing
-  // evaluation runs the full plan, again with no phase 1 at the output
-  // layer. fp32 payloads are 4 bytes per value with no header.
+  // Each training epoch, layers below the output run both moves over the
+  // full plan and the output layer only leaf->root over the training-tree
+  // plan. The backward reduces each layer below the output's gradient
+  // leaf->root over the full plan and broadcasts each layer above 0's
+  // root->leaf over the plan its forward used; both are hidden_dim wide.
+  // The closing evaluation runs the full plan, again with no root->leaf
+  // move at the output layer. fp32 payloads are 4 bytes per value with no header.
   const Dataset ds = learnable(1024, 57);
   const PartitionedGraph pg = partitioned(ds, 4);
   const TrainConfig cfg = dist_config(Algorithm::kCd0, 5);
@@ -380,14 +419,14 @@ TEST(OutputHaloPlan, Cd0HaloBytesMatchThePlans) {
         const HaloPeerLists& full = plan.peer(0, q);
         const std::uint64_t grad_width = sizeof(real_t) * cfg.hidden_dim;
         if (l + 1 < cfg.num_layers) {
-          const std::uint64_t both = full.send_leaf.size() + full.send_root.size();
-          per_epoch += both * width + full.send_leaf.size() * grad_width;
+          const std::uint64_t both = full.leaf.size() + full.root.size();
+          per_epoch += both * width + full.leaf.size() * grad_width;
           eval += both * width;
-          if (l > 0) per_epoch += full.send_root.size() * grad_width;
+          if (l > 0) per_epoch += full.root.size() * grad_width;
         } else {
-          per_epoch += out.peer(0, q).send_leaf.size() * width;
-          eval += full.send_leaf.size() * width;
-          if (l > 0) per_epoch += out.peer(0, q).send_root.size() * grad_width;
+          per_epoch += out.peer(0, q).leaf.size() * width;
+          eval += full.leaf.size() * width;
+          if (l > 0) per_epoch += out.peer(0, q).root.size() * grad_width;
         }
       }
     }

@@ -104,9 +104,16 @@ TEST(EdgeCase, PartitionWithMorePartsThanEdges) {
   eid_t total = 0;
   for (const auto& lp : pg.parts) total += lp.edges.num_edges();
   EXPECT_EQ(total, 2);
-  // Empty partitions get empty halo plans, not crashes.
+  // Empty partitions get empty halo plans, not crashes; no vertex is split,
+  // so every list is empty.
   const auto plans = build_halo_plans(pg, 3);
   EXPECT_EQ(plans.size(), 8u);
+  for (const HaloPlan& plan : plans)
+    for (int b = 0; b < plan.num_bins; ++b)
+      for (part_t q = 0; q < plan.num_parts; ++q) {
+        EXPECT_TRUE(plan.peer(b, q).leaf.empty());
+        EXPECT_TRUE(plan.peer(b, q).root.empty());
+      }
 }
 
 TEST(EdgeCase, DistributedTrainingWithEmptyPartition) {

@@ -201,13 +201,10 @@ TEST_P(HaloTest, ChannelsAreSymmetricAndComplete) {
       for (part_t q = 0; q < parts; ++q) {
         const auto& mine = plans[static_cast<std::size_t>(p)].peer(b, q);
         const auto& theirs = plans[static_cast<std::size_t>(q)].peer(b, p);
-        // Matching list lengths across each channel.
-        EXPECT_EQ(mine.send_leaf.size(), theirs.recv_root.size());
-        EXPECT_EQ(mine.send_root.size(), theirs.recv_leaf.size());
-        // Roots answer exactly the leaves that pushed to them.
-        EXPECT_EQ(theirs.recv_root.size(), theirs.send_root.size());
-        EXPECT_EQ(mine.send_leaf.size(), mine.recv_leaf.size());
-        total_leaf_entries += static_cast<std::int64_t>(mine.send_leaf.size());
+        // My leaves pair with their roots, and my roots with their leaves.
+        EXPECT_EQ(mine.leaf.size(), theirs.root.size());
+        EXPECT_EQ(mine.root.size(), theirs.leaf.size());
+        total_leaf_entries += static_cast<std::int64_t>(mine.leaf.size());
       }
     }
   }
@@ -229,7 +226,7 @@ TEST_P(HaloTest, EveryLeafAppearsInExactlyOneBin) {
     std::set<vid_t> seen;
     for (int b = 0; b < bins; ++b) {
       for (part_t q = 0; q < parts; ++q) {
-        for (const vid_t v : plans[static_cast<std::size_t>(p)].peer(b, q).send_leaf) {
+        for (const vid_t v : plans[static_cast<std::size_t>(p)].peer(b, q).leaf) {
           EXPECT_TRUE(seen.insert(v).second) << "leaf " << v << " appears twice";
         }
       }
@@ -247,9 +244,14 @@ TEST(HaloPlan, LeafSendVolumeSumsBins) {
   const auto one_bin = build_halo_plans(pg, 1);
   const auto five_bins = build_halo_plans(pg, 5);
   for (part_t p = 0; p < 4; ++p) {
+    const auto leaves = [&](const HaloPlan& plan, int b) {
+      std::size_t n = 0;
+      for (part_t q = 0; q < 4; ++q) n += plan.peer(b, q).leaf.size();
+      return n;
+    };
     std::size_t total = 0;
-    for (int b = 0; b < 5; ++b) total += five_bins[static_cast<std::size_t>(p)].leaf_send_volume(b);
-    EXPECT_EQ(total, one_bin[static_cast<std::size_t>(p)].leaf_send_volume(0));
+    for (int b = 0; b < 5; ++b) total += leaves(five_bins[static_cast<std::size_t>(p)], b);
+    EXPECT_EQ(total, leaves(one_bin[static_cast<std::size_t>(p)], 0));
   }
 }
 
