@@ -172,4 +172,12 @@ std::optional<std::vector<real_t>> Communicator::try_recv(int source, int tag) {
   return payload;
 }
 
+std::size_t Communicator::pending_messages() const {
+  World::Mailbox& mb = *world_.mailboxes_[static_cast<std::size_t>(rank_)];
+  util::MutexLock lock(mb.mutex);
+  std::size_t count = 0;
+  for (const auto& [channel, queue] : mb.queues) count += queue.size();
+  return count;
+}
+
 }  // namespace distgnn

@@ -126,6 +126,8 @@ class Communicator {
   std::vector<real_t> recv(int source, int tag);
   /// Non-blocking probe-and-take.
   std::optional<std::vector<real_t>> try_recv(int source, int tag);
+  /// Messages sent to this rank and not yet received, over every (source, tag).
+  std::size_t pending_messages() const;
 
   const CommStats& stats() const { return world_.stats_[static_cast<std::size_t>(rank_)]; }
 

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -28,10 +29,12 @@ enum Direction { kToRoot = 0, kToLeaf = 1 };
 // Tag layout: one distinct tag per (layer, bin, direction, purpose). Purpose
 // 0 = training halo, 1 = evaluation halo (separate so an eval pass can never
 // consume a pending delayed training message), 2 = the training backward's
-// gradient exchange.
+// gradient exchange. A layer has kMaxBins bin slots, so cd-r's delay is at
+// most kMaxBins.
 constexpr int kTrainHalo = 0, kEvalHalo = 1, kGradHalo = 2;
+constexpr int kMaxBins = 1024;
 int make_tag(int layer, int bin, Direction dir, int purpose) {
-  return ((layer * 1024 + bin) * 2 + dir) * 3 + purpose + 1;
+  return ((layer * kMaxBins + bin) * 2 + dir) * 3 + purpose + 1;
 }
 
 std::vector<real_t> gather_rows(ConstMatrixView m, const std::vector<vid_t>& rows) {
@@ -104,14 +107,15 @@ class RankTrainer {
         test_mask_(gather_local_mask(lp_, dataset.test_mask)),
         pass_(local_pass(lp_, dataset, features_, labels_, config,
                          [this](int layer, bool training, MatrixView agg) {
-                           sync(layer, training, agg);
+                           return sync(layer, training, agg);
                          },
                          backward_sync())),
         train_plan_(
             restrict_halo_plan(plan_, pass_.output_frontier().compact_ids(lp_.num_vertices))),
         last_payloads_(static_cast<std::size_t>(
             config.algorithm == Algorithm::kCdR ? 2 * config.num_layers * config.delay * comm.size()
-                                                : 0)) {
+                                                : 0)),
+        settle_epoch_(input_settle_epoch(config)) {
     // The gradient normalizer: the global count of training vertices.
     global_train_count_ =
         global_sum(std::accumulate(train_mask_.begin(), train_mask_.end(), std::int64_t{0}));
@@ -123,9 +127,10 @@ class RankTrainer {
   int last_layer() const { return config_.num_layers - 1; }
 
   /// One training epoch; returns the global loss. `times.ap` is LAT: the
-  /// local aggregation of layers 1.. plus the restore of layer 0's local
-  /// partial, whose aggregation ran once, at construction. `times.sync` is
-  /// RAT: the forward's halo and the backward's gradient exchange.
+  /// local aggregation of layers 1.. plus, until layer 0's synced input
+  /// settles, the restore of its local partial, whose aggregation ran once,
+  /// at construction. `times.sync` is RAT: the forward's halo (layer 0's
+  /// until it settles) and the backward's gradient exchange.
   /// Phase times use per-thread CPU clocks: ranks are simulated by threads
   /// that may outnumber host cores, and wall clock would charge scheduler
   /// waits of other ranks to this rank's LAT/RAT. For RAT this deliberately
@@ -167,11 +172,36 @@ class RankTrainer {
   /// The program's sync hook. Training runs the configured algorithm: none
   /// for 0c, Alg. 4 at lag 0 for cd-0 and at lag r for cd-r, the output
   /// layer's on train_plan_. Evaluation is exact: lag 0 over the full plan.
-  void sync(int layer, bool training, MatrixView agg) {
-    if (!training) return exact_sync(layer, plan_, agg, kEvalHalo);
-    if (config_.algorithm == Algorithm::k0c) return;
-    if (config_.algorithm == Algorithm::kCdR) return lagged_sync(layer, agg);
-    exact_sync(layer, plan_for(layer), agg, kTrainHalo);
+  /// Returns whether layer 0's synced training input has settled.
+  bool sync(int layer, bool training, MatrixView agg) {
+    if (!training) {
+      exact_sync(layer, plan_, agg, kEvalHalo);
+      return false;
+    }
+    if (config_.algorithm == Algorithm::kCd0) exact_sync(layer, plan_for(layer), agg, kTrainHalo);
+    if (config_.algorithm == Algorithm::kCdR) lagged_sync(layer, agg);
+    return layer == 0 && epoch_ >= settle_epoch_;
+  }
+
+  /// The first epoch whose synced layer-0 training input every later epoch
+  /// would reproduce; config.epochs for none in the run. Layer 0 aggregates
+  /// the constant input features, so its payloads never change: 0c and cd-0
+  /// settle at once. In cd-r kCache each root->leaf payload is sent from
+  /// totals of every leaf's payload, so the last bin's lands at epoch 3r - 1
+  /// (r to reach the roots, r to return, r - 1 to the last bin). kLiteral's
+  /// input cycles with the bin and never settles.
+  static int input_settle_epoch(const TrainConfig& config) {
+    if (config.algorithm != Algorithm::kCdR) return 0;
+    return config.staleness == StalenessPolicy::kCache ? 3 * config.delay - 1 : config.epochs;
+  }
+
+  /// The end of the epochs at which `layer`'s training halo receives: the
+  /// run's, or for layer 0 below the output the epoch after it settles,
+  /// since no later training pass calls its hook.
+  int receive_end(int layer) const {
+    if (layer == 0 && layer != last_layer() && settle_epoch_ < config_.epochs)
+      return settle_epoch_ + 1;
+    return config_.epochs;
   }
 
   /// Alg. 4 at lag 0: both moves over every bin. The output layer's halo
@@ -222,11 +252,13 @@ class RankTrainer {
   /// becomes the last payload of its channel. kLiteral applies this epoch's
   /// payloads; kCache re-applies the last payload of every channel. A row
   /// belongs to one tree, so to one bin, and each root adds its payloads in
-  /// lag 0's ascending peer order.
+  /// lag 0's ascending peer order. A payload is sent only if it lands before
+  /// receive_end(layer), so every payload sent is received.
   void lagged_sync(int layer, MatrixView agg) {
     const HaloPlan& plan = plan_for(layer);
     const int lag = config_.delay;
     const int bin = epoch_ % lag;
+    const int end = receive_end(layer);
     const bool cache = config_.staleness == StalenessPolicy::kCache;
     for (const Direction dir : {kToRoot, kToLeaf}) {
       if (dir == kToLeaf && layer == last_layer()) break;
@@ -234,8 +266,8 @@ class RankTrainer {
       // Alg. 4 returns totals only from epoch r on (lines 13-16), which
       // keeps the root->leaf channel one lag behind the leaf->root one.
       const int first_send = dir == kToRoot ? 0 : lag;
-      if (epoch_ >= first_send) send_move(plan, bin, dir, agg, tag);
-      if (epoch_ >= first_send + lag)
+      if (epoch_ >= first_send && epoch_ + lag < end) send_move(plan, bin, dir, agg, tag);
+      if (epoch_ >= first_send + lag && epoch_ < end)
         for_each_peer([&](part_t p) {
           last_payload(layer, bin, p, dir) =
               recv_halo(p, tag, landing_rows(plan.peer(bin, p), dir).size() * agg.cols);
@@ -320,6 +352,8 @@ class RankTrainer {
   // channel, at [((layer * delay + bin) * ranks + peer) * 2 + direction].
   std::vector<std::vector<real_t>> last_payloads_;
 
+  int settle_epoch_;  // input_settle_epoch(config_)
+
   std::int64_t global_train_count_ = 0;
   int epoch_ = 0;  // drives the cd-r bin schedule
   std::vector<real_t> flat_grads_;
@@ -364,6 +398,9 @@ DistTrainResult train_distributed(const Dataset& dataset, const PartitionedGraph
   if (config.algorithm == Algorithm::kCdR && config.delay < 1)
     throw std::invalid_argument(
         "train_distributed: cd-r needs delay >= 1 (delay 0 is Algorithm::kCd0)");
+  if (config.algorithm == Algorithm::kCdR && config.delay > kMaxBins)
+    throw std::invalid_argument("train_distributed: cd-r needs delay <= " +
+                                std::to_string(kMaxBins) + " (one halo tag per bin)");
   const int num_bins = config.algorithm == Algorithm::kCdR ? config.delay : 1;
   const std::vector<HaloPlan> plans = build_halo_plans(pg, num_bins);
 
@@ -409,6 +446,10 @@ DistTrainResult train_distributed(const Dataset& dataset, const PartitionedGraph
     const auto acc = trainer.evaluate_all();
     const auto bytes = comm.allgather(static_cast<std::int64_t>(comm.stats().bytes_sent));
     const auto ar_bytes = comm.allgather(static_cast<std::int64_t>(comm.stats().allreduce_bytes));
+    // Every rank has sent all it will: a payload left now was never received.
+    if (const std::size_t left = comm.pending_messages(); left != 0)
+      throw std::logic_error("train_distributed: rank " + std::to_string(comm.rank()) +
+                             " ends with " + std::to_string(left) + " undelivered halo payloads");
     if (comm.rank() == 0) {
       result.train_accuracy = acc[0];
       result.val_accuracy = acc[1];

@@ -18,7 +18,15 @@
 //           its data is consumed r epochs later, overlapping communication
 //           with computation at the cost of staleness. Each rank keeps the
 //           last payload received on every (layer, bin, peer, direction)
-//           channel; the StalenessPolicy says which of them it applies.
+//           channel; the StalenessPolicy says which of them it applies. A
+//           payload is sent only if a training pass receives it.
+//
+// Layer 0 aggregates the constant input features, so its payloads never
+// change and, once they have all landed, its synced input is the same every
+// epoch. From then on each rank keeps that input and runs only layer 0's
+// Linear, as the single socket does: 0c and cd-0 from epoch 1, cd-r with
+// kCache from epoch 3r (layer 0 sends for its first 2r epochs only). cd-r
+// with kLiteral applies one bin per epoch, so its layer 0 syncs every epoch.
 //
 // Evaluation is exact: Alg. 4 with lag 0 over every bin of the plan.
 //
@@ -55,11 +63,12 @@ namespace distgnn {
 struct DistEpochRecord {
   double loss = 0.0;            // global training loss
   double total_seconds = 0.0;   // slowest rank, wall clock
-  // LAT (forward pass): the local aggregation of layers 1.. and the
-  // restore of layer 0's local partial, which is built once.
+  // LAT (forward pass): the local aggregation of layers 1.. and, until
+  // layer 0's synced input settles, the restore of its local partial,
+  // which is built once.
   double local_agg_seconds = 0.0;
-  // RAT incl. pre/post-processing: the forward's halo exchange and the
-  // backward's gradient exchange.
+  // RAT incl. pre/post-processing: the forward's halo exchange (layer 0's
+  // until it settles) and the backward's gradient exchange.
   double remote_agg_seconds = 0.0;
   // Combine, Linear, loss, backward_to_scaled (ReLU′ and the weight
   // gradients) and the optimizer step.
@@ -86,9 +95,12 @@ struct DistTrainResult {
 
 /// Trains `config.epochs` epochs of GraphSAGE over the given partitioning,
 /// one simulated socket (rank thread) per partition. Throws
-/// std::invalid_argument for cd-r with a delay below 1. The final accuracies
-/// are measured with a fully synchronized (cd-0 style) forward pass so all
-/// algorithms are scored on the true full-neighbourhood semantics.
+/// std::invalid_argument, before any rank starts, for cd-r with a delay
+/// below 1 or above 1024 (the halo tags' bins per layer), and
+/// std::logic_error if a rank ends with a halo payload it never received.
+/// The final accuracies are measured with a fully synchronized (cd-0 style)
+/// forward pass so all algorithms are scored on the true full-neighbourhood
+/// semantics.
 DistTrainResult train_distributed(const Dataset& dataset, const PartitionedGraph& pg,
                                   const TrainConfig& config);
 

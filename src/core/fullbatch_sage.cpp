@@ -65,7 +65,9 @@ FullBatchSage::FullBatchSage(const FullBatchGraph& graph, const TrainConfig& con
   const double t0 = clock_();
   aggregate(blocked_in_, features_, sync_ ? input_agg_ : combined_[0]);
   input_ap_seconds_ = clock_() - t0;
-  if (!sync_) all_rows_.combine(features_, combined_[0].cview(), combined_[0].view());
+  if (sync_) return;
+  all_rows_.combine(features_, combined_[0].cview(), combined_[0].view());
+  input_settled_ = true;
 }
 
 double FullBatchSage::lap(double& total, double t0) const {
@@ -93,16 +95,19 @@ void FullBatchSage::forward(bool training, PassTimes& times) {
     const ConstMatrixView H = l == 0 ? features_ : acts_[li - 1].cview();
     DenseMatrix& combined = combined_[li];
     double t0 = clock_();
-    // Without a sync hook layer 0 was combined at construction.
-    if (l > 0 || l == last || sync_) {
-      if (l == 0 && l != last) {
+    // A settled layer 0 runs only its Linear, over the kept combined_[0];
+    // with a sync hook evaluation syncs it its own way.
+    const bool input_layer = l == 0 && l != last;
+    if (!(input_layer && input_settled_ && (training || !sync_))) {
+      if (input_layer) {
         combined = input_agg_;
       } else {
         aggregate(rows.in(), H, combined);
       }
       t0 = lap(times.ap, t0);
       if (sync_) {
-        sync_(l, training, combined.view());
+        const bool settled = sync_(l, training, combined.view());
+        if (input_layer && training) input_settled_ = settled;
         t0 = lap(times.sync, t0);
       }
       if (training && cut()) {
@@ -183,6 +188,8 @@ void FullBatchSage::step(PassTimes& times) {
 ConstMatrixView FullBatchSage::forward_all() {
   PassTimes unused;
   forward(/*training=*/false, unused);
+  // With a sync hook evaluation overwrote combined_[0].
+  if (sync_) input_settled_ = false;
   return acts_.back().cview();
 }
 

@@ -23,8 +23,10 @@
 //
 // Layer 0's aggregate of the constant input features is built once, at
 // construction. Without a sync hook it is combined once too, and each pass
-// layer 0 runs only its Linear; with one, each pass restores the local
-// partial and syncs it first, since what the halo adds changes per pass.
+// layer 0 runs only its Linear. With one, a training pass restores the
+// local partial, syncs and combines it until the hook reports the synced
+// input settled: from then on training keeps that combined input, as
+// without a hook, until an evaluation pass overwrites it.
 //
 // Training runs the output layer, its loss and its backward only on the
 // training frontier (core/output_frontier.hpp); every other layer, and the
@@ -59,7 +61,7 @@ struct FullBatchGraph {
 
 /// Seconds spent per phase, on the program's clock.
 struct PassTimes {
-  double ap = 0.0;           // forward AP, and the restore of layer 0's partial
+  double ap = 0.0;           // forward AP, and the restore of layer 0's unsettled partial
   double sync = 0.0;         // the sync hook and the backward sync
   double backward_ap = 0.0;  // transpose AP + add_self
   double mlp = 0.0;          // combine, Linear, loss, backward_to_scaled, step
@@ -73,7 +75,11 @@ class FullBatchSage {
   /// Completes layer `layer`'s aggregate `agg` in place, between the AP and
   /// the combine. `training` is false in forward_all(). In training, the
   /// output layer's `agg` has the training frontier's rows.
-  using SyncHook = std::function<void(int layer, bool training, MatrixView agg)>;
+  /// Returns whether `agg` is settled: what every later training pass's
+  /// hook would produce. The value counts only for layer 0 below the
+  /// output layer in training; once it is true, training passes skip layer
+  /// 0's restore, hook and combine until the next forward_all().
+  using SyncHook = std::function<bool(int layer, bool training, MatrixView agg)>;
   /// The sync hook transposed, for training on a vertex cut. Each exchange
   /// completes before it returns.
   struct BackwardSync {
@@ -104,7 +110,8 @@ class FullBatchSage {
   double train_pass(std::int64_t divisor, PassTimes& times);
   /// One optimizer step on model()'s gradients.
   void step(PassTimes& times);
-  /// Forward on every row; returns the logits, one row per graph row.
+  /// Forward on every row; returns the logits, one row per graph row. With
+  /// a sync hook the next training pass syncs layer 0 again.
   ConstMatrixView forward_all();
 
   SageModel& model() { return model_; }
@@ -159,6 +166,10 @@ class FullBatchSage {
   // place of its (synced) aggregate; the output layer's has the pass's
   // frontier rows. Without a sync hook combined_[0] is built once, at
   // construction; with one, input_agg_ keeps layer 0's local partial.
+  // While input_settled_, combined_[0] (and owned_combined_[0]) hold the
+  // next training pass's layer-0 input: always without a hook, and with
+  // one from the training pass whose hook reported it settled until the
+  // next forward_all(), whose own sync overwrites it.
   // acts_[l] is layer l's output; layer 0 reads features_.
   // With a backward sync, owned_combined_[l] is combined_[l] at the owned
   // rows of the training frontier, written by the combine: the only rows
@@ -167,6 +178,7 @@ class FullBatchSage {
   std::vector<DenseMatrix> owned_combined_;
   std::vector<DenseMatrix> acts_;
   DenseMatrix input_agg_;
+  bool input_settled_ = false;
   DenseMatrix d_upper_, dscaled_, dH_;
 };
 

@@ -395,44 +395,95 @@ TEST(OutputHaloPlan, IsThePlanRestrictedToTrainingTreesOnBothEnds) {
   }
 }
 
-TEST(OutputHaloPlan, Cd0HaloBytesMatchThePlans) {
-  // Each training epoch, layers below the output run both moves over the
-  // full plan and the output layer only leaf->root over the training-tree
-  // plan. The backward reduces each layer below the output's gradient
-  // leaf->root over the full plan and broadcasts each layer above 0's
-  // root->leaf over the plan its forward used; both are hidden_dim wide.
-  // The closing evaluation runs the full plan, again with no root->leaf
-  // move at the output layer. fp32 payloads are 4 bytes per value with no header.
-  const Dataset ds = learnable(1024, 57);
-  const PartitionedGraph pg = partitioned(ds, 4);
-  const TrainConfig cfg = dist_config(Algorithm::kCd0, 5);
-  const std::vector<HaloPlan> plans = build_halo_plans(pg, 1);
-
-  std::uint64_t per_epoch = 0, eval = 0;
+// The halo bytes a cd-0 or cd-r run sends, counted from the plans (fp32
+// payloads are 4 bytes per value with no header). Training's forward, per
+// epoch: cd-0 runs both moves below the output layer over the full plan,
+// layer 0's at epoch 0 only (its input then settles), and the output layer
+// leaf->root over the training-tree plan; cd-r sends bin e mod r's
+// leaf->root move from epoch 0 and its root->leaf move from epoch r, each
+// only if it lands r epochs later before its layer's last receive: the
+// run's end, or, for kCache's layer 0 below the output, the epoch after it
+// settles at 3r - 1. The backward reduces each layer below the output's
+// gradient leaf->root and broadcasts each layer above 0's root->leaf, every
+// epoch over every bin of the plan its forward used, both hidden_dim wide.
+// The closing evaluation runs the full plan over every bin, again with no
+// root->leaf move at the output layer.
+std::uint64_t planned_halo_bytes(const Dataset& ds, const PartitionedGraph& pg,
+                                 const TrainConfig& cfg) {
+  const bool cdr = cfg.algorithm == Algorithm::kCdR;
+  const int bins = cdr ? cfg.delay : 1, r = cfg.delay, last = cfg.num_layers - 1;
+  const std::vector<HaloPlan> plans = build_halo_plans(pg, bins);
+  const std::uint64_t grad_width = sizeof(real_t) * cfg.hidden_dim;
+  // The rows this rank sends in one move of `bin`: its leaves to roots, its
+  // roots to leaves.
+  const auto rows = [&](const HaloPlan& plan, int bin, bool to_root) {
+    std::uint64_t count = 0;
+    for (part_t q = 0; q < pg.num_parts; ++q)
+      count += (to_root ? plan.peer(bin, q).leaf : plan.peer(bin, q).root).size();
+    return count;
+  };
+  std::uint64_t bytes = 0;
   for (const LocalPartition& lp : pg.parts) {
-    const HaloPlan& plan = plans[static_cast<std::size_t>(lp.id)];
-    const HaloPlan out = restrict_halo_plan(plan, train_clones(lp, ds.train_mask).compact);
-    for (int l = 0; l < cfg.num_layers; ++l) {
-      const std::uint64_t width = sizeof(real_t) * static_cast<std::uint64_t>(
-                                      l == 0 ? ds.feature_dim() : cfg.hidden_dim);
-      for (part_t q = 0; q < pg.num_parts; ++q) {
-        const HaloPeerLists& full = plan.peer(0, q);
-        const std::uint64_t grad_width = sizeof(real_t) * cfg.hidden_dim;
-        if (l + 1 < cfg.num_layers) {
-          const std::uint64_t both = full.leaf.size() + full.root.size();
-          per_epoch += both * width + full.leaf.size() * grad_width;
-          eval += both * width;
-          if (l > 0) per_epoch += full.root.size() * grad_width;
-        } else {
-          per_epoch += out.peer(0, q).leaf.size() * width;
-          eval += full.leaf.size() * width;
-          if (l > 0) per_epoch += out.peer(0, q).root.size() * grad_width;
+    const HaloPlan& full = plans[static_cast<std::size_t>(lp.id)];
+    const HaloPlan out = restrict_halo_plan(full, train_clones(lp, ds.train_mask).compact);
+    for (int l = 0; l <= last; ++l) {
+      const HaloPlan& train = l == last ? out : full;
+      const std::uint64_t width =
+          sizeof(real_t) * static_cast<std::uint64_t>(l == 0 ? ds.feature_dim() : cfg.hidden_dim);
+      const bool settles = l == 0 && l != last &&
+                           (!cdr || cfg.staleness == StalenessPolicy::kCache);
+      const int end = settles ? std::min(cdr ? 3 * r : 1, cfg.epochs) : cfg.epochs;
+      for (int e = 0; e < cfg.epochs; ++e) {
+        if (cfg.algorithm == Algorithm::kCd0 && e < end) {
+          bytes += rows(train, 0, true) * width;
+          if (l != last) bytes += rows(train, 0, false) * width;
         }
+        if (cdr) {
+          if (e + r < end) bytes += rows(train, e % r, true) * width;
+          if (l != last && e >= r && e + r < end) bytes += rows(train, e % r, false) * width;
+        }
+        for (int b = 0; b < bins; ++b) {
+          if (l != last) bytes += rows(train, b, true) * grad_width;
+          if (l > 0) bytes += rows(train, b, false) * grad_width;
+        }
+      }
+      for (int b = 0; b < bins; ++b) {
+        bytes += rows(full, b, true) * width;
+        if (l != last) bytes += rows(full, b, false) * width;
       }
     }
   }
-  const DistTrainResult result = train_distributed(ds, pg, cfg);
-  EXPECT_EQ(result.total_bytes_sent, static_cast<std::uint64_t>(cfg.epochs) * per_epoch + eval);
+  return bytes;
+}
+
+TEST(OutputHaloPlan, Cd0HaloBytesMatchThePlans) {
+  const Dataset ds = learnable(1024, 57);
+  const PartitionedGraph pg = partitioned(ds, 4);
+  for (const int layers : {1, 2, 3}) {
+    TrainConfig cfg = dist_config(Algorithm::kCd0, 5);
+    cfg.num_layers = layers;
+    const DistTrainResult result = train_distributed(ds, pg, cfg);
+    EXPECT_EQ(result.total_bytes_sent, planned_halo_bytes(ds, pg, cfg)) << layers << " layers";
+  }
+}
+
+TEST(OutputHaloPlan, CdrHaloBytesMatchThePlans) {
+  // kCache's layer 0 sends for its first 2r epochs only; kLiteral's, like
+  // every other layer's, until r epochs before the end. Seven epochs end
+  // before kCache's layer 0 settles at 3r - 1 = 8, twelve after.
+  const Dataset ds = learnable(1024, 57);
+  const PartitionedGraph pg = partitioned(ds, 4);
+  for (const StalenessPolicy policy : {StalenessPolicy::kCache, StalenessPolicy::kLiteral})
+    for (const int layers : {1, 2, 3})
+      for (const int epochs : {7, 12}) {
+        TrainConfig cfg = dist_config(Algorithm::kCdR, epochs);
+        cfg.num_layers = layers;
+        cfg.staleness = policy;
+        const DistTrainResult result = train_distributed(ds, pg, cfg);
+        EXPECT_EQ(result.total_bytes_sent, planned_halo_bytes(ds, pg, cfg))
+            << (policy == StalenessPolicy::kCache ? "kCache, " : "kLiteral, ") << layers
+            << " layers, " << epochs << " epochs";
+      }
 }
 
 TEST(Distributed, SplitVerticesOnlyMaskTrainsWithFiniteLosses) {

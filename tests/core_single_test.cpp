@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <span>
@@ -13,6 +14,7 @@
 #include "core/single_socket_trainer.hpp"
 #include "core/work_model.hpp"
 #include "graph/datasets.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace distgnn {
@@ -257,6 +259,106 @@ TEST(SingleSocket, InputAggregationIsTimedOnceAtConstruction) {
   const Dataset ds = learnable(512);
   SingleSocketTrainer trainer(ds, small_config());
   EXPECT_GT(trainer.input_ap_seconds(), 0.0);
+}
+
+// A settled layer-0 input: the program keeps its combined input across
+// training passes once the sync hook reports it settled, and an evaluation
+// pass, which overwrites it, makes the next training pass sync again. The
+// hook stands in for a halo: in training it adds a fixed row to every row
+// of layer 0's aggregate, and it returns `settle` at every layer, which
+// counts at layer 0 only. Evaluation adds nothing, the way an exact sync
+// differs from a stale one, so it leaves combined_[0] unlike training's.
+struct SettleRun {
+  std::vector<double> losses;
+  std::vector<std::vector<real_t>> params;
+  std::array<int, 3> training_calls{};  // per layer
+  int eval_calls = 0;                   // over every layer
+  std::vector<real_t> logits;           // the last evaluation's
+};
+
+SettleRun run_with_hook(const Dataset& ds, bool cut, bool settle, bool evaluate) {
+  TrainConfig cfg = small_config();
+  cfg.num_layers = 3;
+  cfg.momentum = 0.9;
+  const auto n = static_cast<std::size_t>(ds.num_vertices());
+  std::vector<eid_t> in_degree(n);
+  for (std::size_t v = 0; v < n; ++v)
+    in_degree[v] = ds.graph.in_csr().degree(static_cast<vid_t>(v));
+  std::vector<real_t> bump(static_cast<std::size_t>(ds.feature_dim()));
+  for (std::size_t j = 0; j < bump.size(); ++j) bump[j] = 0.25f * static_cast<real_t>(j % 3 + 1);
+
+  SettleRun run;
+  const auto hook = [&](int layer, bool training, MatrixView agg) {
+    if (!training) {
+      ++run.eval_calls;
+      return settle;
+    }
+    ++run.training_calls[static_cast<std::size_t>(layer)];
+    if (layer == 0)
+      for (std::size_t i = 0; i < agg.rows; ++i)
+        for (std::size_t j = 0; j < agg.cols; ++j) agg.row(i)[j] += bump[j];
+    return settle;
+  };
+  // On a cut of one rank every row is owned and nothing moves.
+  const std::vector<std::uint8_t> owned(n, 1);
+  FullBatchSage::BackwardSync backward_sync;
+  if (cut) backward_sync = {.owned = owned,
+                            .reduce = [](int, MatrixView) {},
+                            .broadcast = [](int, MatrixView) {}};
+  FullBatchSage pass({.in_csr = ds.graph.in_csr(),
+                      .out_csr = ds.graph.out_csr(),
+                      .in_degree = in_degree,
+                      .features = ds.features.cview(),
+                      .labels = ds.labels,
+                      .output_rows = ds.train_mask,
+                      .loss_rows = ds.train_mask},
+                     cfg, ds.num_classes, [] { return 0.0; }, hook, backward_sync);
+  // The loss is an OpenMP reduction, whose partial sums add in any order
+  // past two threads; two keep it bitwise.
+  const int saved = par::max_threads();
+  par::set_num_threads(2);
+  for (int e = 0; e < 6; ++e) {
+    PassTimes times;
+    run.losses.push_back(pass.train_pass(0, times));
+    pass.step(times);
+    if (!evaluate || e % 2 == 0) continue;
+    const ConstMatrixView logits = pass.forward_all();
+    run.logits.assign(logits.data, logits.data + logits.rows * logits.cols);
+  }
+  par::set_num_threads(saved);
+  for (const ParamRef& p : pass.model().params())
+    run.params.emplace_back(p.value, p.value + p.size);
+  return run;
+}
+
+TEST(FullBatchSage, SettledInputSurvivesEvaluation) {
+  const Dataset ds = learnable(256, 4, 0.8f, 29);
+  for (const bool cut : {false, true}) {
+    const SettleRun plain = run_with_hook(ds, cut, /*settle=*/true, /*evaluate=*/false);
+    const SettleRun evaluated = run_with_hook(ds, cut, /*settle=*/true, /*evaluate=*/true);
+    const SettleRun never = run_with_hook(ds, cut, /*settle=*/false, /*evaluate=*/true);
+    for (const SettleRun* run : {&evaluated, &never}) {
+      EXPECT_EQ(run->losses, plain.losses) << (cut ? "cut" : "no cut");
+      ASSERT_EQ(run->params.size(), plain.params.size());
+      for (std::size_t i = 0; i < plain.params.size(); ++i) {
+        ASSERT_EQ(run->params[i].size(), plain.params[i].size());
+        EXPECT_EQ(std::memcmp(run->params[i].data(), plain.params[i].data(),
+                              plain.params[i].size() * sizeof(real_t)),
+                  0)
+            << (cut ? "cut" : "no cut") << ", parameter " << i;
+      }
+    }
+    // Evaluation syncs layer 0 whether or not training kept its input.
+    ASSERT_FALSE(evaluated.logits.empty());
+    EXPECT_EQ(evaluated.logits, never.logits) << (cut ? "cut" : "no cut");
+    // Layer 0's hook runs until it reports settled and once after each of
+    // the three evaluations but the last; the layers above run every pass.
+    EXPECT_EQ(plain.training_calls, (std::array<int, 3>{1, 6, 6}));
+    EXPECT_EQ(evaluated.training_calls, (std::array<int, 3>{3, 6, 6}));
+    EXPECT_EQ(never.training_calls, (std::array<int, 3>{6, 6, 6}));
+    EXPECT_EQ(plain.eval_calls, 0);
+    EXPECT_EQ(evaluated.eval_calls, 9);
+  }
 }
 
 // ---- Table 7 / 8 work model, validated against the paper's own numbers ----

@@ -3,6 +3,10 @@
 // determinism of the kernels.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 #include "util/parallel.hpp"
 
 #include "core/distributed_trainer.hpp"
@@ -157,6 +161,40 @@ TEST(EdgeCase, DelayLargerThanEpochCount) {
   cfg.threads_per_rank = 1;
   const DistTrainResult result = train_distributed(ds, pg, cfg);
   EXPECT_TRUE(std::isfinite(result.epochs.back().loss));
+}
+
+TEST(EdgeCase, DelayAboveTheHaloTagBinsRejectedBeforeAnyRankStarts) {
+  // Each layer's halo tags have 1024 bin slots: with r > 1024, bin 1024 of
+  // layer l would share a tag with bin 0 of layer l + 1. Over no partitions
+  // no rank can start, so the delay's own error shows the check runs first.
+  const Dataset empty;
+  const PartitionedGraph no_parts;
+  TrainConfig cfg;
+  cfg.algorithm = Algorithm::kCdR;
+  for (const int delay : {1025, 4096}) {
+    cfg.delay = delay;
+    try {
+      train_distributed(empty, no_parts, cfg);
+      ADD_FAILURE() << "delay " << delay << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("delay <= 1024"), std::string::npos) << e.what();
+    }
+  }
+
+  // r = 1024 fits.
+  LearnableSbmParams p;
+  p.num_vertices = 256;
+  p.num_classes = 2;
+  p.feature_dim = 8;
+  const Dataset ds = make_learnable_sbm(p);
+  const PartitionedGraph pg =
+      build_partitions(ds.graph.coo(), partition_libra(ds.graph.coo(), 2), 1);
+  cfg.num_layers = 2;
+  cfg.hidden_dim = 8;
+  cfg.epochs = 2;
+  cfg.delay = 1024;
+  cfg.threads_per_rank = 1;
+  EXPECT_TRUE(std::isfinite(train_distributed(ds, pg, cfg).epochs.back().loss));
 }
 
 TEST(EdgeCase, OneLayerModel) {
