@@ -233,9 +233,9 @@ double hit_rate_after_delta(bool full_flush) {
                                   static_cast<vid_t>((i * 211 + 7) % n), 0});
   publisher.publish(delta);
 
-  const CacheStats before = server.embed_cache()->combined_stats();
+  const CacheStats before = server.stats().embed_cache;
   for (const vid_t v : probes) (void)server.infer_sync(v);
-  const CacheStats after = server.embed_cache()->combined_stats();
+  const CacheStats after = server.stats().embed_cache;
   server.stop();
   const double accesses = static_cast<double>(after.accesses - before.accesses);
   const double misses = static_cast<double>(after.misses - before.misses);

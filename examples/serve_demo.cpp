@@ -134,7 +134,8 @@ int run_demo(const Options& opts) {
   trained_params = trainer.model().params();
   save_checkpoint(trained_params, ckpt);
   server.publish(ModelSnapshot::from_checkpoint(spec, ckpt, /*version=*/2));
-  std::printf("hot-swapped to snapshot v2 (publishes so far: served %llu requests)\n",
+  std::printf("hot-swapped to snapshot v2 (publishes so far: %.0f; requests served: %llu)\n",
+              server.scrape_snapshot().counter_total("distgnn_server_publishes_total"),
               static_cast<unsigned long long>(server.stats().completed));
 
   LoadStream load;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <thread>
+#include <type_traits>
 
 namespace distgnn::obs {
 
@@ -203,10 +204,12 @@ void MetricsRegistry::scrape(MetricsSnapshot& out) const {
   }
 }
 
-CounterFamily::CounterFamily(MetricsRegistry& registry, std::string name, std::string label_key)
-    : registry_(registry), name_(std::move(name)), label_key_(std::move(label_key)) {}
+template <typename Metric>
+MetricFamily<Metric>::MetricFamily(MetricsRegistry& registry, std::string name, Labels base_labels)
+    : registry_(registry), name_(std::move(name)), base_labels_(std::move(base_labels)) {}
 
-CounterFamily::~CounterFamily() {
+template <typename Metric>
+MetricFamily<Metric>::~MetricFamily() {
   Node* node = head_.load(std::memory_order_acquire);
   while (node) {
     Node* next = node->next;
@@ -215,61 +218,35 @@ CounterFamily::~CounterFamily() {
   }
 }
 
-Counter& CounterFamily::with(int id) {
+template <typename Metric>
+Metric& MetricFamily<Metric>::with(int id) {
   for (Node* node = head_.load(std::memory_order_acquire); node; node = node->next)
-    if (node->id == id) return *node->counter;
+    if (node->id == id) return *node->metric;
   util::MutexLock lock(grow_mutex_);
   for (Node* node = head_.load(std::memory_order_relaxed); node; node = node->next)
-    if (node->id == id) return *node->counter;
-  Node* node = new Node{id, &registry_.counter(name_, {{label_key_, std::to_string(id)}}),
-                        head_.load(std::memory_order_relaxed)};
+    if (node->id == id) return *node->metric;
+  Labels labels = base_labels_;
+  labels.emplace_back("tenant", std::to_string(id));
+  Metric* metric;
+  if constexpr (std::is_same_v<Metric, Counter>)
+    metric = &registry_.counter(name_, labels);
+  else
+    metric = &registry_.histogram(name_, labels);
+  Node* node = new Node{id, metric, head_.load(std::memory_order_relaxed)};
   head_.store(node, std::memory_order_release);
-  return *node->counter;
+  return *node->metric;
 }
 
-void CounterFamily::for_each(const std::function<void(int, const Counter&)>& fn) const {
+template <typename Metric>
+void MetricFamily<Metric>::for_each(const std::function<void(int, const Metric&)>& fn) const {
   // The list is push-front, so walk it twice to visit in first-seen order.
   std::vector<const Node*> nodes;
   for (const Node* node = head_.load(std::memory_order_acquire); node; node = node->next)
     nodes.push_back(node);
-  for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) fn((*it)->id, *(*it)->counter);
+  for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) fn((*it)->id, *(*it)->metric);
 }
 
-HistogramFamily::HistogramFamily(MetricsRegistry& registry, std::string name, Labels base_labels,
-                                 std::string label_key)
-    : registry_(registry),
-      name_(std::move(name)),
-      label_key_(std::move(label_key)),
-      base_labels_(std::move(base_labels)) {}
-
-HistogramFamily::~HistogramFamily() {
-  Node* node = head_.load(std::memory_order_acquire);
-  while (node) {
-    Node* next = node->next;
-    delete node;
-    node = next;
-  }
-}
-
-void HistogramFamily::for_each(const std::function<void(int, const Histogram&)>& fn) const {
-  std::vector<const Node*> nodes;
-  for (const Node* node = head_.load(std::memory_order_acquire); node; node = node->next)
-    nodes.push_back(node);
-  for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) fn((*it)->id, *(*it)->histogram);
-}
-
-Histogram& HistogramFamily::with(int id) {
-  for (Node* node = head_.load(std::memory_order_acquire); node; node = node->next)
-    if (node->id == id) return *node->histogram;
-  util::MutexLock lock(grow_mutex_);
-  for (Node* node = head_.load(std::memory_order_relaxed); node; node = node->next)
-    if (node->id == id) return *node->histogram;
-  Labels labels = base_labels_;
-  labels.emplace_back(label_key_, std::to_string(id));
-  Node* node =
-      new Node{id, &registry_.histogram(name_, labels), head_.load(std::memory_order_relaxed)};
-  head_.store(node, std::memory_order_release);
-  return *node->histogram;
-}
+template class MetricFamily<Counter>;
+template class MetricFamily<Histogram>;
 
 }  // namespace distgnn::obs

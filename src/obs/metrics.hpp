@@ -184,8 +184,6 @@ class MetricsRegistry {
   /// comment). Safe to call concurrently with updates.
   void scrape(MetricsSnapshot& out) const;
 
-  int num_shards() const { return num_shards_; }
-
  private:
   struct Entry {
     std::string name;
@@ -199,59 +197,38 @@ class MetricsRegistry {
   std::deque<Entry> entries_ GUARDED_BY(mutex_);  // deque: stable addresses across growth
 };
 
-/// Per-tenant counter handles cached behind a lock-free read: with(id) walks
+/// Per-tenant metric handles cached behind a lock-free read: with(id) walks
 /// a small published list (acquire loads) and only takes a mutex to register
-/// a tenant the first time it appears. The per-request path is a pointer
-/// walk over however many tenants exist — no string building, no map.
-class CounterFamily {
+/// a tenant the first time it appears, as `name` under `base_labels` plus
+/// tenant="<id>". The per-request path is a pointer walk over however many
+/// tenants exist — no string building, no map.
+template <typename Metric>
+class MetricFamily {
  public:
-  CounterFamily(MetricsRegistry& registry, std::string name, std::string label_key = "tenant");
-  ~CounterFamily();
+  MetricFamily(MetricsRegistry& registry, std::string name, Labels base_labels = {});
+  ~MetricFamily();
 
-  CounterFamily(const CounterFamily&) = delete;
-  CounterFamily& operator=(const CounterFamily&) = delete;
+  MetricFamily(const MetricFamily&) = delete;
+  MetricFamily& operator=(const MetricFamily&) = delete;
 
-  Counter& with(int id);
-  /// Every (id, counter) registered so far, in first-seen order.
-  void for_each(const std::function<void(int, const Counter&)>& fn) const;
+  Metric& with(int id);
+  /// Every (id, metric) registered so far, in first-seen order.
+  void for_each(const std::function<void(int, const Metric&)>& fn) const;
 
  private:
   struct Node {
     int id;
-    Counter* counter;
+    Metric* metric;
     Node* next;
   };
   MetricsRegistry& registry_;
-  std::string name_, label_key_;
-  std::atomic<Node*> head_{nullptr};
-  util::Mutex grow_mutex_;  // serializes registrations; reads are lock-free
-};
-
-/// Histogram analogue of CounterFamily.
-class HistogramFamily {
- public:
-  HistogramFamily(MetricsRegistry& registry, std::string name, Labels base_labels,
-                  std::string label_key = "tenant");
-  ~HistogramFamily();
-
-  HistogramFamily(const HistogramFamily&) = delete;
-  HistogramFamily& operator=(const HistogramFamily&) = delete;
-
-  Histogram& with(int id);
-  /// Every (id, histogram) registered so far, in first-seen order.
-  void for_each(const std::function<void(int, const Histogram&)>& fn) const;
-
- private:
-  struct Node {
-    int id;
-    Histogram* histogram;
-    Node* next;
-  };
-  MetricsRegistry& registry_;
-  std::string name_, label_key_;
+  std::string name_;
   Labels base_labels_;
   std::atomic<Node*> head_{nullptr};
   util::Mutex grow_mutex_;  // serializes registrations; reads are lock-free
 };
+
+using CounterFamily = MetricFamily<Counter>;
+using HistogramFamily = MetricFamily<Histogram>;
 
 }  // namespace distgnn::obs

@@ -60,7 +60,7 @@ class StageMetrics {
       : submitted(registry, "distgnn_" + layer + "_submitted_total"),
         completed(registry, "distgnn_" + layer + "_completed_total"),
         shed(registry, "distgnn_" + layer + "_shed_total"),
-        request_seconds(registry, "distgnn_" + layer + "_request_seconds", {}) {
+        request_seconds(registry, "distgnn_" + layer + "_request_seconds") {
     for (int s = 0; s < kNumStages; ++s)
       stages_[static_cast<std::size_t>(s)] = std::make_unique<HistogramFamily>(
           registry, "distgnn_" + layer + "_stage_seconds",

@@ -67,7 +67,6 @@ struct BackendStats {
   std::uint64_t batched_requests = 0;  // Σ batch sizes (== completed at drain)
   double service_seconds = 0;   // Σ worker time spent inside batch processing
   std::size_t queue_depth = 0;  // requests waiting at the time of the call
-  std::uint64_t publishes = 0;  // snapshot publications observed
 
   // Sharded-tier counters (zero for single-process backends).
   std::uint64_t halo_rows_fetched = 0;  // rows that crossed a rank boundary
@@ -76,6 +75,8 @@ struct BackendStats {
   /// ring overlaps away; compare per batch across prefetch_depth settings.
   double halo_wait_seconds = 0;
 
+  // Cache views of distgnn_<layer>_cache_{accesses,misses,fill_bytes}_total
+  // (fill bytes as bytes_read), by cache label.
   CacheStats feature_cache;  // space 0: local/owned feature rows
   CacheStats halo_cache;     // space 1: remote rows (sharded tier only)
   CacheStats embed_cache;    // layer-output cache (embed-forward mode only)
@@ -106,8 +107,6 @@ struct BackendStats {
   }
 
   /// Folds a member's counters into this snapshot and records it as a child.
-  /// `publishes` is deliberately not summed — composite backends publish as
-  /// one group operation and report their own count.
   void absorb(BackendStats child) {
     completed += child.completed;
     rejected += child.rejected;

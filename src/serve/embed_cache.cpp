@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 namespace distgnn::serve {
@@ -14,10 +15,31 @@ Rng embed_rng(std::uint64_t sample_seed, vid_t vertex, int layer) {
   return Rng(splitmix64(mixed + static_cast<std::uint64_t>(layer)));
 }
 
-EmbedCache::EmbedCache(const ModelSpec& spec, std::uint64_t capacity_bytes, int num_shards,
+std::vector<CacheCounters> embed_cache_counters(obs::MetricsRegistry& registry,
+                                                const std::string& layer, int num_levels,
+                                                const obs::Labels& labels) {
+  std::vector<CacheCounters> levels;
+  for (int l = 1; l <= num_levels; ++l) {
+    obs::Labels level{{"level", std::to_string(l)}};
+    level.insert(level.end(), labels.begin(), labels.end());
+    levels.emplace_back(registry, layer, "embed", std::move(level));
+  }
+  return levels;
+}
+
+EmbedWork::EmbedWork(obs::MetricsRegistry& registry, const std::string& layer,
+                     const obs::Labels& labels)
+    : requests(registry.counter("distgnn_" + layer + "_embed_requests_total", labels)),
+      rows_computed(registry.counter("distgnn_" + layer + "_embed_rows_computed_total", labels)),
+      blocks_sampled(registry.counter("distgnn_" + layer + "_embed_blocks_sampled_total", labels)) {}
+
+EmbedCache::EmbedCache(const ModelSpec& spec, std::uint64_t capacity_bytes,
+                       std::vector<CacheCounters> levels, int num_shards,
                        std::uint64_t max_entries_per_layer) {
   if (spec.num_layers < 1) throw std::invalid_argument("EmbedCache: num_layers must be >= 1");
   if (num_shards < 1) throw std::invalid_argument("EmbedCache: need >= 1 shard");
+  if (levels.size() != static_cast<std::size_t>(spec.num_layers))
+    throw std::invalid_argument("EmbedCache: need one CacheCounters per layer");
   const std::uint64_t per_layer_bytes =
       capacity_bytes / static_cast<std::uint64_t>(spec.num_layers);
   dims_.reserve(static_cast<std::size_t>(spec.num_layers));
@@ -30,17 +52,13 @@ EmbedCache::EmbedCache(const ModelSpec& spec, std::uint64_t capacity_bytes, int 
     if (max_entries_per_layer > 0) entries = std::min(entries, max_entries_per_layer);
     entries = std::max<std::uint64_t>(static_cast<std::uint64_t>(num_shards), entries);
     dims_.push_back(dim);
-    layers_.push_back(std::make_unique<LayerLru>(entries, num_shards, row_bytes));
+    layers_.push_back(std::make_unique<LayerLru>(
+        entries, num_shards, row_bytes,
+        std::vector<CacheCounters>{levels[static_cast<std::size_t>(l - 1)]}));
   }
 }
 
 EmbedCache::LayerLru& EmbedCache::layer_lru(int layer) {
-  if (layer < 1 || layer > num_layers())
-    throw std::out_of_range("EmbedCache: layer out of range");
-  return *layers_[static_cast<std::size_t>(layer - 1)];
-}
-
-const EmbedCache::LayerLru& EmbedCache::layer_lru(int layer) const {
   if (layer < 1 || layer > num_layers())
     throw std::out_of_range("EmbedCache: layer out of range");
   return *layers_[static_cast<std::size_t>(layer - 1)];
@@ -52,8 +70,11 @@ std::size_t EmbedCache::dim(int layer) const {
   return dims_[static_cast<std::size_t>(layer - 1)];
 }
 
-std::uint64_t EmbedCache::capacity_entries(int layer) const {
-  return layer_lru(layer).capacity_entries();
+bool EmbedCache::fits(const ModelSpec& spec) const {
+  if (spec.num_layers != num_layers()) return false;
+  for (int l = 1; l <= num_layers(); ++l)
+    if (dims_[static_cast<std::size_t>(l - 1)] != spec.out_dim(l - 1)) return false;
+  return true;
 }
 
 bool EmbedCache::lookup(int layer, vid_t vertex, std::uint64_t version, real_t* out,
@@ -99,24 +120,17 @@ EmbedCache::EpochAdvance EmbedCache::advance_epoch(
   return out;
 }
 
-CacheStats EmbedCache::stats(int layer) const { return layer_lru(layer).stats(0); }
-
-CacheStats EmbedCache::combined_stats() const {
-  CacheStats out;
-  for (const auto& layer : layers_) out += layer->combined_stats();
-  return out;
-}
-
 // ----------------------------------------------------------------- evaluator
 
 EmbedForward::EmbedForward(const Dataset& dataset, std::vector<int> fanouts,
                            std::uint64_t sample_seed, EmbedCache* cache,
-                           ShardedFeatureCache* feature_cache)
+                           ShardedFeatureCache* feature_cache, EmbedWork* work)
     : dataset_(dataset),
       fanouts_(std::move(fanouts)),
       sample_seed_(sample_seed),
       cache_(cache),
-      feature_cache_(feature_cache) {
+      feature_cache_(feature_cache),
+      work_(work) {
   if (fanouts_.empty()) throw std::invalid_argument("EmbedForward: fanouts empty");
   if (cache_ && cache_->num_layers() != static_cast<int>(fanouts_.size()))
     throw std::invalid_argument("EmbedForward: cache depth != fanouts depth");
@@ -163,15 +177,13 @@ void EmbedForward::infer(const ModelSnapshot& snapshot, std::span<const vid_t> s
   const auto dim_of = [&](int level) {
     return level == 0 ? static_cast<std::size_t>(spec.feature_dim) : spec.out_dim(level - 1);
   };
-  if (cache_)
-    for (int l = 1; l <= num_layers; ++l)
-      if (cache_->dim(l) != dim_of(l))
-        throw std::invalid_argument("EmbedForward: cache dims != snapshot dims");
+  if (cache_ && !cache_->fits(spec))
+    throw std::invalid_argument("EmbedForward: cache dims != snapshot dims");
   const std::uint64_t version = snapshot.version();
 
   levels_.resize(static_cast<std::size_t>(num_layers) + 1);
   for (Level& lv : levels_) lv.clear();
-  stats_.requests += seeds.size();
+  std::uint64_t rows_computed = 0, blocks_sampled = 0;
 
   // Downward pass: discover the memoized DAG. Seeds sit at the output level;
   // expanding a level's pending vertices only ever touches the level below,
@@ -192,7 +204,7 @@ void EmbedForward::infer(const ModelSnapshot& snapshot, std::span<const vid_t> s
       Rng rng = embed_rng(sample_seed_, u, l - 1);
       const vid_t seed1[1] = {u};
       lv.blocks.push_back(sample_minibatch(in_csr, seed1, fanout, rng));
-      ++stats_.sampled_blocks;
+      ++blocks_sampled;
       for (const vid_t child : lv.blocks.back().input_vertices)
         resolve(l - 1, child, version, child_dim);
     }
@@ -222,7 +234,7 @@ void EmbedForward::infer(const ModelSnapshot& snapshot, std::span<const vid_t> s
       real_t* dst = lv.values.data() + static_cast<std::size_t>(lv.pending_row[i]) * out_dim;
       std::copy(layer_out_.row(i), layer_out_.row(i) + out_dim, dst);
       if (cache_) cache_->insert(l, lv.pending[i], version, dst, graph_epoch_);
-      ++stats_.layer_rows_computed;
+      ++rows_computed;
     }
   }
 
@@ -234,6 +246,11 @@ void EmbedForward::infer(const ModelSnapshot& snapshot, std::span<const vid_t> s
     const real_t* src =
         top.values.data() + static_cast<std::size_t>(top.index.at(seeds[i])) * out_dim;
     std::copy(src, src + out_dim, logits.row(i));
+  }
+  if (work_) {
+    work_->requests.add(seeds.size());
+    work_->rows_computed.add(rows_computed);
+    work_->blocks_sampled.add(blocks_sampled);
   }
 }
 

@@ -38,10 +38,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "graph/datasets.hpp"
+#include "obs/metrics.hpp"
 #include "serve/feature_cache.hpp"
 #include "serve/model_snapshot.hpp"
 #include "serve/sharded_lru.hpp"
@@ -56,7 +58,8 @@ Rng embed_rng(std::uint64_t sample_seed, vid_t vertex, int layer);
 
 /// Sharded LRU of layer outputs. Layer l (1-based: h_1 .. h_L) rows are
 /// out_dim(l-1) floats wide, so each layer gets its own ShardedLru instance;
-/// capacity_bytes is split evenly across layers.
+/// capacity_bytes is split evenly across layers. Each layer counts into its
+/// own CacheCounters (see embed_cache_counters).
 class EmbedCache {
  public:
   struct Key {
@@ -78,7 +81,9 @@ class EmbedCache {
   /// byte budget alone would buy e.g. half a million 8-float logit slots):
   /// invalidate-on-publish keeps one version resident, so the true key
   /// population is the vertex count — pass it when known; 0 = uncapped.
-  EmbedCache(const ModelSpec& spec, std::uint64_t capacity_bytes, int num_shards = 8,
+  /// `levels[l-1]` counts layer l's traffic; one per layer of `spec`.
+  EmbedCache(const ModelSpec& spec, std::uint64_t capacity_bytes,
+             std::vector<CacheCounters> levels, int num_shards = 8,
              std::uint64_t max_entries_per_layer = 0);
 
   /// Copies h_layer(vertex) under (version, graph epoch) into `out`
@@ -89,7 +94,7 @@ class EmbedCache {
   void insert(int layer, vid_t vertex, std::uint64_t version, const real_t* row,
               std::uint64_t epoch = 0);
 
-  /// Drops every entry (publish-hook invalidation) without resetting stats.
+  /// Drops every entry (publish-hook invalidation); the counters keep counting.
   void invalidate();
 
   /// Counters from one advance_epoch sweep (summed over layers).
@@ -110,26 +115,36 @@ class EmbedCache {
   int num_layers() const { return static_cast<int>(layers_.size()); }
   /// Row width of layer l in floats (l in [1, num_layers]).
   std::size_t dim(int layer) const;
-  std::uint64_t capacity_entries(int layer) const;
-
-  CacheStats stats(int layer) const;
-  CacheStats combined_stats() const;
+  /// Whether `spec`'s layer outputs have this cache's depth and row widths.
+  bool fits(const ModelSpec& spec) const;
 
  private:
   using LayerLru = ShardedLru<Key, std::vector<real_t>, KeyHash>;
 
   LayerLru& layer_lru(int layer);
-  const LayerLru& layer_lru(int layer) const;
 
   std::vector<std::size_t> dims_;               // dims_[l-1] = width of h_l
   std::vector<std::unique_ptr<LayerLru>> layers_;  // layers_[l-1] caches h_l
 };
 
-/// Per-call counters for one EmbedForward::infer (monotone across calls).
-struct EmbedForwardStats {
-  std::uint64_t requests = 0;
-  std::uint64_t layer_rows_computed = 0;  // (vertex, layer) pairs evaluated
-  std::uint64_t sampled_blocks = 0;       // one-hop blocks actually sampled
+/// An embed cache's counters, one CacheCounters per level l = 1..num_levels
+/// of distgnn_<layer>_cache_*_total, labelled cache="embed", level="<l>" and
+/// then `labels`.
+std::vector<CacheCounters> embed_cache_counters(obs::MetricsRegistry& registry,
+                                                const std::string& layer, int num_levels,
+                                                const obs::Labels& labels = {});
+
+/// EmbedForward's work, as handles into its tier's registry:
+/// distgnn_<layer>_embed_{requests,rows_computed,blocks_sampled}_total under
+/// `labels`. Against the requests, the rows and blocks show how much forward
+/// work the embed cache saves.
+struct EmbedWork {
+  EmbedWork(obs::MetricsRegistry& registry, const std::string& layer,
+            const obs::Labels& labels = {});
+
+  obs::Counter& requests;        // seeds evaluated
+  obs::Counter& rows_computed;   // (vertex, layer) pairs evaluated
+  obs::Counter& blocks_sampled;  // one-hop blocks actually sampled
 };
 
 /// The embedding-cached serving forward: memoized, level-by-level evaluation
@@ -147,9 +162,11 @@ struct EmbedForwardStats {
 class EmbedForward {
  public:
   /// `cache` and `feature_cache` may be null (uncached evaluation — the
-  /// bitwise-equality baseline). The dataset must outlive the evaluator.
+  /// bitwise-equality baseline), and so may `work` (uncounted evaluation).
+  /// The dataset must outlive the evaluator.
   EmbedForward(const Dataset& dataset, std::vector<int> fanouts, std::uint64_t sample_seed,
-               EmbedCache* cache, ShardedFeatureCache* feature_cache);
+               EmbedCache* cache, ShardedFeatureCache* feature_cache,
+               EmbedWork* work = nullptr);
 
   /// Computes logits (one row per seed, duplicates allowed) under
   /// `snapshot`. Bitwise-equal to any other evaluation of the same seeds
@@ -158,8 +175,6 @@ class EmbedForward {
   /// rows computed before a delta can never answer a lookup after it.
   void infer(const ModelSnapshot& snapshot, std::span<const vid_t> seeds, DenseMatrix& logits,
              std::uint64_t graph_epoch = 0);
-
-  const EmbedForwardStats& stats() const { return stats_; }
 
  private:
   struct Level {
@@ -187,12 +202,12 @@ class EmbedForward {
   std::uint64_t sample_seed_;
   EmbedCache* cache_;
   ShardedFeatureCache* feature_cache_;
+  EmbedWork* work_;
   std::uint64_t graph_epoch_ = 0;  // set per infer(); keys cache traffic
 
   std::vector<Level> levels_;
   ForwardScratch fwd_scratch_;
   DenseMatrix inputs_, layer_out_;
-  EmbedForwardStats stats_;
 };
 
 }  // namespace distgnn::serve

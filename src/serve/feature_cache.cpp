@@ -16,10 +16,10 @@ std::uint64_t ShardedFeatureCache::entries_for(std::uint64_t capacity_bytes, std
 }
 
 ShardedFeatureCache::ShardedFeatureCache(std::uint64_t capacity_bytes, std::size_t dim,
-                                         int num_shards)
+                                         std::vector<CacheCounters> spaces, int num_shards)
     : dim_(dim),
       lru_(entries_for(capacity_bytes, dim, num_shards), num_shards,
-           static_cast<std::uint64_t>(dim) * sizeof(real_t)) {}
+           static_cast<std::uint64_t>(dim) * sizeof(real_t), std::move(spaces)) {}
 
 bool ShardedFeatureCache::get_or_fill(int space, std::uint64_t key, real_t* out,
                                       const FillFn& fill) {

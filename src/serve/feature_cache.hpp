@@ -9,9 +9,10 @@
 //
 // Storage and sharding live in the generic ShardedLru (shared with the
 // embedding cache): keys are hashed over `num_shards` independent LRUs, each
-// behind its own mutex, so concurrent server workers rarely contend. Object
-// spaces keep separate statistics (space 0 = local features, space 1 =
-// halo/remote rows by convention) exactly as in cachesim.
+// behind its own mutex, so concurrent server workers rarely contend. Each
+// object space (space 0 = local features, space 1 = halo/remote rows by
+// convention) counts into the CacheCounters its tier passes in, which the
+// tier's stats() and scrape() read.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +30,10 @@ class ShardedFeatureCache {
   using FillFn = std::function<void(real_t*)>;
 
   /// capacity_bytes is split evenly over shards; each shard holds at least
-  /// one entry of `dim` floats.
-  ShardedFeatureCache(std::uint64_t capacity_bytes, std::size_t dim, int num_shards = 8);
+  /// one entry of `dim` floats. `spaces[i]` counts object space i, charging
+  /// dim * sizeof(real_t) fill bytes per miss.
+  ShardedFeatureCache(std::uint64_t capacity_bytes, std::size_t dim,
+                      std::vector<CacheCounters> spaces, int num_shards = 8);
 
   /// Copies the vector for (space, key) into `out` (dim floats). On a miss,
   /// `fill` produces the vector, which is cached and copied out. Returns true
@@ -46,7 +49,7 @@ class ShardedFeatureCache {
   bool lookup(int space, std::uint64_t key, real_t* out);
   void insert(int space, std::uint64_t key, const real_t* row);
 
-  /// Drops every entry (hot-swap invalidation) without resetting statistics.
+  /// Drops every entry (hot-swap invalidation); the counters keep counting.
   void invalidate();
 
   /// Drops one entry (a streamed feature-row update dirties exactly that
@@ -54,13 +57,7 @@ class ShardedFeatureCache {
   bool erase(int space, std::uint64_t key);
 
   std::size_t dim() const { return dim_; }
-  int num_shards() const { return lru_.num_shards(); }
   std::uint64_t capacity_entries() const { return lru_.capacity_entries(); }
-
-  /// Statistics aggregated over shards, per space / combined (cachesim
-  /// definitions: reuse = accesses per miss, bytes via dim * sizeof(real_t)).
-  CacheStats stats(int space) const { return lru_.stats(space); }
-  CacheStats combined_stats() const { return lru_.combined_stats(); }
 
  private:
   static std::uint64_t entries_for(std::uint64_t capacity_bytes, std::size_t dim,

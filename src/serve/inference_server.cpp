@@ -19,10 +19,16 @@ InferenceServer::InferenceServer(const Dataset& dataset, ServeConfig config)
       config_(std::move(config)),
       queue_(config_.queue_capacity),
       cache_(config_.cache_bytes, static_cast<std::size_t>(dataset.feature_dim()),
-             config_.cache_shards) {
+             {feature_counters_}, config_.cache_shards) {
   if (config_.num_workers < 1) throw std::invalid_argument("InferenceServer: need >= 1 worker");
   if (config_.max_batch < 1) throw std::invalid_argument("InferenceServer: max_batch must be >= 1");
   if (config_.fanouts.empty()) throw std::invalid_argument("InferenceServer: fanouts empty");
+  if (config_.embed_forward) {
+    embed_work_.emplace(metrics_, "server");
+    if (config_.embed_cache_bytes > 0)
+      embed_counters_ = embed_cache_counters(metrics_, "server",
+                                             static_cast<int>(config_.fanouts.size()));
+  }
   // Hot-swap invalidation for the layer-output cache: entries are
   // version-keyed (stale rows can never match), so the hook is capacity
   // hygiene — a publish frees the dead version's slots immediately.
@@ -35,38 +41,40 @@ InferenceServer::InferenceServer(const Dataset& dataset, ServeConfig config)
 
 InferenceServer::~InferenceServer() { stop(); }
 
-void InferenceServer::publish(std::shared_ptr<const ModelSnapshot> snapshot) {
-  if (!snapshot) throw std::invalid_argument("InferenceServer: null snapshot");
+void check_servable(const ModelSnapshot* snapshot, const Dataset& dataset,
+                    const TierConfig& config, const std::string& who) {
+  if (!snapshot) throw std::invalid_argument(who + ": null snapshot");
   const ModelSpec& spec = snapshot->spec();
-  if (spec.num_layers != static_cast<int>(config_.fanouts.size()))
-    throw std::invalid_argument("InferenceServer: fanouts depth != model layers");
-  if (spec.feature_dim != dataset_.feature_dim())
-    throw std::invalid_argument("InferenceServer: snapshot feature_dim != dataset");
+  if (spec.num_layers != static_cast<int>(config.fanouts.size()))
+    throw std::invalid_argument(who + ": fanouts depth != model layers");
+  if (spec.feature_dim != dataset.feature_dim())
+    throw std::invalid_argument(who + ": snapshot feature_dim != dataset");
   if (spec.kind == ModelKind::kRgcn) {
     // Relational models need typed edges: the dataset must carry a per-edge
     // relation label matching the snapshot's relation count.
-    if (dataset_.num_edge_types != spec.num_relations)
-      throw std::invalid_argument("InferenceServer: snapshot num_relations != dataset edge types");
-    if (config_.embed_forward)
-      throw std::invalid_argument("InferenceServer: embed_forward does not support RGCN");
+    if (dataset.num_edge_types != spec.num_relations)
+      throw std::invalid_argument(who + ": snapshot num_relations != dataset edge types");
+    if (config.embed_forward)
+      throw std::invalid_argument(who + ": embed_forward does not support RGCN");
   }
-  if (config_.embed_forward && config_.embed_cache_bytes > 0) {
+}
+
+void InferenceServer::publish(std::shared_ptr<const ModelSnapshot> snapshot) {
+  check_servable(snapshot.get(), dataset_, config_, "InferenceServer");
+  if (!embed_counters_.empty()) {
     util::MutexLock lock(embed_mutex_);
-    if (!embed_cache_) {
-      // First publish fixes the cached row widths; later snapshots must keep
-      // them (per-layer dims are part of the cache geometry). Entries per
-      // layer are capped at the vertex count — the whole key population,
-      // since publish invalidation keeps a single version resident.
+    // First publish fixes the cached row widths; later snapshots must keep
+    // them. Entries per layer are capped at the vertex count — the whole key
+    // population, since publish invalidation keeps a single version resident.
+    if (!embed_cache_)
       embed_cache_ = std::make_unique<EmbedCache>(
-          spec, config_.embed_cache_bytes, config_.embed_cache_shards,
-          static_cast<std::uint64_t>(dataset_.num_vertices()));
-    } else {
-      for (int l = 1; l <= spec.num_layers; ++l)
-        if (embed_cache_->dim(l) != spec.out_dim(l - 1))
-          throw std::invalid_argument("InferenceServer: snapshot dims != embed cache dims");
-    }
+          snapshot->spec(), config_.embed_cache_bytes, embed_counters_,
+          config_.embed_cache_shards, static_cast<std::uint64_t>(dataset_.num_vertices()));
+    else if (!embed_cache_->fits(snapshot->spec()))
+      throw std::invalid_argument("InferenceServer: snapshot dims != embed cache dims");
   }
   holder_.publish(std::move(snapshot));
+  publishes_.add();
 }
 
 void InferenceServer::start() {
@@ -175,7 +183,7 @@ void InferenceServer::worker_loop() {
     // start() requires a prior publish, so the cache pointer is stable for
     // the whole worker lifetime.
     EmbedForward evaluator(dataset_, config_.fanouts, config_.sample_seed, embed_cache_ptr(),
-                           &cache_);
+                           &cache_, &*embed_work_);
     std::vector<vid_t> seeds;
     DenseMatrix logits;
     while (true) {
@@ -345,7 +353,7 @@ void reply_batch(std::vector<InferRequest>& batch, const DenseMatrix& logits,
 
 double InferenceServer::mean_service_seconds() const {
   // Two counter reads only — this sits on the per-request admission path, so
-  // it must not take the cache-stats locks a full stats() call would.
+  // it must not fold the whole stats() view.
   const std::uint64_t completed = batch_counters_.batched_requests.value();
   return completed == 0 ? 0.0
                         : static_cast<double>(batch_counters_.service_ns.value()) * 1e-9 /
@@ -357,9 +365,8 @@ BackendStats InferenceServer::stats() const {
   batch_counters_.read(s);
   read_stage_metrics(stage_metrics_, s);
   s.queue_depth = queue_.size();
-  s.publishes = holder_.num_publishes();
-  s.feature_cache = cache_.stats(/*space=*/0);
-  if (const EmbedCache* cache = embed_cache_ptr()) s.embed_cache = cache->combined_stats();
+  s.feature_cache = feature_counters_.read();
+  for (const CacheCounters& level : embed_counters_) s.embed_cache += level.read();
   return s;
 }
 

@@ -13,6 +13,8 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -106,9 +108,6 @@ class InferenceServer : public ServingBackend {
 
   const ServeConfig& config() const { return config_; }
   const Dataset& dataset() const override { return dataset_; }
-  /// Layer-output cache (null unless embed_forward with embed_cache_bytes >
-  /// 0 and a snapshot has been published).
-  const EmbedCache* embed_cache() const { return embed_cache_ptr(); }
 
  private:
   void worker_loop();
@@ -128,6 +127,21 @@ class InferenceServer : public ServingBackend {
   /// read through dataset_.graph while a barrier is move-assigning it.
   const vid_t num_vertices_;
   ServeConfig config_;
+
+  /// The server's one set of books: per-tenant submitted/completed/shed
+  /// counters, per-stage and end-to-end latency histograms, the batch
+  /// tallies, the caches' counters, the embed evaluator's work and the
+  /// publishes. Workers add into their own cache lines; stats()/scrape()
+  /// only read. Declared before the caches, which count into it.
+  obs::MetricsRegistry metrics_;
+  obs::StageMetrics stage_metrics_{metrics_, "server"};
+  BatchCounters batch_counters_{metrics_, "server"};
+  CacheCounters feature_counters_{metrics_, "server", "feature"};
+  std::vector<CacheCounters> embed_counters_;  // per level; empty without an embed cache
+  std::optional<EmbedWork> embed_work_;        // embed_forward only
+  obs::Counter& publishes_{metrics_.counter("distgnn_server_publishes_total")};
+  obs::TraceSink trace_sink_;
+
   SnapshotHolder holder_;
   BoundedRequestQueue queue_;
   ShardedFeatureCache cache_;
@@ -143,20 +157,18 @@ class InferenceServer : public ServingBackend {
   util::SharedMutex graph_gate_;
   std::atomic<std::uint64_t> graph_epoch_{0};
 
-  /// The server's one set of books: per-tenant submitted/completed/shed
-  /// counters, per-stage and end-to-end latency histograms, and the batch
-  /// tallies. Workers add into their own cache lines; stats()/scrape() only
-  /// read.
-  obs::MetricsRegistry metrics_;
-  obs::StageMetrics stage_metrics_{metrics_, "server"};
-  BatchCounters batch_counters_{metrics_, "server"};
-  obs::TraceSink trace_sink_;
-
   std::atomic<std::uint64_t> next_id_{0};
   /// Admitted requests whose batch has not finished replying: the drain()
   /// signal. Raised before the queue push, lowered after the callbacks.
   std::atomic<std::uint64_t> in_flight_{0};
 };
+
+/// The publish check of InferenceServer and ShardedServer: `snapshot` is
+/// non-null, as deep as `config`'s fanouts, as wide as `dataset`'s features,
+/// and, for RGCN, typed like its edges and not served in embed mode. Throws
+/// std::invalid_argument prefixed by `who`.
+void check_servable(const ModelSnapshot* snapshot, const Dataset& dataset,
+                    const TierConfig& config, const std::string& who);
 
 /// Builds and trace-stamps request `id` and offers it to `queue`: the one
 /// admission path of InferenceServer and ShardedServer. Books the submit

@@ -283,7 +283,6 @@ void SnapshotHolder::publish(std::shared_ptr<const ModelSnapshot> snapshot) {
     util::MutexLock lock(mutex_);
     if (snapshot) version = snapshot->version();
     current_ = std::move(snapshot);
-    ++publishes_;
     hook = on_publish_;
   }
   // Outside the lock: the hook may take cache shard locks, and readers must
@@ -294,11 +293,6 @@ void SnapshotHolder::publish(std::shared_ptr<const ModelSnapshot> snapshot) {
 std::shared_ptr<const ModelSnapshot> SnapshotHolder::get() const {
   util::MutexLock lock(mutex_);
   return current_;
-}
-
-std::uint64_t SnapshotHolder::num_publishes() const {
-  util::MutexLock lock(mutex_);
-  return publishes_;
 }
 
 void SnapshotHolder::set_on_publish(std::function<void(std::uint64_t)> hook) {

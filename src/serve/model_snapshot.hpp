@@ -149,7 +149,6 @@ class SnapshotHolder {
  public:
   void publish(std::shared_ptr<const ModelSnapshot> snapshot);
   std::shared_ptr<const ModelSnapshot> get() const;
-  std::uint64_t num_publishes() const;
 
   /// Hook invoked after every publish, outside the holder lock, with the new
   /// snapshot's version — the invalidation point version-keyed caches (the
@@ -159,7 +158,6 @@ class SnapshotHolder {
  private:
   mutable util::Mutex mutex_;
   std::shared_ptr<const ModelSnapshot> current_ GUARDED_BY(mutex_);
-  std::uint64_t publishes_ GUARDED_BY(mutex_) = 0;
   std::function<void(std::uint64_t)> on_publish_ GUARDED_BY(mutex_);
 };
 

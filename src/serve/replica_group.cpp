@@ -193,12 +193,9 @@ std::uint64_t ReplicaGroup::version() const {
   return version_;
 }
 
-std::uint64_t ReplicaGroup::publishes() const { return publishes_.value(); }
-
 BackendStats ReplicaGroup::stats() const {
   BackendStats g;
   for (const auto& replica : replicas_) g.absorb(replica->stats());
-  g.publishes = publishes();
   return g;
 }
 

@@ -122,7 +122,6 @@ class ReplicaGroup : public ServingBackend {
 
   /// Version currently served by every replica (0 before the first publish).
   std::uint64_t version() const;
-  std::uint64_t publishes() const;
 
   /// True while a publish / graph-update barrier is closed. The health
   /// monitor's barrier-stuck watchdog polls this: a wedged barrier parks

@@ -6,9 +6,11 @@
 // `num_shards` independent LRUs, each behind its own mutex, so concurrent
 // server workers rarely contend. Slot values are recycled in place (a
 // std::vector<real_t> slot keeps its capacity across reuse), so steady-state
-// operation performs no allocation. Object spaces keep separate CacheStats
-// with cachesim's definitions — accesses, misses, and `charge_bytes` of fill
-// traffic per miss — so every cache in the tree reports comparable numbers.
+// operation performs no allocation. The object spaces are fixed at
+// construction, one CacheCounters each: handles into the owning tier's
+// MetricsRegistry that count with cachesim's definitions — accesses, misses,
+// and `charge_bytes` of fill traffic per miss — so every cache in the tree
+// reports comparable numbers, and the scrape is the only book they live in.
 //
 // Thread-safety: all public methods are safe to call concurrently; fill/use
 // callbacks run under the owning shard's lock, so they must not re-enter the
@@ -20,10 +22,12 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "cachesim/lru_cache.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/sync.hpp"
 
@@ -38,15 +42,53 @@ struct SplitmixHash {
   }
 };
 
+/// One object space's counters, as handles into its tier's registry:
+/// distgnn_<layer>_cache_{accesses,misses,fill_bytes}_total, labelled
+/// cache="<kind>" and then `labels`.
+struct CacheCounters {
+  CacheCounters(obs::MetricsRegistry& registry, const std::string& layer, const std::string& kind,
+                obs::Labels labels = {})
+      : accesses(registry.counter("distgnn_" + layer + "_cache_accesses_total",
+                                  with_kind(kind, labels))),
+        misses(registry.counter("distgnn_" + layer + "_cache_misses_total",
+                                with_kind(kind, labels))),
+        fill_bytes(registry.counter("distgnn_" + layer + "_cache_fill_bytes_total",
+                                    with_kind(kind, labels))) {}
+
+  /// The CacheStats view a tier's stats() reports (fill bytes as
+  /// bytes_read). Misses are read first: a miss is counted after its access.
+  CacheStats read() const {
+    CacheStats s;
+    s.misses = misses.value();
+    s.accesses = accesses.value();
+    s.bytes_read = fill_bytes.value();
+    return s;
+  }
+
+  obs::Counter& accesses;
+  obs::Counter& misses;
+  obs::Counter& fill_bytes;
+
+ private:
+  static obs::Labels with_kind(const std::string& kind, const obs::Labels& labels) {
+    obs::Labels out{{"cache", kind}};
+    out.insert(out.end(), labels.begin(), labels.end());
+    return out;
+  }
+};
+
 template <typename K, typename V, typename Hash = SplitmixHash<K>>
 class ShardedLru {
  public:
   /// `capacity_entries` is split evenly over shards (each shard holds at
-  /// least one slot). `charge_bytes` is the CacheStats fill-traffic charge
-  /// per miss/insert — the logical size of one cached object.
-  ShardedLru(std::uint64_t capacity_entries, int num_shards, std::uint64_t charge_bytes)
-      : charge_bytes_(charge_bytes) {
+  /// least one slot). `charge_bytes` is the fill-traffic charge per
+  /// miss/insert — the logical size of one cached object. `spaces[i]`
+  /// counts object space i; a space outside them throws std::out_of_range.
+  ShardedLru(std::uint64_t capacity_entries, int num_shards, std::uint64_t charge_bytes,
+             std::vector<CacheCounters> spaces)
+      : charge_bytes_(charge_bytes), spaces_(std::move(spaces)) {
     if (num_shards < 1) throw std::invalid_argument("ShardedLru: need >= 1 shard");
+    if (spaces_.empty()) throw std::invalid_argument("ShardedLru: need >= 1 object space");
     entries_per_shard_ = std::max<std::uint64_t>(
         1, capacity_entries / static_cast<std::uint64_t>(num_shards));
     shards_.reserve(static_cast<std::size_t>(num_shards));
@@ -57,6 +99,7 @@ class ShardedLru {
       {
         util::MutexLock lock(shard->mutex);
         shard->slots.resize(entries_per_shard_);
+        shard->index.resize(spaces_.size());
         shard->free_list.reserve(entries_per_shard_);
         for (std::uint64_t e = 0; e < entries_per_shard_; ++e)
           shard->free_list.push_back(static_cast<int>(entries_per_shard_ - 1 - e));
@@ -71,16 +114,16 @@ class ShardedLru {
   /// key fill once (the fill runs under the shard lock).
   template <typename Fill, typename Use>
   bool get_or_fill(int space, const K& key, Fill&& fill, Use&& use) {
+    const CacheCounters& counters = counters_for(space);
+    counters.accesses.add();
     Shard& s = shard_for(key);
     util::MutexLock lock(s.mutex);
-    CacheStats& stats = stats_mut(s, space);
-    ++stats.accesses;
     if (const int idx = find_and_touch(s, space, key); idx >= 0) {
       use(static_cast<const V&>(s.slots[static_cast<std::size_t>(idx)].value));
       return true;
     }
-    ++stats.misses;
-    stats.bytes_read += charge_bytes_;  // miss fill traffic, as in cachesim
+    counters.misses.add();
+    counters.fill_bytes.add(charge_bytes_);  // miss fill traffic, as in cachesim
     const int idx = fill_slot(s, space, key, fill);
     use(static_cast<const V&>(s.slots[static_cast<std::size_t>(idx)].value));
     return false;
@@ -93,13 +136,13 @@ class ShardedLru {
   /// as one get_or_fill miss.
   template <typename Use>
   bool lookup(int space, const K& key, Use&& use) {
+    const CacheCounters& counters = counters_for(space);
+    counters.accesses.add();
     Shard& s = shard_for(key);
     util::MutexLock lock(s.mutex);
-    CacheStats& stats = stats_mut(s, space);
-    ++stats.accesses;
     const int idx = find_and_touch(s, space, key);
     if (idx < 0) {
-      ++stats.misses;
+      counters.misses.add();
       return false;
     }
     use(static_cast<const V&>(s.slots[static_cast<std::size_t>(idx)].value));
@@ -110,14 +153,14 @@ class ShardedLru {
   /// the key is already resident (raced fill).
   template <typename Fill>
   void insert(int space, const K& key, Fill&& fill) {
+    counters_for(space).fill_bytes.add(charge_bytes_);
     Shard& s = shard_for(key);
     util::MutexLock lock(s.mutex);
-    stats_mut(s, space).bytes_read += charge_bytes_;
     if (index_for(s, space).count(key) > 0) return;  // raced fill: already resident
     fill_slot(s, space, key, fill);
   }
 
-  /// Drops every entry (hot-swap invalidation) without resetting statistics.
+  /// Drops every entry (hot-swap invalidation); the counters keep counting.
   void invalidate() {
     for (auto& shard : shards_) {
       util::MutexLock lock(shard->mutex);
@@ -130,8 +173,7 @@ class ShardedLru {
   bool erase(int space, const K& key) {
     Shard& s = shard_for(key);
     util::MutexLock lock(s.mutex);
-    if (static_cast<std::size_t>(space) >= s.index.size()) return false;
-    auto& index = s.index[static_cast<std::size_t>(space)];
+    auto& index = index_for(s, space);
     const auto it = index.find(key);
     if (it == index.end()) return false;
     evict_slot(s, it->second);
@@ -151,8 +193,7 @@ class ShardedLru {
     for (auto& shard : shards_) {
       Shard& s = *shard;
       util::MutexLock lock(s.mutex);
-      if (static_cast<std::size_t>(space) >= s.index.size()) continue;
-      auto& index = s.index[static_cast<std::size_t>(space)];
+      auto& index = index_for(s, space);
       // Collect first: fn rewrites keys, which would invalidate a live
       // iteration over the index.
       resident.clear();
@@ -181,28 +222,6 @@ class ShardedLru {
   }
 
   std::uint64_t capacity_entries() const { return entries_per_shard_ * shards_.size(); }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
-  /// Statistics aggregated over shards, per space / combined.
-  CacheStats stats(int space) const {
-    CacheStats out;
-    if (space < 0) return out;
-    for (const auto& shard : shards_) {
-      util::MutexLock lock(shard->mutex);
-      if (static_cast<std::size_t>(space) < shard->per_space.size())
-        out += shard->per_space[static_cast<std::size_t>(space)];
-    }
-    return out;
-  }
-
-  CacheStats combined_stats() const {
-    CacheStats out;
-    for (const auto& shard : shards_) {
-      util::MutexLock lock(shard->mutex);
-      for (const CacheStats& s : shard->per_space) out += s;
-    }
-    return out;
-  }
 
  private:
   struct Slot {
@@ -219,25 +238,23 @@ class ShardedLru {
     std::vector<int> free_list GUARDED_BY(mutex);
     int head GUARDED_BY(mutex) = -1;
     int tail GUARDED_BY(mutex) = -1;
-    // One index per object space (spaces are small ordinals by convention).
+    // One index per object space, sized at construction.
     std::vector<std::unordered_map<K, int, Hash>> index GUARDED_BY(mutex);
-    std::vector<CacheStats> per_space GUARDED_BY(mutex);
   };
 
   Shard& shard_for(const K& key) {
     return *shards_[static_cast<std::size_t>(Hash{}(key) % shards_.size())];
   }
 
-  static CacheStats& stats_mut(Shard& s, int space) REQUIRES(s.mutex) {
-    if (space < 0) throw std::out_of_range("ShardedLru: negative space id");
-    if (static_cast<std::size_t>(space) >= s.per_space.size()) s.per_space.resize(space + 1);
-    return s.per_space[static_cast<std::size_t>(space)];
+  const CacheCounters& counters_for(int space) const {
+    if (space < 0 || static_cast<std::size_t>(space) >= spaces_.size())
+      throw std::out_of_range("ShardedLru: space outside the constructed set");
+    return spaces_[static_cast<std::size_t>(space)];
   }
 
+  /// Throws std::out_of_range for a space outside the constructed set.
   static std::unordered_map<K, int, Hash>& index_for(Shard& s, int space) REQUIRES(s.mutex) {
-    if (space < 0) throw std::out_of_range("ShardedLru: negative space id");
-    if (static_cast<std::size_t>(space) >= s.index.size()) s.index.resize(space + 1);
-    return s.index[static_cast<std::size_t>(space)];
+    return s.index.at(static_cast<std::size_t>(space));
   }
 
   static void unlink(Shard& s, int idx) REQUIRES(s.mutex) {
@@ -300,6 +317,7 @@ class ShardedLru {
   }
 
   std::uint64_t charge_bytes_;
+  std::vector<CacheCounters> spaces_;
   std::uint64_t entries_per_shard_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

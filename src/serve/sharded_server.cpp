@@ -30,11 +30,19 @@ std::vector<part_t> vertex_owners(const EdgeList& edges, const EdgePartition& pa
   return owners;
 }
 
-ShardedServer::RankCounters::RankCounters(obs::MetricsRegistry& registry, const obs::Labels& rank)
+ShardedServer::RankCounters::RankCounters(obs::MetricsRegistry& registry, const obs::Labels& rank,
+                                          const TierConfig& config)
     : batch(registry, "sharded", rank),
       halo{registry.counter("distgnn_sharded_halo_rows_total", rank),
            registry.counter("distgnn_sharded_halo_bytes_total", rank),
-           registry.counter("distgnn_sharded_halo_wait_ns_total", rank)} {}
+           registry.counter("distgnn_sharded_halo_wait_ns_total", rank)},
+      feature(registry, "sharded", "feature", rank),
+      halo_cache(registry, "sharded", "halo", rank) {
+  if (!config.embed_forward) return;
+  work.emplace(registry, "sharded", rank);
+  if (config.embed_cache_bytes > 0)
+    embed = embed_cache_counters(registry, "sharded", static_cast<int>(config.fanouts.size()), rank);
+}
 
 ShardedServer::ShardedServer(const Dataset& dataset, const EdgePartition& partition,
                              ShardedServeConfig config)
@@ -77,9 +85,11 @@ ShardedServer::ShardedServer(const Dataset& dataset, const EdgePartition& partit
   rank_counters_.reserve(static_cast<std::size_t>(num_parts_));
   for (part_t p = 0; p < num_parts_; ++p) {
     queues_.push_back(std::make_unique<BoundedRequestQueue>(config_.queue_capacity));
-    caches_.push_back(std::make_unique<ShardedFeatureCache>(config_.cache_bytes, f,
-                                                            config_.cache_shards));
-    rank_counters_.emplace_back(metrics_, obs::Labels{{"rank", std::to_string(p)}});
+    const RankCounters& rank =
+        rank_counters_.emplace_back(metrics_, obs::Labels{{"rank", std::to_string(p)}}, config_);
+    caches_.push_back(std::make_unique<ShardedFeatureCache>(
+        config_.cache_bytes, f, std::vector<CacheCounters>{rank.feature, rank.halo_cache},
+        config_.cache_shards));
   }
   {
     util::MutexLock lock(embed_mutex_);
@@ -100,39 +110,26 @@ ShardedServer::ShardedServer(const Dataset& dataset, const EdgePartition& partit
 ShardedServer::~ShardedServer() { stop(); }
 
 void ShardedServer::publish(std::shared_ptr<const ModelSnapshot> snapshot) {
-  if (!snapshot) throw std::invalid_argument("ShardedServer: null snapshot");
-  const ModelSpec& spec = snapshot->spec();
-  if (spec.num_layers != static_cast<int>(config_.fanouts.size()))
-    throw std::invalid_argument("ShardedServer: fanouts depth != model layers");
-  if (spec.feature_dim != dataset_.feature_dim())
-    throw std::invalid_argument("ShardedServer: snapshot feature_dim != dataset");
-  if (spec.kind == ModelKind::kRgcn) {
-    // Same typed-edge contract as InferenceServer: relation labels must be
-    // present and match, and RGCN has no layer-cached embed-forward path.
-    if (dataset_.num_edge_types != spec.num_relations)
-      throw std::invalid_argument("ShardedServer: snapshot num_relations != dataset edge types");
-    if (config_.embed_forward)
-      throw std::invalid_argument("ShardedServer: embed_forward does not support RGCN");
-  }
-  if (config_.embed_forward && config_.embed_cache_bytes > 0) {
+  check_servable(snapshot.get(), dataset_, config_, "ShardedServer");
+  if (!rank_counters_.front().embed.empty()) {
     util::MutexLock lock(embed_mutex_);
-    if (!embed_caches_.front()) {
-      // First publish fixes the cached row widths (as in InferenceServer);
-      // capacity is split across ranks so the sharded tier's total embed
-      // budget matches a single server's embed_cache_bytes.
-      const std::uint64_t per_rank =
-          std::max<std::uint64_t>(1, config_.embed_cache_bytes /
-                                         static_cast<std::uint64_t>(num_parts_));
-      for (auto& cache : embed_caches_)
-        cache = std::make_unique<EmbedCache>(spec, per_rank, config_.embed_cache_shards,
-                                             static_cast<std::uint64_t>(dataset_.num_vertices()));
-    } else {
-      for (int l = 1; l <= spec.num_layers; ++l)
-        if (embed_caches_.front()->dim(l) != spec.out_dim(l - 1))
-          throw std::invalid_argument("ShardedServer: snapshot dims != embed cache dims");
+    // First publish fixes the cached row widths (as in InferenceServer);
+    // capacity is split across ranks so the sharded tier's total embed
+    // budget matches a single server's embed_cache_bytes.
+    const std::uint64_t per_rank = std::max<std::uint64_t>(
+        1, config_.embed_cache_bytes / static_cast<std::uint64_t>(num_parts_));
+    for (part_t p = 0; p < num_parts_; ++p) {
+      std::unique_ptr<EmbedCache>& cache = embed_caches_[static_cast<std::size_t>(p)];
+      if (!cache)
+        cache = std::make_unique<EmbedCache>(
+            snapshot->spec(), per_rank, rank_counters_[static_cast<std::size_t>(p)].embed,
+            config_.embed_cache_shards, static_cast<std::uint64_t>(dataset_.num_vertices()));
+      else if (!cache->fits(snapshot->spec()))
+        throw std::invalid_argument("ShardedServer: snapshot dims != embed cache dims");
     }
   }
   holder_.publish(std::move(snapshot));
+  publishes_.add();
 }
 
 void ShardedServer::start() {
@@ -204,15 +201,14 @@ BackendStats ShardedServer::stats() const {
     child.halo_bytes = rank.halo.bytes.value();
     child.halo_wait_seconds = static_cast<double>(rank.halo.wait_ns.value()) * 1e-9;
     child.queue_depth = queues_[static_cast<std::size_t>(p)]->size();
-    child.feature_cache = caches_[static_cast<std::size_t>(p)]->stats(/*space=*/0);
-    child.halo_cache = caches_[static_cast<std::size_t>(p)]->stats(/*space=*/1);
-    if (const EmbedCache* cache = embed_cache_ptr(p)) child.embed_cache = cache->combined_stats();
+    child.feature_cache = rank.feature.read();
+    child.halo_cache = rank.halo_cache.read();
+    for (const CacheCounters& level : rank.embed) child.embed_cache += level.read();
     s.absorb(std::move(child));
   }
   // Tenant lanes, rejections (counted at submit) and the latency fold are
   // accounted at the server edge, not per rank.
   read_stage_metrics(stage_metrics_, s);
-  s.publishes = holder_.num_publishes();
   return s;
 }
 
@@ -285,6 +281,20 @@ void ShardedServer::apply_graph_update(const std::function<void()>& apply,
   }
 }
 
+void ShardedServer::park_for_update(const std::function<void()>& while_parked) {
+  util::MutexLock lock(pause_mutex_);
+  ++paused_ranks_;
+  pause_cv_.notify_all();
+  while (pause_flag_.load(std::memory_order_acquire)) {
+    lock.unlock();
+    while_parked();
+    std::this_thread::sleep_for(kIdlePoll);
+    lock.lock();
+  }
+  --paused_ranks_;
+  pause_cv_.notify_all();
+}
+
 void ShardedServer::rank_loop(Communicator& comm) {
   const part_t me = static_cast<part_t>(comm.rank());
   if (config_.embed_forward)
@@ -349,24 +359,6 @@ void ShardedServer::run_classic_rank(Communicator& comm, part_t me) {
     return true;
   };
 
-  // Graph-update rendezvous: once the ring is drained, count into the pause
-  // and wait it out while still answering peers' halo requests — another
-  // rank may be draining batches that need our rows. With every rank parked
-  // no halo message is in flight, so the updater can mutate local_feats_.
-  const auto park_for_update = [&] {
-    util::MutexLock lock(pause_mutex_);
-    ++paused_ranks_;
-    pause_cv_.notify_all();
-    while (pause_flag_.load(std::memory_order_acquire)) {
-      lock.unlock();
-      fetcher.service_peers();
-      std::this_thread::sleep_for(kIdlePoll);
-      lock.lock();
-    }
-    --paused_ranks_;
-    pause_cv_.notify_all();
-  };
-
   while (true) {
     fetcher.service_peers();
     const bool pausing = pause_flag_.load(std::memory_order_acquire);
@@ -378,7 +370,10 @@ void ShardedServer::run_classic_rank(Communicator& comm, part_t me) {
     }
     if (in_flight.empty()) {
       if (pausing) {
-        park_for_update();
+        // Keep answering peers' halo requests while parked: another rank may
+        // be draining batches that need our rows. With every rank parked no
+        // halo message is in flight, so the updater can mutate local_feats_.
+        park_for_update([&] { fetcher.service_peers(); });
         continue;
       }
       // Exit only once the queue is closed AND drained: a stop flag alone
@@ -424,28 +419,13 @@ void ShardedServer::run_embed_rank(Communicator& comm, part_t me) {
   BoundedRequestQueue& queue = *queues_[static_cast<std::size_t>(me)];
   RankCounters& counters = rank_counters_[static_cast<std::size_t>(me)];
   EmbedForward evaluator(dataset_, config_.fanouts, config_.sample_seed, embed_cache_ptr(me),
-                         caches_[static_cast<std::size_t>(me)].get());
+                         caches_[static_cast<std::size_t>(me)].get(), &*counters.work);
   std::vector<vid_t> seeds;
   DenseMatrix logits;
 
-  // Embed ranks exchange no halo traffic, so the graph-update park is a
-  // plain sleep (no peers to service while waiting).
-  const auto park_for_update = [&] {
-    util::MutexLock lock(pause_mutex_);
-    ++paused_ranks_;
-    pause_cv_.notify_all();
-    while (pause_flag_.load(std::memory_order_acquire)) {
-      lock.unlock();
-      std::this_thread::sleep_for(kIdlePoll);
-      lock.lock();
-    }
-    --paused_ranks_;
-    pause_cv_.notify_all();
-  };
-
   while (true) {
     if (pause_flag_.load(std::memory_order_acquire)) {
-      park_for_update();
+      park_for_update([] {});  // no halo traffic: no peers to service
       continue;
     }
     std::vector<InferRequest> batch = queue.try_pop_batch(config_.max_batch);

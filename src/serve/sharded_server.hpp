@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <span>
 #include <thread>
 #include <unordered_map>
@@ -140,14 +141,23 @@ class ShardedServer : public ServingBackend {
 
  private:
   /// One rank loop's books in metrics_, labelled rank="<r>": its batch
-  /// tallies and the halo traffic its HaloFetcher adds into. The handles
-  /// outlive every start()/stop() cycle, so a restarted rank keeps counting.
+  /// tallies, the halo traffic its HaloFetcher adds into, its caches'
+  /// counters and its embed evaluator's work. The handles outlive every
+  /// start()/stop() cycle, so a restarted rank keeps counting.
   struct RankCounters {
-    RankCounters(obs::MetricsRegistry& registry, const obs::Labels& rank);
+    RankCounters(obs::MetricsRegistry& registry, const obs::Labels& rank,
+                 const TierConfig& config);
     BatchCounters batch;
     HaloCounters halo;
+    CacheCounters feature, halo_cache;
+    std::vector<CacheCounters> embed;  // per level; empty without an embed cache
+    std::optional<EmbedWork> work;     // embed_forward only
   };
 
+  /// Graph-update rendezvous at a batch boundary (prefetch ring drained):
+  /// counts into the pause and waits it out, running `while_parked` between
+  /// polls.
+  void park_for_update(const std::function<void()>& while_parked);
   void rank_loop(Communicator& comm);
   void run_classic_rank(Communicator& comm, part_t me);
   void run_embed_rank(Communicator& comm, part_t me);
@@ -167,6 +177,16 @@ class ShardedServer : public ServingBackend {
   std::vector<std::unordered_map<vid_t, std::size_t>> local_index_;
   std::vector<DenseMatrix> local_feats_;
 
+  // The shard's one set of books. Tenants are accounted where requests enter
+  // and leave (ranks are an implementation detail of the shard), batch, halo
+  // and cache tallies per rank; one trace sink is shared by every rank
+  // thread. Declared before the caches, which count into it.
+  obs::MetricsRegistry metrics_;
+  obs::StageMetrics stage_metrics_{metrics_, "sharded"};
+  obs::Counter& publishes_{metrics_.counter("distgnn_sharded_publishes_total")};
+  std::vector<RankCounters> rank_counters_;  // one per rank, fixed at construction
+  obs::TraceSink trace_sink_;
+
   World world_;
   std::thread driver_;  // runs world_.run(rank_loop) so start() returns
   std::vector<std::unique_ptr<BoundedRequestQueue>> queues_;
@@ -174,14 +194,6 @@ class ShardedServer : public ServingBackend {
   mutable util::Mutex embed_mutex_;
   std::vector<std::unique_ptr<EmbedCache>> embed_caches_ GUARDED_BY(embed_mutex_);
   SnapshotHolder holder_;
-
-  // The shard's one set of books. Tenants are accounted where requests enter
-  // and leave (ranks are an implementation detail of the shard), batch and
-  // halo tallies per rank; one trace sink is shared by every rank thread.
-  obs::MetricsRegistry metrics_;
-  obs::StageMetrics stage_metrics_{metrics_, "sharded"};
-  std::vector<RankCounters> rank_counters_;  // one per rank, fixed at construction
-  obs::TraceSink trace_sink_;
 
   std::atomic<bool> running_{false};
   std::atomic<int> done_ranks_{0};

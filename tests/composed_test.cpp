@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/datasets.hpp"
@@ -324,7 +325,9 @@ TEST(ComposedTier, BroadcastPublishHotSwapsTheWholeGrid) {
     // must still be bitwise those of the original v2 weights.
     EXPECT_EQ(results[i]->logits, expect_v2[i]) << "request " << i;
   }
-  EXPECT_EQ(tier.group().publishes(), 2u);
+  const obs::MetricsSnapshot scrape = tier.scrape_snapshot();
+  EXPECT_EQ(scrape.counter_total("distgnn_group_publishes_total"), 2.0);
+  EXPECT_EQ(scrape.counter_total("distgnn_sharded_publishes_total"), 2.0 * 2);  // per replica
 }
 
 TEST(ComposedTier, StatsAggregateAcrossTheGrid) {
@@ -349,6 +352,79 @@ TEST(ComposedTier, StatsAggregateAcrossTheGrid) {
   ASSERT_EQ(stats.children[0].children.size(), 2u); // ranks within a replica
   EXPECT_EQ(stats.children[0].completed + stats.children[1].completed, vertices.size());
   EXPECT_EQ(tier.concurrency(), 4);  // R x P serving loops
+}
+
+/// Sum of a scrape counter over the series labelled cache="<kind>".
+double cache_total(const obs::MetricsSnapshot& scrape, const std::string& name,
+                   const std::string& kind) {
+  double total = 0;
+  for (const obs::MetricPoint& point : scrape.points)
+    if (point.name == name && !point.labels.empty() &&
+        point.labels.front() == obs::Labels::value_type{"cache", kind})
+      total += point.value;
+  return total;
+}
+
+TEST(ComposedTier, ScrapeIsTheOneBookOfCachesPublishesAndEmbedWork) {
+  const Dataset dataset = make_composed_dataset();
+  const auto snapshot = ModelSnapshot::random(sage_spec(dataset), /*seed=*/31, /*version=*/1);
+  const EdgePartition partition = partition_libra(dataset.graph.coo(), 2);
+  ComposedConfig cfg;
+  cfg.replicas = 2;
+  cfg.shard.max_batch = 4;
+  cfg.shard.fanouts = {5, 5};
+  cfg.shard.embed_forward = true;
+  cfg.shard.embed_cache_bytes = 1 << 20;
+  ComposedTier tier(dataset, partition, cfg);
+  tier.publish(snapshot);
+  tier.start();
+  const std::vector<vid_t> vertices = probe_vertices(dataset, 32, 13);
+  (void)tier.infer_batch(vertices);
+  (void)tier.infer_batch(vertices);  // repeats: embed-cache hits
+  tier.drain();
+  const BackendStats stats = tier.stats();
+  const obs::MetricsSnapshot scrape = tier.scrape_snapshot();
+  tier.stop();
+
+  // Every rank of both replicas names its caches; each embed level too.
+  for (const char* rank : {"0", "1"}) {
+    for (const char* kind : {"feature", "halo"})
+      EXPECT_NE(scrape.find("distgnn_sharded_cache_accesses_total", {{"cache", kind}, {"rank", rank}}),
+                nullptr)
+          << kind << " rank " << rank;
+    for (const char* level : {"1", "2"})
+      EXPECT_NE(scrape.find("distgnn_sharded_cache_misses_total",
+                            {{"cache", "embed"}, {"level", level}, {"rank", rank}}),
+                nullptr)
+          << "embed level " << level << " rank " << rank;
+  }
+  // The stats() views are those counters, summed over replicas, ranks and
+  // levels.
+  const std::pair<const char*, CacheStats> views[] = {
+      {"feature", stats.feature_cache}, {"halo", stats.halo_cache}, {"embed", stats.embed_cache}};
+  for (const auto& [kind, view] : views) {
+    EXPECT_EQ(cache_total(scrape, "distgnn_sharded_cache_accesses_total", kind),
+              static_cast<double>(view.accesses))
+        << kind;
+    EXPECT_EQ(cache_total(scrape, "distgnn_sharded_cache_misses_total", kind),
+              static_cast<double>(view.misses))
+        << kind;
+    EXPECT_EQ(cache_total(scrape, "distgnn_sharded_cache_fill_bytes_total", kind),
+              static_cast<double>(view.bytes_read))
+        << kind;
+  }
+  EXPECT_GT(stats.feature_cache.accesses, 0u);
+  EXPECT_GT(stats.embed_cache.hits(), 0u);
+
+  // One group publish, which reached the shard of each replica.
+  EXPECT_EQ(scrape.counter_total("distgnn_group_publishes_total"), 1.0);
+  EXPECT_EQ(scrape.counter_total("distgnn_sharded_publishes_total"), 2.0);
+  // The embed evaluators' work: one request per answer, and the rows and
+  // blocks the cache did not save.
+  EXPECT_EQ(scrape.counter_total("distgnn_sharded_embed_requests_total"),
+            static_cast<double>(stats.completed));
+  EXPECT_GT(scrape.counter_total("distgnn_sharded_embed_rows_computed_total"), 0.0);
+  EXPECT_GT(scrape.counter_total("distgnn_sharded_embed_blocks_sampled_total"), 0.0);
 }
 
 TEST(ComposedTier, RejectedIsTheRoutersShed) {
@@ -876,7 +952,6 @@ TEST(SnapshotHolder, SetOnPublishReplacesAndClearsTheHook) {
   EXPECT_EQ(a_calls, 1);
   EXPECT_EQ(b_calls, 1);
   EXPECT_EQ(holder.get()->version(), 9u);
-  EXPECT_EQ(holder.num_publishes(), 3u);
 }
 
 // ------------------------------------------------------ queue primitives

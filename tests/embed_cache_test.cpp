@@ -8,11 +8,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "graph/datasets.hpp"
+#include "obs/metrics.hpp"
 #include "serve/embed_cache.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_snapshot.hpp"
@@ -50,8 +52,10 @@ ModelSpec embed_spec(const Dataset& dataset, ModelKind kind = ModelKind::kSage) 
 TEST(ShardedLru, GenericValuesEvictInLruOrder) {
   // Non-POD value type: the template must recycle slots without leaking
   // stale state.
+  obs::MetricsRegistry registry;
+  const CacheCounters counters(registry, "test", "lru");
   ShardedLru<int, std::string> lru(/*capacity_entries=*/2, /*num_shards=*/1,
-                                   /*charge_bytes=*/8);
+                                   /*charge_bytes=*/8, {counters});
   std::string got;
   const auto fill = [](const char* text) {
     return [text](std::string& v) { v = text; };
@@ -67,14 +71,17 @@ TEST(ShardedLru, GenericValuesEvictInLruOrder) {
   EXPECT_FALSE(lru.get_or_fill(0, 2, fill("two2"), use));  // was evicted
   EXPECT_EQ(got, "two2");
 
-  const CacheStats stats = lru.stats(0);
+  const CacheStats stats = counters.read();
   EXPECT_EQ(stats.accesses, 6u);
   EXPECT_EQ(stats.misses, 4u);
   EXPECT_EQ(stats.bytes_read, 4u * 8u);
 }
 
 TEST(ShardedLru, SpacesShareCapacityButKeepSeparateKeysAndStats) {
-  ShardedLru<int, int> lru(/*capacity_entries=*/4, /*num_shards=*/1, /*charge_bytes=*/4);
+  obs::MetricsRegistry registry;
+  const CacheCounters space0(registry, "test", "a"), space1(registry, "test", "b");
+  ShardedLru<int, int> lru(/*capacity_entries=*/4, /*num_shards=*/1, /*charge_bytes=*/4,
+                           {space0, space1});
   int got = -1;
   lru.insert(0, 7, [](int& v) { v = 100; });
   lru.insert(1, 7, [](int& v) { v = 200; });  // same key, different space
@@ -82,13 +89,30 @@ TEST(ShardedLru, SpacesShareCapacityButKeepSeparateKeysAndStats) {
   EXPECT_EQ(got, 100);
   EXPECT_TRUE(lru.lookup(1, 7, [&](const int& v) { got = v; }));
   EXPECT_EQ(got, 200);
-  EXPECT_EQ(lru.stats(0).accesses, 1u);
-  EXPECT_EQ(lru.stats(1).accesses, 1u);
-  EXPECT_EQ(lru.combined_stats().accesses, 2u);
+  EXPECT_EQ(space0.read().accesses, 1u);
+  EXPECT_EQ(space1.read().accesses, 1u);
+  obs::MetricsSnapshot scrape;
+  registry.scrape(scrape);
+  EXPECT_EQ(scrape.counter_total("distgnn_test_cache_accesses_total"), 2.0);
 
   lru.invalidate();
   EXPECT_FALSE(lru.lookup(0, 7, [&](const int&) {}));
   EXPECT_FALSE(lru.lookup(1, 7, [&](const int&) {}));
+}
+
+TEST(ShardedLru, SpaceOutsideTheConstructedSetThrows) {
+  obs::MetricsRegistry registry;
+  const CacheCounters only(registry, "test", "a");
+  ShardedLru<int, int> lru(/*capacity_entries=*/4, /*num_shards=*/1, /*charge_bytes=*/4, {only});
+  EXPECT_THROW(lru.lookup(1, 7, [](const int&) {}), std::out_of_range);
+  EXPECT_THROW(lru.get_or_fill(-1, 7, [](int& v) { v = 1; }, [](const int&) {}),
+               std::out_of_range);
+  EXPECT_THROW(lru.insert(1, 7, [](int& v) { v = 1; }), std::out_of_range);
+  EXPECT_THROW(lru.erase(1, 7), std::out_of_range);
+  EXPECT_THROW(lru.retag(1, [](int&) { return true; }), std::out_of_range);
+  const CacheStats stats = only.read();
+  EXPECT_EQ(stats.accesses, 0u);
+  EXPECT_EQ(stats.bytes_read, 0u);
 }
 
 namespace stress {
@@ -112,7 +136,9 @@ TEST(ShardedLru, ConcurrentInvalidationNeverServesTornOrMismatchedEntries) {
   // was filled for exactly that key (value == key id), and no operation may
   // deadlock or corrupt the shard lists.
   using Lru = serve::ShardedLru<std::uint64_t, std::uint64_t, stress::IdOnlyHash>;
-  Lru lru(/*capacity_entries=*/128, /*num_shards=*/4, /*charge_bytes=*/8);
+  obs::MetricsRegistry registry;
+  const CacheCounters counters(registry, "test", "lru");
+  Lru lru(/*capacity_entries=*/128, /*num_shards=*/4, /*charge_bytes=*/8, {counters});
   constexpr std::uint64_t kIds = 256;
 
   std::atomic<bool> stop{false};
@@ -190,7 +216,7 @@ TEST(ShardedLru, ConcurrentInvalidationNeverServesTornOrMismatchedEntries) {
   lru.insert(0, stress::key_of(9999, 1), [](std::uint64_t& v) { v = 1; });
   EXPECT_TRUE(lru.lookup(0, stress::key_of(9999, 1), [&](const std::uint64_t& v) { got = v; }));
   EXPECT_EQ(got, 1u);
-  const CacheStats stats = lru.stats(0);
+  const CacheStats stats = counters.read();
   EXPECT_GE(stats.accesses, stats.misses);
 }
 
@@ -199,7 +225,9 @@ TEST(ShardedLru, ConcurrentInvalidationNeverServesTornOrMismatchedEntries) {
 TEST(EmbedCache, PerLayerDimsAndRoundTrip) {
   const Dataset dataset = make_embed_dataset();
   const ModelSpec spec = embed_spec(dataset);
-  EmbedCache cache(spec, /*capacity_bytes=*/1 << 20, /*num_shards=*/2);
+  obs::MetricsRegistry registry;
+  EmbedCache cache(spec, /*capacity_bytes=*/1 << 20,
+                   embed_cache_counters(registry, "test", spec.num_layers), /*num_shards=*/2);
   ASSERT_EQ(cache.num_layers(), 2);
   EXPECT_EQ(cache.dim(1), static_cast<std::size_t>(spec.hidden_dim));
   EXPECT_EQ(cache.dim(2), static_cast<std::size_t>(spec.num_classes));
@@ -217,7 +245,8 @@ TEST(EmbedCache, PerLayerDimsAndRoundTrip) {
 
 TEST(EmbedCache, StaleVersionNeverMatches) {
   const Dataset dataset = make_embed_dataset();
-  EmbedCache cache(embed_spec(dataset), 1 << 20, 2);
+  obs::MetricsRegistry registry;
+  EmbedCache cache(embed_spec(dataset), 1 << 20, embed_cache_counters(registry, "test", 2), 2);
   std::vector<real_t> v1(cache.dim(1), 1.0f), v2(cache.dim(1), 2.0f);
   std::vector<real_t> out(cache.dim(1));
 
@@ -251,8 +280,10 @@ TEST(EmbedForward, CachedEqualsUncachedBitwiseAcrossHitAndMissPaths) {
     uncached.infer(*snapshot, seeds, expected);
     ASSERT_EQ(expected.rows(), seeds.size());
 
-    EmbedCache cache(spec, 1 << 20, 2);
-    ShardedFeatureCache features(1 << 20, static_cast<std::size_t>(dataset.feature_dim()), 2);
+    obs::MetricsRegistry registry;
+    EmbedCache cache(spec, 1 << 20, embed_cache_counters(registry, "test", spec.num_layers), 2);
+    ShardedFeatureCache features(1 << 20, static_cast<std::size_t>(dataset.feature_dim()),
+                                 {CacheCounters(registry, "test", "feature")}, 2);
     EmbedForward cached(dataset, fanouts, 1, &cache, &features);
     DenseMatrix cold, warm;
     cached.infer(*snapshot, seeds, cold);  // miss path fills the cache
@@ -275,22 +306,27 @@ TEST(EmbedForward, CacheHitShortCircuitsTheWholeSubtree) {
   const std::vector<int> fanouts = {5, 5};
   const std::vector<vid_t> seeds = {10, 20, 30, 40};
 
-  EmbedCache cache(spec, 1 << 20, 2);
-  EmbedForward evaluator(dataset, fanouts, 1, &cache, nullptr);
+  obs::MetricsRegistry registry;
+  const std::vector<CacheCounters> levels =
+      embed_cache_counters(registry, "test", spec.num_layers);
+  EmbedCache cache(spec, 1 << 20, levels, 2);
+  EmbedWork work(registry, "test");
+  EmbedForward evaluator(dataset, fanouts, 1, &cache, nullptr, &work);
   DenseMatrix logits;
   evaluator.infer(*snapshot, seeds, logits);
-  const EmbedForwardStats after_cold = evaluator.stats();
-  EXPECT_GT(after_cold.sampled_blocks, 0u);
-  EXPECT_GT(after_cold.layer_rows_computed, 0u);
+  const std::uint64_t cold_blocks = work.blocks_sampled.value();
+  const std::uint64_t cold_rows = work.rows_computed.value();
+  EXPECT_GT(cold_blocks, 0u);
+  EXPECT_GT(cold_rows, 0u);
 
   // Identical repeat: every seed hits at the output layer, so no sampling
   // and no layer computation happen at all — the subtree is short-circuited.
   evaluator.infer(*snapshot, seeds, logits);
-  const EmbedForwardStats after_warm = evaluator.stats();
-  EXPECT_EQ(after_warm.sampled_blocks, after_cold.sampled_blocks);
-  EXPECT_EQ(after_warm.layer_rows_computed, after_cold.layer_rows_computed);
-  EXPECT_EQ(cache.stats(2).misses, seeds.size());
-  EXPECT_EQ(cache.stats(2).hits(), seeds.size());
+  EXPECT_EQ(work.blocks_sampled.value(), cold_blocks);
+  EXPECT_EQ(work.rows_computed.value(), cold_rows);
+  EXPECT_EQ(work.requests.value(), 2 * seeds.size());
+  EXPECT_EQ(levels[1].read().misses, seeds.size());
+  EXPECT_EQ(levels[1].read().hits(), seeds.size());
 }
 
 TEST(EmbedForward, HotSwapNeverServesStaleEmbeddings) {
@@ -314,7 +350,8 @@ TEST(EmbedForward, HotSwapNeverServesStaleEmbeddings) {
   // Warm the cache under version 1, then serve version 2 with the same
   // cache: version-keyed entries make the stale rows invisible, so answers
   // must be exactly model B's.
-  EmbedCache cache(spec, 1 << 20, 2);
+  obs::MetricsRegistry registry;
+  EmbedCache cache(spec, 1 << 20, embed_cache_counters(registry, "test", spec.num_layers), 2);
   EmbedForward cached(dataset, fanouts, 1, &cache, nullptr);
   DenseMatrix warm_a, after_swap;
   cached.infer(*model_a, seeds, warm_a);
@@ -361,7 +398,6 @@ TEST(InferenceServerEmbed, ServesBitwiseEqualToEvaluatorAndHitsOnRepeats) {
   cfg.embed_cache_bytes = 4ull << 20;
   InferenceServer server(dataset, cfg);
   server.publish(snapshot);
-  ASSERT_NE(server.embed_cache(), nullptr);
   server.start();
 
   EmbedForward reference(dataset, cfg.fanouts, cfg.sample_seed, nullptr, nullptr);
@@ -430,7 +466,10 @@ TEST(InferenceServerEmbed, UncachedEmbedModeServesAndReportsNoCache) {
   cfg.embed_cache_bytes = 0;  // evaluator without a cache: the A/B baseline
   InferenceServer server(dataset, cfg);
   server.publish(snapshot);
-  EXPECT_EQ(server.embed_cache(), nullptr);
+  // No embed cache, so no embed-cache series either.
+  EXPECT_EQ(server.scrape_snapshot().find("distgnn_server_cache_accesses_total",
+                                          {{"cache", "embed"}, {"level", "1"}}),
+            nullptr);
   server.start();
 
   EmbedForward reference(dataset, cfg.fanouts, cfg.sample_seed, nullptr, nullptr);

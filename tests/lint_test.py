@@ -71,6 +71,12 @@ class LintFixtureTest(unittest.TestCase):
         # text in comments and strings all lint clean.
         self.assert_clean("pass_control_atomics")
 
+    def test_cache_counters_and_cachesim_tallies_pass(self):
+        # Serving counts cache traffic through registry handles and only
+        # reads or folds CacheStats views; the simulator under src/cachesim/
+        # tallies its own CacheStats; comments and strings are ignored.
+        self.assert_clean("pass_cache_counters")
+
     def test_serving_row_loops_and_teams_outside_serving_pass(self):
         # A serial serving loop over nn/layer_rows.hpp, a team in src/nn/,
         # and team syntax inside serving comments and strings all lint clean.
@@ -122,6 +128,16 @@ class LintFixtureTest(unittest.TestCase):
         self.assert_finding(
             "fail_counter_outside_registry", "counter-outside-registry",
             "src/stream/publisher.cpp:4",
+        )
+
+    def test_cache_stats_tally_outside_registry_fails(self):
+        self.assert_finding(
+            "fail_cache_stats_outside_registry", "counter-outside-registry",
+            "src/serve/lru.cpp:4",
+        )
+        self.assert_finding(
+            "fail_cache_stats_outside_registry", "counter-outside-registry",
+            "src/stream/refill.cpp:4",
         )
 
     def test_unreached_module_fails(self):

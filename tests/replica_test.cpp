@@ -106,7 +106,10 @@ TEST(ReplicaGroup, GroupPublishHotSwapsEveryReplica) {
   EXPECT_EQ(group.version(), 1u);
   group.publish(v2);
   EXPECT_EQ(group.version(), 2u);
-  EXPECT_EQ(group.publishes(), 2u);
+  // One group publish each, and each reached every replica's server.
+  const obs::MetricsSnapshot scrape = group.scrape_snapshot();
+  EXPECT_EQ(scrape.counter_total("distgnn_group_publishes_total"), 2.0);
+  EXPECT_EQ(scrape.counter_total("distgnn_server_publishes_total"), 2.0 * 3);
   for (int r = 0; r < group.num_replicas(); ++r)
     EXPECT_EQ(group.replica(r).snapshot()->version(), 2u) << "replica " << r;
 }
@@ -158,7 +161,7 @@ TEST(ReplicaGroup, VersionBarrierNeverMixesVersionsWithinABatch) {
   publisher.join();
   group.stop();
   EXPECT_EQ(mixed_batches.load(), 0);
-  EXPECT_EQ(group.publishes(), 31u);
+  EXPECT_EQ(group.scrape_snapshot().counter_total("distgnn_group_publishes_total"), 31.0);
 }
 
 // ----------------------------------------------------------------- routing

@@ -246,7 +246,9 @@ TEST(ExtendPartitionLibra, SurvivorsKeepOwnersAndNewEdgesAreAssigned) {
 
 TEST(EmbedCacheEpoch, StaleEpochEntryIsNeverReturned) {
   const Dataset dataset = make_stream_dataset();
-  EmbedCache cache(sage_spec(dataset), /*capacity_bytes=*/1 << 20, /*num_shards=*/2);
+  obs::MetricsRegistry registry;
+  EmbedCache cache(sage_spec(dataset), /*capacity_bytes=*/1 << 20,
+                   embed_cache_counters(registry, "test", 2), /*num_shards=*/2);
   const std::size_t d = cache.dim(1);
   std::vector<real_t> row(d, 1.5f), out(d, 0.0f);
 
@@ -259,7 +261,8 @@ TEST(EmbedCacheEpoch, StaleEpochEntryIsNeverReturned) {
 
 TEST(EmbedCacheEpoch, AdvanceEvictsDirtyAndPromotesClean) {
   const Dataset dataset = make_stream_dataset();
-  EmbedCache cache(sage_spec(dataset), 1 << 20, 2);
+  obs::MetricsRegistry registry;
+  EmbedCache cache(sage_spec(dataset), 1 << 20, embed_cache_counters(registry, "test", 2), 2);
   const std::size_t d1 = cache.dim(1);
   const std::size_t d2 = cache.dim(2);
   std::vector<real_t> row(std::max(d1, d2), 2.0f), out(std::max(d1, d2));
@@ -363,8 +366,7 @@ TEST(StreamServing, SingleServerEmbedCachedBitwiseEqualAfterDeltas) {
   expect_streamed_equals_cold(live, publisher, base, deltas, snapshot, /*embed_forward=*/true);
   // The targeted invalidation retained entries across deltas (the cache was
   // not blanket-flushed): accesses kept landing and some hit post-delta.
-  ASSERT_NE(live.embed_cache(), nullptr);
-  EXPECT_GT(live.embed_cache()->combined_stats().accesses, 0u);
+  EXPECT_GT(live.stats().embed_cache.accesses, 0u);
 }
 
 TEST(StreamServing, ShardedServerBitwiseEqualAfterDeltas) {

@@ -48,7 +48,11 @@ reviewer can see every exemption in one place:
                   route, the routing cursors, and the rank-exit rendezvous.
                   A value that only counts belongs in the tier's
                   obs::MetricsRegistry, the one book stats() and scrape()
-                  read; a second book drifts from the first.
+                  read; a second book drifts from the first. For the same
+                  reason `++` / `+=` on a CacheStats field (accesses, misses,
+                  bytes_read) is a finding there: cache traffic counts
+                  through CacheCounters handles, and CacheStats is only the
+                  view stats() reads out of them.
 
   unreached-module
                   Every header under src/ is reached through #include from
@@ -157,6 +161,11 @@ CONTROL_ATOMIC_ALLOWLIST = {
     "done_ranks_",   # ShardedServer rank-exit rendezvous
 }
 FETCH_RMW_RE = re.compile(r"\bfetch_(?:add|sub)\s*\(")
+# `x.accesses++`, `x.misses += n`, `++x.bytes_read`: a CacheStats tally.
+CACHE_STATS_RMW_RE = re.compile(
+    r"\b(accesses|misses|bytes_read)\s*(?:\+\+|\+=)"
+    r"|\+\+\s*(?:\w+\s*(?:\[[^\[\]]*\])?\s*(?:\.|->)\s*)*(accesses|misses|bytes_read)\b"
+)
 # The atomic a fetch_* call applies to: `name_.`, `name_->` or `name_[i].`
 # right before the call.
 RMW_TARGET_RE = re.compile(r"(\w+)\s*(?:\[[^\[\]]*\])?\s*(?:\.|->)\s*$")
@@ -346,6 +355,13 @@ def check_counter_outside_registry(rel: str, code: str, findings: list[str]) -> 
                 f"`{name}`, which is not a control atomic; count it with an "
                 f"obs::MetricsRegistry handle, or add it to CONTROL_ATOMIC_ALLOWLIST in "
                 f"tools/lint_concurrency.py if it drains, routes or synchronises"
+            )
+        for tally in CACHE_STATS_RMW_RE.finditer(line):
+            field = tally.group(1) or tally.group(2)
+            findings.append(
+                f"{rel}:{lineno}: [counter-outside-registry] CacheStats field `{field}` "
+                f"counted in place; count cache traffic through CacheCounters handles "
+                f"into the tier's obs::MetricsRegistry"
             )
 
 
