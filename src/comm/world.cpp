@@ -180,4 +180,21 @@ std::size_t Communicator::pending_messages() const {
   return count;
 }
 
+void allreduce_gradients(Communicator& comm, std::span<const ParamRef> params) {
+  std::size_t total = 0;
+  for (const ParamRef& p : params) total += p.size;
+  std::vector<real_t> flat(total);
+  std::size_t off = 0;
+  for (const ParamRef& p : params) {
+    std::copy(p.grad, p.grad + p.size, flat.data() + off);
+    off += p.size;
+  }
+  comm.allreduce_sum(std::span<real_t>(flat));
+  off = 0;
+  for (const ParamRef& p : params) {
+    std::copy(flat.data() + off, flat.data() + off + p.size, p.grad);
+    off += p.size;
+  }
+}
+
 }  // namespace distgnn

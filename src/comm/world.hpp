@@ -26,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "nn/optim.hpp"
 #include "util/types.hpp"
 #include "util/sync.hpp"
 
@@ -141,5 +142,10 @@ class Communicator {
   World& world_;
   int rank_;
 };
+
+/// Sums every rank's parameter gradients in place: one AllReduce over the
+/// gradients of `params`, packed in order. The data-parallel step of the
+/// full-batch and the sampled distributed trainers.
+void allreduce_gradients(Communicator& comm, std::span<const ParamRef> params);
 
 }  // namespace distgnn

@@ -143,7 +143,7 @@ class RankTrainer {
     // over ranks for reporting.
     std::array<double, 1> loss{pass_.train_pass(global_train_count_, times)};
     comm_.allreduce_sum(std::span<double>(loss));
-    allreduce_gradients();
+    allreduce_gradients(comm_, pass_.model().params());
     pass_.step(times);
     return loss[0];
   }
@@ -318,24 +318,6 @@ class RankTrainer {
     return decode_halo(comm_.recv(source, tag), count, config_.halo_precision);
   }
 
-  void allreduce_gradients() {
-    auto params = pass_.model().params();
-    std::size_t total = 0;
-    for (const auto& p : params) total += p.size;
-    flat_grads_.resize(total);
-    std::size_t off = 0;
-    for (const auto& p : params) {
-      std::memcpy(flat_grads_.data() + off, p.grad, p.size * sizeof(real_t));
-      off += p.size;
-    }
-    comm_.allreduce_sum(std::span<real_t>(flat_grads_));
-    off = 0;
-    for (const auto& p : params) {
-      std::memcpy(p.grad, flat_grads_.data() + off, p.size * sizeof(real_t));
-      off += p.size;
-    }
-  }
-
   Communicator& comm_;
   const TrainConfig& config_;
   const LocalPartition& lp_;
@@ -356,7 +338,6 @@ class RankTrainer {
 
   std::int64_t global_train_count_ = 0;
   int epoch_ = 0;  // drives the cd-r bin schedule
-  std::vector<real_t> flat_grads_;
 };
 
 /// Mean of `field` over the epochs after the first `skip`.

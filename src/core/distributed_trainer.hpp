@@ -70,7 +70,7 @@ struct DistEpochRecord {
   // RAT incl. pre/post-processing: the forward's halo exchange (layer 0's
   // until it settles) and the backward's gradient exchange.
   double remote_agg_seconds = 0.0;
-  // Combine, Linear, loss, backward_to_scaled (ReLU′ and the weight
+  // Combine, Linear, loss, GraphSageLayer::backward (ReLU′ and the weight
   // gradients) and the optimizer step.
   double mlp_seconds = 0.0;
   double backward_ap_seconds = 0.0;  // transpose AP + add_self

@@ -39,25 +39,26 @@ FullBatchSage::FullBatchSage(const FullBatchGraph& graph, const TrainConfig& con
 
   combined_.resize(static_cast<std::size_t>(config_.num_layers));
   acts_.resize(static_cast<std::size_t>(config_.num_layers));
-  if (cut()) {
-    if (!sync_ || backward_sync_.owned.size() != rows)
-      throw std::invalid_argument(
-          "FullBatchSage: a backward sync needs a sync hook and one owned flag per row");
-    const auto index = [](std::span<const std::uint8_t> flags, Owned& out) {
-      out.slot.assign(flags.size(), -1);
-      for (std::size_t i = 0; i < flags.size(); ++i) {
-        if (!flags[i]) continue;
-        out.slot[i] = static_cast<vid_t>(out.rows.size());
-        out.rows.push_back(static_cast<vid_t>(i));
-      }
-    };
-    index(backward_sync_.owned, owned_);
-    index(train_rows_.gather(backward_sync_.owned), train_owned_);
-    owned_combined_.resize(combined_.size());
-    for (int l = 0; l < config_.num_layers; ++l)
+  if (!backward_sync_.owned.empty() && (!sync_ || backward_sync_.owned.size() != rows))
+    throw std::invalid_argument("FullBatchSage: owned flags need a sync hook and one flag per row");
+  // Without owned flags every row is owned.
+  std::vector<std::uint8_t> flags(backward_sync_.owned.begin(), backward_sync_.owned.end());
+  flags.resize(rows, 1);
+  const auto index = [](std::span<const std::uint8_t> is_owned, Owned& out) {
+    for (std::size_t i = 0; i < is_owned.size(); ++i)
+      if (is_owned[i]) out.rows.push_back(static_cast<vid_t>(i));
+    if (out.rows.size() == is_owned.size()) return;
+    out.slot.assign(is_owned.size(), -1);
+    for (std::size_t k = 0; k < out.rows.size(); ++k)
+      out.slot[static_cast<std::size_t>(out.rows[k])] = static_cast<vid_t>(k);
+  };
+  index(flags, owned_);
+  index(train_rows_.gather<std::uint8_t>(flags), train_owned_);
+  owned_combined_.resize(combined_.size());
+  for (int l = 0; l < config_.num_layers; ++l)
+    if (!owned(l).slot.empty())
       owned_combined_[static_cast<std::size_t>(l)].resize_discard(owned(l).rows.size(),
                                                                   model_.layer(l).in_dim());
-  }
 
   // Layer 0's input is constant: aggregate it once, unless layer 0 is the
   // output layer, whose rows depend on the pass.
@@ -110,12 +111,8 @@ void FullBatchSage::forward(bool training, PassTimes& times) {
         if (input_layer && training) input_settled_ = settled;
         t0 = lap(times.sync, t0);
       }
-      if (training && cut()) {
-        rows.combine(H, combined.cview(), combined.view(), owned(l).slot,
-                     owned_combined_[li].view());
-      } else {
-        rows.combine(H, combined.cview(), combined.view());
-      }
+      rows.combine(H, combined.cview(), combined.view(),
+                   training ? owned(l).slot : std::span<const vid_t>{}, owned_combined_[li].view());
     }
     acts_[li].resize_discard(rows.size(), model_.layer(l).out_dim());
     model_.layer(l).forward(combined.cview(), acts_[li].view());
@@ -145,33 +142,25 @@ double FullBatchSage::train_pass(std::int64_t divisor, PassTimes& times) {
       dscaled_.resize_discard(rows.size(), layer.in_dim());
       dscaled = dscaled_.view();
     }
-    if (!cut()) {
-      layer.backward_to_scaled(combined_[li].cview(), rows.inv_norm(), d_upper_.cview(), dscaled);
-      t0 = lap(times.mlp, t0);
-    } else {
-      // The loss's dY is already complete at its rows, which are owned.
-      if (l != last) {
-        backward_sync_.reduce(l, d_upper_.view());
-        t0 = lap(times.sync, t0);
-      }
-      layer.backward_rows_to_scaled(owned(l).rows, owned_combined_[li].cview(), rows.inv_norm(),
-                                    d_upper_.cview(), dscaled);
-      t0 = lap(times.mlp, t0);
-      if (l > 0) {
-        backward_sync_.broadcast(l, dscaled);
-        t0 = lap(times.sync, t0);
-      }
+    // The loss's dY is already complete at its rows, which are owned.
+    if (l != last && backward_sync_.reduce) {
+      backward_sync_.reduce(l, d_upper_.view());
+      t0 = lap(times.sync, t0);
+    }
+    const Owned& own = owned(l);
+    layer.backward(own.rows, own.slot.empty() ? combined_[li].cview() : owned_combined_[li].cview(),
+                   rows.inv_norm(), d_upper_.cview(), dscaled);
+    t0 = lap(times.mlp, t0);
+    if (l > 0 && backward_sync_.broadcast) {
+      backward_sync_.broadcast(l, dscaled);
+      t0 = lap(times.sync, t0);
     }
     if (l == 0) break;
 
-    // dH = dscaled + Aᵀ·dscaled (self + neighbour paths), full height; on a
-    // cut the self path is a vertex's once, at its owned row.
+    // dH = dscaled + Aᵀ·dscaled (self + neighbour paths), full height; the
+    // self path is a vertex's once, at its owned row.
     aggregate(rows.out(), dscaled_.cview(), dH_);
-    if (cut()) {
-      rows.add_self(owned(l).rows, dscaled_.cview(), dH_.view());
-    } else {
-      rows.add_self(dscaled_.cview(), dH_.view());
-    }
+    rows.add_self(own.rows, dscaled_.cview(), dH_.view());
     t0 = lap(times.backward_ap, t0);
     std::swap(d_upper_, dH_);
   }

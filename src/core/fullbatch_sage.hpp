@@ -7,19 +7,20 @@
 // partial aggregation.
 //
 // A pass, layer by layer:  AP → sync hook (if any) → combine → Linear,
-// then the softmax loss, then backward layer by layer:
-// backward_to_scaled → transpose AP → add_self (dH = dscaled + Aᵀ·dscaled).
-//
-// With a backward sync the program runs on a vertex cut, where each split
-// vertex has one owned clone (its root) and leaf clones. Each layer's
-// backward then runs, top down:
-//   reduce (below the output layer): every leaf's partial dH is added into
-//     its root's row, so owned rows hold the complete dH;
-//   backward_to_scaled on the owned rows only: ReLU′ and the weight
+// then the softmax loss, then backward layer by layer, top down, on the
+// rows the program owns:
+//   reduce (below the output layer, if set): every leaf's partial dH is
+//     added into its root's row, so owned rows hold the complete dH;
+//   GraphSageLayer::backward on the owned rows only: ReLU′ and the weight
 //     gradients count each vertex once;
-//   broadcast (above layer 0): every leaf's row of dscaled is set to its
-//     root's, so the transpose AP runs on every clone's local edges, each
-//     edge on exactly one rank; add_self runs on the owned rows only.
+//   broadcast (above layer 0, if set): every leaf's row of dscaled is set
+//     to its root's, so the transpose AP runs on every clone's local edges,
+//     each edge on exactly one rank;
+//   transpose AP, then add_self on the owned rows (dH = dscaled + Aᵀ·dscaled).
+// A vertex cut gives each split vertex one owned clone (its root) and leaf
+// clones. The single socket, and a rank without a backward sync (0c), own
+// every row: the same backward then runs on all of them and reads the
+// forward's combined input in place.
 //
 // Layer 0's aggregate of the constant input features is built once, at
 // construction. Without a sync hook it is combined once too, and each pass
@@ -64,7 +65,7 @@ struct PassTimes {
   double ap = 0.0;           // forward AP, and the restore of layer 0's unsettled partial
   double sync = 0.0;         // the sync hook and the backward sync
   double backward_ap = 0.0;  // transpose AP + add_self
-  double mlp = 0.0;          // combine, Linear, loss, backward_to_scaled, step
+  double mlp = 0.0;          // combine, Linear, loss, GraphSageLayer::backward, step
 };
 
 class FullBatchSage {
@@ -85,7 +86,7 @@ class FullBatchSage {
   struct BackwardSync {
     /// One flag per graph row: the rows whose backward this program runs
     /// (every clone of an unsplit vertex, the root of a split one). Read at
-    /// construction only.
+    /// construction only; empty = every row.
     std::span<const std::uint8_t> owned;
     /// Adds each leaf's row of `dH`, layer `layer`'s full-height output
     /// gradient, into its root's row. Runs below the output layer.
@@ -96,8 +97,7 @@ class FullBatchSage {
     std::function<void(int layer, MatrixView dscaled)> broadcast;
   };
 
-  /// Without a backward sync every row is owned, and the backward runs on
-  /// all of them.
+  /// Owned flags need a sync hook. Without them every row is owned.
   FullBatchSage(const FullBatchGraph& graph, const TrainConfig& config, int num_classes,
                 Clock clock, SyncHook sync = {}, BackwardSync backward_sync = {});
   // The frontiers refer to the program's own blocks.
@@ -123,14 +123,14 @@ class FullBatchSage {
   const OutputFrontier& output_frontier() const { return train_rows_; }
 
  private:
-  /// With a backward sync: the owned rows of a frontier, as ascending
-  /// compact ids, and each compact row's index among them (-1 if not owned).
+  /// The owned rows of a frontier, as ascending compact ids, and each
+  /// compact row's index among them (-1 if not owned); `slot` is empty
+  /// when every row is owned.
   struct Owned {
     std::vector<vid_t> rows, slot;
   };
 
   void forward(bool training, PassTimes& times);
-  bool cut() const { return static_cast<bool>(backward_sync_.reduce); }
   /// The owned rows of layer `l`'s training frontier.
   const Owned& owned(int l) const {
     return l == config_.num_layers - 1 ? train_owned_ : owned_;
@@ -171,9 +171,10 @@ class FullBatchSage {
   // one from the training pass whose hook reported it settled until the
   // next forward_all(), whose own sync overwrites it.
   // acts_[l] is layer l's output; layer 0 reads features_.
-  // With a backward sync, owned_combined_[l] is combined_[l] at the owned
-  // rows of the training frontier, written by the combine: the only rows
-  // of it the backward reads.
+  // Where layer l's training frontier has unowned rows, owned_combined_[l]
+  // is combined_[l] at its owned rows, written by the combine: the only
+  // rows of it the backward reads. Elsewhere it is empty, and the backward
+  // reads combined_[l].
   std::vector<DenseMatrix> combined_;
   std::vector<DenseMatrix> owned_combined_;
   std::vector<DenseMatrix> acts_;

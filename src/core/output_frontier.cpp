@@ -65,19 +65,6 @@ void OutputFrontier::combine(ConstMatrixView H, ConstMatrixView agg, MatrixView 
   }
 }
 
-void OutputFrontier::add_self(ConstMatrixView dscaled, MatrixView dH) const {
-  if (dscaled.rows != size() || dscaled.cols != dH.cols)
-    throw std::invalid_argument("OutputFrontier::add_self: shape mismatch");
-  const std::size_t n = size(), d = dH.cols;
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < n; ++i) {
-    real_t* dst = dH.row(static_cast<std::size_t>(rows_[i]));
-    const real_t* src = dscaled.row(i);
-#pragma omp simd
-    for (std::size_t j = 0; j < d; ++j) dst[j] += src[j];
-  }
-}
-
 void OutputFrontier::add_self(std::span<const vid_t> compact, ConstMatrixView dscaled,
                               MatrixView dH) const {
   if (dscaled.rows != size() || dscaled.cols != dH.cols)

@@ -77,10 +77,9 @@ class OutputFrontier {
   void combine(ConstMatrixView H, ConstMatrixView agg, MatrixView combined,
                std::span<const vid_t> slot = {}, MatrixView copies = {}) const;
 
-  /// dH[rows()[i]] += dscaled[i]: the self path of the backward, after
-  /// out() has written the neighbour path into the full-height dH.
-  void add_self(ConstMatrixView dscaled, MatrixView dH) const;
-  /// add_self for the compact rows `compact` only.
+  /// dH[rows()[i]] += dscaled[i] for each compact row i in `compact`: the
+  /// self path of the backward over the rows it owns, after out() has
+  /// written the neighbour path into the full-height dH.
   void add_self(std::span<const vid_t> compact, ConstMatrixView dscaled, MatrixView dH) const;
 
  private:

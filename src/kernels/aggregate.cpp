@@ -12,6 +12,10 @@ namespace distgnn {
 
 namespace {
 
+// Destination rows handed to a thread at a time under dynamic scheduling;
+// read only by a pragma, which a serial build ignores.
+[[maybe_unused]] constexpr int kChunkRows = 16;
+
 void check_shapes(const CsrMatrix& A, ConstMatrixView fV, ConstMatrixView fE, MatrixView fO,
                   BinaryOp binary) {
   if (fO.rows != static_cast<std::size_t>(A.num_rows()))
@@ -46,9 +50,7 @@ void process_block(const CsrMatrix& block, ConstMatrixView fV, ConstMatrixView f
   const std::size_t d = fO.cols;
 
   if (cfg.dynamic_schedule) {
-    // Read only by the pragma, which a serial build ignores.
-    [[maybe_unused]] const int chunk = std::max(1, cfg.chunk_size);
-#pragma omp parallel for schedule(dynamic, chunk)
+#pragma omp parallel for schedule(dynamic, kChunkRows)
     for (vid_t v = 0; v < n; ++v) {
       const auto nbrs = block.neighbors(v);
       if (nbrs.empty()) continue;

@@ -28,10 +28,8 @@ struct ApConfig {
   ReduceOp reduce = ReduceOp::kSum;
   /// Number of source-vertex cache blocks (Alg. 2); 1 disables blocking.
   int num_blocks = 1;
-  /// Dynamic OpenMP scheduling over contiguous destination chunks.
+  /// Dynamic OpenMP scheduling over chunks of 16 contiguous destination rows.
   bool dynamic_schedule = true;
-  /// Contiguous destination rows handed to a thread at a time.
-  int chunk_size = 16;
   /// Loop-reordered vectorized micro-kernel (Alg. 3); false falls back to the
   /// baseline inner loop (still affected by blocking/scheduling).
   bool use_microkernel = true;

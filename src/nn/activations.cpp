@@ -30,6 +30,8 @@ void Relu::backward(ConstMatrixView dY, MatrixView dX) const {
 void Relu::backward_rows(std::span<const vid_t> rows, ConstMatrixView dY, MatrixView dX) const {
   if (dY.size() != mask_.size() || dX.rows != rows.size() || dX.cols != dY.cols)
     throw std::invalid_argument("Relu::backward_rows: size mismatch");
+  // Every row, ascending: the flat loop, faster than one loop per row.
+  if (rows.size() == dY.rows) return backward(dY, dX);
   const std::size_t n = rows.size(), d = dY.cols;
 #pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < n; ++i) {

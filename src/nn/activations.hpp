@@ -16,7 +16,8 @@ class Relu {
   /// dX = dY * 1[X > 0]; dY and dX may alias.
   void backward(ConstMatrixView dY, MatrixView dX) const;
   /// dX[i] = dY[rows[i]] * 1[X[rows[i]] > 0]: the backward of the forward's
-  /// rows `rows` only, compacted; dX has rows.size() rows.
+  /// rows `rows` (ascending, distinct) only, compacted; dX has rows.size()
+  /// rows.
   void backward_rows(std::span<const vid_t> rows, ConstMatrixView dY, MatrixView dX) const;
 
  private:

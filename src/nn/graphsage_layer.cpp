@@ -37,56 +37,40 @@ void GraphSageLayer::forward(ConstMatrixView combined, MatrixView Y) {
   }
 }
 
-void GraphSageLayer::backward_to_scaled(ConstMatrixView combined, ConstMatrixView inv_norm,
-                                        ConstMatrixView dY, MatrixView dscaled) {
-  if (!dscaled.empty() && (dscaled.rows != combined.rows || dscaled.cols != combined.cols))
-    throw std::invalid_argument("GraphSageLayer::backward_to_scaled: dscaled shape mismatch");
-  if (inv_norm.rows != combined.rows || inv_norm.cols != 1)
-    throw std::invalid_argument("GraphSageLayer::backward_to_scaled: inv_norm must be n x 1");
-
-  ConstMatrixView upstream = dY;
-  if (apply_relu_) {
-    dz_.resize_discard(dY.rows, dY.cols);
-    relu_.backward(dY, dz_.view());
-    upstream = dz_.cview();
-  }
-  // dcombined lands in dscaled, then is scaled by inv_norm in place.
-  linear_.backward(combined, upstream, dscaled);
-  if (dscaled.empty()) return;
-  const std::size_t n = dscaled.rows, d = dscaled.cols;
-#pragma omp parallel for schedule(static)
-  for (std::size_t v = 0; v < n; ++v) {
-    const real_t s = inv_norm.at(v, 0);
-    real_t* row = dscaled.row(v);
-#pragma omp simd
-    for (std::size_t j = 0; j < d; ++j) row[j] *= s;
-  }
-}
-
-void GraphSageLayer::backward_rows_to_scaled(std::span<const vid_t> rows, ConstMatrixView x,
-                                             ConstMatrixView inv_norm, ConstMatrixView dY,
-                                             MatrixView dscaled) {
+void GraphSageLayer::backward(std::span<const vid_t> rows, ConstMatrixView x,
+                              ConstMatrixView inv_norm, ConstMatrixView dY, MatrixView dscaled) {
   if (x.rows != rows.size() || x.cols != in_dim() || inv_norm.rows != dY.rows ||
       inv_norm.cols != 1 || (!dscaled.empty() && (dscaled.rows != dY.rows || dscaled.cols != x.cols)))
-    throw std::invalid_argument("GraphSageLayer::backward_rows_to_scaled: shape mismatch");
+    throw std::invalid_argument("GraphSageLayer::backward: shape mismatch");
   const std::size_t n = rows.size(), d = x.cols, m = dY.cols;
-  dz_.resize_discard(n, m);
-  if (apply_relu_) {
-    relu_.backward_rows(rows, dY, dz_.view());
-  } else {
+  // Over every row, a layer without ReLU reads dY in place, and d(combined)
+  // lands in dscaled and is scaled in place.
+  const bool every_row = n == dY.rows;
+  ConstMatrixView dz = dY;
+  if (apply_relu_ || !every_row) {
+    dz_.resize_discard(n, m);
+    if (apply_relu_) {
+      relu_.backward_rows(rows, dY, dz_.view());
+    } else {
 #pragma omp parallel for schedule(static)
-    for (std::size_t i = 0; i < n; ++i)
-      std::memcpy(dz_.row(i), dY.row(static_cast<std::size_t>(rows[i])), m * sizeof(real_t));
+      for (std::size_t i = 0; i < n; ++i)
+        std::memcpy(dz_.row(i), dY.row(static_cast<std::size_t>(rows[i])), m * sizeof(real_t));
+    }
+    dz = dz_.cview();
   }
 
-  if (dscaled.empty()) return linear_.backward(x, dz_.cview(), {});
-  dx_.resize_discard(n, d);
-  linear_.backward(x, dz_.cview(), dx_.view());
+  if (dscaled.empty()) return linear_.backward(x, dz, {});
+  MatrixView dx = dscaled;
+  if (!every_row) {
+    dx_.resize_discard(n, d);
+    dx = dx_.view();
+  }
+  linear_.backward(x, dz, dx);
 #pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < n; ++i) {
     const auto r = static_cast<std::size_t>(rows[i]);
     const real_t s = inv_norm.at(r, 0);
-    const real_t* src = dx_.row(i);
+    const real_t* src = dx.row(i);
     real_t* dst = dscaled.row(r);
 #pragma omp simd
     for (std::size_t j = 0; j < d; ++j) dst[j] = src[j] * s;

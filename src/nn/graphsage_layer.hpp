@@ -7,9 +7,11 @@
 // distributed trainers feed it local + (possibly stale) remote partial
 // aggregates. `combine` turns an aggregate into the layer's Linear input,
 // which the caller owns: a trainer whose input features never change builds
-// it once. `forward` runs the Linear (+ ReLU) on it, and `backward_to_scaled`
-// returns the degree-scaled upstream gradient so the caller can push it back
-// through the (local) adjacency.
+// it once. `forward` runs the Linear (+ ReLU) on it, and `backward` returns,
+// for the rows the caller lists, the degree-scaled upstream gradient so the
+// caller can push it back through the (local) adjacency. Every trainer lists
+// the rows it owns: all of them on one socket or in a sampled block, the
+// owned clones on a vertex cut.
 #pragma once
 
 #include <span>
@@ -38,22 +40,17 @@ class GraphSageLayer {
   /// `combined` again, so the caller keeps it until then.
   void forward(ConstMatrixView combined, MatrixView Y);
 
-  /// Backward from dY, given the forward's `combined` input and inv_norm, to
-  /// the *scaled* combined gradient dscaled = inv_norm ⊙ d(combined) of shape
-  /// (n x in). The caller finishes:
+  /// Backward of the forward's rows `rows` (ascending, distinct), as if the
+  /// forward had run on just them: to the *scaled* combined gradient
+  /// dscaled = inv_norm ⊙ d(combined). `x` holds those rows of the
+  /// forward's combined input, in order. Reads rows rows[i] of `inv_norm`
+  /// and `dY`, writes rows rows[i] of `dscaled` (as tall as dY, or empty),
+  /// and no other row. The caller finishes
   ///   dH = dscaled + A_localᵀ · dscaled
-  /// (self path + neighbour path). Parameter gradients accumulate internally.
-  /// An empty `dscaled` (the input layer) computes only those.
-  void backward_to_scaled(ConstMatrixView combined, ConstMatrixView inv_norm, ConstMatrixView dY,
-                          MatrixView dscaled);
-
-  /// backward_to_scaled of the forward's rows `rows` only, as if the
-  /// forward had run on just them. `x` holds those rows of the forward's
-  /// combined input, in order. Reads rows rows[i] of `inv_norm` and `dY`,
-  /// writes rows rows[i] of `dscaled` (as tall as dY, or empty), and no
-  /// other row.
-  void backward_rows_to_scaled(std::span<const vid_t> rows, ConstMatrixView x,
-                               ConstMatrixView inv_norm, ConstMatrixView dY, MatrixView dscaled);
+  /// (self path + neighbour path). Parameter gradients accumulate
+  /// internally; an empty `dscaled` (the input layer) computes only those.
+  void backward(std::span<const vid_t> rows, ConstMatrixView x, ConstMatrixView inv_norm,
+                ConstMatrixView dY, MatrixView dscaled);
 
   void zero_grad() { linear_.zero_grad(); }
   void collect_params(std::vector<ParamRef>& out);
@@ -68,8 +65,8 @@ class GraphSageLayer {
   Relu relu_;
   bool apply_relu_;
   DenseMatrix z_;   // pre-activation
-  DenseMatrix dz_;  // scratch for backward
-  DenseMatrix dx_;  // scratch for backward_rows_to_scaled: the rows' d(combined)
+  DenseMatrix dz_;  // scratch for backward: the rows' d(pre-activation)
+  DenseMatrix dx_;  // scratch for backward over some rows: their d(combined)
 };
 
 }  // namespace distgnn

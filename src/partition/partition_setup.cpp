@@ -6,47 +6,53 @@
 
 namespace distgnn {
 
-PartitionedGraph build_partitions(const EdgeList& edges, const EdgePartition& ep,
-                                  std::uint64_t seed) {
+VertexPlacement place_vertices(const EdgeList& edges, const EdgePartition& ep,
+                               std::uint64_t seed) {
   if (ep.edge_owner.size() != edges.edges.size())
-    throw std::invalid_argument("build_partitions: owner array size mismatch");
-
-  PartitionedGraph pg;
-  pg.num_parts = ep.num_parts;
-  pg.num_global_vertices = edges.num_vertices;
-  pg.parts.resize(static_cast<std::size_t>(ep.num_parts));
-
-  // Pass 1: per-vertex partition membership (sorted, unique).
-  std::vector<std::vector<part_t>> member(static_cast<std::size_t>(edges.num_vertices));
+    throw std::invalid_argument("place_vertices: owner array size mismatch");
+  VertexPlacement out;
+  out.parts.resize(static_cast<std::size_t>(edges.num_vertices));
   auto note = [&](vid_t v, part_t p) {
-    auto& parts = member[static_cast<std::size_t>(v)];
+    auto& parts = out.parts[static_cast<std::size_t>(v)];
     if (std::find(parts.begin(), parts.end(), p) == parts.end()) parts.push_back(p);
   };
   for (std::size_t e = 0; e < edges.edges.size(); ++e) {
     note(edges.edges[e].src, ep.edge_owner[e]);
     note(edges.edges[e].dst, ep.edge_owner[e]);
   }
-  for (auto& parts : member) std::sort(parts.begin(), parts.end());
+  out.root.assign(out.parts.size(), kInvalidPart);
+  for (std::size_t v = 0; v < out.parts.size(); ++v) {
+    auto& parts = out.parts[v];
+    if (parts.empty()) continue;
+    std::sort(parts.begin(), parts.end());
+    const std::uint64_t h = (static_cast<std::uint64_t>(v) + seed) * 0x9e3779b97f4a7c15ULL;
+    out.root[v] = parts[h % parts.size()];
+  }
+  return out;
+}
+
+PartitionedGraph build_partitions(const EdgeList& edges, const EdgePartition& ep,
+                                  std::uint64_t seed) {
+  const VertexPlacement placement = place_vertices(edges, ep, seed);
+
+  PartitionedGraph pg;
+  pg.num_parts = ep.num_parts;
+  pg.num_global_vertices = edges.num_vertices;
+  pg.parts.resize(static_cast<std::size_t>(ep.num_parts));
 
   // Global in-degree (the GCN normalizer must be partition-independent).
   std::vector<eid_t> global_in_degree(static_cast<std::size_t>(edges.num_vertices), 0);
   for (const Edge& e : edges.edges) ++global_in_degree[static_cast<std::size_t>(e.dst)];
 
-  // Pass 2: local vertex sets in ascending global order; split-tree ids in
-  // ascending global-vertex order; root clone chosen by seeded hash.
+  // Local vertex sets in ascending global order; split-tree ids in
+  // ascending global-vertex order.
   std::vector<std::unordered_map<vid_t, vid_t>> local_of(
       static_cast<std::size_t>(ep.num_parts));
   for (vid_t gv = 0; gv < edges.num_vertices; ++gv) {
-    const auto& parts = member[static_cast<std::size_t>(gv)];
-    if (parts.empty()) continue;
+    const auto& parts = placement.parts[static_cast<std::size_t>(gv)];
+    const part_t root = placement.root[static_cast<std::size_t>(gv)];
     const bool split = parts.size() > 1;
-    std::int64_t tree = -1;
-    part_t root_part = kInvalidPart;
-    if (split) {
-      tree = pg.num_split_trees++;
-      const std::uint64_t h = (static_cast<std::uint64_t>(gv) + seed) * 0x9e3779b97f4a7c15ULL;
-      root_part = parts[h % parts.size()];
-    }
+    const std::int64_t tree = split ? pg.num_split_trees++ : -1;
     for (const part_t p : parts) {
       LocalPartition& lp = pg.parts[static_cast<std::size_t>(p)];
       const vid_t local = lp.num_vertices++;
@@ -54,13 +60,13 @@ PartitionedGraph build_partitions(const EdgeList& edges, const EdgePartition& ep
       lp.global_ids.push_back(gv);
       lp.global_in_degree.push_back(global_in_degree[static_cast<std::size_t>(gv)]);
       lp.is_split.push_back(split ? 1 : 0);
-      lp.is_root.push_back(split && p == root_part ? 1 : 0);
+      lp.is_root.push_back(split && p == root ? 1 : 0);
       lp.tree_id.push_back(tree);
-      lp.owns_label.push_back(!split || p == root_part ? 1 : 0);
+      lp.owns_label.push_back(p == root ? 1 : 0);
     }
   }
 
-  // Pass 3: remap edges into local indices.
+  // Remap edges into local indices.
   for (part_t p = 0; p < ep.num_parts; ++p) {
     LocalPartition& lp = pg.parts[static_cast<std::size_t>(p)];
     lp.id = p;

@@ -45,7 +45,20 @@ struct PartitionedGraph {
   vid_t total_local_vertices() const { return vertex_map.back(); }
 };
 
-/// Builds all partitions. `seed` controls the random root-clone choice.
+/// Where a vertex-cut places each vertex's clones. parts[v] is the parts of
+/// v's edges, ascending (empty for a vertex in no edge). root[v] is the one
+/// part whose clone is v's root and owns its label: the only part of an
+/// unsplit vertex, a hash of (v, seed) among the parts of a split one, and
+/// kInvalidPart for a vertex in no edge.
+struct VertexPlacement {
+  std::vector<std::vector<part_t>> parts;
+  std::vector<part_t> root;
+};
+
+VertexPlacement place_vertices(const EdgeList& edges, const EdgePartition& ep,
+                               std::uint64_t seed = 0);
+
+/// Builds all partitions, with place_vertices' clones and roots.
 PartitionedGraph build_partitions(const EdgeList& edges, const EdgePartition& ep,
                                   std::uint64_t seed = 0);
 

@@ -4,7 +4,6 @@
 
 #include <array>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "comm/world.hpp"
@@ -39,23 +38,11 @@ DistSampledResult train_distributed_sampled(const Dataset& dataset, SampledTrain
         {train.begin() + static_cast<std::ptrdiff_t>(begin),
          train.begin() + static_cast<std::ptrdiff_t>(begin + shard)});
 
-    std::vector<real_t> flat;
     trainer.set_grad_hook([&](std::span<ParamRef> params) {
-      std::size_t total = 0;
-      for (const auto& p : params) total += p.size;
-      flat.resize(total);
-      std::size_t off = 0;
-      for (const auto& p : params) {
-        std::memcpy(flat.data() + off, p.grad, p.size * sizeof(real_t));
-        off += p.size;
-      }
-      comm.allreduce_sum(std::span<real_t>(flat));
+      allreduce_gradients(comm, params);
       const real_t inv = 1.0f / static_cast<real_t>(comm.size());
-      off = 0;
-      for (const auto& p : params) {
-        for (std::size_t i = 0; i < p.size; ++i) p.grad[i] = flat[off + i] * inv;
-        off += p.size;
-      }
+      for (const ParamRef& p : params)
+        for (std::size_t i = 0; i < p.size; ++i) p.grad[i] *= inv;
     });
 
     double epoch_sum = 0.0;

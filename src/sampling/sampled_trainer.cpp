@@ -1,6 +1,7 @@
 #include "sampling/sampled_trainer.hpp"
 
 #include <chrono>
+#include <numeric>
 
 #include "kernels/aggregate.hpp"
 #include "nn/layer_rows.hpp"
@@ -10,20 +11,14 @@ namespace distgnn {
 SampledSageTrainer::SampledSageTrainer(const Dataset& dataset, SampledTrainConfig config)
     : dataset_(dataset),
       config_(std::move(config)),
+      model_(dataset.feature_dim(), config_.hidden_dim, dataset.num_classes,
+             static_cast<int>(config_.fanouts.size()), config_.seed),
       rng_(config_.seed),
       optimizer_(config_.lr, /*momentum=*/0.0, config_.weight_decay) {
-  const int num_layers = static_cast<int>(config_.fanouts.size());
-  const std::size_t f = static_cast<std::size_t>(dataset.feature_dim());
-  const std::size_t h = static_cast<std::size_t>(config_.hidden_dim);
-  const std::size_t c = static_cast<std::size_t>(dataset.num_classes);
-  for (int l = 0; l < num_layers; ++l) {
-    const std::size_t in = (l == 0) ? f : h;
-    const std::size_t out = (l == num_layers - 1) ? c : h;
-    layers_.emplace_back(in, out, /*apply_relu=*/l != num_layers - 1, rng_);
-  }
-  acts_.resize(static_cast<std::size_t>(num_layers) + 1);
-  aggs_.resize(static_cast<std::size_t>(num_layers));
-  inv_norms_.resize(static_cast<std::size_t>(num_layers));
+  const auto num_layers = static_cast<std::size_t>(model_.num_layers());
+  acts_.resize(num_layers + 1);
+  aggs_.resize(num_layers);
+  inv_norms_.resize(num_layers);
 
   for (vid_t v = 0; v < dataset.num_vertices(); ++v)
     if (dataset.train_mask[static_cast<std::size_t>(v)]) train_vertices_.push_back(v);
@@ -38,8 +33,9 @@ void SampledSageTrainer::forward_batch(const MiniBatch& mb, bool training) {
     std::copy(src, src + f, acts_[0].row(i));
   }
 
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
+  for (std::size_t l = 0; l < aggs_.size(); ++l) {
     const SampledBlock& block = mb.blocks[l];
+    GraphSageLayer& layer = model_.layer(static_cast<int>(l));
     const std::size_t d = acts_[l].cols();
     const auto n_dst = static_cast<std::size_t>(block.num_dst);
 
@@ -56,9 +52,9 @@ void SampledSageTrainer::forward_batch(const MiniBatch& mb, bool training) {
 
     // Destination rows are the leading rows of the source activations.
     const ConstMatrixView h_dst{acts_[l].data(), n_dst, d};
-    acts_[l + 1].resize_discard(n_dst, layers_[l].out_dim());
+    acts_[l + 1].resize_discard(n_dst, layer.out_dim());
     GraphSageLayer::combine(h_dst, agg.cview(), inv_norm.cview(), agg.view());
-    layers_[l].forward(agg.cview(), acts_[l + 1].view());
+    layer.forward(agg.cview(), acts_[l + 1].view());
   }
   (void)training;
 }
@@ -71,7 +67,7 @@ SampledEpochStats SampledSageTrainer::train_epoch() {
   const CsrMatrix& in_csr = dataset_.graph.in_csr();
 
   DenseMatrix dY, dscaled, dH;
-  std::vector<ParamRef> params;
+  std::vector<vid_t> identity;
   for (const auto& batch : batches) {
     const MiniBatch mb = sample_minibatch(in_csr, batch, config_.fanouts, rng_);
     stats.sampled_edges += mb.total_sampled_edges();
@@ -85,18 +81,27 @@ SampledEpochStats SampledSageTrainer::train_epoch() {
     const DenseMatrix& logits = acts_.back();
     stats.loss += loss_.forward(logits.cview(), labels, mask);
 
-    for (auto& layer : layers_) layer.zero_grad();
+    model_.zero_grad();
     dY.resize_discard(logits.rows(), logits.cols());
     loss_.backward(dY.view());
 
-    for (int l = static_cast<int>(layers_.size()) - 1; l > 0; --l) {
+    for (int l = model_.num_layers() - 1; l >= 0; --l) {
       const auto li = static_cast<std::size_t>(l);
       const SampledBlock& block = mb.blocks[li];
-      const std::size_t d = layers_[li].in_dim();
+      GraphSageLayer& layer = model_.layer(l);
+      const std::size_t d = layer.in_dim();
       const auto n_dst = static_cast<std::size_t>(block.num_dst);
-      dscaled.resize_discard(n_dst, d);
-      layers_[li].backward_to_scaled(aggs_[li].cview(), inv_norms_[li].cview(), dY.cview(),
-                                     dscaled.view());
+      // Every destination row of a block is owned.
+      identity.resize(n_dst);
+      std::iota(identity.begin(), identity.end(), vid_t{0});
+      // The input layer computes only its weight gradients.
+      MatrixView scaled;
+      if (l > 0) {
+        dscaled.resize_discard(n_dst, d);
+        scaled = dscaled.view();
+      }
+      layer.backward(identity, aggs_[li].cview(), inv_norms_[li].cview(), dY.cview(), scaled);
+      if (l == 0) break;
 
       // dH over the block's sources: self path plus sampled-neighbour path.
       dH.resize_discard(static_cast<std::size_t>(block.num_src), d, 0);
@@ -113,12 +118,8 @@ SampledEpochStats SampledSageTrainer::train_epoch() {
       }
       dY = dH;
     }
-    // The input layer computes only its weight gradients.
-    layers_.front().backward_to_scaled(aggs_.front().cview(), inv_norms_.front().cview(),
-                                       dY.cview(), {});
 
-    params.clear();
-    for (auto& layer : layers_) layer.collect_params(params);
+    std::vector<ParamRef> params = model_.params();
     if (grad_hook_) grad_hook_(params);
     optimizer_.step(params);
     ++stats.num_batches;
@@ -147,12 +148,12 @@ double SampledSageTrainer::evaluate(const std::vector<std::uint8_t>& mask) {
   ap.num_blocks = auto_num_blocks(dataset_.num_vertices(), static_cast<std::size_t>(dataset_.feature_dim()));
   DenseMatrix h = dataset_.features;
   DenseMatrix agg, next;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
+  for (int l = 0; l < model_.num_layers(); ++l) {
     agg.resize_discard(n, h.cols(), 0);
     aggregate(in_csr, h.cview(), {}, agg.view(), ap);
-    next.resize_discard(n, layers_[l].out_dim());
+    next.resize_discard(n, model_.layer(l).out_dim());
     GraphSageLayer::combine(h.cview(), agg.cview(), inv_norm.cview(), agg.view());
-    layers_[l].forward(agg.cview(), next.view());
+    model_.layer(l).forward(agg.cview(), next.view());
     h = next;
   }
   return masked_accuracy(h.cview(), dataset_.labels, mask).accuracy();

@@ -1,6 +1,6 @@
 // Mini-batch GraphSAGE trainer over sampled blocks — the Dist-DGL-style
-// comparator used in Table 9 of the paper. Reuses the same GraphSageLayer /
-// loss / optimizer stack as the full-batch trainer so the epoch-time
+// comparator used in Table 9 of the paper. Reuses the full-batch trainer's
+// SageModel, layer backward, loss and optimizer, so the epoch-time
 // comparison isolates the aggregation strategy, not the MLP implementation.
 #pragma once
 
@@ -9,8 +9,8 @@
 #include <span>
 #include <vector>
 
+#include "core/sage_model.hpp"
 #include "graph/datasets.hpp"
-#include "nn/graphsage_layer.hpp"
 #include "nn/loss.hpp"
 #include "nn/metrics.hpp"
 #include "nn/optim.hpp"
@@ -52,15 +52,15 @@ class SampledSageTrainer {
   /// Full-graph (unsampled) evaluation accuracy on the given mask.
   double evaluate(const std::vector<std::uint8_t>& mask);
 
-  int num_layers() const { return static_cast<int>(layers_.size()); }
+  int num_layers() const { return model_.num_layers(); }
 
  private:
   void forward_batch(const MiniBatch& mb, bool training);
 
   const Dataset& dataset_;
   SampledTrainConfig config_;
-  Rng rng_;
-  std::vector<GraphSageLayer> layers_;
+  SageModel model_;
+  Rng rng_;  // batch order and neighbour sampling
   SoftmaxCrossEntropy loss_;
   Sgd optimizer_;
   std::vector<vid_t> train_vertices_;

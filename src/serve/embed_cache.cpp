@@ -30,8 +30,7 @@ std::vector<CacheCounters> embed_cache_counters(obs::MetricsRegistry& registry,
 EmbedWork::EmbedWork(obs::MetricsRegistry& registry, const std::string& layer,
                      const obs::Labels& labels)
     : requests(registry.counter("distgnn_" + layer + "_embed_requests_total", labels)),
-      rows_computed(registry.counter("distgnn_" + layer + "_embed_rows_computed_total", labels)),
-      blocks_sampled(registry.counter("distgnn_" + layer + "_embed_blocks_sampled_total", labels)) {}
+      rows_computed(registry.counter("distgnn_" + layer + "_embed_rows_computed_total", labels)) {}
 
 EmbedCache::EmbedCache(const ModelSpec& spec, std::uint64_t capacity_bytes,
                        std::vector<CacheCounters> levels, int num_shards,
@@ -183,7 +182,7 @@ void EmbedForward::infer(const ModelSnapshot& snapshot, std::span<const vid_t> s
 
   levels_.resize(static_cast<std::size_t>(num_layers) + 1);
   for (Level& lv : levels_) lv.clear();
-  std::uint64_t rows_computed = 0, blocks_sampled = 0;
+  std::uint64_t rows_computed = 0;
 
   // Downward pass: discover the memoized DAG. Seeds sit at the output level;
   // expanding a level's pending vertices only ever touches the level below,
@@ -204,7 +203,6 @@ void EmbedForward::infer(const ModelSnapshot& snapshot, std::span<const vid_t> s
       Rng rng = embed_rng(sample_seed_, u, l - 1);
       const vid_t seed1[1] = {u};
       lv.blocks.push_back(sample_minibatch(in_csr, seed1, fanout, rng));
-      ++blocks_sampled;
       for (const vid_t child : lv.blocks.back().input_vertices)
         resolve(l - 1, child, version, child_dim);
     }
@@ -250,7 +248,6 @@ void EmbedForward::infer(const ModelSnapshot& snapshot, std::span<const vid_t> s
   if (work_) {
     work_->requests.add(seeds.size());
     work_->rows_computed.add(rows_computed);
-    work_->blocks_sampled.add(blocks_sampled);
   }
 }
 

@@ -135,16 +135,16 @@ std::vector<CacheCounters> embed_cache_counters(obs::MetricsRegistry& registry,
                                                 const obs::Labels& labels = {});
 
 /// EmbedForward's work, as handles into its tier's registry:
-/// distgnn_<layer>_embed_{requests,rows_computed,blocks_sampled}_total under
-/// `labels`. Against the requests, the rows and blocks show how much forward
-/// work the embed cache saves.
+/// distgnn_<layer>_embed_{requests,rows_computed}_total under `labels`.
+/// Against the requests, the rows show how much forward work the embed
+/// cache saves. Each computed row samples exactly one one-hop block, so the
+/// rows also count the blocks sampled.
 struct EmbedWork {
   EmbedWork(obs::MetricsRegistry& registry, const std::string& layer,
             const obs::Labels& labels = {});
 
-  obs::Counter& requests;        // seeds evaluated
-  obs::Counter& rows_computed;   // (vertex, layer) pairs evaluated
-  obs::Counter& blocks_sampled;  // one-hop blocks actually sampled
+  obs::Counter& requests;       // seeds evaluated
+  obs::Counter& rows_computed;  // (vertex, layer) pairs evaluated
 };
 
 /// The embedding-cached serving forward: memoized, level-by-level evaluation

@@ -6,6 +6,14 @@
 
 namespace distgnn::serve {
 
+namespace {
+
+/// LRU shards of the feature cache and of the embed cache.
+constexpr int kCacheShards = 8;
+constexpr int kEmbedCacheShards = 8;
+
+}  // namespace
+
 Rng request_rng(std::uint64_t sample_seed, vid_t vertex) {
   // splitmix64 over the vertex id, xored into the base seed: adjacent vertex
   // ids get uncorrelated streams, and the stream depends only on (seed,
@@ -19,7 +27,7 @@ InferenceServer::InferenceServer(const Dataset& dataset, ServeConfig config)
       config_(std::move(config)),
       queue_(config_.queue_capacity),
       cache_(config_.cache_bytes, static_cast<std::size_t>(dataset.feature_dim()),
-             {feature_counters_}, config_.cache_shards) {
+             {feature_counters_}, kCacheShards) {
   if (config_.num_workers < 1) throw std::invalid_argument("InferenceServer: need >= 1 worker");
   if (config_.max_batch < 1) throw std::invalid_argument("InferenceServer: max_batch must be >= 1");
   if (config_.fanouts.empty()) throw std::invalid_argument("InferenceServer: fanouts empty");
@@ -69,7 +77,7 @@ void InferenceServer::publish(std::shared_ptr<const ModelSnapshot> snapshot) {
     if (!embed_cache_)
       embed_cache_ = std::make_unique<EmbedCache>(
           snapshot->spec(), config_.embed_cache_bytes, embed_counters_,
-          config_.embed_cache_shards, static_cast<std::uint64_t>(dataset_.num_vertices()));
+          kEmbedCacheShards, static_cast<std::uint64_t>(dataset_.num_vertices()));
     else if (!embed_cache_->fits(snapshot->spec()))
       throw std::invalid_argument("InferenceServer: snapshot dims != embed cache dims");
   }

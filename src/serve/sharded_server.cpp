@@ -15,15 +15,16 @@ namespace {
 /// enough that a peer's halo request never stalls meaningfully behind it.
 constexpr auto kIdlePoll = std::chrono::microseconds(20);
 
+/// LRU shards of each rank's feature cache and of its embed cache.
+constexpr int kCacheShards = 4;
+constexpr int kEmbedCacheShards = 8;
+
 }  // namespace
 
 std::vector<part_t> vertex_owners(const EdgeList& edges, const EdgePartition& partition,
                                   vid_t num_vertices) {
-  const PartitionedGraph pg = build_partitions(edges, partition);
-  std::vector<part_t> owners(static_cast<std::size_t>(num_vertices), kInvalidPart);
-  for (const LocalPartition& part : pg.parts)
-    for (std::size_t li = 0; li < part.global_ids.size(); ++li)
-      if (part.owns_label[li]) owners[static_cast<std::size_t>(part.global_ids[li])] = part.id;
+  std::vector<part_t> owners = place_vertices(edges, partition).root;
+  owners.resize(static_cast<std::size_t>(num_vertices), kInvalidPart);
   for (std::size_t v = 0; v < owners.size(); ++v)
     if (owners[v] == kInvalidPart)
       owners[v] = static_cast<part_t>(v % static_cast<std::size_t>(partition.num_parts));
@@ -89,7 +90,7 @@ ShardedServer::ShardedServer(const Dataset& dataset, const EdgePartition& partit
         rank_counters_.emplace_back(metrics_, obs::Labels{{"rank", std::to_string(p)}}, config_);
     caches_.push_back(std::make_unique<ShardedFeatureCache>(
         config_.cache_bytes, f, std::vector<CacheCounters>{rank.feature, rank.halo_cache},
-        config_.cache_shards));
+        kCacheShards));
   }
   {
     util::MutexLock lock(embed_mutex_);
@@ -123,7 +124,7 @@ void ShardedServer::publish(std::shared_ptr<const ModelSnapshot> snapshot) {
       if (!cache)
         cache = std::make_unique<EmbedCache>(
             snapshot->spec(), per_rank, rank_counters_[static_cast<std::size_t>(p)].embed,
-            config_.embed_cache_shards, static_cast<std::uint64_t>(dataset_.num_vertices()));
+            kEmbedCacheShards, static_cast<std::uint64_t>(dataset_.num_vertices()));
       else if (!cache->fits(snapshot->spec()))
         throw std::invalid_argument("ShardedServer: snapshot dims != embed cache dims");
     }

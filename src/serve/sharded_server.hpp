@@ -70,8 +70,6 @@ struct ShardedServeConfig : TierConfig {
   /// behind compute (deeper rings suit slower interconnects). Answers are
   /// bitwise-identical at every depth.
   int prefetch_depth = 1;
-
-  ShardedServeConfig() { cache_shards = 4; }
 };
 
 class ShardedServer : public ServingBackend {
@@ -212,9 +210,10 @@ class ShardedServer : public ServingBackend {
   std::atomic<std::uint64_t> in_flight_{0};
 };
 
-/// Vertex -> owning rank from a vertex-cut partition: the rank whose clone
-/// carries owns_label. Vertices absent from every partition (isolated) fall
-/// back to round-robin so every vertex has a feature home.
+/// Vertex -> owning rank from a vertex-cut partition: the root part of
+/// place_vertices, whose clone carries owns_label in build_partitions.
+/// Vertices absent from every partition (isolated) fall back to round-robin
+/// so every vertex has a feature home.
 std::vector<part_t> vertex_owners(const EdgeList& edges, const EdgePartition& partition,
                                   vid_t num_vertices);
 

@@ -27,7 +27,6 @@ struct TierConfig {
   std::size_t queue_capacity = 1024;  // per admission queue (per rank when sharded)
   std::vector<int> fanouts = {10, 10};  // input-most first; size == model layers
   std::uint64_t cache_bytes = 8ull << 20;
-  int cache_shards = 8;
   /// Per-request sampling is seeded mix(sample_seed, vertex); every tier
   /// uses the same mix, which is what makes single-process, sharded and
   /// composed answers comparable bit for bit.
@@ -45,7 +44,6 @@ struct TierConfig {
   /// different sampling stream than the classic path.
   bool embed_forward = false;
   std::uint64_t embed_cache_bytes = 32ull << 20;
-  int embed_cache_shards = 8;
 
   /// Per-tenant SLO override for registry entries built from this config:
   /// ModelRegistry::add_server reads the deadline/weight/budget for the

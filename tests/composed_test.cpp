@@ -419,12 +419,11 @@ TEST(ComposedTier, ScrapeIsTheOneBookOfCachesPublishesAndEmbedWork) {
   // One group publish, which reached the shard of each replica.
   EXPECT_EQ(scrape.counter_total("distgnn_group_publishes_total"), 1.0);
   EXPECT_EQ(scrape.counter_total("distgnn_sharded_publishes_total"), 2.0);
-  // The embed evaluators' work: one request per answer, and the rows and
-  // blocks the cache did not save.
+  // The embed evaluators' work: one request per answer, and the rows the
+  // cache did not save.
   EXPECT_EQ(scrape.counter_total("distgnn_sharded_embed_requests_total"),
             static_cast<double>(stats.completed));
   EXPECT_GT(scrape.counter_total("distgnn_sharded_embed_rows_computed_total"), 0.0);
-  EXPECT_GT(scrape.counter_total("distgnn_sharded_embed_blocks_sampled_total"), 0.0);
 }
 
 TEST(ComposedTier, RejectedIsTheRoutersShed) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "partition/halo_plan.hpp"
 #include "partition/libra.hpp"
 #include "partition/partition_setup.hpp"
+#include "util/parallel.hpp"
 
 namespace distgnn {
 namespace {
@@ -140,19 +142,45 @@ TEST(Distributed, LiteralStalenessPolicyAlsoConverges) {
 }
 
 TEST(Distributed, SinglePartitionMatchesSingleSocket) {
+  // One part is a cut without split vertices, where every row is owned: each
+  // algorithm then runs the single socket's program on the same rows, on the
+  // same thread count, in either AP mode, and gives its losses and
+  // accuracies.
   const Dataset ds = learnable(512, 45);
   const PartitionedGraph pg = partitioned(ds, 1);
-  // Ranks run the same program as the single socket, in either AP mode.
+  const std::pair<Algorithm, StalenessPolicy> variants[] = {
+      {Algorithm::k0c, StalenessPolicy::kCache},
+      {Algorithm::kCd0, StalenessPolicy::kCache},
+      {Algorithm::kCdR, StalenessPolicy::kCache},
+      {Algorithm::kCdR, StalenessPolicy::kLiteral}};
   for (const ApMode mode : {ApMode::kOptimized, ApMode::kBaseline}) {
-    TrainConfig cfg = dist_config(Algorithm::kCd0, 4);
-    cfg.ap_mode = mode;
-    SingleSocketTrainer single(ds, cfg);
-    std::vector<double> expect;
-    for (int e = 0; e < cfg.epochs; ++e) expect.push_back(single.train_epoch().loss);
+    for (const auto& [algorithm, staleness] : variants) {
+      TrainConfig cfg = dist_config(algorithm, 10);
+      cfg.ap_mode = mode;
+      cfg.staleness = staleness;
+      const std::string name = to_string(algorithm) +
+                               (staleness == StalenessPolicy::kCache ? " kCache" : " kLiteral") +
+                               (mode == ApMode::kOptimized ? " optimized" : " baseline");
 
-    const DistTrainResult result = train_distributed(ds, pg, cfg);
-    for (std::size_t e = 0; e < expect.size(); ++e)
-      EXPECT_NEAR(result.epochs[e].loss, expect[e], 1e-3 * std::max(1.0, std::abs(expect[e])));
+      const int saved = par::max_threads();
+      par::set_num_threads(cfg.threads_per_rank);
+      SingleSocketTrainer single(ds, cfg);
+      std::vector<double> expect;
+      for (int e = 0; e < cfg.epochs; ++e) expect.push_back(single.train_epoch().loss);
+      const double train = single.evaluate(ds.train_mask);
+      const double val = single.evaluate(ds.val_mask);
+      const double test = single.evaluate(ds.test_mask);
+      par::set_num_threads(saved);
+
+      const DistTrainResult result = train_distributed(ds, pg, cfg);
+      ASSERT_EQ(result.epochs.size(), expect.size()) << name;
+      for (std::size_t e = 0; e < expect.size(); ++e)
+        EXPECT_NEAR(result.epochs[e].loss, expect[e], 1e-12 * expect[e])
+            << name << ", epoch " << e;
+      EXPECT_EQ(result.train_accuracy, train) << name;
+      EXPECT_EQ(result.val_accuracy, val) << name;
+      EXPECT_EQ(result.test_accuracy, test) << name;
+    }
   }
 }
 

@@ -3,11 +3,13 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "core/fullbatch_sage.hpp"
 #include "core/memory_model.hpp"
@@ -166,6 +168,8 @@ TEST_P(SingleSocketReference, MatchesUnprunedFullGraphBitwise) {
   for (std::size_t v = 0; v < n; ++v)
     inv_norm.at(v, 0) = 1.0f / (static_cast<real_t>(in_csr.degree(static_cast<vid_t>(v))) + 1.0f);
 
+  std::vector<vid_t> all_rows(n);
+  std::iota(all_rows.begin(), all_rows.end(), vid_t{0});
   std::vector<DenseMatrix> combined(static_cast<std::size_t>(cfg.num_layers));
   std::vector<DenseMatrix> acts(combined.size());
   DenseMatrix d_upper, dscaled, dH;
@@ -186,8 +190,8 @@ TEST_P(SingleSocketReference, MatchesUnprunedFullGraphBitwise) {
     for (int l = cfg.num_layers - 1; l >= 0; --l) {
       const auto li = static_cast<std::size_t>(l);
       dscaled.resize_discard(n, model.layer(l).in_dim());
-      model.layer(l).backward_to_scaled(combined[li].cview(), inv_norm.cview(), d_upper.cview(),
-                                        l > 0 ? dscaled.view() : MatrixView{});
+      model.layer(l).backward(all_rows, combined[li].cview(), inv_norm.cview(), d_upper.cview(),
+                              l > 0 ? dscaled.view() : MatrixView{});
       if (l == 0) break;
       aggregate_over(/*transpose=*/true, dscaled.cview(), dH);
       for (std::size_t i = 0; i < dH.size(); ++i) dH.data()[i] += dscaled.data()[i];

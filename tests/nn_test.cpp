@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -429,6 +430,13 @@ TEST(Metrics, CountsCorrectPredictions) {
   EXPECT_DOUBLE_EQ(c.accuracy(), 0.5);
 }
 
+// The row list of a backward over every one of n rows.
+std::vector<vid_t> all_rows(std::size_t n) {
+  std::vector<vid_t> rows(n);
+  std::iota(rows.begin(), rows.end(), vid_t{0});
+  return rows;
+}
+
 // Full GraphSAGE layer gradient check: J = sum(Y * G) through combine and
 // forward with a hand-built aggregate.
 TEST(GraphSageLayer, EndToEndGradientCheck) {
@@ -454,7 +462,7 @@ TEST(GraphSageLayer, EndToEndGradientCheck) {
   DenseMatrix dscaled(n, in);
   objective();
   layer.zero_grad();
-  layer.backward_to_scaled(combined.cview(), inv_norm.cview(), G.cview(), dscaled.view());
+  layer.backward(all_rows(n), combined.cview(), inv_norm.cview(), G.cview(), dscaled.view());
 
   // dJ/d agg[v][j] == dscaled[v][j] (the aggregate path is scaled identity).
   const real_t eps = 1e-2f;
@@ -471,7 +479,7 @@ TEST(GraphSageLayer, EndToEndGradientCheck) {
   // Weight gradient through the combined path.
   objective();  // refresh caches at the unperturbed point
   layer.zero_grad();
-  layer.backward_to_scaled(combined.cview(), inv_norm.cview(), G.cview(), dscaled.view());
+  layer.backward(all_rows(n), combined.cview(), inv_norm.cview(), G.cview(), dscaled.view());
   real_t& w = layer.linear().weight().at(1, 1);
   const real_t save = w;
   w = save + eps;
@@ -501,8 +509,9 @@ TEST(GraphSageLayer, EmptyDscaledGivesTheSameParameterGradients) {
     layer->forward(combined.cview(), Y.view());
     layer->zero_grad();
   }
-  with_buffer.backward_to_scaled(combined.cview(), inv_norm.cview(), dY.cview(), dscaled.view());
-  without.backward_to_scaled(combined.cview(), inv_norm.cview(), dY.cview(), {});
+  with_buffer.backward(all_rows(n), combined.cview(), inv_norm.cview(), dY.cview(),
+                       dscaled.view());
+  without.backward(all_rows(n), combined.cview(), inv_norm.cview(), dY.cview(), {});
 
   const auto bits_equal = [](const DenseMatrix& a, const DenseMatrix& b) {
     return std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;
@@ -512,8 +521,8 @@ TEST(GraphSageLayer, EmptyDscaledGivesTheSameParameterGradients) {
 }
 
 TEST(GraphSageLayer, BackwardRowsIsTheBackwardOfAForwardOnJustThoseRows) {
-  // A full-height forward followed by backward_rows_to_scaled over a row
-  // subset gives bitwise the gradients of a forward and backward over the
+  // A full-height forward followed by a backward over a row subset gives
+  // bitwise the gradients of a forward and backward over all of the
   // subset's compact rows, and writes no other row of dscaled.
   const std::size_t n = 41, in = 19, out = 9;
   const std::vector<vid_t> rows{0, 3, 4, 17, 29, 40};
@@ -540,8 +549,9 @@ TEST(GraphSageLayer, BackwardRowsIsTheBackwardOfAForwardOnJustThoseRows) {
     full.zero_grad();
     compact.zero_grad();
     DenseMatrix dscaled(n, in, 7.0f), x_dscaled(rows.size(), in);
-    full.backward_rows_to_scaled(rows, x.cview(), inv_norm.cview(), dY.cview(), dscaled.view());
-    compact.backward_to_scaled(x.cview(), x_inv.cview(), x_dY.cview(), x_dscaled.view());
+    full.backward(rows, x.cview(), inv_norm.cview(), dY.cview(), dscaled.view());
+    compact.backward(all_rows(rows.size()), x.cview(), x_inv.cview(), x_dY.cview(),
+                     x_dscaled.view());
 
     const auto bits_equal = [](const DenseMatrix& a, const DenseMatrix& b) {
       return std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;

@@ -14,6 +14,7 @@
 #include "kernels/aggregate.hpp"
 #include "nn/serialize.hpp"
 #include "partition/libra.hpp"
+#include "partition/partition_setup.hpp"
 #include "serve/feature_cache.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_snapshot.hpp"
@@ -695,14 +696,27 @@ TEST(ShardedServing, PrefetchMatchesSynchronousBitwiseAndWaits) {
 }
 
 TEST(ShardedServing, OwnerMapCoversEveryVertexExactlyOnce) {
+  // Each vertex's feature home is the clone that owns its label in the
+  // training partitions; a vertex in no edge falls back to v mod P.
   const Dataset dataset = make_serving_dataset();
-  const EdgePartition partition = partition_libra(dataset.graph.coo(), 2);
-  const std::vector<part_t> owners =
-      vertex_owners(dataset.graph.coo(), partition, dataset.num_vertices());
-  ASSERT_EQ(owners.size(), static_cast<std::size_t>(dataset.num_vertices()));
-  for (const part_t p : owners) {
-    EXPECT_GE(p, 0);
-    EXPECT_LT(p, 2);
+  const EdgeList& edges = dataset.graph.coo();
+  const auto n = static_cast<std::size_t>(dataset.num_vertices());
+  for (const part_t parts : {1, 2, 4}) {
+    for (const std::uint64_t libra_seed : {0u, 7u}) {
+      const EdgePartition partition = partition_libra(edges, parts, libra_seed);
+      std::vector<part_t> want(n, kInvalidPart);
+      for (const LocalPartition& lp : build_partitions(edges, partition).parts)
+        for (std::size_t li = 0; li < lp.global_ids.size(); ++li) {
+          if (!lp.owns_label[li]) continue;
+          const auto v = static_cast<std::size_t>(lp.global_ids[li]);
+          EXPECT_EQ(want[v], kInvalidPart) << "vertex " << v << " has two label owners";
+          want[v] = lp.id;
+        }
+      for (std::size_t v = 0; v < n; ++v)
+        if (want[v] == kInvalidPart) want[v] = static_cast<part_t>(v % static_cast<std::size_t>(parts));
+      EXPECT_EQ(vertex_owners(edges, partition, dataset.num_vertices()), want)
+          << parts << " parts, Libra seed " << libra_seed;
+    }
   }
 }
 
