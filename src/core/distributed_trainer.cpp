@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -28,10 +27,16 @@ enum Direction { kToRoot = 0, kToLeaf = 1 };
 
 // Tag layout: one distinct tag per (layer, bin, direction, purpose). Purpose
 // 0 = training halo, 1 = evaluation halo (separate so an eval pass can never
-// consume a pending delayed training message), 2 = the training backward's
-// gradient exchange. A layer has kMaxBins bin slots, so cd-r's delay is at
-// most kMaxBins.
-constexpr int kTrainHalo = 0, kEvalHalo = 1, kGradHalo = 2;
+// consume a pending delayed training message), 2 = the cut's own moves: the
+// training backward's gradient exchange and, in training and evaluation
+// alike, a clone-exact layer's activation move. Only cd-r's lagged moves
+// leave a payload in flight past the call that sends it, and they use
+// purpose 0. Every purpose-2 move runs at lag 0, sends and receives within
+// one call, and runs on every rank in the same order (its schedule depends
+// only on the config and the epoch), so a channel's FIFO order pairs each
+// receive with the send of the same move. A layer has kMaxBins bin slots,
+// so cd-r's delay is at most kMaxBins.
+constexpr int kTrainHalo = 0, kEvalHalo = 1, kCutHalo = 2;
 constexpr int kMaxBins = 1024;
 int make_tag(int layer, int bin, Direction dir, int purpose) {
   return ((layer * kMaxBins + bin) * 2 + dir) * 3 + purpose + 1;
@@ -49,20 +54,11 @@ std::vector<real_t> gather_rows(ConstMatrixView m, const std::vector<vid_t>& row
 }
 
 /// m[rows[i]] += (add) or = (set) payload row i.
-void scatter_rows(MatrixView m, const std::vector<vid_t>& rows, const std::vector<real_t>& payload,
-                  bool add) {
-  const std::size_t d = m.cols;
-  if (payload.size() != rows.size() * d)
-    throw std::logic_error("scatter_rows: payload size mismatch");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    real_t* dst = m.row(static_cast<std::size_t>(rows[i]));
-    const real_t* src = payload.data() + i * d;
-    if (add) {
-      for (std::size_t j = 0; j < d; ++j) dst[j] += src[j];
-    } else {
-      std::memcpy(dst, src, d * sizeof(real_t));
-    }
-  }
+void scatter_payload(MatrixView m, const std::vector<vid_t>& rows,
+                     const std::vector<real_t>& payload, bool add) {
+  if (payload.size() != rows.size() * m.cols)
+    throw std::logic_error("scatter_payload: payload size mismatch");
+  scatter_rows(ConstMatrixView(payload.data(), rows.size(), m.cols), rows, m, add);
 }
 
 /// The program over one rank's local partition. The output frontier is
@@ -72,7 +68,7 @@ void scatter_rows(MatrixView m, const std::vector<vid_t>& rows, const std::vecto
 FullBatchSage local_pass(const LocalPartition& lp, const Dataset& dataset,
                          const DenseMatrix& features, const std::vector<int>& labels,
                          const TrainConfig& config, FullBatchSage::SyncHook sync,
-                         FullBatchSage::BackwardSync backward_sync) {
+                         FullBatchSage::CutSync cut_sync) {
   const CsrMatrix in_csr = CsrMatrix::from_coo(lp.edges);
   const CsrMatrix out_csr = CsrMatrix::transpose_from_coo(lp.edges);
   std::vector<std::uint8_t> train_clone(lp.global_ids.size());
@@ -86,12 +82,12 @@ FullBatchSage local_pass(const LocalPartition& lp, const Dataset& dataset,
                         .output_rows = train_clone,
                         .loss_rows = lp.owns_label},
                        config, dataset.num_classes, thread_cpu_seconds, std::move(sync),
-                       std::move(backward_sync));
+                       std::move(cut_sync));
 }
 
 /// One rank: its partition's data, the program over it, the halo exchange
-/// the program calls as its sync hook and, transposed, as its backward sync,
-/// and the loss and gradient AllReduce.
+/// the program calls as its sync hook and, as its cut sync, the activation
+/// move and the exchange transposed, and the loss and gradient AllReduce.
 class RankTrainer {
  public:
   RankTrainer(Communicator& comm, const Dataset& dataset, const PartitionedGraph& pg,
@@ -109,7 +105,7 @@ class RankTrainer {
                          [this](int layer, bool training, MatrixView agg) {
                            return sync(layer, training, agg);
                          },
-                         backward_sync())),
+                         cut_sync())),
         train_plan_(
             restrict_halo_plan(plan_, pass_.output_frontier().compact_ids(lp_.num_vertices))),
         last_payloads_(static_cast<std::size_t>(
@@ -130,7 +126,8 @@ class RankTrainer {
   /// local aggregation of layers 1.. plus, until layer 0's synced input
   /// settles, the restore of its local partial, whose aggregation ran once,
   /// at construction. `times.sync` is RAT: the forward's halo (layer 0's
-  /// until it settles) and the backward's gradient exchange.
+  /// until it settles), the activation move of each clone-exact layer and
+  /// the backward's gradient exchange.
   /// Phase times use per-thread CPU clocks: ranks are simulated by threads
   /// that may outnumber host cores, and wall clock would charge scheduler
   /// waits of other ranks to this rank's LAT/RAT. For RAT this deliberately
@@ -172,15 +169,21 @@ class RankTrainer {
   /// The program's sync hook. Training runs the configured algorithm: none
   /// for 0c, Alg. 4 at lag 0 for cd-0 and at lag r for cd-r, the output
   /// layer's on train_plan_. Evaluation is exact: lag 0 over the full plan.
-  /// Returns whether layer 0's synced training input has settled.
-  bool sync(int layer, bool training, MatrixView agg) {
+  /// Returns whether layer 0's synced training input has settled, and
+  /// whether every leaf's synced row is its root's total: after a lag-0
+  /// sync and after kCache's layer 0 settles, if the halo travels at fp32.
+  FullBatchSage::SyncStatus sync(int layer, bool training, MatrixView agg) {
+    const bool fp32 = config_.halo_precision == HaloPrecision::kFp32;
     if (!training) {
       exact_sync(layer, plan_, agg, kEvalHalo);
-      return false;
+      return {.clone_exact = fp32};
     }
     if (config_.algorithm == Algorithm::kCd0) exact_sync(layer, plan_for(layer), agg, kTrainHalo);
     if (config_.algorithm == Algorithm::kCdR) lagged_sync(layer, agg);
-    return layer == 0 && epoch_ >= settle_epoch_;
+    const bool settled = layer == 0 && epoch_ >= settle_epoch_;
+    return {.settled = settled,
+            .clone_exact = fp32 && (config_.algorithm == Algorithm::kCd0 ||
+                                    (config_.algorithm == Algorithm::kCdR && settled))};
   }
 
   /// The first epoch whose synced layer-0 training input every later epoch
@@ -212,18 +215,20 @@ class RankTrainer {
     if (layer != last_layer()) move(layer, plan, kToLeaf, agg, purpose);
   }
 
-  /// The program's backward sync: the two moves at lag 0, transposed, in
-  /// cd-0 and cd-r alike. Lag 0 is the one lag under which cd-0's gradient
-  /// is the single socket's. 0c has none: by definition it exchanges
-  /// nothing, and every clone runs its backward.
-  FullBatchSage::BackwardSync backward_sync() {
+  /// The program's cut sync: the two moves at lag 0, in cd-0 and cd-r
+  /// alike. Root->leaf sets a clone-exact layer's activations in the
+  /// forward; transposed, the moves are the backward's exchange. Lag 0 is
+  /// the one lag under which cd-0's gradient is the single socket's. 0c has
+  /// none: by definition it exchanges nothing, and every clone runs its
+  /// forward and backward.
+  FullBatchSage::CutSync cut_sync() {
     if (config_.algorithm == Algorithm::k0c) return {};
     return {.owned = lp_.owns_label,
             .reduce = [this](int layer, MatrixView dH) {
-              move(layer, plan_for(layer), kToRoot, dH, kGradHalo);
+              move(layer, plan_for(layer), kToRoot, dH, kCutHalo);
             },
-            .broadcast = [this](int layer, MatrixView dscaled) {
-              move(layer, plan_for(layer), kToLeaf, dscaled, kGradHalo);
+            .broadcast = [this](int layer, MatrixView m) {
+              move(layer, plan_for(layer), kToLeaf, m, kCutHalo);
             }};
   }
 
@@ -242,7 +247,7 @@ class RankTrainer {
       send_move(plan, bin, dir, m, tag);
       for_each_peer([&](part_t p) {
         const std::vector<vid_t>& rows = landing_rows(plan.peer(bin, p), dir);
-        scatter_rows(m, rows, recv_halo(p, tag, rows.size() * m.cols), dir == kToRoot);
+        scatter_payload(m, rows, recv_halo(p, tag, rows.size() * m.cols), dir == kToRoot);
       });
     }
   }
@@ -277,7 +282,7 @@ class RankTrainer {
         for_each_peer([&](part_t p) {
           const std::vector<real_t>& payload = last_payload(layer, b, p, dir);
           if (!payload.empty())
-            scatter_rows(agg, landing_rows(plan.peer(b, p), dir), payload, dir == kToRoot);
+            scatter_payload(agg, landing_rows(plan.peer(b, p), dir), payload, dir == kToRoot);
         });
     }
   }

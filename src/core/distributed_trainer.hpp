@@ -30,6 +30,16 @@
 //
 // Evaluation is exact: Alg. 4 with lag 0 over every bin of the plan.
 //
+// Where every leaf's synced aggregate row is its root's fp32 total — cd-0
+// below the output layer, cd-r kCache's layer 0 once it settles, and
+// evaluation below the output layer — every clone's layer input is its
+// root's. There cd-0 and cd-r run the layer's Linear and ReLU on owned rows
+// only, and one more root->leaf move over every bin of the full plan sets
+// each leaf's activation row (hidden_dim wide) from its root's. With bf16
+// or fp16 halos a leaf holds the decoded payload instead, and every clone
+// runs its Linear, as every clone does in 0c, which moves nothing
+// (core/fullbatch_sage.hpp).
+//
 // The backward runs the two moves transposed, at lag 0 over every bin, in
 // cd-0 and cd-r (0c exchanges nothing): below the output layer each split
 // vertex's partial feature gradient dH is reduced leaf->root, only the root
@@ -68,7 +78,8 @@ struct DistEpochRecord {
   // which is built once.
   double local_agg_seconds = 0.0;
   // RAT incl. pre/post-processing: the forward's halo exchange (layer 0's
-  // until it settles) and the backward's gradient exchange.
+  // until it settles), the clone-exact layers' activation moves and the
+  // backward's gradient exchange.
   double remote_agg_seconds = 0.0;
   // Combine, Linear, loss, GraphSageLayer::backward (ReLU′ and the weight
   // gradients) and the optimizer step.

@@ -6,12 +6,11 @@
 namespace distgnn {
 
 FullBatchSage::FullBatchSage(const FullBatchGraph& graph, const TrainConfig& config,
-                             int num_classes, Clock clock, SyncHook sync,
-                             BackwardSync backward_sync)
+                             int num_classes, Clock clock, SyncHook sync, CutSync cut_sync)
     : config_(config),
       clock_(clock),
       sync_(std::move(sync)),
-      backward_sync_(std::move(backward_sync)),
+      cut_sync_(std::move(cut_sync)),
       features_(graph.features),
       model_(static_cast<int>(graph.features.cols), config.hidden_dim, num_classes,
              config.num_layers, config.seed),
@@ -39,10 +38,10 @@ FullBatchSage::FullBatchSage(const FullBatchGraph& graph, const TrainConfig& con
 
   combined_.resize(static_cast<std::size_t>(config_.num_layers));
   acts_.resize(static_cast<std::size_t>(config_.num_layers));
-  if (!backward_sync_.owned.empty() && (!sync_ || backward_sync_.owned.size() != rows))
+  if (!cut_sync_.owned.empty() && (!sync_ || cut_sync_.owned.size() != rows))
     throw std::invalid_argument("FullBatchSage: owned flags need a sync hook and one flag per row");
   // Without owned flags every row is owned.
-  std::vector<std::uint8_t> flags(backward_sync_.owned.begin(), backward_sync_.owned.end());
+  std::vector<std::uint8_t> flags(cut_sync_.owned.begin(), cut_sync_.owned.end());
   flags.resize(rows, 1);
   const auto index = [](std::span<const std::uint8_t> is_owned, Owned& out) {
     for (std::size_t i = 0; i < is_owned.size(); ++i)
@@ -68,7 +67,7 @@ FullBatchSage::FullBatchSage(const FullBatchGraph& graph, const TrainConfig& con
   input_ap_seconds_ = clock_() - t0;
   if (sync_) return;
   all_rows_.combine(features_, combined_[0].cview(), combined_[0].view());
-  input_settled_ = true;
+  input_status_.settled = true;
 }
 
 double FullBatchSage::lap(double& total, double t0) const {
@@ -95,11 +94,14 @@ void FullBatchSage::forward(bool training, PassTimes& times) {
     const OutputFrontier& rows = training && l == last ? train_rows_ : all_rows_;
     const ConstMatrixView H = l == 0 ? features_ : acts_[li - 1].cview();
     DenseMatrix& combined = combined_[li];
+    GraphSageLayer& layer = model_.layer(l);
     double t0 = clock_();
     // A settled layer 0 runs only its Linear, over the kept combined_[0];
     // with a sync hook evaluation syncs it its own way.
     const bool input_layer = l == 0 && l != last;
-    if (!(input_layer && input_settled_ && (training || !sync_))) {
+    const bool kept = input_layer && input_status_.settled && (training || !sync_);
+    SyncStatus status = kept ? input_status_ : SyncStatus{};
+    if (!kept) {
       if (input_layer) {
         combined = input_agg_;
       } else {
@@ -107,16 +109,32 @@ void FullBatchSage::forward(bool training, PassTimes& times) {
       }
       t0 = lap(times.ap, t0);
       if (sync_) {
-        const bool settled = sync_(l, training, combined.view());
-        if (input_layer && training) input_settled_ = settled;
+        status = sync_(l, training, combined.view());
+        if (input_layer && training) input_status_ = status;
         t0 = lap(times.sync, t0);
       }
-      rows.combine(H, combined.cview(), combined.view(),
-                   training ? owned(l).slot : std::span<const vid_t>{}, owned_combined_[li].view());
     }
-    acts_[li].resize_discard(rows.size(), model_.layer(l).out_dim());
-    model_.layer(l).forward(combined.cview(), acts_[li].view());
-    lap(times.mlp, t0);
+    // A clone-exact layer runs its Linear on the owned rows only and sets
+    // the leaves' rows from their roots' (see the header comment).
+    const bool owned_only =
+        l != last && status.clone_exact && !owned_.slot.empty() && cut_sync_.broadcast;
+    if (!kept)
+      rows.combine(H, combined.cview(), combined.view(),
+                   training || owned_only ? owned(l).slot : std::span<const vid_t>{},
+                   owned_combined_[li].view());
+    DenseMatrix& act = acts_[li];
+    act.resize_discard(rows.size(), layer.out_dim());
+    if (owned_only) {
+      owned_acts_.resize_discard(owned_.rows.size(), layer.out_dim());
+      layer.forward(owned_combined_[li].cview(), owned_acts_.view());
+      scatter_rows(owned_acts_.cview(), owned_.rows, act.view(), /*add=*/false);
+      t0 = lap(times.mlp, t0);
+      cut_sync_.broadcast(l, act.view());
+      lap(times.sync, t0);
+    } else {
+      layer.forward(combined.cview(), act.view());
+      lap(times.mlp, t0);
+    }
   }
 }
 
@@ -143,16 +161,16 @@ double FullBatchSage::train_pass(std::int64_t divisor, PassTimes& times) {
       dscaled = dscaled_.view();
     }
     // The loss's dY is already complete at its rows, which are owned.
-    if (l != last && backward_sync_.reduce) {
-      backward_sync_.reduce(l, d_upper_.view());
+    if (l != last && cut_sync_.reduce) {
+      cut_sync_.reduce(l, d_upper_.view());
       t0 = lap(times.sync, t0);
     }
     const Owned& own = owned(l);
     layer.backward(own.rows, own.slot.empty() ? combined_[li].cview() : owned_combined_[li].cview(),
                    rows.inv_norm(), d_upper_.cview(), dscaled);
     t0 = lap(times.mlp, t0);
-    if (l > 0 && backward_sync_.broadcast) {
-      backward_sync_.broadcast(l, dscaled);
+    if (l > 0 && cut_sync_.broadcast) {
+      cut_sync_.broadcast(l, dscaled);
       t0 = lap(times.sync, t0);
     }
     if (l == 0) break;
@@ -178,7 +196,7 @@ ConstMatrixView FullBatchSage::forward_all() {
   PassTimes unused;
   forward(/*training=*/false, unused);
   // With a sync hook evaluation overwrote combined_[0].
-  if (sync_) input_settled_ = false;
+  if (sync_) input_status_ = {};
   return acts_.back().cview();
 }
 

@@ -2,9 +2,10 @@
 // optimizer step over one graph. SingleSocketTrainer runs it on the whole
 // graph; each rank of train_distributed runs it on its local partition,
 // with a sync hook that completes every layer's partial aggregate through
-// the halo exchange (Alg. 4), and a backward sync that runs that exchange
-// transposed — the distributed trainer is the single-socket one plus remote
-// partial aggregation.
+// the halo exchange (Alg. 4), and the cut's own moves: the root->leaf set
+// of a clone-exact layer's activations and the exchange transposed — the
+// distributed trainer is the single-socket one plus remote partial
+// aggregation.
 //
 // A pass, layer by layer:  AP → sync hook (if any) → combine → Linear,
 // then the softmax loss, then backward layer by layer, top down, on the
@@ -18,16 +19,32 @@
 //     each edge on exactly one rank;
 //   transpose AP, then add_self on the owned rows (dH = dscaled + Aᵀ·dscaled).
 // A vertex cut gives each split vertex one owned clone (its root) and leaf
-// clones. The single socket, and a rank without a backward sync (0c), own
+// clones. The single socket, and a rank without a cut sync (0c), own
 // every row: the same backward then runs on all of them and reads the
 // forward's combined input in place.
+//
+// Dense work once per vertex, forward half. A layer below the output is
+// clone-exact when its hook reports every leaf's synced aggregate row
+// bitwise its root's: the exchange set it from the root's fp32 total (cd-0,
+// evaluation's exact sync, and cd-r kCache's layer 0 from the pass that
+// settles it; never with bf16/fp16 halos, whose leaves hold the decoded
+// payload), at this layer and every layer below. Then every clone's
+// combined row is bitwise its root's (the self path reads the vertex's own
+// features, or activations the layer below made its root's, and its global
+// degree), and so is its Linear row. On a clone-exact layer a program with
+// leaves runs Linear and ReLU on its owned rows only, from the compact
+// owned combined input, places them in the layer's activations, and sets
+// every leaf's row from its root's with the cut's one root->leaf move,
+// `broadcast`. Every other layer — 0c, cd-r kLiteral, cd-r before it
+// settles, low-precision halos, the output layer — runs every clone's row.
 //
 // Layer 0's aggregate of the constant input features is built once, at
 // construction. Without a sync hook it is combined once too, and each pass
 // layer 0 runs only its Linear. With one, a training pass restores the
 // local partial, syncs and combines it until the hook reports the synced
-// input settled: from then on training keeps that combined input, as
-// without a hook, until an evaluation pass overwrites it.
+// input settled: from then on training keeps that combined input, and
+// whether it is clone-exact, as without a hook, until an evaluation pass
+// overwrites it.
 //
 // Training runs the output layer, its loss and its backward only on the
 // training frontier (core/output_frontier.hpp); every other layer, and the
@@ -63,7 +80,7 @@ struct FullBatchGraph {
 /// Seconds spent per phase, on the program's clock.
 struct PassTimes {
   double ap = 0.0;           // forward AP, and the restore of layer 0's unsettled partial
-  double sync = 0.0;         // the sync hook and the backward sync
+  double sync = 0.0;         // the sync hook and the cut's moves
   double backward_ap = 0.0;  // transpose AP + add_self
   double mlp = 0.0;          // combine, Linear, loss, GraphSageLayer::backward, step
 };
@@ -73,33 +90,43 @@ class FullBatchSage {
   /// Seconds on some monotone clock: wall for one socket, thread CPU for a
   /// rank (see thread_cpu_seconds).
   using Clock = double (*)();
+  /// What a sync hook reports about the aggregate it completed. `settled`
+  /// counts only for layer 0 below the output layer in training: the
+  /// aggregate is what every later training pass's hook would produce, and
+  /// training passes skip layer 0's restore, hook and combine until the
+  /// next forward_all(). `clone_exact` counts below the output layer: every
+  /// leaf's row of the aggregate is bitwise its root's, and was at every
+  /// layer below in this pass, so the layer runs its Linear on the owned
+  /// rows only (see the header comment).
+  struct SyncStatus {
+    bool settled = false;
+    bool clone_exact = false;
+  };
   /// Completes layer `layer`'s aggregate `agg` in place, between the AP and
   /// the combine. `training` is false in forward_all(). In training, the
   /// output layer's `agg` has the training frontier's rows.
-  /// Returns whether `agg` is settled: what every later training pass's
-  /// hook would produce. The value counts only for layer 0 below the
-  /// output layer in training; once it is true, training passes skip layer
-  /// 0's restore, hook and combine until the next forward_all().
-  using SyncHook = std::function<bool(int layer, bool training, MatrixView agg)>;
-  /// The sync hook transposed, for training on a vertex cut. Each exchange
-  /// completes before it returns.
-  struct BackwardSync {
-    /// One flag per graph row: the rows whose backward this program runs
-    /// (every clone of an unsplit vertex, the root of a split one). Read at
-    /// construction only; empty = every row.
+  using SyncHook = std::function<SyncStatus(int layer, bool training, MatrixView agg)>;
+  /// The vertex cut's own moves, at lag 0. Each completes before it
+  /// returns.
+  struct CutSync {
+    /// One flag per graph row: the rows whose backward, and whose Linear on
+    /// a clone-exact layer, this program runs (every clone of an unsplit
+    /// vertex, the root of a split one). Read at construction only; empty =
+    /// every row.
     std::span<const std::uint8_t> owned;
     /// Adds each leaf's row of `dH`, layer `layer`'s full-height output
     /// gradient, into its root's row. Runs below the output layer.
     std::function<void(int layer, MatrixView dH)> reduce;
-    /// Sets each leaf's row of `dscaled`, layer `layer`'s scaled input
-    /// gradient, to its root's; the output layer's has the training
-    /// frontier's rows. Runs above layer 0.
-    std::function<void(int layer, MatrixView dscaled)> broadcast;
+    /// Sets each leaf's row of `m` to its root's: layer `layer`'s
+    /// activations on a clone-exact layer, in the forward, and its scaled
+    /// input gradient dscaled above layer 0, in the backward (the output
+    /// layer's has the training frontier's rows).
+    std::function<void(int layer, MatrixView m)> broadcast;
   };
 
   /// Owned flags need a sync hook. Without them every row is owned.
   FullBatchSage(const FullBatchGraph& graph, const TrainConfig& config, int num_classes,
-                Clock clock, SyncHook sync = {}, BackwardSync backward_sync = {});
+                Clock clock, SyncHook sync = {}, CutSync cut_sync = {});
   // The frontiers refer to the program's own blocks.
   FullBatchSage(const FullBatchSage&) = delete;
   FullBatchSage& operator=(const FullBatchSage&) = delete;
@@ -143,7 +170,7 @@ class FullBatchSage {
   TrainConfig config_;
   Clock clock_;
   SyncHook sync_;
-  BackwardSync backward_sync_;
+  CutSync cut_sync_;
   ConstMatrixView features_;
   SageModel model_;
   SoftmaxCrossEntropy loss_;
@@ -166,20 +193,23 @@ class FullBatchSage {
   // place of its (synced) aggregate; the output layer's has the pass's
   // frontier rows. Without a sync hook combined_[0] is built once, at
   // construction; with one, input_agg_ keeps layer 0's local partial.
-  // While input_settled_, combined_[0] (and owned_combined_[0]) hold the
-  // next training pass's layer-0 input: always without a hook, and with
-  // one from the training pass whose hook reported it settled until the
-  // next forward_all(), whose own sync overwrites it.
+  // While input_status_.settled, combined_[0] (and owned_combined_[0]) hold
+  // the next training pass's layer-0 input, with the status its hook
+  // reported: always without a hook, and with one from the training pass
+  // whose hook reported it settled until the next forward_all(), whose own
+  // sync overwrites it.
   // acts_[l] is layer l's output; layer 0 reads features_.
   // Where layer l's training frontier has unowned rows, owned_combined_[l]
-  // is combined_[l] at its owned rows, written by the combine: the only
-  // rows of it the backward reads. Elsewhere it is empty, and the backward
-  // reads combined_[l].
+  // is combined_[l] at its owned rows, written by the combine in training
+  // and on a clone-exact layer: the Linear input of a clone-exact layer and
+  // the only rows the backward reads. Elsewhere it is empty, and both read
+  // combined_[l]. owned_acts_ is a clone-exact layer's Linear output.
   std::vector<DenseMatrix> combined_;
   std::vector<DenseMatrix> owned_combined_;
   std::vector<DenseMatrix> acts_;
+  DenseMatrix owned_acts_;
   DenseMatrix input_agg_;
-  bool input_settled_ = false;
+  SyncStatus input_status_;
   DenseMatrix d_upper_, dscaled_, dH_;
 };
 

@@ -28,6 +28,7 @@ void GraphSageLayer::combine(ConstMatrixView H, ConstMatrixView agg, ConstMatrix
 void GraphSageLayer::forward(ConstMatrixView combined, MatrixView Y) {
   if (combined.cols != in_dim())
     throw std::invalid_argument("GraphSageLayer: combined width must be in_dim");
+  forward_rows_ = combined.rows;
   if (apply_relu_) {
     z_.resize_discard(combined.rows, linear_.out_dim());
     linear_.forward(combined, z_.view());
@@ -40,7 +41,8 @@ void GraphSageLayer::forward(ConstMatrixView combined, MatrixView Y) {
 void GraphSageLayer::backward(std::span<const vid_t> rows, ConstMatrixView x,
                               ConstMatrixView inv_norm, ConstMatrixView dY, MatrixView dscaled) {
   if (x.rows != rows.size() || x.cols != in_dim() || inv_norm.rows != dY.rows ||
-      inv_norm.cols != 1 || (!dscaled.empty() && (dscaled.rows != dY.rows || dscaled.cols != x.cols)))
+      inv_norm.cols != 1 || (forward_rows_ != rows.size() && forward_rows_ != dY.rows) ||
+      (!dscaled.empty() && (dscaled.rows != dY.rows || dscaled.cols != x.cols)))
     throw std::invalid_argument("GraphSageLayer::backward: shape mismatch");
   const std::size_t n = rows.size(), d = x.cols, m = dY.cols;
   // Over every row, a layer without ReLU reads dY in place, and d(combined)

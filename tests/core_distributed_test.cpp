@@ -45,6 +45,103 @@ PartitionedGraph partitioned(const Dataset& ds, part_t parts) {
   return build_partitions(ds.graph.coo(), partition_libra(ds.graph.coo(), parts), 5);
 }
 
+// The output frontier of a rank: every local clone of a training vertex,
+// as compact ids (-1 off the frontier) and as the ascending local rows.
+struct TrainClones {
+  std::vector<vid_t> compact;
+  std::vector<vid_t> rows;
+};
+
+TrainClones train_clones(const LocalPartition& lp, const std::vector<std::uint8_t>& train_mask) {
+  TrainClones out;
+  out.compact.assign(static_cast<std::size_t>(lp.num_vertices), -1);
+  for (vid_t v = 0; v < lp.num_vertices; ++v) {
+    if (!train_mask[static_cast<std::size_t>(lp.global_ids[static_cast<std::size_t>(v)])]) continue;
+    out.compact[static_cast<std::size_t>(v)] = static_cast<vid_t>(out.rows.size());
+    out.rows.push_back(v);
+  }
+  return out;
+}
+
+// The halo bytes a cd-0 or cd-r run sends, counted from the plans. A
+// payload of v values takes 4v bytes in fp32 and 4 * ceil(v / 2) in bf16 and
+// fp16 (two values per packed word), with no header. Training's forward, per
+// epoch: cd-0 runs both moves below the output layer over the full plan,
+// layer 0's at epoch 0 only (its input then settles), and the output layer
+// leaf->root over the training-tree plan; cd-r sends bin e mod r's
+// leaf->root move from epoch 0 and its root->leaf move from epoch r, each
+// only if it lands r epochs later before its layer's last receive: the
+// run's end, or, for kCache's layer 0 below the output, the epoch after it
+// settles at 3r - 1. A clone-exact layer below the output (every cd-0 layer,
+// and kCache's layer 0 from the epoch it settles) then sets its leaves'
+// activations root->leaf over every bin of the full plan, hidden_dim wide,
+// with fp32 halos only. The backward reduces each layer below the output's
+// gradient leaf->root and broadcasts each layer above 0's root->leaf, every
+// epoch over every bin of the plan its forward used, both hidden_dim wide.
+// The closing evaluation runs the full plan over every bin, again with no
+// root->leaf move at the output layer, and, with fp32 halos, the activation
+// move below the output layer.
+struct PlannedHaloBytes {
+  std::uint64_t exchange = 0;     // the halo exchange, forward and backward
+  std::uint64_t activations = 0;  // the clone-exact layers' activation moves
+  std::uint64_t total() const { return exchange + activations; }
+};
+
+PlannedHaloBytes planned_halo_bytes(const Dataset& ds, const PartitionedGraph& pg,
+                                    const TrainConfig& cfg) {
+  const bool cdr = cfg.algorithm == Algorithm::kCdR;
+  const bool fp32 = cfg.halo_precision == HaloPrecision::kFp32;
+  const int bins = cdr ? cfg.delay : 1, r = cfg.delay, last = cfg.num_layers - 1;
+  const std::vector<HaloPlan> plans = build_halo_plans(pg, bins);
+  const auto hidden = static_cast<std::uint64_t>(cfg.hidden_dim);
+  // The bytes this rank sends in one move of `bin`, `width` values per row:
+  // its leaves to roots, its roots to leaves.
+  const auto sent = [&](const HaloPlan& plan, int bin, bool to_root, std::uint64_t width) {
+    std::uint64_t bytes = 0;
+    for (part_t q = 0; q < pg.num_parts; ++q) {
+      const std::uint64_t values =
+          (to_root ? plan.peer(bin, q).leaf : plan.peer(bin, q).root).size() * width;
+      bytes += sizeof(real_t) * (fp32 ? values : (values + 1) / 2);
+    }
+    return bytes;
+  };
+  PlannedHaloBytes planned;
+  std::uint64_t& bytes = planned.exchange;
+  for (const LocalPartition& lp : pg.parts) {
+    const HaloPlan& full = plans[static_cast<std::size_t>(lp.id)];
+    const HaloPlan out = restrict_halo_plan(full, train_clones(lp, ds.train_mask).compact);
+    for (int l = 0; l <= last; ++l) {
+      const HaloPlan& train = l == last ? out : full;
+      const auto width = static_cast<std::uint64_t>(l == 0 ? ds.feature_dim() : cfg.hidden_dim);
+      const bool cache = !cdr || cfg.staleness == StalenessPolicy::kCache;
+      const bool settles = l == 0 && l != last && cache;
+      const int end = settles ? std::min(cdr ? 3 * r : 1, cfg.epochs) : cfg.epochs;
+      for (int e = 0; e < cfg.epochs; ++e) {
+        if (cfg.algorithm == Algorithm::kCd0 && e < end) {
+          bytes += sent(train, 0, true, width);
+          if (l != last) bytes += sent(train, 0, false, width);
+        }
+        if (cdr) {
+          if (e + r < end) bytes += sent(train, e % r, true, width);
+          if (l != last && e >= r && e + r < end) bytes += sent(train, e % r, false, width);
+        }
+        const bool clone_exact = fp32 && l != last && (!cdr || (settles && e >= 3 * r - 1));
+        for (int b = 0; b < bins; ++b) {
+          if (clone_exact) planned.activations += sent(full, b, false, hidden);
+          if (l != last) bytes += sent(train, b, true, hidden);
+          if (l > 0) bytes += sent(train, b, false, hidden);
+        }
+      }
+      for (int b = 0; b < bins; ++b) {
+        bytes += sent(full, b, true, width);
+        if (l != last) bytes += sent(full, b, false, width);
+        if (fp32 && l != last) planned.activations += sent(full, b, false, hidden);
+      }
+    }
+  }
+  return planned;
+}
+
 TEST(Distributed, Cd0MatchesSingleSocket) {
   // cd-0 synchronizes complete neighbourhoods in the forward and reduces
   // and broadcasts the split vertices' feature gradients in the backward,
@@ -223,12 +320,15 @@ TEST(Distributed, Bf16HalvesHaloBytes) {
   const PartitionedGraph pg = partitioned(ds, 4);
   TrainConfig cfg = dist_config(Algorithm::kCd0, 4);
   const auto fp32 = train_distributed(ds, pg, cfg);
+  // fp32 also sends the clone-exact layers' activation moves, which a bf16
+  // run does not make (OutputHaloPlan.LowPrecisionHalosSendNoActivationMove):
+  // the moves both runs make are the rest of fp32's bytes.
+  const double both = static_cast<double>(fp32.total_bytes_sent) -
+                      static_cast<double>(planned_halo_bytes(ds, pg, cfg).activations);
   cfg.halo_precision = HaloPrecision::kBf16;
   const auto bf16 = train_distributed(ds, pg, cfg);
   // Halo traffic halves; the (fp32) gradient allreduce is unchanged.
-  EXPECT_NEAR(static_cast<double>(bf16.total_bytes_sent),
-              0.5 * static_cast<double>(fp32.total_bytes_sent),
-              0.1 * static_cast<double>(fp32.total_bytes_sent));
+  EXPECT_NEAR(static_cast<double>(bf16.total_bytes_sent), 0.5 * both, 0.1 * both);
   EXPECT_EQ(bf16.allreduce_bytes, fp32.allreduce_bytes);
 }
 
@@ -350,24 +450,6 @@ TEST(Distributed, CdrCacheWithFrozenWeightsIsCd0OnceEveryBinHasMatured) {
   }
 }
 
-// The output frontier of a rank: every local clone of a training vertex,
-// as compact ids (-1 off the frontier) and as the ascending local rows.
-struct TrainClones {
-  std::vector<vid_t> compact;
-  std::vector<vid_t> rows;
-};
-
-TrainClones train_clones(const LocalPartition& lp, const std::vector<std::uint8_t>& train_mask) {
-  TrainClones out;
-  out.compact.assign(static_cast<std::size_t>(lp.num_vertices), -1);
-  for (vid_t v = 0; v < lp.num_vertices; ++v) {
-    if (!train_mask[static_cast<std::size_t>(lp.global_ids[static_cast<std::size_t>(v)])]) continue;
-    out.compact[static_cast<std::size_t>(v)] = static_cast<vid_t>(out.rows.size());
-    out.rows.push_back(v);
-  }
-  return out;
-}
-
 TEST(OutputHaloPlan, IsThePlanRestrictedToTrainingTreesOnBothEnds) {
   const Dataset ds = learnable(1024, 55);
   const PartitionedGraph pg = partitioned(ds, 4);
@@ -423,67 +505,6 @@ TEST(OutputHaloPlan, IsThePlanRestrictedToTrainingTreesOnBothEnds) {
   }
 }
 
-// The halo bytes a cd-0 or cd-r run sends, counted from the plans (fp32
-// payloads are 4 bytes per value with no header). Training's forward, per
-// epoch: cd-0 runs both moves below the output layer over the full plan,
-// layer 0's at epoch 0 only (its input then settles), and the output layer
-// leaf->root over the training-tree plan; cd-r sends bin e mod r's
-// leaf->root move from epoch 0 and its root->leaf move from epoch r, each
-// only if it lands r epochs later before its layer's last receive: the
-// run's end, or, for kCache's layer 0 below the output, the epoch after it
-// settles at 3r - 1. The backward reduces each layer below the output's
-// gradient leaf->root and broadcasts each layer above 0's root->leaf, every
-// epoch over every bin of the plan its forward used, both hidden_dim wide.
-// The closing evaluation runs the full plan over every bin, again with no
-// root->leaf move at the output layer.
-std::uint64_t planned_halo_bytes(const Dataset& ds, const PartitionedGraph& pg,
-                                 const TrainConfig& cfg) {
-  const bool cdr = cfg.algorithm == Algorithm::kCdR;
-  const int bins = cdr ? cfg.delay : 1, r = cfg.delay, last = cfg.num_layers - 1;
-  const std::vector<HaloPlan> plans = build_halo_plans(pg, bins);
-  const std::uint64_t grad_width = sizeof(real_t) * cfg.hidden_dim;
-  // The rows this rank sends in one move of `bin`: its leaves to roots, its
-  // roots to leaves.
-  const auto rows = [&](const HaloPlan& plan, int bin, bool to_root) {
-    std::uint64_t count = 0;
-    for (part_t q = 0; q < pg.num_parts; ++q)
-      count += (to_root ? plan.peer(bin, q).leaf : plan.peer(bin, q).root).size();
-    return count;
-  };
-  std::uint64_t bytes = 0;
-  for (const LocalPartition& lp : pg.parts) {
-    const HaloPlan& full = plans[static_cast<std::size_t>(lp.id)];
-    const HaloPlan out = restrict_halo_plan(full, train_clones(lp, ds.train_mask).compact);
-    for (int l = 0; l <= last; ++l) {
-      const HaloPlan& train = l == last ? out : full;
-      const std::uint64_t width =
-          sizeof(real_t) * static_cast<std::uint64_t>(l == 0 ? ds.feature_dim() : cfg.hidden_dim);
-      const bool settles = l == 0 && l != last &&
-                           (!cdr || cfg.staleness == StalenessPolicy::kCache);
-      const int end = settles ? std::min(cdr ? 3 * r : 1, cfg.epochs) : cfg.epochs;
-      for (int e = 0; e < cfg.epochs; ++e) {
-        if (cfg.algorithm == Algorithm::kCd0 && e < end) {
-          bytes += rows(train, 0, true) * width;
-          if (l != last) bytes += rows(train, 0, false) * width;
-        }
-        if (cdr) {
-          if (e + r < end) bytes += rows(train, e % r, true) * width;
-          if (l != last && e >= r && e + r < end) bytes += rows(train, e % r, false) * width;
-        }
-        for (int b = 0; b < bins; ++b) {
-          if (l != last) bytes += rows(train, b, true) * grad_width;
-          if (l > 0) bytes += rows(train, b, false) * grad_width;
-        }
-      }
-      for (int b = 0; b < bins; ++b) {
-        bytes += rows(full, b, true) * width;
-        if (l != last) bytes += rows(full, b, false) * width;
-      }
-    }
-  }
-  return bytes;
-}
-
 TEST(OutputHaloPlan, Cd0HaloBytesMatchThePlans) {
   const Dataset ds = learnable(1024, 57);
   const PartitionedGraph pg = partitioned(ds, 4);
@@ -491,7 +512,8 @@ TEST(OutputHaloPlan, Cd0HaloBytesMatchThePlans) {
     TrainConfig cfg = dist_config(Algorithm::kCd0, 5);
     cfg.num_layers = layers;
     const DistTrainResult result = train_distributed(ds, pg, cfg);
-    EXPECT_EQ(result.total_bytes_sent, planned_halo_bytes(ds, pg, cfg)) << layers << " layers";
+    EXPECT_EQ(result.total_bytes_sent, planned_halo_bytes(ds, pg, cfg).total())
+        << layers << " layers";
   }
 }
 
@@ -508,10 +530,29 @@ TEST(OutputHaloPlan, CdrHaloBytesMatchThePlans) {
         cfg.num_layers = layers;
         cfg.staleness = policy;
         const DistTrainResult result = train_distributed(ds, pg, cfg);
-        EXPECT_EQ(result.total_bytes_sent, planned_halo_bytes(ds, pg, cfg))
+        EXPECT_EQ(result.total_bytes_sent, planned_halo_bytes(ds, pg, cfg).total())
             << (policy == StalenessPolicy::kCache ? "kCache, " : "kLiteral, ") << layers
             << " layers, " << epochs << " epochs";
       }
+}
+
+TEST(OutputHaloPlan, LowPrecisionHalosSendNoActivationMove) {
+  // A bf16 or fp16 leaf holds the decoded root->leaf payload, not its root's
+  // fp32 total, so no layer is clone-exact: every clone runs its Linear, and
+  // the run sends the exchange alone, at two bytes per value. Twelve cd-r
+  // epochs run past kCache's layer 0 settling at 3r - 1 = 8.
+  const Dataset ds = learnable(1024, 57);
+  const PartitionedGraph pg = partitioned(ds, 4);
+  for (const HaloPrecision precision : {HaloPrecision::kBf16, HaloPrecision::kFp16})
+    for (const Algorithm alg : {Algorithm::kCd0, Algorithm::kCdR}) {
+      TrainConfig cfg = dist_config(alg, 12);
+      cfg.num_layers = 3;
+      cfg.halo_precision = precision;
+      const PlannedHaloBytes planned = planned_halo_bytes(ds, pg, cfg);
+      ASSERT_EQ(planned.activations, 0u);
+      EXPECT_EQ(train_distributed(ds, pg, cfg).total_bytes_sent, planned.exchange)
+          << to_string(precision) << (alg == Algorithm::kCd0 ? ", cd-0" : ", cd-r");
+    }
 }
 
 TEST(Distributed, SplitVerticesOnlyMaskTrainsWithFiniteLosses) {

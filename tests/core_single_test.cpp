@@ -295,20 +295,20 @@ SettleRun run_with_hook(const Dataset& ds, bool cut, bool settle, bool evaluate)
   const auto hook = [&](int layer, bool training, MatrixView agg) {
     if (!training) {
       ++run.eval_calls;
-      return settle;
+      return FullBatchSage::SyncStatus{.settled = settle};
     }
     ++run.training_calls[static_cast<std::size_t>(layer)];
     if (layer == 0)
       for (std::size_t i = 0; i < agg.rows; ++i)
         for (std::size_t j = 0; j < agg.cols; ++j) agg.row(i)[j] += bump[j];
-    return settle;
+    return FullBatchSage::SyncStatus{.settled = settle};
   };
   // On a cut of one rank every row is owned and nothing moves.
   const std::vector<std::uint8_t> owned(n, 1);
-  FullBatchSage::BackwardSync backward_sync;
-  if (cut) backward_sync = {.owned = owned,
-                            .reduce = [](int, MatrixView) {},
-                            .broadcast = [](int, MatrixView) {}};
+  FullBatchSage::CutSync cut_sync;
+  if (cut) cut_sync = {.owned = owned,
+                       .reduce = [](int, MatrixView) {},
+                       .broadcast = [](int, MatrixView) {}};
   FullBatchSage pass({.in_csr = ds.graph.in_csr(),
                       .out_csr = ds.graph.out_csr(),
                       .in_degree = in_degree,
@@ -316,7 +316,7 @@ SettleRun run_with_hook(const Dataset& ds, bool cut, bool settle, bool evaluate)
                       .labels = ds.labels,
                       .output_rows = ds.train_mask,
                       .loss_rows = ds.train_mask},
-                     cfg, ds.num_classes, [] { return 0.0; }, hook, backward_sync);
+                     cfg, ds.num_classes, [] { return 0.0; }, hook, cut_sync);
   // The loss is an OpenMP reduction, whose partial sums add in any order
   // past two threads; two keep it bitwise.
   const int saved = par::max_threads();
@@ -363,6 +363,177 @@ TEST(FullBatchSage, SettledInputSurvivesEvaluation) {
     EXPECT_EQ(plain.eval_calls, 0);
     EXPECT_EQ(evaluated.eval_calls, 9);
   }
+}
+
+// A vertex cut inside one program. Every fifth vertex v is split: a leaf
+// clone, row n + k, takes every other in-edge of v and every third
+// out-edge, and v, its root, keeps the rest. The leaf has v's features,
+// label and global in-degree; it is on the training frontier where v is,
+// reads no loss and is not owned. The sync hook is Alg. 4 at lag 0: each
+// root adds its leaf's partial, and each leaf's row is set to its root's
+// total (at the output layer too, so that a leaf's logits are its root's
+// exactly when the layer below gave it its root's activations). It
+// reports layer 0 settled, and every layer clone-exact or none. The cut
+// sync moves rows the same way, in-process.
+struct CutRun {
+  std::vector<double> losses;
+  std::vector<std::vector<real_t>> params;
+  std::vector<real_t> logits;               // the last evaluation's
+  std::vector<std::size_t> forward_rows;    // per layer, after the last training pass
+  int forward_broadcasts = 0;               // activation moves, over every pass
+  std::size_t rows = 0, owned = 0;
+  std::vector<std::pair<vid_t, vid_t>> trees;  // (root, leaf)
+};
+
+CutRun run_on_cut(const Dataset& ds, bool clone_exact) {
+  TrainConfig cfg = small_config();
+  cfg.num_layers = 3;
+  cfg.momentum = 0.9;
+  const int last = cfg.num_layers - 1;
+  const auto n = static_cast<std::size_t>(ds.num_vertices());
+  CutRun run;
+  std::vector<vid_t> leaf_of(n, -1);
+  for (std::size_t v = 0; v < n; v += 5) {
+    leaf_of[v] = static_cast<vid_t>(n + run.trees.size());
+    run.trees.emplace_back(static_cast<vid_t>(v), leaf_of[v]);
+  }
+  const std::size_t rows = n + run.trees.size();
+  run.rows = rows;
+  run.owned = n;
+  EdgeList edges;
+  edges.num_vertices = static_cast<vid_t>(rows);
+  const EdgeList& coo = ds.graph.coo();
+  for (std::size_t i = 0; i < coo.edges.size(); ++i) {
+    const auto [src, dst] = coo.edges[i];
+    const vid_t leaf_src = leaf_of[static_cast<std::size_t>(src)];
+    const vid_t leaf_dst = leaf_of[static_cast<std::size_t>(dst)];
+    edges.add(leaf_src >= 0 && i % 3 == 1 ? leaf_src : src,
+              leaf_dst >= 0 && i % 2 == 1 ? leaf_dst : dst);
+  }
+  const CsrMatrix in_csr = CsrMatrix::from_coo(edges);
+  const CsrMatrix out_csr = CsrMatrix::transpose_from_coo(edges);
+  std::vector<eid_t> in_degree(rows);
+  DenseMatrix features(rows, static_cast<std::size_t>(ds.feature_dim()));
+  std::vector<int> labels(rows);
+  std::vector<std::uint8_t> output_rows(rows), loss_rows(rows), owned(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto v = static_cast<std::size_t>(r < n ? static_cast<vid_t>(r) : run.trees[r - n].first);
+    in_degree[r] = ds.graph.in_csr().degree(static_cast<vid_t>(v));
+    std::memcpy(features.row(r), ds.features.row(v), features.cols() * sizeof(real_t));
+    labels[r] = ds.labels[v];
+    output_rows[r] = ds.train_mask[v];
+    loss_rows[r] = r < n ? ds.train_mask[v] : 0;
+    owned[r] = r < n ? 1 : 0;
+  }
+  // The training output layer's rows are the frontier's compact ids.
+  std::vector<vid_t> compact(rows, -1);
+  vid_t next = 0;
+  for (std::size_t r = 0; r < rows; ++r)
+    if (output_rows[r]) compact[r] = next++;
+  const auto id = [&](bool frontier, vid_t r) {
+    return static_cast<std::size_t>(frontier ? compact[static_cast<std::size_t>(r)] : r);
+  };
+  const auto to_root = [&](bool frontier, MatrixView m) {
+    for (const auto& [root, leaf] : run.trees) {
+      if (frontier && compact[static_cast<std::size_t>(root)] < 0) continue;
+      real_t* dst = m.row(id(frontier, root));
+      const real_t* src = m.row(id(frontier, leaf));
+      for (std::size_t j = 0; j < m.cols; ++j) dst[j] += src[j];
+    }
+  };
+  const auto to_leaf = [&](bool frontier, MatrixView m) {
+    for (const auto& [root, leaf] : run.trees) {
+      if (frontier && compact[static_cast<std::size_t>(root)] < 0) continue;
+      std::memcpy(m.row(id(frontier, leaf)), m.row(id(frontier, root)), m.cols * sizeof(real_t));
+    }
+  };
+  // Set at the start of each pass; the backward's first move is the output
+  // layer's dscaled.
+  bool in_forward = false;
+  const auto hook = [&](int layer, bool training, MatrixView agg) {
+    const bool frontier = training && layer == last;
+    to_root(frontier, agg);
+    to_leaf(frontier, agg);
+    return FullBatchSage::SyncStatus{.settled = layer == 0, .clone_exact = clone_exact};
+  };
+  FullBatchSage::CutSync cut_sync{
+      .owned = owned,
+      .reduce = [&](int, MatrixView dH) { to_root(false, dH); },
+      .broadcast = [&](int layer, MatrixView m) {
+        if (layer == last) in_forward = false;
+        if (in_forward) ++run.forward_broadcasts;
+        to_leaf(layer == last, m);
+      }};
+  FullBatchSage pass({.in_csr = in_csr,
+                      .out_csr = out_csr,
+                      .in_degree = in_degree,
+                      .features = features.cview(),
+                      .labels = labels,
+                      .output_rows = output_rows,
+                      .loss_rows = loss_rows},
+                     cfg, ds.num_classes, [] { return 0.0; }, hook, cut_sync);
+  // Two threads keep the loss reduction bitwise (see run_with_hook).
+  const int saved = par::max_threads();
+  par::set_num_threads(2);
+  for (int e = 0; e < 4; ++e) {
+    PassTimes times;
+    in_forward = true;
+    run.losses.push_back(pass.train_pass(0, times));
+    pass.step(times);
+    if (e != 1) continue;
+    in_forward = true;
+    pass.forward_all();
+  }
+  for (int l = 0; l < cfg.num_layers; ++l)
+    run.forward_rows.push_back(pass.model().layer(l).forward_rows());
+  in_forward = true;
+  const ConstMatrixView logits = pass.forward_all();
+  run.logits.assign(logits.data, logits.data + logits.rows * logits.cols);
+  par::set_num_threads(saved);
+  for (const ParamRef& p : pass.model().params())
+    run.params.emplace_back(p.value, p.value + p.size);
+  return run;
+}
+
+TEST(FullBatchSage, CloneExactLayersRunTheLinearOnOwnedRowsOnly) {
+  const Dataset ds = learnable(256, 4, 0.8f, 29);
+  const CutRun every = run_on_cut(ds, /*clone_exact=*/false);
+  const CutRun owned = run_on_cut(ds, /*clone_exact=*/true);
+  ASSERT_GT(owned.rows, owned.owned);
+  // The Linear of each layer below the output ran on the owned rows only;
+  // without the report, on every clone. The output layer runs on the
+  // training frontier either way.
+  for (std::size_t l = 0; l + 1 < owned.forward_rows.size(); ++l) {
+    EXPECT_EQ(owned.forward_rows[l], owned.owned) << "layer " << l;
+    EXPECT_EQ(every.forward_rows[l], every.rows) << "layer " << l;
+  }
+  EXPECT_EQ(owned.forward_rows.back(), every.forward_rows.back());
+  // One activation move per layer below the output and pass: four training
+  // passes (layer 0 kept from the second on, and again after the
+  // evaluation) and two evaluations, two layers each.
+  EXPECT_EQ(owned.forward_broadcasts, 12);
+  EXPECT_EQ(every.forward_broadcasts, 0);
+  // The leaves received bitwise what their own Linear computes.
+  EXPECT_EQ(owned.losses, every.losses);
+  ASSERT_EQ(owned.params.size(), every.params.size());
+  for (std::size_t i = 0; i < every.params.size(); ++i)
+    EXPECT_EQ(std::memcmp(owned.params[i].data(), every.params[i].data(),
+                          every.params[i].size() * sizeof(real_t)),
+              0)
+        << "parameter " << i;
+  EXPECT_EQ(std::memcmp(owned.logits.data(), every.logits.data(),
+                        every.logits.size() * sizeof(real_t)),
+            0);
+  // Every leaf's activations below the output are its root's: with its
+  // root's synced aggregate, its logits row is its root's too.
+  const std::size_t classes = every.logits.size() / every.rows;
+  for (const CutRun* run : {&every, &owned})
+    for (const auto& [root, leaf] : run->trees)
+      EXPECT_EQ(std::memcmp(run->logits.data() + static_cast<std::size_t>(leaf) * classes,
+                            run->logits.data() + static_cast<std::size_t>(root) * classes,
+                            classes * sizeof(real_t)),
+                0)
+          << "leaf " << leaf << " of root " << root;
 }
 
 // ---- Table 7 / 8 work model, validated against the paper's own numbers ----

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <tuple>
@@ -216,6 +217,30 @@ TEST_P(GemmSweep, ColumnSumsAreBitwiseAscendingRows) {
   }
 }
 
+// A row's bits do not depend on where the row sits in the tiles: gemm_bias
+// over m gathered rows of a taller X (every other row, from row 1) is
+// memcmp-equal to those rows of the full product. The full product has
+// 2m + 3 rows, so each gathered row moves to another tile position, and m
+// and n leave remainders of both variants' 4 x 8 and 4 x 16 tiles. A
+// clone-exact layer runs its Linear on its owned rows only and relies on
+// this (core/fullbatch_sage.hpp).
+TEST_P(GemmSweep, GemmBiasOfARowSubsetIsThoseRowsOfTheFullProduct) {
+  const auto [isa, m, k, n] = GetParam();
+  Rng rng(m * 7 + k * 1009 + n * 31);
+  const std::size_t tall = 2 * m + 3;
+  const DenseMatrix X = with_zeros(tall, k, rng);
+  const DenseMatrix W = random_matrix(k, n, rng);
+  const DenseMatrix bias = random_matrix(1, n, rng);
+  DenseMatrix Xs(m, k), full(tall, n), subset(m, n), expect(m, n);
+  for (std::size_t i = 0; i < m; ++i)
+    std::memcpy(Xs.row(i), X.row(2 * i + 1), k * sizeof(real_t));
+  detail::gemm_bias(isa, X.cview(), W.cview(), bias.data(), full.view());
+  detail::gemm_bias(isa, Xs.cview(), W.cview(), bias.data(), subset.view());
+  for (std::size_t i = 0; i < m; ++i)
+    std::memcpy(expect.row(i), full.row(2 * i + 1), n * sizeof(real_t));
+  EXPECT_TRUE(same_bits(subset, expect));
+}
+
 std::string gemm_case_name(const ::testing::TestParamInfo<GemmCase>& info) {
   const auto& [isa, m, k, n] = info.param;
   return std::string(kernels::to_string(isa)) + "_m" + std::to_string(m) + "_k" +
@@ -337,6 +362,64 @@ TEST(Relu, ForwardBackward) {
   EXPECT_FLOAT_EQ(dX.at(0, 0), 0);
   EXPECT_FLOAT_EQ(dX.at(0, 1), 1);
   EXPECT_FLOAT_EQ(dX.at(0, 2), 0);  // x == 0 gives zero gradient
+}
+
+// ReLU′ is applied branch-free; its bits must be the select's, dX = mask ?
+// dY : +0.0, for every dY bit pattern (±0, ±inf, NaN), for all-zero and
+// all-one masks, and at a width that leaves a remainder of every SIMD
+// width. Checked on the every-row path, on a row subset of a full-height
+// forward and on a forward over just the subset's rows.
+TEST(Relu, BackwardIsBitwiseTheMaskSelect) {
+  const std::size_t n = 23, d = 13;
+  const std::vector<vid_t> subset{0, 2, 3, 9, 10, 11, 17, 22};
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  const std::vector<real_t> specials{0.0f, -0.0f, inf, -inf, nan, -nan, 1e-45f, -1e-45f};
+  Rng rng(41);
+  DenseMatrix dY = random_matrix(n, d, rng);
+  for (std::size_t i = 0; i < dY.size(); i += 3) dY.data()[i] = specials[(i / 3) % specials.size()];
+  const auto same_bits = [](const DenseMatrix& a, const DenseMatrix& b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;
+  };
+  enum class Mask { kMixed, kAllZero, kAllOne };
+  for (const Mask kind : {Mask::kMixed, Mask::kAllZero, Mask::kAllOne}) {
+    DenseMatrix X = random_matrix(n, d, rng);
+    for (std::size_t i = 0; i < X.size(); ++i) {
+      real_t& x = X.data()[i];
+      if (kind == Mask::kAllZero) x = i % 5 == 0 ? 0.0f : -std::fabs(x);
+      if (kind == Mask::kAllOne) x = std::fabs(x) + 0.5f;
+      if (kind == Mask::kMixed && i % 7 == 0) x = 0.0f;
+    }
+    // The select, written on the bits: dY's where x > 0, +0.0 elsewhere.
+    DenseMatrix expect(n, d);
+    for (std::size_t i = 0; i < X.size(); ++i)
+      if (X.data()[i] > 0) std::memcpy(&expect.data()[i], &dY.data()[i], sizeof(real_t));
+    DenseMatrix expect_subset(subset.size(), d), X_subset(subset.size(), d);
+    for (std::size_t i = 0; i < subset.size(); ++i) {
+      const auto r = static_cast<std::size_t>(subset[i]);
+      std::memcpy(expect_subset.row(i), expect.row(r), d * sizeof(real_t));
+      std::memcpy(X_subset.row(i), X.row(r), d * sizeof(real_t));
+    }
+    const int k = static_cast<int>(kind);
+
+    Relu relu;
+    DenseMatrix Y(n, d), dX(n, d, 7.0f), dX_rows(n, d, 7.0f), dX_subset(subset.size(), d);
+    relu.forward(X.cview(), Y.view());
+    relu.backward(dY.cview(), dX.view());
+    EXPECT_TRUE(same_bits(dX, expect)) << "every row, mask " << k;
+    std::vector<vid_t> every(n);
+    std::iota(every.begin(), every.end(), vid_t{0});
+    relu.backward_rows(every, dY.cview(), dX_rows.view());
+    EXPECT_TRUE(same_bits(dX_rows, expect)) << "every listed row, mask " << k;
+    relu.backward_rows(subset, dY.cview(), dX_subset.view());
+    EXPECT_TRUE(same_bits(dX_subset, expect_subset)) << "row subset, mask " << k;
+
+    Relu compact;
+    DenseMatrix Y_subset(subset.size(), d), dX_compact(subset.size(), d);
+    compact.forward(X_subset.cview(), Y_subset.view());
+    compact.backward_rows(subset, dY.cview(), dX_compact.view());
+    EXPECT_TRUE(same_bits(dX_compact, expect_subset)) << "forward on the subset, mask " << k;
+  }
 }
 
 TEST(Loss, UniformLogitsGiveLogC) {
@@ -523,13 +606,17 @@ TEST(GraphSageLayer, EmptyDscaledGivesTheSameParameterGradients) {
 TEST(GraphSageLayer, BackwardRowsIsTheBackwardOfAForwardOnJustThoseRows) {
   // A full-height forward followed by a backward over a row subset gives
   // bitwise the gradients of a forward and backward over all of the
-  // subset's compact rows, and writes no other row of dscaled.
+  // subset's compact rows, and writes no other row of dscaled. So does a
+  // forward over just the subset's rows followed by the same backward over
+  // the full-height dY (a clone-exact layer's owned rows): it reads its
+  // pre-activation by position.
   const std::size_t n = 41, in = 19, out = 9;
   const std::vector<vid_t> rows{0, 3, 4, 17, 29, 40};
   for (const bool relu : {true, false}) {
-    Rng init_a(31), init_b(31), rng(32);
+    Rng init_a(31), init_b(31), init_c(31), rng(32);
     GraphSageLayer full(in, out, relu, init_a);
     GraphSageLayer compact(in, out, relu, init_b);
+    GraphSageLayer owned(in, out, relu, init_c);
     const DenseMatrix combined = random_matrix(n, in, rng);
     const DenseMatrix dY = random_matrix(n, out, rng);
     DenseMatrix inv_norm(n, 1);
@@ -543,21 +630,29 @@ TEST(GraphSageLayer, BackwardRowsIsTheBackwardOfAForwardOnJustThoseRows) {
       x_inv.at(i, 0) = inv_norm.at(r, 0);
     }
 
-    DenseMatrix Y(n, out), x_Y(rows.size(), out);
+    DenseMatrix Y(n, out), x_Y(rows.size(), out), owned_Y(rows.size(), out);
     full.forward(combined.cview(), Y.view());
     compact.forward(x.cview(), x_Y.view());
+    owned.forward(x.cview(), owned_Y.view());
+    EXPECT_EQ(full.forward_rows(), n);
+    EXPECT_EQ(owned.forward_rows(), rows.size());
     full.zero_grad();
     compact.zero_grad();
-    DenseMatrix dscaled(n, in, 7.0f), x_dscaled(rows.size(), in);
+    owned.zero_grad();
+    DenseMatrix dscaled(n, in, 7.0f), x_dscaled(rows.size(), in), owned_dscaled(n, in, 7.0f);
     full.backward(rows, x.cview(), inv_norm.cview(), dY.cview(), dscaled.view());
     compact.backward(all_rows(rows.size()), x.cview(), x_inv.cview(), x_dY.cview(),
                      x_dscaled.view());
+    owned.backward(rows, x.cview(), inv_norm.cview(), dY.cview(), owned_dscaled.view());
 
     const auto bits_equal = [](const DenseMatrix& a, const DenseMatrix& b) {
       return std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;
     };
     EXPECT_TRUE(bits_equal(full.linear().weight_grad(), compact.linear().weight_grad())) << relu;
     EXPECT_TRUE(bits_equal(full.linear().bias_grad(), compact.linear().bias_grad())) << relu;
+    EXPECT_TRUE(bits_equal(owned.linear().weight_grad(), compact.linear().weight_grad())) << relu;
+    EXPECT_TRUE(bits_equal(owned.linear().bias_grad(), compact.linear().bias_grad())) << relu;
+    EXPECT_TRUE(bits_equal(owned_dscaled, dscaled)) << relu;
     std::size_t next = 0;
     for (std::size_t v = 0; v < n; ++v) {
       const bool listed = next < rows.size() && static_cast<std::size_t>(rows[next]) == v;

@@ -115,6 +115,32 @@ TEST(DenseMatrix, ResizeDiscardZeroes) {
   for (std::size_t i = 0; i < m.size(); ++i) EXPECT_EQ(m.data()[i], 0.0f);
 }
 
+TEST(DenseMatrix, ScatterRowsSetsOrAddsOnlyTheListedRows) {
+  // More rows than the prefetch runs ahead, with gaps, at a width that
+  // spans several cache lines.
+  const std::size_t n = 101, d = 37;
+  std::vector<vid_t> rows;
+  for (vid_t r = 1; r < static_cast<vid_t>(n); r += 3) rows.push_back(r);
+  DenseMatrix src(rows.size(), d);
+  for (std::size_t i = 0; i < src.size(); ++i) src.data()[i] = static_cast<real_t>(i) * 0.5f;
+  for (const bool add : {false, true}) {
+    DenseMatrix dst(n, d, 2.0f);
+    scatter_rows(src.cview(), rows, dst.view(), add);
+    std::size_t next = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+      const bool listed = next < rows.size() && static_cast<std::size_t>(rows[next]) == r;
+      for (std::size_t j = 0; j < d; ++j) {
+        const real_t expect = listed ? src.at(next, j) + (add ? 2.0f : 0.0f) : 2.0f;
+        EXPECT_EQ(dst.at(r, j), expect) << "row " << r << ", add " << add;
+      }
+      if (listed) ++next;
+    }
+  }
+  DenseMatrix dst(n, d);
+  EXPECT_THROW(scatter_rows(src.cview(), std::span<const vid_t>(rows).first(3), dst.view(), false),
+               std::invalid_argument);
+}
+
 TEST(TextTable, RendersAlignedRows) {
   TextTable t({"name", "value"});
   t.add_row({"x", "1"});
