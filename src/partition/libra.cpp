@@ -1,7 +1,6 @@
 #include "partition/libra.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -11,26 +10,14 @@ namespace distgnn {
 
 namespace {
 
-/// Fixed-capacity partition membership bitset; 256 partitions is double the
-/// paper's largest run (128 sockets).
-struct PartSet {
-  static constexpr int kMaxParts = 256;
-  std::uint64_t words[kMaxParts / 64] = {};
+/// Libra's partition limit: double the paper's largest run (128 sockets).
+constexpr part_t kLibraMaxParts = 256;
 
-  bool test(part_t p) const { return (words[p >> 6] >> (p & 63)) & 1u; }
-  void set(part_t p) { words[p >> 6] |= (std::uint64_t{1} << (p & 63)); }
-  bool empty() const {
-    for (const auto w : words)
-      if (w != 0) return false;
-    return true;
-  }
-};
-
-EdgePartition make_result(part_t num_parts, std::size_t num_edges) {
-  EdgePartition ep;
-  ep.num_parts = num_parts;
-  ep.edge_owner.assign(num_edges, kInvalidPart);
-  ep.edges_per_part.assign(static_cast<std::size_t>(num_parts), 0);
+/// A partitioner's result: its owner array and the edges-per-part histogram.
+EdgePartition make_result(part_t num_parts, std::vector<part_t> edge_owner) {
+  EdgePartition ep{num_parts, std::move(edge_owner),
+                   std::vector<eid_t>(static_cast<std::size_t>(num_parts), 0)};
+  for (const part_t p : ep.edge_owner) ++ep.edges_per_part[static_cast<std::size_t>(p)];
   return ep;
 }
 
@@ -41,10 +28,8 @@ EdgePartition make_result(part_t num_parts, std::size_t num_edges) {
 /// the next tier. The intersection preference is what lets naturally
 /// clustered graphs (Proteins in the paper) partition with a small
 /// replication factor.
-part_t greedy_pick(const Edge& edge, const std::vector<PartSet>& member,
+part_t greedy_pick(const Edge& edge, const CloneSets& member,
                    const std::vector<eid_t>& edges_per_part, eid_t capacity, part_t num_parts) {
-  const PartSet& su = member[static_cast<std::size_t>(edge.src)];
-  const PartSet& sv = member[static_cast<std::size_t>(edge.dst)];
   part_t best = kInvalidPart;
   eid_t best_load = std::numeric_limits<eid_t>::max();
   auto consider = [&](part_t p) {
@@ -55,19 +40,8 @@ part_t greedy_pick(const Edge& edge, const std::vector<PartSet>& member,
       best = p;
     }
   };
-  auto scan = [&](auto word_of) {
-    for (int w = 0; w < PartSet::kMaxParts / 64; ++w) {
-      std::uint64_t bits = word_of(w);
-      while (bits != 0) {
-        const int bit = std::countr_zero(bits);
-        bits &= bits - 1;
-        consider(static_cast<part_t>(w * 64 + bit));
-      }
-    }
-  };
-  scan([&](int w) { return su.words[w] & sv.words[w]; });  // intersection
-  if (best == kInvalidPart)
-    scan([&](int w) { return su.words[w] | sv.words[w]; });  // union
+  member.for_each_shared(edge.src, edge.dst, consider);
+  if (best == kInvalidPart) member.for_each_either(edge.src, edge.dst, consider);
   if (best == kInvalidPart)
     for (part_t p = 0; p < num_parts; ++p) consider(p);  // anywhere
   return best;
@@ -84,11 +58,27 @@ eid_t soft_capacity(std::size_t num_edges, part_t num_parts) {
 
 }  // namespace
 
+CloneSets build_clone_sets(vid_t num_vertices, std::span<const Edge> edges,
+                           std::span<const part_t> edge_owner, part_t num_parts) {
+  if (edge_owner.size() != edges.size())
+    throw std::invalid_argument("build_clone_sets: owner array size mismatch");
+  CloneSets sets(num_vertices, num_parts);
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const part_t p = edge_owner[e];
+    if (p < 0 || p >= num_parts)
+      throw std::invalid_argument("build_clone_sets: edge owner outside [0, num_parts)");
+    sets.add(edges[e].src, p);
+    sets.add(edges[e].dst, p);
+  }
+  return sets;
+}
+
 EdgePartition partition_libra(const EdgeList& edges, part_t num_parts, std::uint64_t seed) {
-  if (num_parts < 1 || num_parts > PartSet::kMaxParts)
+  if (num_parts < 1 || num_parts > kLibraMaxParts)
     throw std::invalid_argument("partition_libra: num_parts out of range [1, 256]");
-  EdgePartition ep = make_result(num_parts, edges.edges.size());
-  std::vector<PartSet> member(static_cast<std::size_t>(edges.num_vertices));
+  EdgePartition ep{num_parts, std::vector<part_t>(edges.edges.size(), kInvalidPart),
+                   std::vector<eid_t>(static_cast<std::size_t>(num_parts), 0)};
+  CloneSets member(edges.num_vertices, num_parts);
 
   // Shuffled edge visiting order decorrelates the stream from generator
   // artifacts; the assignment itself is deterministic given the order.
@@ -105,8 +95,8 @@ EdgePartition partition_libra(const EdgeList& edges, part_t num_parts, std::uint
     const part_t best = greedy_pick(edge, member, ep.edges_per_part, capacity, num_parts);
     ep.edge_owner[static_cast<std::size_t>(e)] = best;
     ++ep.edges_per_part[static_cast<std::size_t>(best)];
-    member[static_cast<std::size_t>(edge.src)].set(best);
-    member[static_cast<std::size_t>(edge.dst)].set(best);
+    member.add(edge.src, best);
+    member.add(edge.dst, best);
   }
   return ep;
 }
@@ -115,7 +105,7 @@ void extend_partition_libra(EdgePartition& partition, const EdgeList& post_edges
                             const std::vector<eid_t>& removed_edge_indices,
                             std::size_t num_inserted) {
   const part_t num_parts = partition.num_parts;
-  if (num_parts < 1 || num_parts > PartSet::kMaxParts)
+  if (num_parts < 1 || num_parts > kLibraMaxParts)
     throw std::invalid_argument("extend_partition_libra: num_parts out of range [1, 256]");
   const std::size_t survivors = partition.edge_owner.size() - removed_edge_indices.size();
   if (survivors + num_inserted != post_edges.edges.size())
@@ -130,17 +120,12 @@ void extend_partition_libra(EdgePartition& partition, const EdgeList& post_edges
   for (std::size_t e = 0; e < partition.edge_owner.size(); ++e)
     if (!removed[e]) owner.push_back(partition.edge_owner[e]);
 
-  // Rebuild membership and loads from the survivors only, so a partition
+  // Rebuild clone sets and loads from the survivors only, so a partition
   // whose last clone of a vertex vanished no longer attracts its new edges.
-  std::vector<PartSet> member(static_cast<std::size_t>(post_edges.num_vertices));
+  CloneSets member = build_clone_sets(
+      post_edges.num_vertices, std::span(post_edges.edges).first(survivors), owner, num_parts);
   std::vector<eid_t> edges_per_part(static_cast<std::size_t>(num_parts), 0);
-  for (std::size_t e = 0; e < owner.size(); ++e) {
-    const Edge& edge = post_edges.edges[e];
-    const part_t p = owner[e];
-    ++edges_per_part[static_cast<std::size_t>(p)];
-    member[static_cast<std::size_t>(edge.src)].set(p);
-    member[static_cast<std::size_t>(edge.dst)].set(p);
-  }
+  for (const part_t p : owner) ++edges_per_part[static_cast<std::size_t>(p)];
 
   const eid_t capacity = soft_capacity(post_edges.edges.size(), num_parts);
   for (std::size_t e = survivors; e < post_edges.edges.size(); ++e) {
@@ -148,8 +133,8 @@ void extend_partition_libra(EdgePartition& partition, const EdgeList& post_edges
     const part_t best = greedy_pick(edge, member, edges_per_part, capacity, num_parts);
     owner.push_back(best);
     ++edges_per_part[static_cast<std::size_t>(best)];
-    member[static_cast<std::size_t>(edge.src)].set(best);
-    member[static_cast<std::size_t>(edge.dst)].set(best);
+    member.add(edge.src, best);
+    member.add(edge.dst, best);
   }
 
   partition.edge_owner = std::move(owner);
@@ -158,39 +143,31 @@ void extend_partition_libra(EdgePartition& partition, const EdgeList& post_edges
 
 EdgePartition partition_random(const EdgeList& edges, part_t num_parts, std::uint64_t seed) {
   if (num_parts < 1) throw std::invalid_argument("partition_random: num_parts must be >= 1");
-  EdgePartition ep = make_result(num_parts, edges.edges.size());
+  std::vector<part_t> owner(edges.edges.size());
   Rng rng(seed ^ 0xabad1dea);
-  for (std::size_t e = 0; e < edges.edges.size(); ++e) {
-    const part_t p = static_cast<part_t>(rng.next_below(static_cast<std::uint64_t>(num_parts)));
-    ep.edge_owner[e] = p;
-    ++ep.edges_per_part[static_cast<std::size_t>(p)];
-  }
-  return ep;
+  for (part_t& p : owner)
+    p = static_cast<part_t>(rng.next_below(static_cast<std::uint64_t>(num_parts)));
+  return make_result(num_parts, std::move(owner));
 }
 
 EdgePartition partition_source_hash(const EdgeList& edges, part_t num_parts) {
   if (num_parts < 1) throw std::invalid_argument("partition_source_hash: num_parts must be >= 1");
-  EdgePartition ep = make_result(num_parts, edges.edges.size());
-  for (std::size_t e = 0; e < edges.edges.size(); ++e) {
+  std::vector<part_t> owner(edges.edges.size());
+  for (std::size_t e = 0; e < owner.size(); ++e) {
     // Fibonacci hash of the source id.
     const auto h = static_cast<std::uint64_t>(edges.edges[e].src) * 0x9e3779b97f4a7c15ULL;
-    const part_t p = static_cast<part_t>(h % static_cast<std::uint64_t>(num_parts));
-    ep.edge_owner[e] = p;
-    ++ep.edges_per_part[static_cast<std::size_t>(p)];
+    owner[e] = static_cast<part_t>(h % static_cast<std::uint64_t>(num_parts));
   }
-  return ep;
+  return make_result(num_parts, std::move(owner));
 }
 
 EdgePartition partition_range(const EdgeList& edges, part_t num_parts) {
   if (num_parts < 1) throw std::invalid_argument("partition_range: num_parts must be >= 1");
-  EdgePartition ep = make_result(num_parts, edges.edges.size());
+  std::vector<part_t> owner(edges.edges.size());
   const vid_t span = (edges.num_vertices + num_parts - 1) / num_parts;
-  for (std::size_t e = 0; e < edges.edges.size(); ++e) {
-    const part_t p = static_cast<part_t>(edges.edges[e].src / span);
-    ep.edge_owner[e] = p;
-    ++ep.edges_per_part[static_cast<std::size_t>(p)];
-  }
-  return ep;
+  for (std::size_t e = 0; e < owner.size(); ++e)
+    owner[e] = static_cast<part_t>(edges.edges[e].src / span);
+  return make_result(num_parts, std::move(owner));
 }
 
 EdgePartition partition_edges(const EdgeList& edges, part_t num_parts, PartitionStrategy strategy,

@@ -1,32 +1,23 @@
 #include "partition/partition_setup.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <unordered_map>
 
 namespace distgnn {
 
 VertexPlacement place_vertices(const EdgeList& edges, const EdgePartition& ep,
                                std::uint64_t seed) {
-  if (ep.edge_owner.size() != edges.edges.size())
-    throw std::invalid_argument("place_vertices: owner array size mismatch");
   VertexPlacement out;
-  out.parts.resize(static_cast<std::size_t>(edges.num_vertices));
-  auto note = [&](vid_t v, part_t p) {
-    auto& parts = out.parts[static_cast<std::size_t>(v)];
-    if (std::find(parts.begin(), parts.end(), p) == parts.end()) parts.push_back(p);
-  };
-  for (std::size_t e = 0; e < edges.edges.size(); ++e) {
-    note(edges.edges[e].src, ep.edge_owner[e]);
-    note(edges.edges[e].dst, ep.edge_owner[e]);
-  }
-  out.root.assign(out.parts.size(), kInvalidPart);
-  for (std::size_t v = 0; v < out.parts.size(); ++v) {
-    auto& parts = out.parts[v];
-    if (parts.empty()) continue;
-    std::sort(parts.begin(), parts.end());
+  out.parts = build_clone_sets(edges.num_vertices, edges.edges, ep.edge_owner, ep.num_parts);
+  out.root.assign(static_cast<std::size_t>(edges.num_vertices), kInvalidPart);
+  for (vid_t v = 0; v < edges.num_vertices; ++v) {
+    const int n = out.parts.count(v);
+    if (n == 0) continue;
     const std::uint64_t h = (static_cast<std::uint64_t>(v) + seed) * 0x9e3779b97f4a7c15ULL;
-    out.root[v] = parts[h % parts.size()];
+    auto k = static_cast<int>(h % static_cast<std::uint64_t>(n));
+    out.parts.for_each(v, [&](part_t p) {
+      if (k-- == 0) out.root[static_cast<std::size_t>(v)] = p;
+    });
   }
   return out;
 }
@@ -49,11 +40,10 @@ PartitionedGraph build_partitions(const EdgeList& edges, const EdgePartition& ep
   std::vector<std::unordered_map<vid_t, vid_t>> local_of(
       static_cast<std::size_t>(ep.num_parts));
   for (vid_t gv = 0; gv < edges.num_vertices; ++gv) {
-    const auto& parts = placement.parts[static_cast<std::size_t>(gv)];
     const part_t root = placement.root[static_cast<std::size_t>(gv)];
-    const bool split = parts.size() > 1;
+    const bool split = placement.parts.count(gv) > 1;
     const std::int64_t tree = split ? pg.num_split_trees++ : -1;
-    for (const part_t p : parts) {
+    placement.parts.for_each(gv, [&](part_t p) {
       LocalPartition& lp = pg.parts[static_cast<std::size_t>(p)];
       const vid_t local = lp.num_vertices++;
       local_of[static_cast<std::size_t>(p)].emplace(gv, local);
@@ -63,7 +53,7 @@ PartitionedGraph build_partitions(const EdgeList& edges, const EdgePartition& ep
       lp.is_root.push_back(split && p == root ? 1 : 0);
       lp.tree_id.push_back(tree);
       lp.owns_label.push_back(p == root ? 1 : 0);
-    }
+    });
   }
 
   // Remap edges into local indices.

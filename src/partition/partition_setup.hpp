@@ -2,7 +2,7 @@
 // graphs from an edge partition, assigns consecutive local vertex IDs
 // partition-by-partition, records the global `vertex_map` of ID ranges, and
 // discovers split vertices with their 1-level clone trees (one clone is the
-// root, the rest are leaves).
+// root, the rest are leaves), read from the one clone table (CloneSets).
 #pragma once
 
 #include <cstdint>
@@ -45,13 +45,13 @@ struct PartitionedGraph {
   vid_t total_local_vertices() const { return vertex_map.back(); }
 };
 
-/// Where a vertex-cut places each vertex's clones. parts[v] is the parts of
-/// v's edges, ascending (empty for a vertex in no edge). root[v] is the one
-/// part whose clone is v's root and owns its label: the only part of an
-/// unsplit vertex, a hash of (v, seed) among the parts of a split one, and
-/// kInvalidPart for a vertex in no edge.
+/// Where a vertex-cut places each vertex's clones: `parts` is the clone table
+/// of its edges (build_clone_sets; any part count, a bad owner throws). root[v]
+/// is the one part whose clone is v's root and owns its label: the only part
+/// of an unsplit vertex, a hash of (v, seed) among the ascending parts of a
+/// split one, and kInvalidPart for a vertex in no edge.
 struct VertexPlacement {
-  std::vector<std::vector<part_t>> parts;
+  CloneSets parts;
   std::vector<part_t> root;
 };
 

@@ -1,48 +1,27 @@
 #include "partition/partition_stats.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <vector>
 
 namespace distgnn {
 
-namespace {
-
-/// Per-vertex partition membership recomputed from the edge assignment.
-std::vector<std::vector<part_t>> memberships(const EdgeList& edges, const EdgePartition& ep) {
-  std::vector<std::vector<part_t>> member(static_cast<std::size_t>(edges.num_vertices));
-  auto note = [&](vid_t v, part_t p) {
-    auto& parts = member[static_cast<std::size_t>(v)];
-    if (std::find(parts.begin(), parts.end(), p) == parts.end()) parts.push_back(p);
-  };
-  for (std::size_t e = 0; e < edges.edges.size(); ++e) {
-    const part_t p = ep.edge_owner[e];
-    note(edges.edges[e].src, p);
-    note(edges.edges[e].dst, p);
-  }
-  return member;
-}
-
-}  // namespace
-
 PartitionQuality evaluate_partition(const EdgeList& edges, const EdgePartition& ep) {
-  if (ep.edge_owner.size() != edges.edges.size())
-    throw std::invalid_argument("evaluate_partition: owner array size mismatch");
   PartitionQuality q;
-
-  const auto member = memberships(edges, ep);
+  const CloneSets member =
+      build_clone_sets(edges.num_vertices, edges.edges, ep.edge_owner, ep.num_parts);
   std::uint64_t clones = 0;
   std::vector<vid_t> part_vertices(static_cast<std::size_t>(ep.num_parts), 0);
   std::vector<vid_t> part_split(static_cast<std::size_t>(ep.num_parts), 0);
-  for (const auto& parts : member) {
-    if (parts.empty()) continue;
+  for (vid_t v = 0; v < edges.num_vertices; ++v) {
+    const int n = member.count(v);
+    if (n == 0) continue;
     ++q.touched_vertices;
-    clones += parts.size();
-    if (parts.size() > 1) ++q.split_vertices;
-    for (const part_t p : parts) {
+    clones += static_cast<std::uint64_t>(n);
+    if (n > 1) ++q.split_vertices;
+    member.for_each(v, [&](part_t p) {
       ++part_vertices[static_cast<std::size_t>(p)];
-      if (parts.size() > 1) ++part_split[static_cast<std::size_t>(p)];
-    }
+      if (n > 1) ++part_split[static_cast<std::size_t>(p)];
+    });
   }
   if (q.touched_vertices > 0)
     q.replication_factor = static_cast<double>(clones) / static_cast<double>(q.touched_vertices);

@@ -1,5 +1,6 @@
 // Quality metrics of an edge partition: replication factor (Table 4 of the
-// paper), edge balance and split-vertex counts (Table 6's bottom row).
+// paper), edge balance and split-vertex counts (Table 6's bottom row), counted
+// over build_clone_sets' table: any part count; a bad owner array throws.
 #pragma once
 
 #include "graph/coo.hpp"

@@ -42,16 +42,22 @@ std::vector<vid_t> decode_ids(const std::vector<real_t>& payload) {
 }  // namespace
 
 HaloFetcher::HaloFetcher(Communicator& comm, std::span<const part_t> owner,
-                         const DenseMatrix& owned_rows,
-                         const std::unordered_map<vid_t, std::size_t>& owned_index,
+                         std::span<const std::size_t> owned_row, const DenseMatrix& owned_rows,
                          ShardedFeatureCache& cache, HaloCounters counters)
     : comm_(comm),
       owner_(owner),
+      owned_row_(owned_row),
       owned_rows_(owned_rows),
-      owned_index_(owned_index),
       cache_(cache),
       dim_(cache.dim()),
       counters_(counters) {}
+
+const real_t* HaloFetcher::owned(vid_t v) const {
+  const auto i = static_cast<std::size_t>(v);
+  if (v < 0 || i >= owner_.size() || owner_[i] != comm_.rank())
+    throw std::out_of_range("HaloFetcher: row of a vertex this rank does not own");
+  return owned_rows_.row(owned_row_[i]);
+}
 
 void HaloFetcher::service_peers() {
   const int num_ranks = comm_.size();
@@ -61,7 +67,7 @@ void HaloFetcher::service_peers() {
       const std::vector<vid_t> ids = decode_ids(*msg);
       std::vector<real_t> payload(ids.size() * dim_);
       for (std::size_t i = 0; i < ids.size(); ++i) {
-        const real_t* src = owned_rows_.row(owned_index_.at(ids[i]));
+        const real_t* src = owned(ids[i]);
         std::copy(src, src + dim_, payload.data() + i * dim_);
       }
       comm_.send(p, kTagFeatResp, std::move(payload));
@@ -96,7 +102,7 @@ void HaloFetcher::begin_fetch(HaloBatch& batch) {
       if (owner == me) {
         cache_.get_or_fill(/*space=*/0, static_cast<std::uint64_t>(v), batch.inputs.row(row),
                            [&](real_t* dst) {
-                             const real_t* src = owned_rows_.row(owned_index_.at(v));
+                             const real_t* src = owned(v);
                              std::copy(src, src + dim_, dst);
                            });
       } else if (!cache_.lookup(/*space=*/1, static_cast<std::uint64_t>(v),

@@ -63,13 +63,17 @@ struct HaloBatch {
 
 class HaloFetcher {
  public:
-  /// `owner` maps every vertex to its owning rank; `owned_rows`/`owned_index`
-  /// are this rank's feature shard. All referenced state must outlive the
-  /// fetcher. `cache` spaces follow the sharded-server convention (0 = owned
-  /// rows, 1 = halo rows).
-  HaloFetcher(Communicator& comm, std::span<const part_t> owner, const DenseMatrix& owned_rows,
-              const std::unordered_map<vid_t, std::size_t>& owned_index,
+  /// `owner` maps every vertex to its owning rank and `owned_row` to its row
+  /// in its owner's shard; `owned_rows` is this rank's shard. All referenced
+  /// state must outlive the fetcher. `cache` spaces follow the sharded-server
+  /// convention (0 = owned rows, 1 = halo rows).
+  HaloFetcher(Communicator& comm, std::span<const part_t> owner,
+              std::span<const std::size_t> owned_row, const DenseMatrix& owned_rows,
               ShardedFeatureCache& cache, HaloCounters counters);
+
+  /// v's feature row in this rank's shard; std::out_of_range unless this
+  /// rank owns v.
+  const real_t* owned(vid_t v) const;
 
   /// Answers any queued halo requests from peers; never blocks. Must keep
   /// being called from every wait loop on the rank (a plain blocking wait
@@ -91,8 +95,8 @@ class HaloFetcher {
  private:
   Communicator& comm_;
   std::span<const part_t> owner_;
+  std::span<const std::size_t> owned_row_;
   const DenseMatrix& owned_rows_;
-  const std::unordered_map<vid_t, std::size_t>& owned_index_;
   ShardedFeatureCache& cache_;
   std::size_t dim_;
   HaloCounters counters_;

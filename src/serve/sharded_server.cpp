@@ -60,25 +60,21 @@ ShardedServer::ShardedServer(const Dataset& dataset, const EdgePartition& partit
 
   owner_ = vertex_owners(dataset_.graph.coo(), partition, dataset_.num_vertices());
 
-  // Materialize each rank's feature shard: only owned rows — the rest of the
-  // feature store is reachable solely through the halo protocol.
+  // Materialize each rank's feature shard: only owned rows, in ascending
+  // vertex order — the rest of the feature store is reachable solely through
+  // the halo protocol.
   const std::size_t f = static_cast<std::size_t>(dataset_.feature_dim());
-  local_index_.resize(static_cast<std::size_t>(num_parts_));
+  std::vector<std::size_t> shard_rows(static_cast<std::size_t>(num_parts_), 0);
+  owned_row_.resize(owner_.size());
+  for (std::size_t v = 0; v < owner_.size(); ++v)
+    owned_row_[v] = shard_rows[static_cast<std::size_t>(owner_[v])]++;
   local_feats_.resize(static_cast<std::size_t>(num_parts_));
-  {
-    std::vector<std::vector<vid_t>> owned(static_cast<std::size_t>(num_parts_));
-    for (vid_t v = 0; v < dataset_.num_vertices(); ++v)
-      owned[static_cast<std::size_t>(owner_[static_cast<std::size_t>(v)])].push_back(v);
-    for (part_t p = 0; p < num_parts_; ++p) {
-      auto& ids = owned[static_cast<std::size_t>(p)];
-      DenseMatrix& rows = local_feats_[static_cast<std::size_t>(p)];
-      rows.resize_discard(ids.size(), f);
-      for (std::size_t li = 0; li < ids.size(); ++li) {
-        const real_t* src = dataset_.features.row(static_cast<std::size_t>(ids[li]));
-        std::copy(src, src + f, rows.row(li));
-        local_index_[static_cast<std::size_t>(p)].emplace(ids[li], li);
-      }
-    }
+  for (part_t p = 0; p < num_parts_; ++p)
+    local_feats_[static_cast<std::size_t>(p)].resize_discard(
+        shard_rows[static_cast<std::size_t>(p)], f);
+  for (std::size_t v = 0; v < owner_.size(); ++v) {
+    const real_t* src = dataset_.features.row(v);
+    std::copy(src, src + f, local_feats_[static_cast<std::size_t>(owner_[v])].row(owned_row_[v]));
   }
 
   queues_.reserve(static_cast<std::size_t>(num_parts_));
@@ -245,16 +241,14 @@ void ShardedServer::apply_graph_update(const std::function<void()>& apply,
   if (apply) apply();
 
   // Re-materialize updated feature rows into their owners' local shards.
-  // Ownership is structural (vertex-cut of the edge set) and we do not
-  // re-home vertices on delta, so every updated row already has a slot.
+  // Ownership is structural (vertex-cut of the edge set), the vertex set is
+  // fixed, and we do not re-home vertices on delta, so every updated row
+  // already has a slot.
   const std::size_t f = static_cast<std::size_t>(dataset_.feature_dim());
   for (const vid_t v : notice.features) {
-    const part_t p = owner_[static_cast<std::size_t>(v)];
-    const auto& index = local_index_[static_cast<std::size_t>(p)];
-    const auto it = index.find(v);
-    if (it == index.end()) continue;  // vertex added after construction: served via halo/cache
-    const real_t* src = dataset_.features.row(static_cast<std::size_t>(v));
-    std::copy(src, src + f, local_feats_[static_cast<std::size_t>(p)].row(it->second));
+    const auto i = static_cast<std::size_t>(v);
+    const real_t* src = dataset_.features.row(i);
+    std::copy(src, src + f, local_feats_[static_cast<std::size_t>(owner_[i])].row(owned_row_[i]));
   }
 
   // Invalidate per-rank caches: feature rows by id in both spaces (0 = local/
@@ -308,8 +302,8 @@ void ShardedServer::run_classic_rank(Communicator& comm, part_t me) {
   BoundedRequestQueue& queue = *queues_[static_cast<std::size_t>(me)];
   ShardedFeatureCache& cache = *caches_[static_cast<std::size_t>(me)];
   RankCounters& counters = rank_counters_[static_cast<std::size_t>(me)];
-  HaloFetcher fetcher(comm, owner_, local_feats_[static_cast<std::size_t>(me)],
-                      local_index_[static_cast<std::size_t>(me)], cache, counters.halo);
+  HaloFetcher fetcher(comm, owner_, owned_row_, local_feats_[static_cast<std::size_t>(me)], cache,
+                      counters.halo);
   ForwardScratch scratch;
   DenseMatrix logits;
 

@@ -42,7 +42,6 @@
 #include <optional>
 #include <span>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "comm/world.hpp"
@@ -172,7 +171,8 @@ class ShardedServer : public ServingBackend {
   ShardedServeConfig config_;
   part_t num_parts_;
   std::vector<part_t> owner_;
-  std::vector<std::unordered_map<vid_t, std::size_t>> local_index_;
+  /// Vertex -> its row in its owner's shard, local_feats_[owner_[v]].
+  std::vector<std::size_t> owned_row_;
   std::vector<DenseMatrix> local_feats_;
 
   // The shard's one set of books. Tenants are accounted where requests enter

@@ -98,10 +98,143 @@ TEST(Libra, DeterministicForSeed) {
   EXPECT_EQ(a.edge_owner, b.edge_owner);
 }
 
+// ---- the exact cut ----
+
+/// FNV-1a over the little-endian bytes of 64-bit values.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::int64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (static_cast<std::uint64_t>(x) >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+std::vector<part_t> parts_of(const CloneSets& sets, vid_t v) {
+  std::vector<part_t> parts;
+  sets.for_each(v, [&](part_t p) { parts.push_back(p); });
+  return parts;
+}
+
+struct GoldenCut {
+  part_t parts;
+  std::uint64_t owners;     // FNV-1a of partition_libra's edge_owner
+  std::uint64_t placement;  // FNV-1a of place_vertices' parts and roots
+  double replication_factor;
+};
+
+// Pins Libra's exact edge assignment, the clone placement and the
+// replication factor on the rmat test graph (Libra seed 3, root seed 5).
+// Any change to the greedy, its tie-breaking or the root hash shows here.
+TEST(Libra, ExactCutIsPinned) {
+  const EdgeList el = test_graph();
+  const GoldenCut golden[] = {
+      {1, 0x9c735bed0a722325ULL, 0x1cdcb3a5df95554cULL, 1.0},
+      {2, 0x22cdf3d05761ae85ULL, 0xdbf54a0f26a2db2fULL, 1.3350819672131147},
+      {5, 0xd3728eac6ec86ea1ULL, 0x45bb0febbdb68e6dULL, 1.9554098360655738},
+      {16, 0x65003254ec76cca6ULL, 0xa4599edc7b9cf925ULL, 2.9836065573770494},
+      {64, 0x26e5c54e619be6a8ULL, 0xd9b954e3570da847ULL, 4.496393442622951},
+      {65, 0x69bb44ab793e7281ULL, 0x167f761a34d4b75dULL, 4.5016393442622951},
+      {130, 0x0eaf5ee8b666c452ULL, 0xf86cf81100c1da8dULL, 5.3121311475409838},
+      {256, 0xdf064c257a9b7aa0ULL, 0xdc7e0c7f6567a519ULL, 9.0052459016393449},
+  };
+  for (const GoldenCut& g : golden) {
+    const EdgePartition ep = partition_libra(el, g.parts, 3);
+    Fnv1a owners;
+    for (const part_t p : ep.edge_owner) owners.add(p);
+    const VertexPlacement placement = place_vertices(el, ep, 5);
+    Fnv1a placed;
+    for (vid_t v = 0; v < el.num_vertices; ++v) {
+      const std::vector<part_t> parts = parts_of(placement.parts, v);
+      placed.add(static_cast<std::int64_t>(parts.size()));
+      for (const part_t p : parts) placed.add(p);
+      placed.add(placement.root[static_cast<std::size_t>(v)]);
+    }
+    EXPECT_EQ(owners.h, g.owners) << g.parts << " parts";
+    EXPECT_EQ(placed.h, g.placement) << g.parts << " parts";
+    EXPECT_EQ(evaluate_partition(el, ep).replication_factor, g.replication_factor)
+        << g.parts << " parts";
+  }
+}
+
 TEST(Libra, RejectsBadPartitionCounts) {
   const EdgeList el = test_graph(64, 128);
   EXPECT_THROW(partition_libra(el, 0), std::invalid_argument);
   EXPECT_THROW(partition_libra(el, 300), std::invalid_argument);
+}
+
+// ---- the clone table against a naive reference ----
+
+/// Each vertex's parts as a std::set, from the edges and their owners.
+std::vector<std::set<part_t>> reference_parts(const EdgeList& el, const EdgePartition& ep) {
+  std::vector<std::set<part_t>> parts(static_cast<std::size_t>(el.num_vertices));
+  for (std::size_t e = 0; e < el.edges.size(); ++e) {
+    parts[static_cast<std::size_t>(el.edges[e].src)].insert(ep.edge_owner[e]);
+    parts[static_cast<std::size_t>(el.edges[e].dst)].insert(ep.edge_owner[e]);
+  }
+  return parts;
+}
+
+void expect_matches_reference(const EdgeList& el, const EdgePartition& ep) {
+  const auto reference = reference_parts(el, ep);
+  const CloneSets sets =
+      build_clone_sets(el.num_vertices, el.edges, ep.edge_owner, ep.num_parts);
+  const VertexPlacement placement = place_vertices(el, ep, 5);
+  std::uint64_t clones = 0;
+  vid_t touched = 0, split = 0;
+  for (vid_t v = 0; v < el.num_vertices; ++v) {
+    const std::set<part_t>& want = reference[static_cast<std::size_t>(v)];
+    const std::vector<part_t> want_sorted(want.begin(), want.end());
+    EXPECT_EQ(parts_of(sets, v), want_sorted) << "vertex " << v;
+    EXPECT_EQ(sets.count(v), static_cast<int>(want.size())) << "vertex " << v;
+    EXPECT_EQ(parts_of(placement.parts, v), want_sorted) << "vertex " << v;
+    const part_t root = placement.root[static_cast<std::size_t>(v)];
+    if (want.empty()) {
+      EXPECT_EQ(root, kInvalidPart) << "vertex " << v;
+      continue;
+    }
+    const std::uint64_t h = (static_cast<std::uint64_t>(v) + 5) * 0x9e3779b97f4a7c15ULL;
+    EXPECT_EQ(root, want_sorted[h % want_sorted.size()]) << "vertex " << v;
+    ++touched;
+    clones += want.size();
+    if (want.size() > 1) ++split;
+  }
+  const PartitionQuality q = evaluate_partition(el, ep);
+  EXPECT_EQ(q.touched_vertices, touched);
+  EXPECT_EQ(q.split_vertices, split);
+  EXPECT_EQ(q.replication_factor, static_cast<double>(clones) / static_cast<double>(touched));
+}
+
+// Part counts on both sides of the 64-part word boundaries. The random
+// partitioner has no part limit; 300 parts shows only Libra keeps its 256.
+TEST(CloneSets, MatchReferenceAcrossWordBoundaries) {
+  const EdgeList el = test_graph();
+  for (const part_t parts : {63, 64, 65, 128, 129, 300}) {
+    SCOPED_TRACE(::testing::Message() << "random, " << parts << " parts");
+    expect_matches_reference(el, partition_random(el, parts, 2));
+  }
+  for (const part_t parts : {65, 256}) {
+    SCOPED_TRACE(::testing::Message() << "libra, " << parts << " parts");
+    expect_matches_reference(el, partition_libra(el, parts, 3));
+  }
+}
+
+TEST(CloneSets, RejectOwnersOutsideThePartRange) {
+  const EdgeList el = test_graph(64, 128);
+  for (const part_t bad : {part_t{-1}, part_t{4}, part_t{64}}) {
+    EdgePartition ep = partition_random(el, 4, 1);
+    ep.edge_owner[7] = bad;
+    EXPECT_THROW(build_clone_sets(el.num_vertices, el.edges, ep.edge_owner, ep.num_parts),
+                 std::invalid_argument)
+        << "owner " << bad;
+    EXPECT_THROW(place_vertices(el, ep), std::invalid_argument) << "owner " << bad;
+    EXPECT_THROW(evaluate_partition(el, ep), std::invalid_argument) << "owner " << bad;
+  }
+  EdgePartition short_owner = partition_random(el, 4, 1);
+  short_owner.edge_owner.pop_back();
+  EXPECT_THROW(place_vertices(el, short_owner), std::invalid_argument);
+  EXPECT_THROW(evaluate_partition(el, short_owner), std::invalid_argument);
 }
 
 // ---- partition setup ----

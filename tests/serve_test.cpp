@@ -720,6 +720,31 @@ TEST(ShardedServing, OwnerMapCoversEveryVertexExactlyOnce) {
   }
 }
 
+TEST(ShardedServing, HaloFetcherReadsOnlyOwnedRows) {
+  // Rank r owns the vertices v with v % 2 == r, at row v / 2 of its shard.
+  const std::vector<part_t> owner = {0, 1, 0, 1, 0, 1};
+  const std::vector<std::size_t> owned_row = {0, 0, 1, 1, 2, 2};
+  World::launch(2, [&](Communicator& comm) {
+    CacheBooks books;
+    ShardedFeatureCache cache(64 * 4 * sizeof(real_t), 4, books.spaces(), 1);
+    obs::MetricsRegistry registry;
+    const HaloCounters counters{registry.counter("distgnn_test_halo_rows_total"),
+                                registry.counter("distgnn_test_halo_bytes_total"),
+                                registry.counter("distgnn_test_halo_wait_ns_total")};
+    const DenseMatrix shard(3, 4);
+    HaloFetcher fetcher(comm, owner, owned_row, shard, cache, counters);
+    for (vid_t v = 0; v < 6; ++v) {
+      const auto i = static_cast<std::size_t>(v);
+      if (owner[i] == comm.rank())
+        EXPECT_EQ(fetcher.owned(v), shard.row(owned_row[i])) << "vertex " << v;
+      else
+        EXPECT_THROW(fetcher.owned(v), std::out_of_range) << "vertex " << v;
+    }
+    EXPECT_THROW(fetcher.owned(-1), std::out_of_range);
+    EXPECT_THROW(fetcher.owned(6), std::out_of_range);
+  });
+}
+
 // ------------------------------------------------------------- traffic gen
 
 TEST(TrafficGen, PoissonArrivalsAreAscendingAndDeterministic) {
