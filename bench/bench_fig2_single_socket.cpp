@@ -42,8 +42,8 @@ struct Timing {
 };
 
 /// Mean per-epoch times of `epochs` epochs after a warm-up epoch.
-template <typename Trainer, typename Data>
-Timing run(const Data& ds, const TrainConfig& cfg, int epochs) {
+template <typename Trainer>
+Timing run(const Dataset& ds, const TrainConfig& cfg, int epochs) {
   Trainer trainer(ds, cfg);
   Timing t;
   t.input_ap_seconds = trainer.input_ap_seconds();
@@ -119,14 +119,14 @@ int main(int argc, char** argv) {
   // Figure 2(d): RGCN-hetero on the AM-like knowledge graph (typed edges,
   // one relation weight per edge type).
   {
-    HeteroDatasetParams hp;
+    HeteroSbmParams hp;
     hp.num_vertices = static_cast<vid_t>(8192 * scale * 8);
     hp.num_classes = 11;
     hp.num_edge_types = 4;
     hp.avg_degree = 6.4;
     std::printf("[dataset] am-sim-hetero |V|=%lld relations=%d\n",
                 static_cast<long long>(hp.num_vertices), hp.num_edge_types);
-    const HeteroDataset hds = make_hetero_dataset(hp);
+    const Dataset hds = make_hetero_dataset(hp);
     TrainConfig cfg;
     cfg.num_layers = 2;
     cfg.hidden_dim = 16;

@@ -24,7 +24,6 @@
 
 #include "bench_serving_common.hpp"
 #include "graph/datasets.hpp"
-#include "graph/hetero.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/model_snapshot.hpp"
@@ -41,7 +40,7 @@ std::size_t g_requests = 400;
 
 struct MultitenantFixture {
   Dataset homo;     // SAGE + GAT tenants
-  Dataset hetero;   // RGCN tenant (merged graph + per-edge relations)
+  Dataset hetero;   // RGCN tenant (per-edge relations)
   std::shared_ptr<const ModelSnapshot> sage;
   std::shared_ptr<const ModelSnapshot> gat;
   std::shared_ptr<const ModelSnapshot> rgcn;
@@ -65,13 +64,13 @@ struct MultitenantFixture {
     f.homo = make_learnable_sbm(params);
     (void)f.homo.graph.in_csr();
 
-    HeteroDatasetParams hp;
+    HeteroSbmParams hp;
     hp.num_vertices = 2048;
     hp.num_edge_types = 4;
     hp.avg_degree = 8;
     hp.feature_dim = 32;
     hp.seed = 19;
-    f.hetero = hetero_to_dataset(make_hetero_dataset(hp));
+    f.hetero = make_hetero_dataset(hp);
     (void)f.hetero.graph.in_csr();
 
     ModelSpec sage;

@@ -51,7 +51,6 @@
 #include "obs/expose.hpp"
 #include "obs/health.hpp"
 #include "graph/datasets.hpp"
-#include "graph/hetero.hpp"
 #include "nn/serialize.hpp"
 #include "partition/libra.hpp"
 #include "serve/composed_tier.hpp"
@@ -306,12 +305,12 @@ int run_demo(const Options& opts) {
   gat_spec.kind = ModelKind::kGat;
   registry.publish(tenant_b, ModelSnapshot::random(gat_spec, /*seed=*/2, /*version=*/1));
 
-  HeteroDatasetParams hetero_params;
+  HeteroSbmParams hetero_params;
   hetero_params.num_vertices = 1024;
   hetero_params.num_edge_types = 3;
   hetero_params.feature_dim = 16;
   hetero_params.seed = 7;
-  const Dataset hetero = hetero_to_dataset(make_hetero_dataset(hetero_params));
+  const Dataset hetero = make_hetero_dataset(hetero_params);
   TenantSlo slo_c;
   slo_c.name = "charlie";
   const tenant_t tenant_c = registry.add_server(slo_c, hetero, serve_cfg);

@@ -1,32 +1,35 @@
 #include "core/rgcn_trainer.hpp"
 
 #include <chrono>
+#include <stdexcept>
 #include <utility>
 
 #include "util/stopwatch.hpp"
 
 namespace distgnn {
 
-RgcnTrainer::RgcnTrainer(const HeteroDataset& dataset, TrainConfig config)
+RgcnTrainer::RgcnTrainer(const Dataset& dataset, TrainConfig config)
     : dataset_(dataset),
       config_(config),
       rng_(config.seed),
       optimizer_(config.lr, config.momentum, config.weight_decay) {
-  const int relations = dataset.graph.num_edge_types();
+  const int relations = dataset.num_edge_types;
+  if (relations < 1) throw std::invalid_argument("RgcnTrainer: the dataset carries no edge types");
   const auto n = static_cast<std::size_t>(dataset.num_vertices());
-  const int nb = config_.num_blocks > 0
-                     ? config_.num_blocks
-                     : auto_num_blocks(dataset.num_vertices(),
-                                       static_cast<std::size_t>(dataset.feature_dim()));
+  const int num_blocks = config_.num_blocks > 0
+                             ? config_.num_blocks
+                             : auto_num_blocks(dataset.num_vertices(),
+                                               static_cast<std::size_t>(dataset.feature_dim()));
+  const int blocks = config_.ap_mode == ApMode::kOptimized ? num_blocks : 1;
 
-  for (int r = 0; r < relations; ++r) {
-    if (config_.ap_mode == ApMode::kOptimized) {
-      blocked_in_.emplace_back(dataset.graph.in_csr(r), nb);
-      blocked_out_.emplace_back(dataset.graph.out_csr(r), nb);
-    }
+  for (const EdgeList& typed :
+       split_by_relation(dataset.graph.coo(), dataset.edge_types, relations)) {
+    const CsrMatrix in = CsrMatrix::from_coo(typed);
+    blocked_in_.emplace_back(in, blocks);
+    blocked_out_.emplace_back(CsrMatrix::transpose_from_coo(typed), blocks);
     DenseMatrix inv(n, 1);
     for (std::size_t v = 0; v < n; ++v) {
-      const eid_t deg = dataset.graph.in_degree(static_cast<vid_t>(v), r);
+      const eid_t deg = in.degree(static_cast<vid_t>(v));
       inv.at(v, 0) = deg > 0 ? 1.0f / static_cast<real_t>(deg) : 0.0f;
     }
     inv_norms_.push_back(std::move(inv));
@@ -62,23 +65,27 @@ ConstMatrixView RgcnTrainer::layer_input(std::size_t l) const {
   return l == 0 ? dataset_.features.cview() : acts_[l - 1].cview();
 }
 
-void RgcnTrainer::aggregate_layer(std::size_t l) {
-  const auto n = static_cast<std::size_t>(dataset_.num_vertices());
-  const ConstMatrixView H = layer_input(l);
+void RgcnTrainer::aggregate(const BlockedCsr& blocks, ConstMatrixView X, MatrixView out) const {
   ApConfig ap;
   // Per-relation subgraphs are very sparse and degree-homogeneous (AM splits
   // ~6 in-edges over 4 relations), so dynamic scheduling only costs overhead
   // here — exactly the Figure 4 observation that DS pays off on *skewed*
   // graphs. Static scheduling with the vectorized micro-kernel wins.
   ap.dynamic_schedule = false;
+  if (config_.ap_mode == ApMode::kOptimized) {
+    aggregate_prepartitioned(blocks, X, {}, out, ap);
+  } else {
+    aggregate_baseline(blocks.block(0), X, {}, out, ap.binary, ap.reduce);
+  }
+}
+
+void RgcnTrainer::aggregate_layer(std::size_t l) {
+  const auto n = static_cast<std::size_t>(dataset_.num_vertices());
+  const ConstMatrixView H = layer_input(l);
   for (int r = 0; r < num_relations(); ++r) {
     DenseMatrix& agg = aggs_[l][static_cast<std::size_t>(r)];
     agg.resize_discard(n, H.cols, 0);
-    if (config_.ap_mode == ApMode::kOptimized) {
-      aggregate_prepartitioned(blocked_in_[static_cast<std::size_t>(r)], H, {}, agg.view(), ap);
-    } else {
-      aggregate_baseline(dataset_.graph.in_csr(r), H, {}, agg.view(), ap.binary, ap.reduce);
-    }
+    aggregate(blocked_in_[static_cast<std::size_t>(r)], H, agg.view());
   }
 }
 
@@ -103,8 +110,6 @@ EpochStats RgcnTrainer::train_epoch() {
   const auto begin = std::chrono::steady_clock::now();
   const auto n = static_cast<std::size_t>(dataset_.num_vertices());
   const int relations = num_relations();
-  ApConfig ap;
-  ap.dynamic_schedule = false;
 
   forward(stats);
 
@@ -135,15 +140,8 @@ EpochStats RgcnTrainer::train_epoch() {
     scratch_.resize_discard(n, dH_.cols(), 0);
     for (int r = 0; r < relations; ++r) {
       scratch_.zero();
-      if (config_.ap_mode == ApMode::kOptimized) {
-        aggregate_prepartitioned(blocked_out_[static_cast<std::size_t>(r)],
-                                 dscaled_rel_[static_cast<std::size_t>(r)].cview(), {},
-                                 scratch_.view(), ap);
-      } else {
-        aggregate_baseline(dataset_.graph.out_csr(r),
-                           dscaled_rel_[static_cast<std::size_t>(r)].cview(), {}, scratch_.view(),
-                           ap.binary, ap.reduce);
-      }
+      aggregate(blocked_out_[static_cast<std::size_t>(r)],
+                dscaled_rel_[static_cast<std::size_t>(r)].cview(), scratch_.view());
       const std::size_t total = dH_.size();
 #pragma omp parallel for schedule(static)
       for (std::size_t i = 0; i < total; ++i) dH_.data()[i] += scratch_.data()[i];

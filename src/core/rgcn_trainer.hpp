@@ -1,14 +1,16 @@
-// Full-batch RGCN training on heterogeneous graphs — the Figure 2 "RGCN-
-// hetero on AM" workload. One optimized AP invocation per relation per layer
-// (each relation has its own CSR and blocked form); per-relation transpose
-// aggregation closes the backward pass. Layer 0's per-relation aggregates
-// of the constant input features are built once, at construction.
+// Full-batch RGCN training on edge-typed graphs — the Figure 2 "RGCN-hetero
+// on AM" workload. The trainer reads the same Dataset that serves the model:
+// its edge_types split the graph's COO into one in/out adjacency per
+// relation, built once at construction. One AP invocation per relation per
+// layer; per-relation transpose aggregation closes the backward pass.
+// Layer 0's per-relation aggregates of the constant input features are built
+// once, at construction.
 #pragma once
 
 #include <vector>
 
 #include "core/config.hpp"
-#include "graph/hetero.hpp"
+#include "graph/datasets.hpp"
 #include "kernels/aggregate.hpp"
 #include "nn/loss.hpp"
 #include "nn/metrics.hpp"
@@ -19,12 +21,14 @@ namespace distgnn {
 
 class RgcnTrainer {
  public:
-  RgcnTrainer(const HeteroDataset& dataset, TrainConfig config);
+  /// Throws std::invalid_argument unless the dataset carries edge types,
+  /// one per edge, and std::out_of_range for a type outside its relations.
+  RgcnTrainer(const Dataset& dataset, TrainConfig config);
 
   EpochStats train_epoch();
   double evaluate(const std::vector<std::uint8_t>& mask);
 
-  int num_relations() const { return dataset_.graph.num_edge_types(); }
+  int num_relations() const { return dataset_.num_edge_types; }
 
   /// Wall seconds of the layer-0 aggregations run once at construction.
   double input_ap_seconds() const { return input_ap_seconds_; }
@@ -43,8 +47,10 @@ class RgcnTrainer {
   ConstMatrixView layer_input(std::size_t l) const;
   /// aggs_[l][r] = A_r · layer_input(l) for every relation r.
   void aggregate_layer(std::size_t l);
+  /// out = blocks · X, the AP of config_.ap_mode; `out` must start at zero.
+  void aggregate(const BlockedCsr& blocks, ConstMatrixView X, MatrixView out) const;
 
-  const HeteroDataset& dataset_;
+  const Dataset& dataset_;
   TrainConfig config_;
   Rng rng_;
   std::vector<RgcnLayer> layers_;
@@ -52,8 +58,10 @@ class RgcnTrainer {
   Sgd optimizer_;
   double input_ap_seconds_ = 0.0;
 
-  std::vector<BlockedCsr> blocked_in_;   // per relation
-  std::vector<BlockedCsr> blocked_out_;  // per relation
+  // Per relation: the column blocks under ApMode::kOptimized, the plain CSR
+  // as one block for kBaseline.
+  std::vector<BlockedCsr> blocked_in_;
+  std::vector<BlockedCsr> blocked_out_;
   std::vector<DenseMatrix> inv_norms_;   // per relation, n x 1
 
   // acts_[l] is layer l's output; layer 0 reads dataset_.features.

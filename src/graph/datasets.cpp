@@ -1,5 +1,6 @@
 #include "graph/datasets.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -21,6 +22,21 @@ void assign_split(Dataset& ds, double train_fraction, double val_fraction, Rng& 
     else if (r < train_fraction + val_fraction) ds.val_mask[v] = 1;
     else ds.test_mask[v] = 1;
   }
+}
+
+// Class-informative features: one centroid per class, entries
+// `spread`·N(0,1), then each vertex's row is its label's centroid plus
+// `noise`·N(0,1) per column. Every SBM dataset draws its features this way.
+void centroid_features(Dataset& ds, int feature_dim, float spread, float noise, Rng& rng) {
+  const auto n = static_cast<std::size_t>(ds.num_vertices());
+  const auto dim = static_cast<std::size_t>(feature_dim);
+  DenseMatrix centroids(static_cast<std::size_t>(ds.num_classes), dim);
+  for (std::size_t i = 0; i < centroids.size(); ++i) centroids.data()[i] = spread * rng.normal();
+  ds.features.resize_discard(n, dim);
+  for (std::size_t v = 0; v < n; ++v)
+    for (std::size_t j = 0; j < dim; ++j)
+      ds.features.at(v, j) =
+          centroids.at(static_cast<std::size_t>(ds.labels[v]), j) + noise * rng.normal();
 }
 
 void random_features_labels(Dataset& ds, int feature_dim, int num_classes, Rng& rng) {
@@ -185,16 +201,7 @@ Dataset make_dataset(const DatasetSpec& spec, double scale) {
       for (vid_t v = 0; v < n; ++v)
         ds.labels[static_cast<std::size_t>(v)] =
             sbm.block_of[static_cast<std::size_t>(v)] % spec.num_classes;
-      DenseMatrix centroids(static_cast<std::size_t>(spec.num_classes),
-                            static_cast<std::size_t>(spec.feature_dim));
-      for (std::size_t i = 0; i < centroids.size(); ++i) centroids.data()[i] = rng.normal();
-      ds.features.resize_discard(static_cast<std::size_t>(n), static_cast<std::size_t>(spec.feature_dim));
-      for (vid_t v = 0; v < n; ++v) {
-        const int c = ds.labels[static_cast<std::size_t>(v)];
-        for (int j = 0; j < spec.feature_dim; ++j)
-          ds.features.at(static_cast<std::size_t>(v), static_cast<std::size_t>(j)) =
-              centroids.at(static_cast<std::size_t>(c), static_cast<std::size_t>(j)) + rng.normal();
-      }
+      centroid_features(ds, spec.feature_dim, /*spread=*/1.0f, /*noise=*/1.0f, rng);
       break;
     }
   }
@@ -225,18 +232,65 @@ Dataset make_learnable_sbm(const LearnableSbmParams& params) {
   for (std::size_t v = 0; v < n; ++v) ds.labels[v] = sbm.block_of[v];
 
   Rng rng(params.seed ^ 0xabcdef);
-  DenseMatrix centroids(static_cast<std::size_t>(params.num_classes),
-                        static_cast<std::size_t>(params.feature_dim));
-  for (std::size_t i = 0; i < centroids.size(); ++i) centroids.data()[i] = 2.0f * rng.normal();
-  ds.features.resize_discard(n, static_cast<std::size_t>(params.feature_dim));
-  for (std::size_t v = 0; v < n; ++v)
-    for (int j = 0; j < params.feature_dim; ++j)
-      ds.features.at(v, static_cast<std::size_t>(j)) =
-          centroids.at(static_cast<std::size_t>(ds.labels[v]), static_cast<std::size_t>(j)) +
-          params.feature_noise * rng.normal();
-
+  centroid_features(ds, params.feature_dim, /*spread=*/2.0f, params.feature_noise, rng);
   assign_split(ds, params.train_fraction, params.val_fraction, rng);
   return ds;
+}
+
+Dataset make_hetero_dataset(const HeteroSbmParams& params) {
+  const int relations = params.num_edge_types;
+  if (relations < 1) throw std::invalid_argument("make_hetero_dataset: num_edge_types must be >= 1");
+  SbmParams sp;
+  sp.num_vertices = params.num_vertices;
+  sp.num_blocks = params.num_classes;
+  sp.avg_degree = params.avg_degree;
+  sp.in_out_ratio = 8.0;
+  sp.seed = params.seed;
+  SbmGraph sbm = generate_sbm(sp);
+
+  Rng rng(params.seed ^ 0xfeed);
+  // Relation assignment: intra-community edges draw from the low relations
+  // [0, low), cross-community edges from the high ones [low, relations), so
+  // relations are genuinely informative about structure. One relation makes
+  // the draws of two, and the clamp gives every edge relation 0.
+  const int low = std::max(1, relations / 2);
+  const int high = std::max(1, relations - low);
+  Dataset ds;
+  ds.name = "hetero";
+  ds.edge_types.resize(sbm.edges.edges.size());
+  ds.num_edge_types = relations;
+  for (std::size_t i = 0; i < sbm.edges.edges.size(); ++i) {
+    const Edge& e = sbm.edges.edges[i];
+    const bool intra = sbm.block_of[static_cast<std::size_t>(e.src)] ==
+                       sbm.block_of[static_cast<std::size_t>(e.dst)];
+    const int type = intra ? static_cast<int>(rng.next_below(static_cast<std::uint64_t>(low)))
+                           : low + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(high)));
+    ds.edge_types[i] = std::min(type, relations - 1);
+  }
+
+  ds.num_classes = params.num_classes;
+  const auto n = static_cast<std::size_t>(params.num_vertices);
+  ds.labels.resize(n);
+  for (std::size_t v = 0; v < n; ++v) ds.labels[v] = sbm.block_of[v];
+  ds.graph = Graph(std::move(sbm.edges));
+  centroid_features(ds, params.feature_dim, /*spread=*/2.0f, params.feature_noise, rng);
+  assign_split(ds, params.train_fraction, params.val_fraction, rng);
+  return ds;
+}
+
+std::vector<EdgeList> split_by_relation(const EdgeList& edges, std::span<const int> edge_types,
+                                        int num_edge_types) {
+  if (edge_types.size() != edges.edges.size())
+    throw std::invalid_argument("split_by_relation: one edge type per edge expected");
+  std::vector<EdgeList> relations(static_cast<std::size_t>(std::max(0, num_edge_types)));
+  for (EdgeList& r : relations) r.num_vertices = edges.num_vertices;
+  for (std::size_t i = 0; i < edge_types.size(); ++i) {
+    const int t = edge_types[i];
+    if (t < 0 || t >= num_edge_types)
+      throw std::out_of_range("split_by_relation: edge type outside [0, num_edge_types)");
+    relations[static_cast<std::size_t>(t)].edges.push_back(edges.edges[i]);
+  }
+  return relations;
 }
 
 }  // namespace distgnn

@@ -2,10 +2,13 @@
 // dataset ("reddit-sim", "ogbn-products-sim", "proteins-sim",
 // "ogbn-papers-sim", "am-sim") is a scaled-down analogue whose density
 // character matches the original; `scale` multiplies the vertex count so the
-// same benchmark can be run larger or smaller.
+// same benchmark can be run larger or smaller. Learnable SBM datasets and
+// the edge-typed dataset of the RGCN workload (Figure 2's AM) are built here
+// too: a typed dataset is a Dataset whose edges carry relation labels.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,8 +28,8 @@ struct Dataset {
   std::vector<std::uint8_t> train_mask, val_mask, test_mask;  // |V| each
   int num_classes = 0;
   /// Per-edge relation labels, indexed by edge id (empty for homogeneous
-  /// datasets). Serving a relational model requires these — see
-  /// hetero_to_dataset() in graph/hetero.hpp.
+  /// datasets). RGCN training and serving read these — see
+  /// make_hetero_dataset() and split_by_relation().
   std::vector<int> edge_types;
   int num_edge_types = 0;
 
@@ -93,5 +96,30 @@ struct LearnableSbmParams {
   std::uint64_t seed = 11;
 };
 Dataset make_learnable_sbm(const LearnableSbmParams& params);
+
+/// A labelled edge-typed dataset (AM character): planted communities give
+/// learnable labels; each edge carries one of `num_edge_types` relations,
+/// with intra-community edges biased toward low-numbered relations so the
+/// relation signal is informative, as in real knowledge graphs.
+struct HeteroSbmParams {
+  vid_t num_vertices = 4096;
+  int num_classes = 11;        // AM's class count
+  int num_edge_types = 4;
+  double avg_degree = 8.0;
+  int feature_dim = 16;
+  float feature_noise = 1.0f;
+  double train_fraction = 0.3, val_fraction = 0.1;
+  std::uint64_t seed = 19;
+};
+/// Throws std::invalid_argument if num_edge_types < 1. With one relation
+/// every edge is relation 0.
+Dataset make_hetero_dataset(const HeteroSbmParams& params);
+
+/// Splits `edges` by relation: element r holds every edge whose type is r,
+/// in edge-id order, over the same vertex set. Throws std::invalid_argument
+/// unless `edge_types` has one entry per edge, and std::out_of_range for a
+/// type outside [0, num_edge_types).
+std::vector<EdgeList> split_by_relation(const EdgeList& edges, std::span<const int> edge_types,
+                                        int num_edge_types);
 
 }  // namespace distgnn

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "comm/world.hpp"
@@ -12,11 +13,13 @@ namespace distgnn {
 
 DistSampledResult train_distributed_sampled(const Dataset& dataset, SampledTrainConfig config,
                                             int num_ranks, int epochs, int threads_per_rank) {
+  if (num_ranks < 1 || epochs < 1)
+    throw std::invalid_argument("train_distributed_sampled: num_ranks and epochs must be >= 1");
   DistSampledResult result;
 
   const int hw_threads = static_cast<int>(std::thread::hardware_concurrency());
   const int threads =
-      threads_per_rank > 0 ? threads_per_rank : std::max(1, hw_threads / std::max(1, num_ranks));
+      threads_per_rank > 0 ? threads_per_rank : std::max(1, hw_threads / num_ranks);
 
   // Equal-size shards of the training vertices keep per-epoch batch counts
   // identical across ranks, so the per-batch AllReduce always lines up.

@@ -24,7 +24,8 @@ struct DistSampledResult {
 };
 
 /// Trains `epochs` epochs of mini-batch GraphSAGE over `num_ranks` simulated
-/// sockets. `threads_per_rank` = 0 divides the machine evenly.
+/// sockets. `threads_per_rank` = 0 divides the machine evenly. Throws
+/// std::invalid_argument unless num_ranks and epochs are at least 1.
 DistSampledResult train_distributed_sampled(const Dataset& dataset, SampledTrainConfig config,
                                             int num_ranks, int epochs, int threads_per_rank = 0);
 

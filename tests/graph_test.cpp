@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -309,6 +310,57 @@ TEST(Datasets, LearnableSbmFeaturesCorrelateWithLabels) {
       min_dist = std::min(min_dist, d2);
     }
   EXPECT_GT(min_dist, 1.0);
+}
+
+/// FNV-1a over the bytes of every field a dataset generator fills: the
+/// shape, the COO, edge types, labels, feature bits and the three masks.
+std::uint64_t dataset_hash(const Dataset& ds) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto bytes = [&](const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto all = [&](const auto& v) { bytes(v.data(), v.size() * sizeof(v[0])); };
+  const std::int64_t shape[] = {ds.num_vertices(), ds.num_classes, ds.num_edge_types,
+                                ds.feature_dim()};
+  bytes(shape, sizeof shape);
+  all(ds.graph.coo().edges);
+  all(ds.edge_types);
+  all(ds.labels);
+  bytes(ds.features.data(), ds.features.size() * sizeof(real_t));
+  all(ds.train_mask);
+  all(ds.val_mask);
+  all(ds.test_mask);
+  return h;
+}
+
+// Pins every generated bit of the SBM-family datasets (which share the
+// noisy-centroid feature draw) and of an RMAT one, so a refactor of the
+// generators cannot move a dataset unnoticed.
+TEST(Datasets, GeneratedDataIsPinned) {
+  LearnableSbmParams sbm;
+  sbm.num_vertices = 512;
+  sbm.num_classes = 4;
+  sbm.avg_degree = 8;
+  sbm.feature_dim = 8;
+  sbm.feature_noise = 0.5f;
+  EXPECT_EQ(dataset_hash(make_learnable_sbm(sbm)), 0x0505601fe4fa3ff3ULL);
+
+  const std::pair<int, std::uint64_t> hetero[] = {
+      {2, 0x546a58029aa33910ULL}, {3, 0x65b2e80a959a260aULL}, {4, 0xaee6085d596247beULL}};
+  for (const auto& [relations, expected] : hetero) {
+    HeteroSbmParams p;
+    p.num_vertices = 512;
+    p.num_edge_types = relations;
+    p.feature_noise = 0.8f;
+    EXPECT_EQ(dataset_hash(make_hetero_dataset(p)), expected) << relations << " relations";
+  }
+
+  EXPECT_EQ(dataset_hash(make_dataset("proteins-sim", 1.0 / 64)), 0x7f9c0adf43f87742ULL);
+  EXPECT_EQ(dataset_hash(make_dataset("am-sim", 1.0 / 16)), 0xe977d6d5d06a0387ULL);
 }
 
 TEST(Stats, MeanDegreeMatchesGraph) {

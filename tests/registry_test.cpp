@@ -13,7 +13,6 @@
 
 #include "core/rgcn_trainer.hpp"
 #include "graph/datasets.hpp"
-#include "graph/hetero.hpp"
 #include "nn/serialize.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/model_registry.hpp"
@@ -36,8 +35,8 @@ Dataset make_homo_dataset() {
   return make_learnable_sbm(params);
 }
 
-HeteroDataset make_hetero() {
-  HeteroDatasetParams params;
+Dataset make_hetero() {
+  HeteroSbmParams params;
   params.num_vertices = 256;
   params.num_classes = 4;
   params.num_edge_types = 3;
@@ -77,8 +76,7 @@ int full_fanout(const Dataset& dataset) {
 
 TEST(ModelRegistry, ServesThreeModelFamiliesFromOneProcess) {
   const Dataset homo = make_homo_dataset();
-  const HeteroDataset hetero = make_hetero();
-  const Dataset hetero_ds = hetero_to_dataset(hetero);
+  const Dataset hetero_ds = make_hetero();
 
   ModelRegistry registry;
   TenantSlo a;
@@ -285,7 +283,7 @@ TEST(ModelRegistry, BudgetShedsTheBurstingTenantOnly) {
 }
 
 TEST(RgcnServing, CheckpointRoundTripsBitwise) {
-  const HeteroDataset hetero = make_hetero();
+  const Dataset hetero = make_hetero();
   TrainConfig config;
   config.num_layers = 2;
   config.hidden_dim = 8;
@@ -303,7 +301,7 @@ TEST(RgcnServing, CheckpointRoundTripsBitwise) {
   spec.hidden_dim = config.hidden_dim;
   spec.num_classes = hetero.num_classes;
   spec.num_layers = config.num_layers;
-  spec.num_relations = hetero.graph.num_edge_types();
+  spec.num_relations = hetero.num_edge_types;
   const auto snapshot = ModelSnapshot::from_checkpoint(spec, path, /*version=*/4);
   EXPECT_EQ(snapshot->version(), 4u);
 
@@ -319,16 +317,15 @@ TEST(RgcnServing, CheckpointRoundTripsBitwise) {
 }
 
 TEST(RgcnServing, FullFanoutServedLogitsMatchTrainerBitwise) {
-  const HeteroDataset hetero = make_hetero();
-  const Dataset dataset = hetero_to_dataset(hetero);
+  const Dataset dataset = make_hetero();
 
   TrainConfig config;
   config.num_layers = 2;
   config.hidden_dim = 8;
   config.seed = 3;
   config.ap_mode = ApMode::kBaseline;
-  RgcnTrainer trainer(hetero, config);
-  (void)trainer.evaluate(hetero.val_mask);  // runs the full-graph forward
+  RgcnTrainer trainer(dataset, config);
+  (void)trainer.evaluate(dataset.val_mask);  // runs the full-graph forward
   const ConstMatrixView train_logits = trainer.logits();
 
   const std::string path = ::testing::TempDir() + "distgnn_rgcn_serve.ckpt";
@@ -365,8 +362,7 @@ TEST(RgcnServing, FullFanoutServedLogitsMatchTrainerBitwise) {
 }
 
 TEST(RgcnServing, PublishValidatesRelationCountAndEmbedForward) {
-  const HeteroDataset hetero = make_hetero();
-  const Dataset dataset = hetero_to_dataset(hetero);
+  const Dataset dataset = make_hetero();
   ModelSpec spec;
   spec.kind = ModelKind::kRgcn;
   spec.feature_dim = dataset.feature_dim();

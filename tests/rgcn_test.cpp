@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <set>
 #include <utility>
 
 #include "core/rgcn_trainer.hpp"
-#include "graph/hetero.hpp"
+#include "graph/datasets.hpp"
 #include "nn/rgcn_layer.hpp"
 #include "util/rng.hpp"
 
@@ -19,58 +20,112 @@ DenseMatrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   return m;
 }
 
-TEST(HeteroGraph, PerRelationCsrPartitionsEdges) {
+TEST(SplitByRelation, PartitionsEdgesInEdgeOrder) {
   EdgeList el;
   el.num_vertices = 4;
   el.add(0, 1);
   el.add(1, 2);
   el.add(2, 3);
   el.add(3, 0);
-  HeteroGraph g(el, {0, 1, 0, 1}, 2);
-  EXPECT_EQ(g.in_csr(0).num_entries() + g.in_csr(1).num_entries(), 4);
-  EXPECT_EQ(g.in_degree(1, 0), 1);  // edge 0->1 is relation 0
-  EXPECT_EQ(g.in_degree(1, 1), 0);
-  EXPECT_EQ(g.in_degree(2, 1), 1);  // edge 1->2 is relation 1
+  const std::vector<EdgeList> rel = split_by_relation(el, std::vector<int>{0, 1, 0, 1}, 2);
+  ASSERT_EQ(rel.size(), 2u);
+  EXPECT_EQ(rel[0].num_vertices, 4);
+  EXPECT_EQ(rel[0].edges, (std::vector<Edge>{{0, 1}, {2, 3}}));
+  EXPECT_EQ(rel[1].edges, (std::vector<Edge>{{1, 2}, {3, 0}}));
+  const CsrMatrix in0 = CsrMatrix::from_coo(rel[0]);
+  const CsrMatrix in1 = CsrMatrix::from_coo(rel[1]);
+  EXPECT_EQ(in0.num_entries() + in1.num_entries(), 4);
+  EXPECT_EQ(in0.degree(1), 1);  // edge 0->1 is relation 0
+  EXPECT_EQ(in1.degree(1), 0);
+  EXPECT_EQ(in1.degree(2), 1);  // edge 1->2 is relation 1
 }
 
-TEST(HeteroGraph, ValidatesInputs) {
+TEST(SplitByRelation, ValidatesInputs) {
   EdgeList el;
   el.num_vertices = 2;
   el.add(0, 1);
-  EXPECT_THROW(HeteroGraph(el, {0, 1}, 2), std::invalid_argument);  // size mismatch
-  EXPECT_THROW(HeteroGraph(el, {5}, 2), std::out_of_range);         // bad type
+  EXPECT_THROW(split_by_relation(el, std::vector<int>{0, 1}, 2), std::invalid_argument);
+  EXPECT_THROW(split_by_relation(el, std::vector<int>{5}, 2), std::out_of_range);
+  EXPECT_THROW(split_by_relation(el, std::vector<int>{-1}, 2), std::out_of_range);
 }
 
-TEST(HeteroGraph, OutCsrIsTranspose) {
+TEST(SplitByRelation, OutCsrIsTranspose) {
   EdgeList el;
   el.num_vertices = 3;
   el.add(0, 1);
   el.add(0, 2);
-  HeteroGraph g(el, {0, 0}, 1);
-  EXPECT_EQ(g.out_csr(0).degree(0), 2);
-  EXPECT_EQ(g.in_csr(0).degree(0), 0);
+  const std::vector<EdgeList> rel = split_by_relation(el, std::vector<int>{0, 0}, 1);
+  EXPECT_EQ(CsrMatrix::transpose_from_coo(rel[0]).degree(0), 2);
+  EXPECT_EQ(CsrMatrix::from_coo(rel[0]).degree(0), 0);
 }
 
-TEST(HeteroDataset, RelationsCorrelateWithCommunities) {
-  HeteroDatasetParams p;
+TEST(HeteroSbm, RelationsCorrelateWithCommunities) {
+  HeteroSbmParams p;
   p.num_vertices = 1024;
   p.num_classes = 4;
   p.num_edge_types = 4;
   p.avg_degree = 12;
-  const HeteroDataset ds = make_hetero_dataset(p);
-  EXPECT_EQ(ds.graph.num_edge_types(), 4);
+  const Dataset ds = make_hetero_dataset(p);
+  EXPECT_EQ(ds.num_edge_types, 4);
+  ASSERT_EQ(ds.edge_types.size(), static_cast<std::size_t>(ds.num_edges()));
   // Intra-community edges were biased to relations {0,1}.
   eid_t intra_low = 0, intra = 0;
-  const auto& edges = ds.graph.edges().edges;
-  const auto& types = ds.graph.edge_types();
+  const auto& edges = ds.graph.coo().edges;
   for (std::size_t i = 0; i < edges.size(); ++i) {
     if (ds.labels[static_cast<std::size_t>(edges[i].src)] ==
         ds.labels[static_cast<std::size_t>(edges[i].dst)]) {
       ++intra;
-      if (types[i] < 2) ++intra_low;
+      if (ds.edge_types[i] < 2) ++intra_low;
     }
   }
   EXPECT_GT(static_cast<double>(intra_low) / static_cast<double>(intra), 0.95);
+}
+
+// One relation takes every edge; fewer than one is rejected.
+TEST(HeteroSbm, OneRelationTrains) {
+  HeteroSbmParams p;
+  p.num_vertices = 256;
+  p.num_classes = 4;
+  p.num_edge_types = 1;
+  const Dataset ds = make_hetero_dataset(p);
+  EXPECT_EQ(ds.num_edge_types, 1);
+  ASSERT_EQ(ds.edge_types.size(), static_cast<std::size_t>(ds.num_edges()));
+  EXPECT_TRUE(std::all_of(ds.edge_types.begin(), ds.edge_types.end(),
+                          [](int t) { return t == 0; }));
+
+  TrainConfig cfg;
+  cfg.num_layers = 2;
+  cfg.hidden_dim = 8;
+  RgcnTrainer trainer(ds, cfg);
+  EXPECT_EQ(trainer.num_relations(), 1);
+  for (int e = 0; e < 2; ++e) EXPECT_TRUE(std::isfinite(trainer.train_epoch().loss)) << e;
+
+  p.num_edge_types = 0;
+  EXPECT_THROW(make_hetero_dataset(p), std::invalid_argument);
+}
+
+TEST(RgcnTrainer, RejectsMissingOrMisalignedEdgeTypes) {
+  HeteroSbmParams p;
+  p.num_vertices = 128;
+  p.num_classes = 2;
+  p.num_edge_types = 2;
+  const Dataset ds = make_hetero_dataset(p);
+  TrainConfig cfg;
+  cfg.num_layers = 2;
+  cfg.hidden_dim = 4;
+
+  Dataset untyped = ds;
+  untyped.edge_types.clear();
+  untyped.num_edge_types = 0;
+  EXPECT_THROW(RgcnTrainer(untyped, cfg), std::invalid_argument);
+
+  Dataset short_types = ds;
+  short_types.edge_types.pop_back();
+  EXPECT_THROW(RgcnTrainer(short_types, cfg), std::invalid_argument);
+
+  Dataset out_of_range = ds;
+  out_of_range.edge_types.front() = ds.num_edge_types;
+  EXPECT_THROW(RgcnTrainer(out_of_range, cfg), std::out_of_range);
 }
 
 TEST(RgcnLayer, GradientCheckThroughAllPaths) {
@@ -173,13 +228,13 @@ TEST(RgcnLayer, CollectsAllParams) {
 }
 
 TEST(RgcnTrainer, LearnsTypedCommunities) {
-  HeteroDatasetParams p;
+  HeteroSbmParams p;
   p.num_vertices = 1024;
   p.num_classes = 4;
   p.num_edge_types = 4;
   p.avg_degree = 12;
   p.feature_noise = 0.8f;
-  const HeteroDataset ds = make_hetero_dataset(p);
+  const Dataset ds = make_hetero_dataset(p);
 
   TrainConfig cfg;
   cfg.num_layers = 2;
@@ -194,12 +249,12 @@ TEST(RgcnTrainer, LearnsTypedCommunities) {
 }
 
 TEST(RgcnTrainer, BaselineAndOptimizedApAgree) {
-  HeteroDatasetParams p;
+  HeteroSbmParams p;
   p.num_vertices = 512;
   p.num_classes = 4;
   p.num_edge_types = 3;
   p.seed = 77;
-  const HeteroDataset ds = make_hetero_dataset(p);
+  const Dataset ds = make_hetero_dataset(p);
 
   TrainConfig cfg;
   cfg.num_layers = 2;
@@ -223,12 +278,12 @@ TEST(RgcnTrainer, BaselineAndOptimizedApAgree) {
 class RgcnInputLayer : public ::testing::TestWithParam<ApMode> {};
 
 TEST_P(RgcnInputLayer, MatchesPerEpochReaggregationBitwise) {
-  HeteroDatasetParams p;
+  HeteroSbmParams p;
   p.num_vertices = 512;
   p.num_classes = 4;
   p.num_edge_types = 3;
   p.seed = 78;
-  const HeteroDataset ds = make_hetero_dataset(p);
+  const Dataset ds = make_hetero_dataset(p);
 
   TrainConfig cfg;
   cfg.num_layers = 3;
@@ -253,14 +308,17 @@ TEST_P(RgcnInputLayer, MatchesPerEpochReaggregationBitwise) {
                         last ? static_cast<std::size_t>(ds.num_classes) : 16u, relations,
                         /*apply_relu=*/!last, init);
   }
+  std::vector<CsrMatrix> in_csr, out_csr;
   std::vector<BlockedCsr> blocked_in, blocked_out;
   std::vector<DenseMatrix> inv_norms;
-  for (int r = 0; r < relations; ++r) {
-    blocked_in.emplace_back(ds.graph.in_csr(r), cfg.num_blocks);
-    blocked_out.emplace_back(ds.graph.out_csr(r), cfg.num_blocks);
+  for (const EdgeList& typed : split_by_relation(ds.graph.coo(), ds.edge_types, relations)) {
+    in_csr.push_back(CsrMatrix::from_coo(typed));
+    out_csr.push_back(CsrMatrix::transpose_from_coo(typed));
+    blocked_in.emplace_back(in_csr.back(), cfg.num_blocks);
+    blocked_out.emplace_back(out_csr.back(), cfg.num_blocks);
     DenseMatrix inv(n, 1);
     for (std::size_t v = 0; v < n; ++v) {
-      const eid_t deg = ds.graph.in_degree(static_cast<vid_t>(v), r);
+      const eid_t deg = in_csr.back().degree(static_cast<vid_t>(v));
       inv.at(v, 0) = deg > 0 ? 1.0f / static_cast<real_t>(deg) : 0.0f;
     }
     inv_norms.push_back(std::move(inv));
@@ -273,8 +331,8 @@ TEST_P(RgcnInputLayer, MatchesPerEpochReaggregationBitwise) {
     if (cfg.ap_mode == ApMode::kOptimized) {
       aggregate_prepartitioned(transpose ? blocked_out[ri] : blocked_in[ri], X, {}, out.view(), ap);
     } else {
-      aggregate_baseline(transpose ? ds.graph.out_csr(r) : ds.graph.in_csr(r), X, {}, out.view(),
-                         ap.binary, ap.reduce);
+      aggregate_baseline(transpose ? out_csr[ri] : in_csr[ri], X, {}, out.view(), ap.binary,
+                         ap.reduce);
     }
   };
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
@@ -202,6 +203,25 @@ TEST(DistributedSampled, SingleRankMatchesLocalTrainerShape) {
   const DistSampledResult result = train_distributed_sampled(ds, cfg, 1, 3, 1);
   EXPECT_TRUE(std::isfinite(result.final_loss));
   EXPECT_GT(result.mean_epoch_seconds, 0.0);
+}
+
+// Zero ranks would divide by zero and zero epochs average over nothing:
+// both are rejected before any work.
+TEST(DistributedSampled, RejectsZeroRanksOrEpochs) {
+  LearnableSbmParams p;
+  p.num_vertices = 128;
+  p.num_classes = 2;
+  p.feature_dim = 4;
+  const Dataset ds = make_learnable_sbm(p);
+  SampledTrainConfig cfg;
+  cfg.fanouts = {2};
+  cfg.hidden_dim = 4;
+  EXPECT_THROW(train_distributed_sampled(ds, cfg, /*num_ranks=*/0, /*epochs=*/1, 1),
+               std::invalid_argument);
+  EXPECT_THROW(train_distributed_sampled(ds, cfg, /*num_ranks=*/-2, /*epochs=*/1, 1),
+               std::invalid_argument);
+  EXPECT_THROW(train_distributed_sampled(ds, cfg, /*num_ranks=*/1, /*epochs=*/0, 1),
+               std::invalid_argument);
 }
 
 TEST(SampledTrainer, ReportsWorkCounters) {
